@@ -51,6 +51,7 @@ from .sampling import (  # noqa: F401
     beta_schedule,
     fps,
     ggfps,
+    ggfps_chains,
     min_dist_update,
     select,
     urs,

@@ -214,6 +214,9 @@ def cmd_curve(cfg: dict, config_path: Path, out_dir: Path, threads: int) -> None
 
 
 def _resolve_threads(flag_value: int | None) -> int:
+    """Replicate workers from --threads, else GGFPS_LAB_THREADS; 0 or unset
+    means auto, which is 1: replicate threads contend for the GIL and ran
+    slower than one worker in every measured curve workload."""
     if flag_value is None:
         env = os.environ.get("GGFPS_LAB_THREADS")
         if env is not None:
@@ -225,7 +228,7 @@ def _resolve_threads(flag_value: int | None) -> int:
             flag_value = 0
     if flag_value < 0:
         raise ConfigError("--threads: must be >= 0")
-    return flag_value if flag_value > 0 else (os.cpu_count() or 1)
+    return flag_value if flag_value > 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="JSON run configuration")
         p.add_argument("--out", required=True, type=Path, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (0 = auto; env GGFPS_LAB_THREADS as fallback)")
+                       help="worker cap (0 = auto = 1; env GGFPS_LAB_THREADS as fallback)")
     return parser
 
 

@@ -27,7 +27,7 @@ from scipy.spatial.distance import cdist
 from . import __version__ as _tool_version
 from .dataset import LabeledSet, dumps_17g, format_float
 from .krr import FactorizationError, fit, gaussian_gram, predict
-from .sampling import METHODS, SamplerConfig, fps, ggfps, urs
+from .sampling import METHODS, SamplerConfig, fps, ggfps, ggfps_chains, urs
 
 CV_COSTS = ("RMSE", "MAE")
 
@@ -231,6 +231,10 @@ class _GgfpsCv:
     Fold sub-selections are prefixes of per-(fold, beta) selection chains
     built once at the largest mirrored size, so one context can evaluate
     several target sizes cheaply and consistently with chain truncation.
+    All beta chains of a fold are selected together, in lockstep, the first
+    time that fold is asked for. The fold's chains share two squared-distance
+    matrices over the union of their points: union x union and union x
+    validation.
     """
 
     def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int, max_target: int):
@@ -240,26 +244,33 @@ class _GgfpsCv:
         self.max_target = max_target
         self.val_folds = _fold_partition(len(train), plan.folds, seed)
         self.pools = [np.setdiff1d(np.arange(len(train)), val) for val in self.val_folds]
-        self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
     def _fold_data(self, fi: int, bi: int):
-        key = (fi, bi)
-        if key not in self._cache:
-            plan = self.plan
-            pool_idx = self.pools[fi]
-            pool = self.train.subset(pool_idx)
-            chain_len = _mirror_size(self.max_target, plan.folds, len(pool_idx))
-            config = SamplerConfig(
-                method="GGFPS", n=chain_len, beta=plan.beta_grid[bi], beta_mode="swept",
-                seed=derive_seed(self.seed, "fold-select", fi, bi),
-            )
-            chain = np.asarray(ggfps(pool, config, horizon=chain_len).indices)
-            X_sel = pool.descriptors[chain]
-            X_val = self.train.descriptors[self.val_folds[fi]]
-            d2_sel = cdist(X_sel, X_sel, metric="sqeuclidean")
-            d2_val = cdist(X_sel, X_val, metric="sqeuclidean")
-            self._cache[key] = (pool_idx[chain], d2_sel, d2_val)
-        return self._cache[key]
+        """(chain in train indices, chain as rows of the fold matrices, union
+        x union and union x validation squared distances) for fold ``fi`` and
+        beta ``bi``."""
+        if (fi, bi) not in self._cache:
+            self._select_fold(fi)
+        return self._cache[(fi, bi)]
+
+    def _select_fold(self, fi: int) -> None:
+        plan = self.plan
+        X = self.train.descriptors
+        pool_idx = self.pools[fi]
+        chain_len = _mirror_size(self.max_target, plan.folds, len(pool_idx))
+        seeds = [derive_seed(self.seed, "fold-select", fi, bi) for bi in range(len(plan.beta_grid))]
+        chains, _ = ggfps_chains(X[pool_idx], self.train.gradient_norms[pool_idx],
+                                 plan.beta_grid, seeds, chain_len)
+        # cdist computes each pair on its own, so slices of these matrices are
+        # bitwise what a cdist over one chain prefix gives
+        union = np.unique(chains)
+        X_union = X[pool_idx[union]]
+        d2_union = cdist(X_union, X_union, metric="sqeuclidean")
+        d2_val = cdist(X_union, X[self.val_folds[fi]], metric="sqeuclidean")
+        for bi, chain in enumerate(chains):
+            self._cache[(fi, bi)] = (pool_idx[chain], np.searchsorted(union, chain),
+                                     d2_union, d2_val)
 
     def evaluate(self, target_size: int) -> np.ndarray:
         if target_size > self.max_target:
@@ -272,10 +283,11 @@ class _GgfpsCv:
         for fi, val in enumerate(self.val_folds):
             y_val = y[val]
             for bi in range(len(plan.beta_grid)):
-                chain_global, d2_sel, d2_val = self._fold_data(fi, bi)
-                n_sub = _mirror_size(target_size, plan.folds, len(chain_global))
-                d2s = d2_sel[:n_sub, :n_sub]
-                d2v = d2_val[:n_sub]
+                chain_global, rows, d2_union, d2_val = self._fold_data(fi, bi)
+                n_sub = _mirror_size(target_size, plan.folds, len(rows))
+                sub = rows[:n_sub]
+                d2s = d2_union[np.ix_(sub, sub)]
+                d2v = d2_val[sub]
                 y_sub = y[chain_global[:n_sub]]
                 for si, sigma in enumerate(plan.sigma_grid):
                     K = np.exp(-d2s / (2.0 * sigma * sigma))
@@ -370,20 +382,20 @@ def _run_replicate(
                 L, plan, derive_seed(master, "cv", method, labeled_size, rep),
                 max_target=n_chain,
             )
-            ggfps_chains: dict[float, np.ndarray] = {}
+            beta_chains: dict[float, np.ndarray] = {}
         for ts in ts_list:
             try:
                 if method == "GGFPS":
                     choice = choose_from_costs(ggfps_ctx.evaluate(ts), plan, with_beta=True)
-                    if choice.beta not in ggfps_chains:
+                    if choice.beta not in beta_chains:
                         config = SamplerConfig(
                             method="GGFPS", n=n_chain, beta=choice.beta,
                             beta_mode="swept", seed=sel_seed,
                         )
-                        ggfps_chains[choice.beta] = np.asarray(
+                        beta_chains[choice.beta] = np.asarray(
                             ggfps(L, config, horizon=n_chain).indices
                         )
-                    sel = ggfps_chains[choice.beta][:ts]
+                    sel = beta_chains[choice.beta][:ts]
                 else:
                     sel = chain[:ts]
                     choice = cross_validate(

@@ -5,8 +5,13 @@ FPS greedily picks the point whose minimum descriptor distance to the
 already-selected set is largest. GGFPS multiplies that distance by the
 candidate's gradient norm raised to an iteration-dependent exponent, so the
 selection can be biased toward (or away from) high-force regions while the
-exponent sweep keeps early picks covering both extremes. Minimum distances
-are maintained incrementally; the full pairwise matrix is never built.
+exponent sweep keeps early picks covering both extremes.
+
+Both samplers, and the per-(fold, beta) chains of GGFPS cross-validation
+(``ggfps_chains``), run on one greedy kernel (``_greedy``) that advances B
+chains over one pool in lockstep, keeping a (B, N) array of minimum
+distances. Each step computes the B distance rows of the new picks from a
+transposed copy of the descriptors; no pairwise matrix is built.
 """
 from __future__ import annotations
 
@@ -19,6 +24,7 @@ from .dataset import LabeledSet, dumps_17g
 METHODS = ("URS", "FPS", "GGFPS")
 BETA_MODES = ("swept", "constant")
 INIT_MODES = ("random_uniform", "gradient_weighted", "gradient_argmax")
+GRAD_FLOOR_REL = 1e-12
 
 
 class CapacityError(ValueError):
@@ -37,7 +43,7 @@ class SamplerConfig:
     beta_mode: str = "swept"
     init_mode: str | None = None
     seed: int = 0
-    grad_floor_rel: float = 1e-12
+    grad_floor_rel: float = GRAD_FLOOR_REL
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -80,7 +86,8 @@ class SelectionState:
 
     ``remaining`` is a boolean mask over all indices (True = not yet
     selected); ``min_dist[j]`` is the distance from j to the closest
-    selected point, +inf before the first selection.
+    selected point, +inf before the first selection. The samplers do not
+    use it; it is the one-step form of the update ``_greedy`` performs.
     """
 
     selected: list[int]
@@ -114,6 +121,96 @@ def min_dist_update(state: SelectionState, new_index: int, X: np.ndarray) -> Sel
         remaining=remaining,
         min_dist=min_dist,
     )
+
+
+def _initial_index(g: np.ndarray, init_mode: str, seed: int) -> int:
+    """First GGFPS pick per ``init_mode``: drawn with probability proportional
+    to the gradient norms, their argmax, or uniform."""
+    rng = np.random.default_rng(seed)
+    if init_mode == "gradient_weighted":
+        return int(rng.choice(len(g), p=g / g.sum()))
+    if init_mode == "gradient_argmax":
+        return int(np.argmax(g))
+    return int(rng.integers(len(g)))
+
+
+def _log_gradients(g: np.ndarray, grad_floor_rel: float = GRAD_FLOOR_REL) -> np.ndarray:
+    """Log gradient norms, floored so negative exponents stay finite.
+
+    The floor is relative to max(g), so it preserves the ordering of all
+    nonzero norms; it is never below the smallest positive double.
+    """
+    gmax = float(g.max()) if len(g) else 0.0
+    floor = grad_floor_rel * gmax if gmax > 0 else np.finfo(float).tiny
+    floor = max(floor, np.finfo(float).tiny)
+    return np.log(np.maximum(g, floor))
+
+
+class _DistanceRows:
+    """Euclidean distance rows of a point set: ``rows(idx)[r, j] = ||x_j - x_idx[r]||``.
+
+    Squared coordinate differences are added in coordinate order from a
+    transposed (d, N) copy, then square-rooted. For d < 8 that is the order
+    in which ``np.linalg.norm(X - x, axis=1)`` sums, so rows are bitwise
+    identical to it; for d >= 8 numpy sums pairwise and a row may differ in
+    the last ulp.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self._XT = np.ascontiguousarray(X.T)
+
+    def __call__(self, idx: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(idx), self._XT.shape[1]))
+        diff = np.empty_like(out)
+        for coord in self._XT:
+            np.subtract(coord, coord[idx, None], out=diff)
+            np.multiply(diff, diff, out=diff)
+            out += diff
+        return np.sqrt(out, out=out)
+
+
+def _greedy(rows, inits, exponents: np.ndarray, log_g: np.ndarray | None = None) -> np.ndarray:
+    """Greedy max-min selection of B chains over one pool, in lockstep.
+
+    ``rows(idx)`` returns the (len(idx), N) distance rows of pool points
+    ``idx``. Chain b starts at ``inits[b]``; step k >= 1 picks the remaining
+    index maximising ``exponents[b, k] * log_g + log(min_dist[b])``, or plain
+    ``min_dist[b]`` where that exponent is 0, the smallest index winning
+    ties. When every remaining score is -inf (only duplicates of selected
+    points remain) the smallest remaining index is taken. Column 0 of
+    ``exponents`` belongs to the initial point; returns the (B, n) picks
+    with n = ``exponents.shape[1]``.
+    """
+    inits = np.asarray(inits, dtype=np.intp)
+    n_chains, n = exponents.shape
+    chains = np.arange(n_chains)
+    picks = np.empty((n_chains, n), dtype=np.intp)
+    picks[:, 0] = inits
+    min_dist = rows(inits)
+    taken = np.zeros(min_dist.shape, dtype=bool)
+    taken[chains, inits] = True
+    score = np.empty_like(min_dist)
+    with np.errstate(divide="ignore"):
+        for k in range(1, n):
+            beta = exponents[:, k]
+            zero = beta == 0.0
+            if zero.all():
+                np.copyto(score, min_dist)
+            else:
+                np.log(min_dist, out=score)
+                score += beta[:, None] * log_g
+                if zero.any():
+                    score[zero] = min_dist[zero]
+            np.copyto(score, -np.inf, where=taken)
+            best = score.argmax(axis=1)
+            stuck = score[chains, best] == -np.inf
+            if stuck.any():
+                best[stuck] = taken[stuck].argmin(axis=1)
+            picks[:, k] = best
+            taken[chains, best] = True
+            if k + 1 < n:
+                np.minimum(min_dist, rows(best), out=min_dist)
+    return picks
 
 
 def urs(n_total: int, n: int, seed: int) -> list[int]:
@@ -175,12 +272,48 @@ def fps(X: np.ndarray, n: int, init: int | None = None, seed: int = 0) -> list[i
         raise CapacityError(f"cannot select {n} from {n_total} samples")
     if init is None:
         init = int(np.random.default_rng(seed).integers(n_total))
-    state = SelectionState.fresh(n_total)
-    state = min_dist_update(state, init, X)
-    while len(state.selected) < n:
-        cand = np.where(state.remaining, state.min_dist, -np.inf)
-        state = min_dist_update(state, int(np.argmax(cand)), X)
-    return state.selected
+    return _greedy(_DistanceRows(X), [int(init)], np.zeros((1, n)))[0].tolist()
+
+
+def ggfps_chains(
+    X: np.ndarray,
+    g: np.ndarray,
+    betas,
+    seeds,
+    n: int,
+    *,
+    horizon: int | None = None,
+    beta_mode: str = "swept",
+    init_mode: str = "gradient_weighted",
+    grad_floor_rel: float = GRAD_FLOOR_REL,
+    inits=None,
+) -> tuple[np.ndarray, list[str]]:
+    """GGFPS chains for several (beta, seed) pairs over one pool, in lockstep.
+
+    Chain b is exactly ``ggfps`` with beta ``betas[b]`` and seed ``seeds[b]``
+    (see there for the rule). Returns the (B, n) picks and the warnings;
+    ``inits``, when given, overrides the configured initial points.
+    """
+    X = _validate_matrix(X)
+    n_total = X.shape[0]
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > n_total:
+        raise CapacityError(f"cannot select {n} from {n_total} samples")
+    if horizon is None:
+        horizon = n
+    if horizon < n:
+        raise ValueError("horizon must be at least n")
+    exponents = np.stack([beta_schedule(b, horizon, beta_mode).values[:n] for b in betas])
+
+    warnings: list[str] = []
+    if inits is None:
+        if init_mode == "gradient_weighted" and not np.any(g > 0):
+            warnings.append("all gradient norms are zero; fell back to random_uniform init")
+            init_mode = "random_uniform"
+        inits = [_initial_index(g, init_mode, seed) for seed in seeds]
+    log_g = _log_gradients(g, grad_floor_rel)
+    return _greedy(_DistanceRows(X), inits, exponents, log_g), warnings
 
 
 def ggfps(
@@ -192,11 +325,14 @@ def ggfps(
     """Gradient-guided furthest point sampling.
 
     The initial point follows ``config.init_mode``: drawn with probability
-    proportional to the gradient norms, taken as their argmax, or uniform.
+    proportional to the gradient norms (uniform, with a warning, when all
+    are zero), taken as their argmax, or uniform.
     Iteration k then maximises g_j^beta_k * d_j over the remaining points
     (smallest index on ties), with beta_k from the schedule and d_j the
     incrementally maintained minimum distance. Scores are compared in the
-    log domain so large norms and |beta| up to 2 cannot overflow.
+    log domain so large norms and |beta| up to 2 cannot overflow. Once every
+    remaining point duplicates a selected one (all scores -inf), the smallest
+    remaining index is taken.
 
     ``horizon`` pins the schedule length independently of n (default n), so
     shorter runs sharing a horizon are prefixes of longer ones. An explicit
@@ -204,62 +340,18 @@ def ggfps(
     """
     if config.method != "GGFPS":
         raise ValueError("config.method must be GGFPS")
-    X = _validate_matrix(labeled.descriptors)
-    g = labeled.gradient_norms
-    n_total = X.shape[0]
-    n = config.n
-    if n > n_total:
-        raise CapacityError(f"cannot select {n} from {n_total} samples")
-    if horizon is None:
-        horizon = n
-    if horizon < n:
-        raise ValueError("horizon must be at least n")
-    schedule = beta_schedule(config.beta, horizon, config.beta_mode).values
-
-    warnings: list[str] = []
-    rng = np.random.default_rng(config.seed)
-    if init is None:
-        init_mode = config.init_mode
-        if init_mode == "gradient_weighted" and not np.any(g > 0):
-            warnings.append("all gradient norms are zero; fell back to random_uniform init")
-            init_mode = "random_uniform"
-        if init_mode == "gradient_weighted":
-            probs = g / g.sum()
-            init = int(rng.choice(n_total, p=probs))
-        elif init_mode == "gradient_argmax":
-            init = int(np.argmax(g))
-        else:
-            init = int(rng.integers(n_total))
-    else:
-        init = int(init)
-
-    # Floor the norms so negative exponents stay finite; relative to max(g)
-    # the floor preserves the ordering of all nonzero norms.
-    gmax = float(g.max()) if len(g) else 0.0
-    floor = config.grad_floor_rel * gmax if gmax > 0 else np.finfo(float).tiny
-    floor = max(floor, np.finfo(float).tiny)
-    log_g = np.log(np.maximum(g, floor))
-
-    state = SelectionState.fresh(n_total)
-    state = min_dist_update(state, init, X)
-    k = 1
-    with np.errstate(divide="ignore"):
-        while len(state.selected) < n:
-            beta_k = schedule[k]  # entry 0 belongs to the initial point
-            if beta_k == 0.0:
-                score = state.min_dist
-            else:
-                score = beta_k * log_g + np.log(state.min_dist)
-            score = np.where(state.remaining, score, -np.inf)
-            state = min_dist_update(state, int(np.argmax(score)), X)
-            k += 1
+    picks, warnings = ggfps_chains(
+        labeled.descriptors, labeled.gradient_norms, [config.beta], [config.seed], config.n,
+        horizon=horizon, beta_mode=config.beta_mode, init_mode=config.init_mode,
+        grad_floor_rel=config.grad_floor_rel, inits=None if init is None else [int(init)],
+    )
     return SelectionResult(
         method="GGFPS",
         seed=config.seed,
         beta=config.beta,
         beta_mode=config.beta_mode,
         init_mode=config.init_mode,
-        indices=state.selected,
+        indices=picks[0].tolist(),
         warnings=warnings,
     )
 

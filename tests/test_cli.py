@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from ggfps_lab import cli
 from ggfps_lab.cli import main
-from ggfps_lab.dataset import LabeledSet, dumps_17g
+from ggfps_lab.dataset import LabeledSet, dumps_17g, synth_boltzmann_set
+from ggfps_lab.surfaces import StyblinskiTang
 
 
 def write_config(tmp_path, name, payload):
@@ -157,6 +159,21 @@ class TestSample:
         doc = json.loads((out / "selection.json").read_text())
         assert doc["warnings"] and "fell back" in doc["warnings"][0]
 
+    def test_ggfps_on_duplicate_descriptors(self, tmp_path):
+        # a Metropolis walk with 36 distinct points; GGFPS n=41 used to exit 1
+        labeled = synth_boltzmann_set(StyblinskiTang(), 2.0, 300, seed=3, step=1.0,
+                                      burn_in=100, thinning=1)
+        data = tmp_path / "walk.csv"
+        data.write_text(labeled.to_csv())
+        cfg = write_config(tmp_path, "s.json", {
+            "schema_version": 1, "dataset": str(data),
+            "sampler": {"method": "GGFPS", "n": 41, "beta": 1.0, "seed": 0},
+        })
+        out = tmp_path / "o"
+        run_ok(["sample", "--config", str(cfg), "--out", str(out)])
+        doc = json.loads((out / "selection.json").read_text())
+        assert len(set(doc["indices"])) == 41
+
 
 def curve_config(dataset_dir, **plan_overrides):
     plan = {
@@ -241,6 +258,24 @@ class TestThreads:
         monkeypatch.setenv("GGFPS_LAB_THREADS", "1")
         cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "URS"))
         run_ok(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("flag, env, expected", [
+        (None, None, 1), (["--threads", "0"], None, 1), (None, "0", 1),
+        (["--threads", "3"], None, 3), (None, "2", 2), (["--threads", "1"], "4", 1),
+    ])
+    def test_auto_resolves_to_one_and_explicit_is_honored(
+        self, tmp_path, dataset_dir, monkeypatch, flag, env, expected
+    ):
+        if env is None:
+            monkeypatch.delenv("GGFPS_LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("GGFPS_LAB_THREADS", env)
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda labeled, plan, out, threads: seen.append(threads))
+        cfg = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        run_ok(["curve", "--config", str(cfg), "--out", str(tmp_path / "o")] + (flag or []))
+        assert seen == [expected]
 
 
 def test_dumps_17g_round_trips_floats():

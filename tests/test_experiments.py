@@ -9,7 +9,9 @@ from ggfps_lab.experiments import (
     DegenerateDistributionError,
     ExperimentPlan,
     ReplicateError,
+    _GgfpsCv,
     _PlainCv,
+    _mirror_size,
     _run_cells,
     bin_errors_by_force_norm,
     choose_from_costs,
@@ -20,6 +22,8 @@ from ggfps_lab.experiments import (
     selection_heatmap_2d,
 )
 from ggfps_lab.krr import KernelSpec, assemble_kernel
+from ggfps_lab.sampling import SamplerConfig, ggfps
+from scipy.spatial.distance import cdist
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
 
 SMALL_GRIDS = dict(sigma_grid=(0.5, 1.5), lambda_grid=(1e-6,), beta_grid=(0.0, 1.0))
@@ -113,6 +117,45 @@ class TestCrossValidate:
     def test_ggfps_requires_target_size(self, universe):
         with pytest.raises(ValueError, match="target_size"):
             cross_validate(universe.subset(range(30)), small_plan(), "GGFPS")
+
+
+class TestGgfpsCvFoldCache:
+    def test_lockstep_chains_match_per_beta_selection(self, universe):
+        plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
+        ctx = _GgfpsCv(universe, plan, seed=5, max_target=40)
+        X = universe.descriptors
+        for fi, pool_idx in enumerate(ctx.pools):
+            pool = universe.subset(pool_idx)
+            chain_len = _mirror_size(40, plan.folds, len(pool_idx))
+            for bi, beta in enumerate(plan.beta_grid):
+                config = SamplerConfig(method="GGFPS", n=chain_len, beta=beta,
+                                       seed=derive_seed(5, "fold-select", fi, bi))
+                expected = ggfps(pool, config, horizon=chain_len).indices
+                chain_global, rows, d2_union, d2_val = ctx._fold_data(fi, bi)
+                assert np.array_equal(chain_global, pool_idx[expected])
+                sub = rows[:17]
+                X_sel = X[chain_global[:17]]
+                assert np.array_equal(d2_union[np.ix_(sub, sub)],
+                                      cdist(X_sel, X_sel, metric="sqeuclidean"))
+                assert np.array_equal(d2_val[sub], cdist(X_sel, X[ctx.val_folds[fi]],
+                                                         metric="sqeuclidean"))
+
+    def test_fold_matrices_are_shared_across_beta(self, universe):
+        ctx = _GgfpsCv(universe, small_plan(), seed=5, max_target=20)
+        a, b = ctx._fold_data(0, 0), ctx._fold_data(0, 1)
+        assert a[2] is b[2] and a[3] is b[3]
+
+    def test_fold_matrices_cover_only_chain_points(self, universe):
+        # pool >> chains: the matrices must not grow with the pool
+        plan = small_plan()
+        ctx = _GgfpsCv(universe, plan, seed=5, max_target=10)
+        for fi, val in enumerate(ctx.val_folds):
+            chain_len = _mirror_size(10, plan.folds, len(ctx.pools[fi]))
+            bound = min(len(ctx.pools[fi]), len(plan.beta_grid) * chain_len)
+            assert bound < len(ctx.pools[fi])
+            _, _, d2_union, d2_val = ctx._fold_data(fi, 0)
+            assert d2_union.shape[0] == d2_union.shape[1] <= bound
+            assert d2_val.shape == (d2_union.shape[0], len(val))
 
 
 class TestLearningCurve:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ggfps_lab.dataset import LabeledSet
+from ggfps_lab.dataset import LabeledSet, synth_boltzmann_set
 from ggfps_lab.sampling import (
     CapacityError,
     SamplerConfig,
@@ -12,11 +12,21 @@ from ggfps_lab.sampling import (
     beta_schedule,
     fps,
     ggfps,
+    ggfps_chains,
     min_dist_update,
     select,
     urs,
+    _DistanceRows,
+    _greedy,
 )
-from oracles import alternating_betas, greedy_fps, greedy_ggfps, random_rotation
+from ggfps_lab.surfaces import StyblinskiTang
+from oracles import (
+    alternating_betas,
+    greedy_fps,
+    greedy_ggfps,
+    greedy_ggfps_fast,
+    random_rotation,
+)
 
 
 def make_labeled(X, g):
@@ -276,6 +286,103 @@ class TestGgfps:
         g = rng.uniform(0.1, 2.0, size=30)
         result = ggfps(make_labeled(X, g), ggfps_config(30, beta=2.0, seed=1))
         assert sorted(result.indices) == list(range(30))
+
+
+class TestDuplicateDescriptors:
+    """Once only duplicates of selected points remain, every GGFPS score is
+    -inf and the smallest remaining index is taken (it used to re-pick an
+    already selected index and raise SelectionStateError)."""
+
+    def test_minimal_repro(self):
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        g = np.ones(5)
+        result = ggfps(make_labeled(X, g), ggfps_config(5, beta=0.5, init_mode="gradient_argmax"))
+        assert result.indices == [0, 1, 2, 3, 4]
+        assert result.indices == greedy_ggfps(X, g, 5, 0, beta_schedule(0.5, 5).values)
+
+    def test_boltzmann_repro(self):
+        data = synth_boltzmann_set(StyblinskiTang(), 2.0, 300, seed=3, step=1.0,
+                                   burn_in=100, thinning=1)
+        distinct = np.unique(data.descriptors, axis=0)
+        assert len(distinct) == 36
+        config = ggfps_config(41, beta=1.0, seed=0)
+        result = ggfps(data, config)
+        assert len(set(result.indices)) == 41
+        # every distinct descriptor is covered before any duplicate is taken
+        first = data.descriptors[result.indices[:36]]
+        assert len(np.unique(first, axis=0)) == 36
+        betas = beta_schedule(1.0, 41).values
+        expected = greedy_ggfps_fast(data.descriptors, data.gradient_norms, 41,
+                                     result.indices[0], betas)
+        assert result.indices == expected
+
+
+def _random_instance(rng, n_pts, dim):
+    X = rng.normal(size=(n_pts, dim))
+    X[rng.integers(n_pts, size=n_pts // 5)] = X[0]  # duplicates of point 0
+    g = rng.uniform(0.1, 10, size=n_pts)
+    g[rng.integers(n_pts)] = 0.0  # exercises the log-gradient floor
+    return X, g
+
+
+class TestGreedyKernel:
+    def test_lockstep_matches_independent_chains(self):
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            n_pts = int(rng.integers(8, 60))
+            n_sel = int(rng.integers(2, n_pts + 1))
+            X, g = _random_instance(rng, n_pts, int(rng.integers(1, 6)))
+            labeled = make_labeled(X, g)
+            configs = [ggfps_config(n_sel, beta=0.0, seed=1)]
+            configs += [ggfps_config(n_sel, beta=float(rng.uniform(0, 2)),
+                                     mode=mode, seed=int(rng.integers(100)))
+                        for mode in ("swept", "constant", "swept", "constant")]
+            inits = [int(rng.integers(n_pts)) for _ in configs]
+            exponents = np.stack([beta_schedule(c.beta, n_sel, c.beta_mode).values
+                                  for c in configs])
+            log_g = np.log(np.maximum(g, 1e-12 * g.max()))
+            picks = _greedy(_DistanceRows(X), inits, exponents, log_g)
+            for row, config, init in zip(picks, configs, inits):
+                assert row.tolist() == ggfps(labeled, config, init=init).indices
+            # the beta=0 row is FPS
+            assert picks[0].tolist() == fps(X, n_sel, init=inits[0])
+
+    def test_ggfps_chains_match_independent_ggfps(self):
+        rng = np.random.default_rng(42)
+        for dim in (2, 8):
+            X, g = _random_instance(rng, 300, dim)
+            labeled = make_labeled(X, g)
+            betas, seeds = (0.0, 0.7, 2.0), (3, 4, 5)
+            picks, warnings = ggfps_chains(X, g, betas, seeds, 40, horizon=60)
+            assert picks.shape == (3, 40) and warnings == []
+            for row, beta, seed in zip(picks, betas, seeds):
+                config = ggfps_config(40, beta=beta, seed=seed)
+                assert row.tolist() == ggfps(labeled, config, horizon=60).indices
+
+    def test_ggfps_chains_warn_once_on_zero_gradients(self):
+        X = np.random.default_rng(43).normal(size=(12, 2))
+        picks, warnings = ggfps_chains(X, np.zeros(12), (0.5, 1.0), (1, 2), 6)
+        assert len(warnings) == 1 and "random_uniform" in warnings[0]
+        assert picks[:, 0].tolist() == [int(np.random.default_rng(s).integers(12))
+                                         for s in (1, 2)]
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_rows_bitwise_equal_numpy_norm_below_eight_dims(self, dim):
+        rng = np.random.default_rng(dim)
+        X = rng.normal(size=(500, dim)) * rng.uniform(0.01, 100, size=dim)
+        idx = np.array([0, 7, 499, 7])
+        got = _DistanceRows(X)(idx)
+        for r, i in enumerate(idx):
+            assert np.array_equal(got[r], np.linalg.norm(X - X[i], axis=1))
+
+    @pytest.mark.parametrize("dim", (8, 9, 16, 33))
+    def test_rows_close_to_numpy_norm_from_eight_dims(self, dim):
+        rng = np.random.default_rng(dim)
+        X = rng.normal(size=(500, dim)) * rng.uniform(0.01, 100, size=dim)
+        idx = np.array([3, 250])
+        got = _DistanceRows(X)(idx)
+        for r, i in enumerate(idx):
+            assert got[r] == pytest.approx(np.linalg.norm(X - X[i], axis=1), rel=1e-12, abs=0)
 
 
 class TestSelectDispatch:
