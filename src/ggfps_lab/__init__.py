@@ -37,6 +37,7 @@ from .krr import (  # noqa: F401
     assemble_kernel,
     fit,
     fit_model,
+    fit_prefixes,
     gaussian_kernel,
     local_kernel,
     predict,
@@ -46,13 +47,10 @@ from .sampling import (  # noqa: F401
     CapacityError,
     SamplerConfig,
     SelectionResult,
-    SelectionState,
-    SelectionStateError,
     beta_schedule,
     fps,
     ggfps,
     ggfps_chains,
-    min_dist_update,
     select,
     urs,
 )

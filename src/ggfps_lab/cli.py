@@ -190,7 +190,7 @@ def cmd_sample(cfg: dict, config_path: Path, out_dir: Path) -> None:
     (out_dir / "selection.json").write_text(result.to_json(indent=2))
 
 
-def cmd_curve(cfg: dict, config_path: Path, out_dir: Path, threads: int) -> None:
+def cmd_curve(cfg: dict, config_path: Path, out_dir: Path) -> None:
     labeled = _load_dataset(cfg, config_path)
     plan_cfg = _require(cfg, "plan", "config")
     if not isinstance(plan_cfg, dict):
@@ -210,13 +210,14 @@ def cmd_curve(cfg: dict, config_path: Path, out_dir: Path, threads: int) -> None
         plan = ExperimentPlan(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"plan.{exc}") from None
-    run_experiment(labeled, plan, out_dir, threads=threads)
+    run_experiment(labeled, plan, out_dir)
 
 
 def _resolve_threads(flag_value: int | None) -> int:
-    """Replicate workers from --threads, else GGFPS_LAB_THREADS; 0 or unset
-    means auto, which is 1: replicate threads contend for the GIL and ran
-    slower than one worker in every measured curve workload."""
+    """Worker count from --threads, else GGFPS_LAB_THREADS; 0 or unset means
+    auto, which is 1. The value is validated but changes nothing: replicates
+    always run serially, because replicate threads contend for the GIL and
+    ran slower than one worker in every measured curve workload."""
     if flag_value is None:
         env = os.environ.get("GGFPS_LAB_THREADS")
         if env is not None:
@@ -247,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="JSON run configuration")
         p.add_argument("--out", required=True, type=Path, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (0 = auto = 1; env GGFPS_LAB_THREADS as fallback)")
+                       help="accepted for compatibility and validated (>= 0; env "
+                            "GGFPS_LAB_THREADS as fallback), but runs are always serial")
     return parser
 
 
@@ -255,13 +257,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        threads = _resolve_threads(args.threads)
+        _resolve_threads(args.threads)
         if args.command == "generate":
             cmd_generate(cfg, args.config, args.out)
         elif args.command == "sample":
             cmd_sample(cfg, args.config, args.out)
         else:
-            cmd_curve(cfg, args.config, args.out, threads)
+            cmd_curve(cfg, args.config, args.out)
     except ReplicateError as exc:
         code = _classify(exc.cause)
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ every method), training subsets are selected by each method, kernel-ridge
 hyperparameters (and the gradient exponent bound for GGFPS) come from
 k-fold grid search, and errors are measured on the unselected remainder.
 All randomness flows through seeds derived from (master_seed, role, sizes,
-replicate), so parallel and serial runs produce identical outputs.
+replicate), so reruns produce identical outputs.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import hashlib
 import io
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from scipy.spatial.distance import cdist
 
 from . import __version__ as _tool_version
 from .dataset import LabeledSet, dumps_17g, format_float
-from .krr import FactorizationError, fit, gaussian_gram, predict
+from .krr import FactorizationError, fit, fit_prefixes, gaussian_gram, predict
 from .sampling import METHODS, SamplerConfig, fps, ggfps, ggfps_chains, urs
 
 CV_COSTS = ("RMSE", "MAE")
@@ -189,6 +188,40 @@ def _mirror_size(size: int, folds: int, cap: int) -> int:
     return max(1, min(cap, round(size * (folds - 1) / folds)))
 
 
+def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
+                y_val: np.ndarray, sizes: list[int], plan: ExperimentPlan,
+                dead: np.ndarray) -> np.ndarray:
+    """Validation cost of every (train size, sigma, lambda) candidate on one fold.
+
+    The training set of size m is the first m rows of ``d2_train`` (squared
+    distances among the largest training set), ``d2_val`` (to the validation
+    points) and ``y_train``. Per sigma one ``exp`` covers the largest block;
+    per lambda one Cholesky factor of the largest size still alive solves
+    every smaller size through its leading block (``fit_prefixes``).
+    Candidates marked in ``dead`` (shape (len(sizes), sigmas, lambdas)) are
+    skipped; sizes at or beyond a failing pivot are marked there. Returns the
+    costs, 0 where dead.
+    """
+    costs = np.zeros(dead.shape)
+    for si, sigma in enumerate(plan.sigma_grid):
+        if dead[:, si].all():
+            continue
+        K = np.exp(-d2_train / (2.0 * sigma * sigma))
+        K_val = np.exp(-d2_val / (2.0 * sigma * sigma))
+        for li, lam in enumerate(plan.lambda_grid):
+            alive = np.flatnonzero(~dead[:, si, li])
+            if not alive.size:
+                continue
+            alphas, _ = fit_prefixes(K, y_train, lam, [sizes[i] for i in alive])
+            for i, alpha in zip(alive, alphas):
+                if alpha is None:
+                    dead[i, si, li] = True
+                    continue
+                pred = predict(K_val[:len(alpha)], alpha)
+                costs[i, si, li] = _cost(pred, y_val, plan.cv_cost)
+    return costs
+
+
 class _PlainCv:
     """sigma x lambda grid search on a fixed training set (URS / FPS)."""
 
@@ -201,27 +234,16 @@ class _PlainCv:
         plan = self.plan
         X, y = self.train.descriptors, self.train.labels
         n = len(self.train)
-        n_sigma, n_lambda = len(plan.sigma_grid), len(plan.lambda_grid)
-        sums = np.zeros((n_sigma, n_lambda))
-        dead = np.zeros((n_sigma, n_lambda), dtype=bool)
+        shape = (1, len(plan.sigma_grid), len(plan.lambda_grid))
+        sums = np.zeros(shape)
+        dead = np.zeros(shape, dtype=bool)
         for val in self.val_folds:
             tr = np.setdiff1d(np.arange(n), val)
             d2_tr = cdist(X[tr], X[tr], metric="sqeuclidean")
             d2_val = cdist(X[tr], X[val], metric="sqeuclidean")
-            for si, sigma in enumerate(plan.sigma_grid):
-                K = np.exp(-d2_tr / (2.0 * sigma * sigma))
-                K_val = np.exp(-d2_val / (2.0 * sigma * sigma))
-                for li, lam in enumerate(plan.lambda_grid):
-                    if dead[si, li]:
-                        continue
-                    try:
-                        alpha = fit(K, y[tr], lam)
-                    except FactorizationError:
-                        dead[si, li] = True
-                        continue
-                    sums[si, li] += _cost(predict(K_val, alpha), y[val], plan.cv_cost)
+            sums += _grid_costs(d2_tr, d2_val, y[tr], y[val], [len(tr)], plan, dead)
         costs = np.where(dead, np.inf, sums / len(self.val_folds))
-        return costs[:, :, None]
+        return costs[0, :, :, None]
 
 
 class _GgfpsCv:
@@ -229,8 +251,8 @@ class _GgfpsCv:
     a training subset inside every fold's training portion.
 
     Fold sub-selections are prefixes of per-(fold, beta) selection chains
-    built once at the largest mirrored size, so one context can evaluate
-    several target sizes cheaply and consistently with chain truncation.
+    built once at the largest mirrored size, so one context evaluates all
+    target sizes in one pass, consistently with chain truncation.
     All beta chains of a fold are selected together, in lockstep, the first
     time that fold is asked for. The fold's chains share two squared-distance
     matrices over the union of their points: union x union and union x
@@ -272,35 +294,25 @@ class _GgfpsCv:
             self._cache[(fi, bi)] = (pool_idx[chain], np.searchsorted(union, chain),
                                      d2_union, d2_val)
 
-    def evaluate(self, target_size: int) -> np.ndarray:
-        if target_size > self.max_target:
+    def evaluate(self, target_sizes: list[int]) -> np.ndarray:
+        """Mean fold costs, shape (len(target_sizes), sigmas, lambdas, betas)."""
+        if max(target_sizes) > self.max_target:
             raise ValueError("target_size exceeds the context's maximum")
         plan = self.plan
         y = self.train.labels
-        shape = (len(plan.sigma_grid), len(plan.lambda_grid), len(plan.beta_grid))
+        shape = (len(target_sizes), len(plan.sigma_grid), len(plan.lambda_grid),
+                 len(plan.beta_grid))
         sums = np.zeros(shape)
         dead = np.zeros(shape, dtype=bool)
         for fi, val in enumerate(self.val_folds):
-            y_val = y[val]
             for bi in range(len(plan.beta_grid)):
                 chain_global, rows, d2_union, d2_val = self._fold_data(fi, bi)
-                n_sub = _mirror_size(target_size, plan.folds, len(rows))
-                sub = rows[:n_sub]
-                d2s = d2_union[np.ix_(sub, sub)]
-                d2v = d2_val[sub]
-                y_sub = y[chain_global[:n_sub]]
-                for si, sigma in enumerate(plan.sigma_grid):
-                    K = np.exp(-d2s / (2.0 * sigma * sigma))
-                    K_val = np.exp(-d2v / (2.0 * sigma * sigma))
-                    for li, lam in enumerate(plan.lambda_grid):
-                        if dead[si, li, bi]:
-                            continue
-                        try:
-                            alpha = fit(K, y_sub, lam)
-                        except FactorizationError:
-                            dead[si, li, bi] = True
-                            continue
-                        sums[si, li, bi] += _cost(predict(K_val, alpha), y_val, plan.cv_cost)
+                sizes = [_mirror_size(ts, plan.folds, len(rows)) for ts in target_sizes]
+                sub = rows[:max(sizes)]
+                sums[..., bi] += _grid_costs(
+                    d2_union[np.ix_(sub, sub)], d2_val[sub], y[chain_global[:len(sub)]],
+                    y[val], sizes, plan, dead[..., bi],
+                )
         return np.where(dead, np.inf, sums / len(self.val_folds))
 
 
@@ -339,7 +351,7 @@ def cross_validate(
         if target_size is None:
             raise ValueError("target_size is required for GGFPS cross-validation")
         ctx = _GgfpsCv(train, plan, seed, max_target=target_size)
-        return choose_from_costs(ctx.evaluate(target_size), plan, with_beta=True)
+        return choose_from_costs(ctx.evaluate([target_size])[0], plan, with_beta=True)
     costs = _PlainCv(train, plan, seed).evaluate()
     return choose_from_costs(costs, plan, with_beta=False)
 
@@ -383,10 +395,12 @@ def _run_replicate(
                 max_target=n_chain,
             )
             beta_chains: dict[float, np.ndarray] = {}
-        for ts in ts_list:
+        for i, ts in enumerate(ts_list):
             try:
                 if method == "GGFPS":
-                    choice = choose_from_costs(ggfps_ctx.evaluate(ts), plan, with_beta=True)
+                    if i == 0:
+                        ggfps_costs = ggfps_ctx.evaluate(ts_list)
+                    choice = choose_from_costs(ggfps_costs[i], plan, with_beta=True)
                     if choice.beta not in beta_chains:
                         config = SamplerConfig(
                             method="GGFPS", n=n_chain, beta=choice.beta,
@@ -416,7 +430,7 @@ def _run_replicate(
     return cells
 
 
-def _run_cells(universe: LabeledSet, plan: ExperimentPlan, threads: int = 1) -> list[_CellResult]:
+def _run_cells(universe: LabeledSet, plan: ExperimentPlan) -> list[_CellResult]:
     jobs = []
     for ls in plan.labeled_sizes:
         if ls > len(universe):
@@ -428,47 +442,40 @@ def _run_cells(universe: LabeledSet, plan: ExperimentPlan, threads: int = 1) -> 
             )
         for rep in range(plan.bootstraps):
             jobs.append((ls, ts_list, rep))
-    if threads is None or threads < 1:
-        threads = 1
-    if threads == 1:
-        batches = [_run_replicate(universe, plan, *job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_replicate, universe, plan, *job) for job in jobs]
-            batches = [f.result() for f in futures]
-    return [cell for batch in batches for cell in batch]
+    return [cell for job in jobs for cell in _run_replicate(universe, plan, *job)]
 
 
-def _aggregate(cells: list[_CellResult], plan: ExperimentPlan) -> list[CurvePoint]:
+def _group_cells(cells: list[_CellResult], plan: ExperimentPlan):
+    """Cells grouped by (method, labeled size, train size), in plan order,
+    each group's replicates in order: [((method, ls, ts), cells), ...]."""
+    groups: dict[tuple[str, int, int], list[_CellResult]] = {}
+    for c in sorted(cells, key=lambda c: c.replicate):
+        groups.setdefault((c.method, c.labeled_size, c.train_size), []).append(c)
+    rank = {m: i for i, m in enumerate(plan.methods)}
+    return sorted(groups.items(), key=lambda kv: (rank[kv[0][0]],) + kv[0][1:])
+
+
+def _aggregate(groups) -> list[CurvePoint]:
     points = []
-    for method in plan.methods:
-        for ls in plan.labeled_sizes:
-            for ts in plan.train_sizes:
-                group = sorted(
-                    (c for c in cells
-                     if c.method == method and c.labeled_size == ls and c.train_size == ts),
-                    key=lambda c: c.replicate,
-                )
-                if not group:
-                    continue
-                maes = np.array([c.mae for c in group])
-                rmses = np.array([c.rmse for c in group])
-                points.append(
-                    CurvePoint(
-                        method=method, labeled_size=ls, train_size=ts,
-                        mae_mean=float(maes.mean()), mae_var=float(maes.var()),
-                        rmse_mean=float(rmses.mean()), rmse_var=float(rmses.var()),
-                        chosen_beta=tuple(c.beta for c in group),
-                        chosen_sigma=tuple(c.sigma for c in group),
-                        chosen_lambda=tuple(c.lam for c in group),
-                    )
-                )
+    for (method, ls, ts), group in groups:
+        maes = np.array([c.mae for c in group])
+        rmses = np.array([c.rmse for c in group])
+        points.append(
+            CurvePoint(
+                method=method, labeled_size=ls, train_size=ts,
+                mae_mean=float(maes.mean()), mae_var=float(maes.var()),
+                rmse_mean=float(rmses.mean()), rmse_var=float(rmses.var()),
+                chosen_beta=tuple(c.beta for c in group),
+                chosen_sigma=tuple(c.sigma for c in group),
+                chosen_lambda=tuple(c.lam for c in group),
+            )
+        )
     return points
 
 
-def learning_curve(labeled: LabeledSet, plan: ExperimentPlan, threads: int = 1) -> list[CurvePoint]:
+def learning_curve(labeled: LabeledSet, plan: ExperimentPlan) -> list[CurvePoint]:
     """Bootstrapped learning curves for every method and size combination."""
-    return _aggregate(_run_cells(labeled, plan, threads=threads), plan)
+    return _aggregate(_group_cells(_run_cells(labeled, plan), plan))
 
 
 def bin_errors_by_force_norm(test_errors, bin_capacity: int = 30) -> list[ForceNormBin]:
@@ -570,30 +577,21 @@ def _curves_csv(points: list[CurvePoint]) -> str:
     return out.getvalue()
 
 
-def _bins_csv(cells: list[_CellResult], universe: LabeledSet, plan: ExperimentPlan) -> str:
+def _bins_csv(groups, universe: LabeledSet) -> str:
     out = io.StringIO()
     out.write("method,labeled_size,train_size,bin_lo,bin_hi,count,abs_err_mean,abs_err_var\n")
-    for method in plan.methods:
-        for ls in plan.labeled_sizes:
-            for ts in plan.train_sizes:
-                group = sorted(
-                    (c for c in cells
-                     if c.method == method and c.labeled_size == ls and c.train_size == ts),
-                    key=lambda c: c.replicate,
-                )
-                if not group:
-                    continue
-                fn = np.concatenate([universe.gradient_norms[c.test_global] for c in group])
-                err = np.concatenate([c.test_abs_err for c in group])
-                for b in bin_errors_by_force_norm(np.stack([fn, err], axis=1)):
-                    out.write(
-                        f"{method},{ls},{ts},{format_float(b.bin_lo)},{format_float(b.bin_hi)},"
-                        f"{b.count},{format_float(b.abs_err_mean)},{format_float(b.abs_err_var)}\n"
-                    )
+    for (method, ls, ts), group in groups:
+        fn = np.concatenate([universe.gradient_norms[c.test_global] for c in group])
+        err = np.concatenate([c.test_abs_err for c in group])
+        for b in bin_errors_by_force_norm(np.stack([fn, err], axis=1)):
+            out.write(
+                f"{method},{ls},{ts},{format_float(b.bin_lo)},{format_float(b.bin_hi)},"
+                f"{b.count},{format_float(b.abs_err_mean)},{format_float(b.abs_err_var)}\n"
+            )
     return out.getvalue()
 
 
-def _kde_csv(cells: list[_CellResult], universe: LabeledSet, plan: ExperimentPlan) -> str:
+def _kde_csv(groups, universe: LabeledSet, plan: ExperimentPlan) -> str:
     quantities = {
         "force_norm": lambda idx: universe.gradient_norms[idx],
         "label": lambda idx: universe.labels[idx],
@@ -608,43 +606,21 @@ def _kde_csv(cells: list[_CellResult], universe: LabeledSet, plan: ExperimentPla
         grid = np.linspace(base.min() - pad, base.max() + pad, plan.kde_points)
         for x, d in zip(grid, kde_1d(base, grid)):
             out.write(f"labeled,{quantity},,,{format_float(x)},{format_float(d)}\n")
-        for method in plan.methods:
-            for ls in plan.labeled_sizes:
-                for ts in plan.train_sizes:
-                    group = sorted(
-                        (c for c in cells
-                         if c.method == method and c.labeled_size == ls and c.train_size == ts),
-                        key=lambda c: c.replicate,
-                    )
-                    if not group:
-                        continue
-                    samples = np.concatenate([getter(c.sel_global) for c in group])
-                    for x, d in zip(grid, kde_1d(samples, grid)):
-                        out.write(
-                            f"{method},{quantity},{ls},{ts},{format_float(x)},{format_float(d)}\n"
-                        )
+        for (method, ls, ts), group in groups:
+            samples = np.concatenate([getter(c.sel_global) for c in group])
+            for x, d in zip(grid, kde_1d(samples, grid)):
+                out.write(f"{method},{quantity},{ls},{ts},{format_float(x)},{format_float(d)}\n")
     return out.getvalue()
 
 
-def _heatmap_csv(cells: list[_CellResult], universe: LabeledSet, plan: ExperimentPlan) -> str:
+def _heatmap_csv(groups, universe: LabeledSet, plan: ExperimentPlan) -> str:
     out = io.StringIO()
     out.write("method,labeled_size,train_size,row,col,count\n")
-    for method in plan.methods:
-        for ls in plan.labeled_sizes:
-            for ts in plan.train_sizes:
-                group = sorted(
-                    (c for c in cells
-                     if c.method == method and c.labeled_size == ls and c.train_size == ts),
-                    key=lambda c: c.replicate,
-                )
-                if not group:
-                    continue
-                counts = selection_heatmap_2d(
-                    [c.sel_global for c in group], universe, plan.heatmap_grid
-                )
-                for r in range(plan.heatmap_grid):
-                    for c in range(plan.heatmap_grid):
-                        out.write(f"{method},{ls},{ts},{r},{c},{int(counts[r, c])}\n")
+    for (method, ls, ts), group in groups:
+        counts = selection_heatmap_2d([c.sel_global for c in group], universe, plan.heatmap_grid)
+        for r in range(plan.heatmap_grid):
+            for c in range(plan.heatmap_grid):
+                out.write(f"{method},{ls},{ts},{r},{c},{int(counts[r, c])}\n")
     return out.getvalue()
 
 
@@ -652,27 +628,21 @@ def run_experiment(
     universe: LabeledSet,
     plan: ExperimentPlan,
     out_dir: Path | str,
-    threads: int = 1,
 ) -> dict[str, Path]:
     """Run the full protocol and write curves.csv, bins.csv, kde.csv,
-    heatmap.csv (2-D descriptors only) and manifest.json into ``out_dir``."""
+    heatmap.csv (2-D descriptors only) and manifest.json into ``out_dir``.
+
+    Every output is built in memory first: a run that fails, in compute or
+    in export, creates no directory and writes no file."""
     t0 = time.perf_counter()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cells = _run_cells(universe, plan, threads=threads)
-    points = _aggregate(cells, plan)
-    written: dict[str, Path] = {}
-
-    def emit(name: str, text: str):
-        path = out_dir / name
-        path.write_text(text)
-        written[name] = path
-
-    emit("curves.csv", _curves_csv(points))
-    emit("bins.csv", _bins_csv(cells, universe, plan))
-    emit("kde.csv", _kde_csv(cells, universe, plan))
+    groups = _group_cells(_run_cells(universe, plan), plan)
+    texts = {
+        "curves.csv": _curves_csv(_aggregate(groups)),
+        "bins.csv": _bins_csv(groups, universe),
+        "kde.csv": _kde_csv(groups, universe, plan),
+    }
     if universe.dim == 2:
-        emit("heatmap.csv", _heatmap_csv(cells, universe, plan))
+        texts["heatmap.csv"] = _heatmap_csv(groups, universe, plan)
     manifest = {
         "schema_version": 1,
         "tool": {"name": "ggfps-lab", "version": _tool_version},
@@ -685,5 +655,11 @@ def run_experiment(
         "universe": {"size": len(universe), "dim": universe.dim},
         "wall_clock_seconds": time.perf_counter() - t0,
     }
-    emit("manifest.json", dumps_17g(manifest, indent=2) + "\n")
+    texts["manifest.json"] = dumps_17g(manifest, indent=2) + "\n"
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: dict[str, Path] = {}
+    for name, text in texts.items():
+        written[name] = out_dir / name
+        written[name].write_text(text)
     return written

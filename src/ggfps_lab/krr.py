@@ -97,8 +97,18 @@ def assemble_kernel(rows, cols, spec: KernelSpec) -> np.ndarray:
     return out
 
 
-def fit(K_train: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (K + lambda I) alpha = y by Cholesky factorization."""
+def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
+                 sizes) -> tuple[list[np.ndarray | None], int]:
+    """Solve (K[:m, :m] + lambda I) alpha = y[:m] for every m in ``sizes``
+    from one Cholesky factorization of the largest such block.
+
+    The Cholesky factor of a leading block is the leading block of the
+    factor (Golub & Van Loan, section 4.2), so each size costs one pair of
+    triangular solves. Returns the alphas, in the order of ``sizes``, and the
+    1-based failing pivot p of the largest block (0 when it factored): the
+    leading minor of order p is not positive definite, so every size m >= p
+    gets None while smaller sizes are still solved.
+    """
     K_train = np.asarray(K_train, dtype=float)
     y = np.asarray(y, dtype=float)
     n = K_train.shape[0]
@@ -108,13 +118,30 @@ def fit(K_train: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
         raise ValueError("y length must match K_train")
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    A = K_train + lam * np.eye(n)
-    c, info = dpotrf(A, lower=1)
-    if info != 0:
-        raise FactorizationError(int(info))
-    alpha, info = dpotrs(c, y, lower=1)
-    if info != 0:  # pragma: no cover - dpotrs only fails on bad arguments
-        raise FactorizationError(int(abs(info)))
+    sizes = [int(m) for m in sizes]
+    if not sizes or min(sizes) < 1 or max(sizes) > n:
+        raise ValueError("sizes must be non-empty and within 1..len(y)")
+    top = max(sizes)
+    A = K_train[:top, :top] + lam * np.eye(top)
+    c, pivot = dpotrf(A, lower=1)
+    alphas: list[np.ndarray | None] = []
+    for m in sizes:
+        if pivot and m >= pivot:
+            alphas.append(None)
+            continue
+        alpha, info = dpotrs(c[:m, :m], y[:m], lower=1)
+        if info != 0:  # pragma: no cover - dpotrs only fails on bad arguments
+            raise FactorizationError(int(abs(info)))
+        alphas.append(alpha)
+    return alphas, int(pivot)
+
+
+def fit(K_train: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (K + lambda I) alpha = y by Cholesky factorization."""
+    K_train = np.asarray(K_train, dtype=float)
+    (alpha,), pivot = fit_prefixes(K_train, y, lam, [K_train.shape[0]])
+    if pivot:
+        raise FactorizationError(pivot)
     return alpha
 
 

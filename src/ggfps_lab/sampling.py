@@ -31,10 +31,6 @@ class CapacityError(ValueError):
     """Requested more samples than the pool holds."""
 
 
-class SelectionStateError(ValueError):
-    """Attempted an update that contradicts the selection state."""
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     method: str
@@ -78,49 +74,6 @@ class BetaSchedule:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass
-class SelectionState:
-    """Growing index set plus incrementally maintained minimum distances.
-
-    ``remaining`` is a boolean mask over all indices (True = not yet
-    selected); ``min_dist[j]`` is the distance from j to the closest
-    selected point, +inf before the first selection. The samplers do not
-    use it; it is the one-step form of the update ``_greedy`` performs.
-    """
-
-    selected: list[int]
-    remaining: np.ndarray
-    min_dist: np.ndarray
-
-    @classmethod
-    def fresh(cls, n_total: int) -> "SelectionState":
-        return cls(
-            selected=[],
-            remaining=np.ones(n_total, dtype=bool),
-            min_dist=np.full(n_total, np.inf),
-        )
-
-
-def min_dist_update(state: SelectionState, new_index: int, X: np.ndarray) -> SelectionState:
-    """Move ``new_index`` into the selected set and tighten minimum distances.
-
-    Returns a new state; for every remaining j, min_dist[j] becomes
-    min(min_dist[j], ||x_j - x_new||).
-    """
-    new_index = int(new_index)
-    if not state.remaining[new_index]:
-        raise SelectionStateError(f"index {new_index} is already selected")
-    remaining = state.remaining.copy()
-    remaining[new_index] = False
-    dist_to_new = np.linalg.norm(X - X[new_index], axis=1)
-    min_dist = np.minimum(state.min_dist, dist_to_new)
-    return SelectionState(
-        selected=state.selected + [new_index],
-        remaining=remaining,
-        min_dist=min_dist,
-    )
 
 
 def _initial_index(g: np.ndarray, init_mode: str, seed: int) -> int:

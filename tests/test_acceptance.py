@@ -176,7 +176,7 @@ def test_c06_st_learning_curve_ordering():
     """GGFPS beats FPS and URS at N in {100, 250}; FPS beats URS at {250, 500}."""
     t0 = time.perf_counter()
     universe = uniform_domain_sample(StyblinskiTang(), 2000, seed=424242)
-    points = learning_curve(universe, ST_CURVE_PLAN, threads=2)
+    points = learning_curve(universe, ST_CURVE_PLAN)
     mae = {(p.method, p.train_size): p.mae_mean for p in points}
     for n in (100, 250):
         assert mae[("GGFPS", n)] < mae[("FPS", n)]
@@ -213,7 +213,7 @@ def test_c08_ggfps_variance_reduction():
         sigma_grid=(0.25, 0.5, 1.0, 2.0, 4.0), lambda_grid=(1e-8, 1e-4),
         folds=5, cv_cost="RMSE", methods=("URS", "GGFPS"), master_seed=20240002,
     )
-    points = learning_curve(data, plan, threads=2)
+    points = learning_curve(data, plan)
     var = {p.method: p.mae_var for p in points}
     assert var["GGFPS"] <= var["URS"]
     assert time.perf_counter() - t0 < 600.0
@@ -313,7 +313,7 @@ def test_c11_adversarial_surface_ordering():
         sigma_grid=(0.125, 0.25, 0.5, 1.0, 2.0), lambda_grid=(1e-8, 1e-4),
         folds=5, cv_cost="RMSE", methods=("FPS", "GGFPS"), master_seed=20240003,
     )
-    points = learning_curve(universe, plan, threads=2)
+    points = learning_curve(universe, plan)
     mae = {p.method: p.mae_mean for p in points}
     assert mae["GGFPS"] < mae["FPS"]
     assert time.perf_counter() - t0 < 300.0

@@ -245,6 +245,32 @@ class TestNumericalExit:
         assert main(["curve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "method=FPS" in err and "replicate=0" in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestNoPartialOutput:
+    def test_export_failure_writes_nothing(self, tmp_path, capsys):
+        # all gradient norms zero: the force-norm KDE has zero spread and
+        # fails in export, after every replicate has been computed
+        rng = np.random.default_rng(21)
+        rows = ["id,label,grad_norm,x0,x1"]
+        rows += [f"r{i},{rng.normal():.17g},0,{x:.17g},{z:.17g}"
+                 for i, (x, z) in enumerate(rng.uniform(-4, 4, size=(40, 2)))]
+        data = tmp_path / "flat.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, "c.json", {
+            "schema_version": 1,
+            "dataset": str(data),
+            "plan": {
+                "labeled_sizes": [30], "train_sizes": [10], "bootstraps": 1,
+                "sigma_grid": [1.0], "lambda_grid": [1e-6], "methods": ["URS"],
+                "master_seed": 1,
+            },
+        })
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "zero spread" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThreads:
@@ -266,16 +292,26 @@ class TestThreads:
     def test_auto_resolves_to_one_and_explicit_is_honored(
         self, tmp_path, dataset_dir, monkeypatch, flag, env, expected
     ):
+        """Every valid value resolves as documented (auto = 1) and is
+        accepted, but none reaches the run: replicates always run serially."""
         if env is None:
             monkeypatch.delenv("GGFPS_LAB_THREADS", raising=False)
         else:
             monkeypatch.setenv("GGFPS_LAB_THREADS", env)
+        assert cli._resolve_threads(None if flag is None else int(flag[1])) == expected
         seen = []
         monkeypatch.setattr(cli, "run_experiment",
-                            lambda labeled, plan, out, threads: seen.append(threads))
+                            lambda labeled, plan, out: seen.append(out))
         cfg = write_config(tmp_path, "c.json", curve_config(dataset_dir))
         run_ok(["curve", "--config", str(cfg), "--out", str(tmp_path / "o")] + (flag or []))
-        assert seen == [expected]
+        assert seen == [tmp_path / "o"]
+
+    def test_negative_value_rejected(self, tmp_path, dataset_dir, capsys):
+        cfg = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        assert main(["curve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--threads", "-1"]) == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_dumps_17g_round_trips_floats():

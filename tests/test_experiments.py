@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggfps_lab.dataset import LabeledSet
 from ggfps_lab.experiments import (
@@ -11,6 +13,8 @@ from ggfps_lab.experiments import (
     ReplicateError,
     _GgfpsCv,
     _PlainCv,
+    _cost,
+    _grid_costs,
     _mirror_size,
     _run_cells,
     bin_errors_by_force_norm,
@@ -21,7 +25,7 @@ from ggfps_lab.experiments import (
     learning_curve,
     selection_heatmap_2d,
 )
-from ggfps_lab.krr import KernelSpec, assemble_kernel
+from ggfps_lab.krr import FactorizationError, KernelSpec, assemble_kernel, fit, predict
 from ggfps_lab.sampling import SamplerConfig, ggfps
 from scipy.spatial.distance import cdist
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
@@ -158,11 +162,96 @@ class TestGgfpsCvFoldCache:
             assert d2_val.shape == (d2_union.shape[0], len(val))
 
 
+# sigma = 1e12 makes every kernel entry exactly 1.0, so lambda = 1e-300 fails
+# at pivot 2 for every size >= 2: dead candidates that no rounding can revive
+DEAD_GRIDS = dict(sigma_grid=(0.5, 1e12), lambda_grid=(1e-300, 1e-4))
+
+
+def direct_costs(d2_train, d2_val, y_train, y_val, sizes, plan):
+    """Per-candidate oracle: one fit + predict per (size, sigma, lambda);
+    NaN marks a candidate whose factorization fails."""
+    out = np.full((len(sizes), len(plan.sigma_grid), len(plan.lambda_grid)), np.nan)
+    for i, m in enumerate(sizes):
+        for si, sigma in enumerate(plan.sigma_grid):
+            K = np.exp(-d2_train[:m, :m] / (2.0 * sigma * sigma))
+            K_val = np.exp(-d2_val[:m] / (2.0 * sigma * sigma))
+            for li, lam in enumerate(plan.lambda_grid):
+                try:
+                    alpha = fit(K, y_train[:m], lam)
+                except FactorizationError:
+                    continue
+                out[i, si, li] = _cost(predict(K_val, alpha), y_val, plan.cv_cost)
+    return out
+
+
+@st.composite
+def grid_fold(draw):
+    """One fold on a coarse lattice (so descriptors repeat), d = 1..3; the
+    sizes always include 1 and the whole training set."""
+    dim = draw(st.integers(1, 3))
+    n_train, n_val = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    coords = st.integers(-3, 3).map(lambda v: 0.5 * v)
+    X = np.array(draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                               min_size=n_train + n_val, max_size=n_train + n_val)))
+    y = np.array(draw(st.lists(st.floats(-5, 5), min_size=n_train + n_val,
+                               max_size=n_train + n_val)))
+    sizes = draw(st.lists(st.integers(1, n_train), max_size=4)) + [1, n_train]
+    return X[:n_train], X[n_train:], y[:n_train], y[n_train:], sizes
+
+
+class TestGridCosts:
+    def test_ggfps_all_sizes_in_one_pass_match_single_size_calls(self, universe):
+        plan = small_plan(**DEAD_GRIDS)
+        ctx = _GgfpsCv(universe, plan, seed=5, max_target=40)
+        sizes = [10, 25, 40]
+        multi = ctx.evaluate(sizes)
+        assert multi.shape == (3, 2, 2, 2)
+        assert np.isinf(multi[:, 1, 0]).all() and np.isfinite(multi[:, 1, 1]).all()
+        for i, ts in enumerate(sizes):
+            single = ctx.evaluate([ts])[0]
+            assert np.array_equal(np.isinf(multi[i]), np.isinf(single))
+            alive = np.isfinite(single)
+            assert multi[i][alive] == pytest.approx(single[alive], rel=1e-8)
+
+    def test_plain_cv_is_bitwise_per_candidate_fit_and_predict(self, universe):
+        plan = small_plan(**DEAD_GRIDS)
+        train = universe.subset(np.arange(40))
+        cv = _PlainCv(train, plan, seed=3)
+        X, y = train.descriptors, train.labels
+        sums = np.zeros((2, 2))
+        for val in cv.val_folds:
+            tr = np.setdiff1d(np.arange(40), val)
+            fold = direct_costs(cdist(X[tr], X[tr], metric="sqeuclidean"),
+                                cdist(X[tr], X[val], metric="sqeuclidean"),
+                                y[tr], y[val], [len(tr)], plan)[0]
+            sums += np.nan_to_num(fold, nan=np.inf)
+        expected = np.where(np.isinf(sums), np.inf, sums / len(cv.val_folds))
+        assert np.isinf(expected[1, 0]) and np.isfinite(expected).sum() == 3
+        assert np.array_equal(cv.evaluate()[:, :, 0], expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fold())
+    def test_multi_size_routine_matches_direct_fits(self, fold):
+        X_tr, X_val, y_tr, y_val, sizes = fold
+        d2_train = cdist(X_tr, X_tr, metric="sqeuclidean")
+        d2_val = cdist(X_tr, X_val, metric="sqeuclidean")
+        # every candidate is decisive: lambda >= 1e-3, or an exact all-ones kernel
+        for grids in (dict(sigma_grid=(0.3, 2.0), lambda_grid=(1e-3, 1e-1)),
+                      dict(sigma_grid=(1e12,), lambda_grid=(1e-300, 1e-3))):
+            plan = small_plan(**grids)
+            dead = np.zeros((len(sizes), len(plan.sigma_grid), len(plan.lambda_grid)), dtype=bool)
+            costs = _grid_costs(d2_train, d2_val, y_tr, y_val, sizes, plan, dead)
+            expected = direct_costs(d2_train, d2_val, y_tr, y_val, sizes, plan)
+            assert np.array_equal(dead, np.isnan(expected))
+            assert (costs[dead] == 0).all()
+            assert costs[~dead] == pytest.approx(expected[~dead], rel=1e-8, abs=1e-12)
+
+
 class TestLearningCurve:
     def test_determinism_and_metric_identity(self, universe):
         plan = small_plan()
         points_a = learning_curve(universe, plan)
-        points_b = learning_curve(universe, plan, threads=2)
+        points_b = learning_curve(universe, plan)
         assert points_a == points_b
         assert len(points_a) == 3 * 2  # methods x train sizes
         for p in points_a:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ggfps_lab.dataset import AtomEnvironments
 from ggfps_lab.krr import (
@@ -11,6 +12,7 @@ from ggfps_lab.krr import (
     assemble_kernel,
     fit,
     fit_model,
+    fit_prefixes,
     gaussian_kernel,
     local_kernel,
     predict,
@@ -163,6 +165,57 @@ class TestFit:
             alpha = fit(K, y, lam)
             residuals.append(np.linalg.norm(K @ alpha - y))
         assert residuals[0] > residuals[1] > residuals[2]
+
+
+class TestFitPrefixes:
+    def test_fit_is_one_direct_factor_and_solve(self):
+        rng = np.random.default_rng(12)
+        K = random_spd(rng, 30, cond=1e3)
+        y = rng.normal(size=30)
+        c, info = dpotrf(K + 1e-4 * np.eye(30), lower=1)
+        expected, _ = dpotrs(c, y, lower=1)
+        assert info == 0
+        assert np.array_equal(fit(K, y, 1e-4), expected)
+
+    def test_prefixes_match_direct_fit(self):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-2, 2, size=(120, 2))
+        K = assemble_kernel(X, X, KernelSpec("gaussian", 0.7))
+        y = rng.normal(size=120)
+        sizes = [64, 1, 7, 50, 65, 7, 119]
+        alphas, pivot = fit_prefixes(K, y, 1e-6, sizes)
+        assert pivot == 0
+        for m, alpha in zip(sizes, alphas):
+            direct = fit(K[:m, :m], y[:m], 1e-6)
+            assert np.linalg.norm(alpha - direct) <= 1e-8 * np.linalg.norm(direct)
+        # the largest size is factored directly, so it is bitwise a plain fit
+        assert np.array_equal(alphas[-1], fit(K[:119, :119], y[:119], 1e-6))
+
+    def test_sizes_from_failing_pivot_are_dead(self):
+        rng = np.random.default_rng(13)
+        n, p = 12, 6
+        K = random_spd(rng, n)
+        # make the Schur complement of the leading (p-1) block negative, so
+        # the leading minor of order p is the first indefinite one
+        v = K[: p - 1, p - 1]
+        K[p - 1, p - 1] = v @ np.linalg.solve(K[: p - 1, : p - 1], v) - 1.0
+        y = rng.normal(size=n)
+        sizes = [1, p - 1, p, n, 3]
+        alphas, pivot = fit_prefixes(K, y, 1e-12, sizes)
+        with pytest.raises(FactorizationError) as err:
+            fit(K, y, 1e-12)
+        assert pivot == err.value.pivot == p
+        assert alphas[2] is None and alphas[3] is None
+        for m, alpha in zip(sizes, alphas):
+            if m < p:
+                direct = fit(K[:m, :m], y[:m], 1e-12)
+                assert np.linalg.norm(alpha - direct) <= 1e-8 * np.linalg.norm(direct)
+
+    def test_rejects_sizes_outside_the_matrix(self):
+        K, y = np.eye(3), np.ones(3)
+        for sizes in ([], [0], [4]):
+            with pytest.raises(ValueError, match="sizes"):
+                fit_prefixes(K, y, 1.0, sizes)
 
 
 class TestPredict:

@@ -7,13 +7,10 @@ from ggfps_lab.dataset import LabeledSet, synth_boltzmann_set
 from ggfps_lab.sampling import (
     CapacityError,
     SamplerConfig,
-    SelectionState,
-    SelectionStateError,
     beta_schedule,
     fps,
     ggfps,
     ggfps_chains,
-    min_dist_update,
     select,
     urs,
     _DistanceRows,
@@ -145,46 +142,6 @@ class TestFps:
         assert fps(X, 2, init=0) == [0, 1]
 
 
-class TestMinDistUpdate:
-    def test_fresh_state(self):
-        X = np.random.default_rng(3).normal(size=(6, 2))
-        state = SelectionState.fresh(6)
-        state = min_dist_update(state, 0, X)
-        expected = np.linalg.norm(X - X[0], axis=1)
-        assert state.min_dist == pytest.approx(expected)
-        assert state.selected == [0]
-        assert not state.remaining[0] and state.remaining[1:].all()
-
-    def test_duplicate_rows_reach_zero(self):
-        X = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 0.0]])
-        state = min_dist_update(SelectionState.fresh(3), 0, X)
-        assert state.min_dist[1] == 0.0
-
-    def test_matches_brute_force_after_updates(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(20, 3))
-        state = SelectionState.fresh(20)
-        picks = rng.choice(20, size=5, replace=False)
-        for p in picks:
-            state = min_dist_update(state, int(p), X)
-        for j in range(20):
-            if state.remaining[j]:
-                brute = min(np.linalg.norm(X[j] - X[p]) for p in picks)
-                assert state.min_dist[j] == pytest.approx(brute, rel=1e-15)
-
-    def test_rejects_already_selected(self):
-        X = np.zeros((3, 2))
-        state = min_dist_update(SelectionState.fresh(3), 1, X)
-        with pytest.raises(SelectionStateError):
-            min_dist_update(state, 1, X)
-
-    def test_does_not_mutate_input_state(self):
-        X = np.random.default_rng(5).normal(size=(4, 2))
-        state = SelectionState.fresh(4)
-        min_dist_update(state, 2, X)
-        assert state.selected == [] and state.remaining.all()
-
-
 class TestGgfps:
     def test_beta_zero_recovers_fps(self):
         rng = np.random.default_rng(20)
@@ -290,8 +247,8 @@ class TestGgfps:
 
 class TestDuplicateDescriptors:
     """Once only duplicates of selected points remain, every GGFPS score is
-    -inf and the smallest remaining index is taken (it used to re-pick an
-    already selected index and raise SelectionStateError)."""
+    -inf and the smallest remaining index is taken, never an index already
+    selected."""
 
     def test_minimal_repro(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
