@@ -35,7 +35,6 @@ def dumps_17g(obj, indent: int | None = None) -> str:
     def render(o, depth):
         pad = "" if indent is None else "\n" + " " * (indent * (depth + 1))
         close = "" if indent is None else "\n" + " " * (indent * depth)
-        sep = "," if indent is None else ","
         if isinstance(o, bool) or o is None:
             return json.dumps(o)
         if isinstance(o, (int, np.integer)):
@@ -50,7 +49,7 @@ def dumps_17g(obj, indent: int | None = None) -> str:
             if not o:
                 return "[]"
             items = [render(v, depth + 1) for v in o]
-            return "[" + pad + (sep + pad).join(items) + close + "]"
+            return "[" + pad + ("," + pad).join(items) + close + "]"
         if isinstance(o, dict):
             if not o:
                 return "{}"
@@ -58,7 +57,7 @@ def dumps_17g(obj, indent: int | None = None) -> str:
                 json.dumps(str(k)) + (": " if indent else ":") + render(v, depth + 1)
                 for k, v in o.items()
             ]
-            return "{" + pad + (sep + pad).join(items) + close + "}"
+            return "{" + pad + ("," + pad).join(items) + close + "}"
         raise TypeError(f"cannot serialize {type(o).__name__}")
 
     return render(obj, 0)

@@ -222,6 +222,30 @@ def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
     return costs
 
 
+def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
+                chains: np.ndarray, sizes: list[int], dead: np.ndarray) -> np.ndarray:
+    """Validation costs of B training chains on one fold, shape
+    (len(sizes), sigmas, lambdas, B).
+
+    ``chains`` (B, n) holds rows of ``train``; chain b's training set of size
+    m is its first m rows, scored on the rows ``val``. One union x union and
+    one union x validation squared-distance matrix cover every chain: cdist
+    computes each pair on its own, so a chain's slice is bitwise a cdist
+    over that chain. ``dead`` has the result's shape and is updated in place
+    (see ``_grid_costs``).
+    """
+    X, y = train.descriptors, train.labels
+    union, rows = np.unique(chains, return_inverse=True)
+    rows = rows.reshape(chains.shape)[:, :max(sizes)]
+    d2_union = cdist(X[union], X[union], metric="sqeuclidean")
+    d2_val = cdist(X[union], X[val], metric="sqeuclidean")
+    costs = np.zeros(dead.shape)
+    for b, (chain, sub) in enumerate(zip(chains, rows)):
+        costs[..., b] = _grid_costs(d2_union[np.ix_(sub, sub)], d2_val[sub],
+                                    y[chain[:len(sub)]], y[val], sizes, plan, dead[..., b])
+    return costs
+
+
 class _PlainCv:
     """sigma x lambda grid search on a fixed training set (URS / FPS)."""
 
@@ -231,19 +255,15 @@ class _PlainCv:
         self.val_folds = _fold_partition(len(train), plan.folds, seed)
 
     def evaluate(self) -> np.ndarray:
+        """Mean fold costs, shape (sigmas, lambdas, 1)."""
         plan = self.plan
-        X, y = self.train.descriptors, self.train.labels
-        n = len(self.train)
-        shape = (1, len(plan.sigma_grid), len(plan.lambda_grid))
+        shape = (1, len(plan.sigma_grid), len(plan.lambda_grid), 1)
         sums = np.zeros(shape)
         dead = np.zeros(shape, dtype=bool)
         for val in self.val_folds:
-            tr = np.setdiff1d(np.arange(n), val)
-            d2_tr = cdist(X[tr], X[tr], metric="sqeuclidean")
-            d2_val = cdist(X[tr], X[val], metric="sqeuclidean")
-            sums += _grid_costs(d2_tr, d2_val, y[tr], y[val], [len(tr)], plan, dead)
-        costs = np.where(dead, np.inf, sums / len(self.val_folds))
-        return costs[0, :, :, None]
+            tr = np.setdiff1d(np.arange(len(self.train)), val)
+            sums += _fold_costs(self.train, plan, val, tr[None], [len(tr)], dead)
+        return np.where(dead, np.inf, sums / len(self.val_folds))[0]
 
 
 class _GgfpsCv:
@@ -251,68 +271,35 @@ class _GgfpsCv:
     a training subset inside every fold's training portion.
 
     Fold sub-selections are prefixes of per-(fold, beta) selection chains
-    built once at the largest mirrored size, so one context evaluates all
-    target sizes in one pass, consistently with chain truncation.
-    All beta chains of a fold are selected together, in lockstep, the first
-    time that fold is asked for. The fold's chains share two squared-distance
-    matrices over the union of their points: union x union and union x
-    validation.
+    built at the largest mirrored target size, so one call evaluates all
+    target sizes in one pass, consistently with chain truncation. Folds run
+    one at a time: a fold's beta chains are selected together, in lockstep,
+    scored, and dropped before the next fold.
     """
 
-    def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int, max_target: int):
+    def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int):
         self.train = train
         self.plan = plan
         self.seed = seed
-        self.max_target = max_target
         self.val_folds = _fold_partition(len(train), plan.folds, seed)
-        self.pools = [np.setdiff1d(np.arange(len(train)), val) for val in self.val_folds]
-        self._cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-
-    def _fold_data(self, fi: int, bi: int):
-        """(chain in train indices, chain as rows of the fold matrices, union
-        x union and union x validation squared distances) for fold ``fi`` and
-        beta ``bi``."""
-        if (fi, bi) not in self._cache:
-            self._select_fold(fi)
-        return self._cache[(fi, bi)]
-
-    def _select_fold(self, fi: int) -> None:
-        plan = self.plan
-        X = self.train.descriptors
-        pool_idx = self.pools[fi]
-        chain_len = _mirror_size(self.max_target, plan.folds, len(pool_idx))
-        seeds = [derive_seed(self.seed, "fold-select", fi, bi) for bi in range(len(plan.beta_grid))]
-        chains, _ = ggfps_chains(X[pool_idx], self.train.gradient_norms[pool_idx],
-                                 plan.beta_grid, seeds, chain_len)
-        # cdist computes each pair on its own, so slices of these matrices are
-        # bitwise what a cdist over one chain prefix gives
-        union = np.unique(chains)
-        X_union = X[pool_idx[union]]
-        d2_union = cdist(X_union, X_union, metric="sqeuclidean")
-        d2_val = cdist(X_union, X[self.val_folds[fi]], metric="sqeuclidean")
-        for bi, chain in enumerate(chains):
-            self._cache[(fi, bi)] = (pool_idx[chain], np.searchsorted(union, chain),
-                                     d2_union, d2_val)
 
     def evaluate(self, target_sizes: list[int]) -> np.ndarray:
         """Mean fold costs, shape (len(target_sizes), sigmas, lambdas, betas)."""
-        if max(target_sizes) > self.max_target:
-            raise ValueError("target_size exceeds the context's maximum")
         plan = self.plan
-        y = self.train.labels
+        train = self.train
         shape = (len(target_sizes), len(plan.sigma_grid), len(plan.lambda_grid),
                  len(plan.beta_grid))
         sums = np.zeros(shape)
         dead = np.zeros(shape, dtype=bool)
         for fi, val in enumerate(self.val_folds):
-            for bi in range(len(plan.beta_grid)):
-                chain_global, rows, d2_union, d2_val = self._fold_data(fi, bi)
-                sizes = [_mirror_size(ts, plan.folds, len(rows)) for ts in target_sizes]
-                sub = rows[:max(sizes)]
-                sums[..., bi] += _grid_costs(
-                    d2_union[np.ix_(sub, sub)], d2_val[sub], y[chain_global[:len(sub)]],
-                    y[val], sizes, plan, dead[..., bi],
-                )
+            pool = np.setdiff1d(np.arange(len(train)), val)
+            chain_len = _mirror_size(max(target_sizes), plan.folds, len(pool))
+            seeds = [derive_seed(self.seed, "fold-select", fi, bi)
+                     for bi in range(len(plan.beta_grid))]
+            chains, _ = ggfps_chains(train.descriptors[pool], train.gradient_norms[pool],
+                                     plan.beta_grid, seeds, chain_len)
+            sizes = [_mirror_size(ts, plan.folds, chain_len) for ts in target_sizes]
+            sums += _fold_costs(train, plan, val, pool[chains], sizes, dead)
         return np.where(dead, np.inf, sums / len(self.val_folds))
 
 
@@ -350,8 +337,8 @@ def cross_validate(
     if method == "GGFPS":
         if target_size is None:
             raise ValueError("target_size is required for GGFPS cross-validation")
-        ctx = _GgfpsCv(train, plan, seed, max_target=target_size)
-        return choose_from_costs(ctx.evaluate([target_size])[0], plan, with_beta=True)
+        costs = _GgfpsCv(train, plan, seed).evaluate([target_size])[0]
+        return choose_from_costs(costs, plan, with_beta=True)
     costs = _PlainCv(train, plan, seed).evaluate()
     return choose_from_costs(costs, plan, with_beta=False)
 
@@ -390,10 +377,7 @@ def _run_replicate(
             chain = np.asarray(fps(L.descriptors, n_chain, seed=sel_seed))
         else:
             chain = None
-            ggfps_ctx = _GgfpsCv(
-                L, plan, derive_seed(master, "cv", method, labeled_size, rep),
-                max_target=n_chain,
-            )
+            ggfps_ctx = _GgfpsCv(L, plan, derive_seed(master, "cv", method, labeled_size, rep))
             beta_chains: dict[float, np.ndarray] = {}
         for i, ts in enumerate(ts_list):
             try:
@@ -591,23 +575,39 @@ def _bins_csv(groups, universe: LabeledSet) -> str:
     return out.getvalue()
 
 
+# (series name, LabeledSet attribute) of each KDE quantity
+_KDE_QUANTITIES = (("force_norm", "gradient_norms"), ("label", "labels"))
+
+
+def _check_kde_inputs(universe: LabeledSet, plan: ExperimentPlan) -> None:
+    """Reject, before any compute, a run whose KDE export is bound to fail:
+    a quantity with zero spread over the dataset, or selected series that
+    hold fewer than 2 samples (min(train_sizes) x bootstraps)."""
+    for quantity, attr in _KDE_QUANTITIES:
+        values = getattr(universe, attr)
+        if len(values) > 1 and not silverman_bandwidth(values) > 0:
+            raise DegenerateDistributionError(
+                f"{quantity}: zero spread over all {len(values)} dataset points, "
+                "so its KDE is undefined"
+            )
+    if min(plan.train_sizes) * plan.bootstraps < 2:
+        raise ValueError(
+            f"plan: min(train_sizes) x bootstraps = {min(plan.train_sizes) * plan.bootstraps}; "
+            "each selected KDE series needs at least 2 samples"
+        )
+
+
 def _kde_csv(groups, universe: LabeledSet, plan: ExperimentPlan) -> str:
-    quantities = {
-        "force_norm": lambda idx: universe.gradient_norms[idx],
-        "label": lambda idx: universe.labels[idx],
-    }
     out = io.StringIO()
     out.write("series,quantity,labeled_size,train_size,x,density\n")
-    all_idx = np.arange(len(universe))
-    for quantity, getter in quantities.items():
-        base = getter(all_idx)
+    for quantity, attr in _KDE_QUANTITIES:
+        base = getattr(universe, attr)
         h = silverman_bandwidth(base)
-        pad = 4.0 * h if h > 0 else 1.0
-        grid = np.linspace(base.min() - pad, base.max() + pad, plan.kde_points)
+        grid = np.linspace(base.min() - 4.0 * h, base.max() + 4.0 * h, plan.kde_points)
         for x, d in zip(grid, kde_1d(base, grid)):
             out.write(f"labeled,{quantity},,,{format_float(x)},{format_float(d)}\n")
         for (method, ls, ts), group in groups:
-            samples = np.concatenate([getter(c.sel_global) for c in group])
+            samples = np.concatenate([base[c.sel_global] for c in group])
             for x, d in zip(grid, kde_1d(samples, grid)):
                 out.write(f"{method},{quantity},{ls},{ts},{format_float(x)},{format_float(d)}\n")
     return out.getvalue()
@@ -633,8 +633,10 @@ def run_experiment(
     heatmap.csv (2-D descriptors only) and manifest.json into ``out_dir``.
 
     Every output is built in memory first: a run that fails, in compute or
-    in export, creates no directory and writes no file."""
+    in export, creates no directory and writes no file. A dataset or plan
+    whose KDE export cannot succeed is rejected before any compute."""
     t0 = time.perf_counter()
+    _check_kde_inputs(universe, plan)
     groups = _group_cells(_run_cells(universe, plan), plan)
     texts = {
         "curves.csv": _curves_csv(_aggregate(groups)),

@@ -39,7 +39,6 @@ class SamplerConfig:
     beta_mode: str = "swept"
     init_mode: str | None = None
     seed: int = 0
-    grad_floor_rel: float = GRAD_FLOOR_REL
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -50,8 +49,6 @@ class SamplerConfig:
             raise ValueError("beta: must be nonnegative")
         if self.beta_mode not in BETA_MODES:
             raise ValueError(f"beta_mode: must be one of {BETA_MODES}")
-        if self.grad_floor_rel < 0:
-            raise ValueError("grad_floor_rel: must be nonnegative")
         if self.init_mode is None:
             default = "gradient_weighted" if self.method == "GGFPS" else "random_uniform"
             object.__setattr__(self, "init_mode", default)
@@ -87,14 +84,14 @@ def _initial_index(g: np.ndarray, init_mode: str, seed: int) -> int:
     return int(rng.integers(len(g)))
 
 
-def _log_gradients(g: np.ndarray, grad_floor_rel: float = GRAD_FLOOR_REL) -> np.ndarray:
+def _log_gradients(g: np.ndarray) -> np.ndarray:
     """Log gradient norms, floored so negative exponents stay finite.
 
     The floor is relative to max(g), so it preserves the ordering of all
     nonzero norms; it is never below the smallest positive double.
     """
     gmax = float(g.max()) if len(g) else 0.0
-    floor = grad_floor_rel * gmax if gmax > 0 else np.finfo(float).tiny
+    floor = GRAD_FLOOR_REL * gmax if gmax > 0 else np.finfo(float).tiny
     floor = max(floor, np.finfo(float).tiny)
     return np.log(np.maximum(g, floor))
 
@@ -238,7 +235,6 @@ def ggfps_chains(
     horizon: int | None = None,
     beta_mode: str = "swept",
     init_mode: str = "gradient_weighted",
-    grad_floor_rel: float = GRAD_FLOOR_REL,
     inits=None,
 ) -> tuple[np.ndarray, list[str]]:
     """GGFPS chains for several (beta, seed) pairs over one pool, in lockstep.
@@ -265,7 +261,7 @@ def ggfps_chains(
             warnings.append("all gradient norms are zero; fell back to random_uniform init")
             init_mode = "random_uniform"
         inits = [_initial_index(g, init_mode, seed) for seed in seeds]
-    log_g = _log_gradients(g, grad_floor_rel)
+    log_g = _log_gradients(g)
     return _greedy(_DistanceRows(X), inits, exponents, log_g), warnings
 
 
@@ -296,7 +292,7 @@ def ggfps(
     picks, warnings = ggfps_chains(
         labeled.descriptors, labeled.gradient_norms, [config.beta], [config.seed], config.n,
         horizon=horizon, beta_mode=config.beta_mode, init_mode=config.init_mode,
-        grad_floor_rel=config.grad_floor_rel, inits=None if init is None else [int(init)],
+        inits=None if init is None else [int(init)],
     )
     return SelectionResult(
         method="GGFPS",

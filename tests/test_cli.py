@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ggfps_lab import cli
+from ggfps_lab import cli, experiments
 from ggfps_lab.cli import main
 from ggfps_lab.dataset import LabeledSet, dumps_17g, synth_boltzmann_set
 from ggfps_lab.surfaces import StyblinskiTang
@@ -228,9 +228,10 @@ class TestCurve:
 class TestNumericalExit:
     def test_unsolvable_fit_exits_3(self, tmp_path, capsys):
         # every descriptor identical: the Gram matrix is singular and the
-        # lambda below is too small to rescue the factorization
+        # lambda below is too small to rescue the factorization; the gradient
+        # norms vary, so the dataset passes the zero-spread check
         rows = ["id,label,grad_norm,x0,x1"]
-        rows += [f"r{i},{float(i)},1,0,0" for i in range(30)]
+        rows += [f"r{i},{float(i)},{i + 1},0,0" for i in range(30)]
         data = tmp_path / "degenerate.csv"
         data.write_text("\n".join(rows) + "\n")
         cfg = write_config(tmp_path, "c.json", {
@@ -270,6 +271,71 @@ class TestNoPartialOutput:
         out = tmp_path / "o"
         assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 1
         assert "zero spread" in capsys.readouterr().err
+        assert not out.exists()
+
+
+
+def kde_config(tmp_path, rows, plan):
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(["id,label,grad_norm,x0,x1"] + rows) + "\n")
+    return write_config(tmp_path, "c.json", {
+        "schema_version": 1, "dataset": str(data),
+        "plan": {"sigma_grid": [1.0], "lambda_grid": [1e-6], "master_seed": 1, **plan},
+    })
+
+
+def random_rows(n, grad_norm, seed=21):
+    rng = np.random.default_rng(seed)
+    return [f"r{i},{rng.normal():.17g},{grad_norm(i):.17g},{x:.17g},{z:.17g}"
+            for i, (x, z) in enumerate(rng.uniform(-4, 4, size=(n, 2)))]
+
+
+def refuse_compute(*args, **kwargs):
+    raise AssertionError("compute was reached")
+
+
+class TestDegenerateKdePolicy:
+    def test_zero_spread_dataset_rejected_before_compute(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
+        cfg = kde_config(tmp_path, random_rows(40, lambda i: 0.0), {
+            "labeled_sizes": [30], "train_sizes": [10], "bootstraps": 1, "methods": ["URS"],
+        })
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "force_norm" in err and "zero spread" in err
+        assert not out.exists()
+
+    def test_too_few_selected_samples_rejected_before_compute(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
+        cfg = kde_config(tmp_path, random_rows(40, lambda i: 1.0 + i), {
+            "labeled_sizes": [30], "train_sizes": [1], "bootstraps": 1, "methods": ["GGFPS"],
+        })
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "train_sizes" in err and "bootstraps" in err
+        assert not out.exists()
+
+    def test_zero_spread_selection_fails_after_compute(self, tmp_path, monkeypatch, capsys):
+        # only r0 has a different gradient norm, and master_seed 2 leaves it
+        # out of the selection: the selected force-norm series has zero spread
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return run_cells(*args)
+
+        run_cells = experiments._run_cells
+        monkeypatch.setattr(experiments, "_run_cells", spy)
+        cfg = kde_config(tmp_path, random_rows(41, lambda i: 2.0 if i == 0 else 1.0), {
+            "labeled_sizes": [30], "train_sizes": [10], "bootstraps": 1, "methods": ["URS"],
+            "master_seed": 2,
+        })
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert calls and "zero spread" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ggfps_lab import experiments
 from ggfps_lab.dataset import LabeledSet
 from ggfps_lab.experiments import (
     CvChoice,
@@ -14,6 +15,7 @@ from ggfps_lab.experiments import (
     _GgfpsCv,
     _PlainCv,
     _cost,
+    _fold_costs,
     _grid_costs,
     _mirror_size,
     _run_cells,
@@ -123,43 +125,56 @@ class TestCrossValidate:
             cross_validate(universe.subset(range(30)), small_plan(), "GGFPS")
 
 
-class TestGgfpsCvFoldCache:
-    def test_lockstep_chains_match_per_beta_selection(self, universe):
+class TestFoldCosts:
+    def test_each_chain_is_bitwise_grid_costs_on_its_own_cdist(self, universe):
+        plan = small_plan(**DEAD_GRIDS)
+        rng = np.random.default_rng(65)
+        val = np.arange(100, 120)
+        # overlapping chains, so the union matrix dedupes shared points
+        chains = np.stack([rng.permutation(40)[:18] for _ in range(3)])
+        sizes = [1, 7, 15]
+        dead = np.zeros((3, 2, 2, 3), dtype=bool)
+        costs = _fold_costs(universe, plan, val, chains, sizes, dead)
+        X, y = universe.descriptors, universe.labels
+        for b, chain in enumerate(chains):
+            sub = chain[:15]
+            dead_b = np.zeros((3, 2, 2), dtype=bool)
+            direct = _grid_costs(cdist(X[sub], X[sub], metric="sqeuclidean"),
+                                 cdist(X[sub], X[val], metric="sqeuclidean"),
+                                 y[sub], y[val], sizes, plan, dead_b)
+            assert np.array_equal(costs[..., b], direct)
+            assert np.array_equal(dead[..., b], dead_b)
+        assert dead[1:, 1, 0].all() and not dead[0].any()
+
+    def test_ggfps_cv_runs_two_cdist_calls_per_fold_over_its_chains(self, universe, monkeypatch):
         plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
-        ctx = _GgfpsCv(universe, plan, seed=5, max_target=40)
+        calls = []
+
+        def recording_cdist(XA, XB, **kwargs):
+            calls.append((XA.copy(), XB.shape))
+            return cdist(XA, XB, **kwargs)
+
+        monkeypatch.setattr(experiments, "cdist", recording_cdist)
+        ctx = _GgfpsCv(universe, plan, seed=5)
+        ctx.evaluate([5, 10])
+        assert len(calls) == 2 * plan.folds
         X = universe.descriptors
-        for fi, pool_idx in enumerate(ctx.pools):
+        for fi, val in enumerate(ctx.val_folds):
+            pool_idx = np.setdiff1d(np.arange(len(universe)), val)
+            chain_len = _mirror_size(10, plan.folds, len(pool_idx))
+            # pool >> chains: the matrices must not grow with the pool
+            bound = min(len(pool_idx), len(plan.beta_grid) * chain_len)
+            assert bound < len(pool_idx)
             pool = universe.subset(pool_idx)
-            chain_len = _mirror_size(40, plan.folds, len(pool_idx))
+            expected = set()
             for bi, beta in enumerate(plan.beta_grid):
                 config = SamplerConfig(method="GGFPS", n=chain_len, beta=beta,
                                        seed=derive_seed(5, "fold-select", fi, bi))
-                expected = ggfps(pool, config, horizon=chain_len).indices
-                chain_global, rows, d2_union, d2_val = ctx._fold_data(fi, bi)
-                assert np.array_equal(chain_global, pool_idx[expected])
-                sub = rows[:17]
-                X_sel = X[chain_global[:17]]
-                assert np.array_equal(d2_union[np.ix_(sub, sub)],
-                                      cdist(X_sel, X_sel, metric="sqeuclidean"))
-                assert np.array_equal(d2_val[sub], cdist(X_sel, X[ctx.val_folds[fi]],
-                                                         metric="sqeuclidean"))
-
-    def test_fold_matrices_are_shared_across_beta(self, universe):
-        ctx = _GgfpsCv(universe, small_plan(), seed=5, max_target=20)
-        a, b = ctx._fold_data(0, 0), ctx._fold_data(0, 1)
-        assert a[2] is b[2] and a[3] is b[3]
-
-    def test_fold_matrices_cover_only_chain_points(self, universe):
-        # pool >> chains: the matrices must not grow with the pool
-        plan = small_plan()
-        ctx = _GgfpsCv(universe, plan, seed=5, max_target=10)
-        for fi, val in enumerate(ctx.val_folds):
-            chain_len = _mirror_size(10, plan.folds, len(ctx.pools[fi]))
-            bound = min(len(ctx.pools[fi]), len(plan.beta_grid) * chain_len)
-            assert bound < len(ctx.pools[fi])
-            _, _, d2_union, d2_val = ctx._fold_data(fi, 0)
-            assert d2_union.shape[0] == d2_union.shape[1] <= bound
-            assert d2_val.shape == (d2_union.shape[0], len(val))
+                expected.update(ggfps(pool, config, horizon=chain_len).indices)
+            (X_union, union_shape), (X_rows, val_shape) = calls[2 * fi], calls[2 * fi + 1]
+            assert np.array_equal(X_union, X[pool_idx[sorted(expected)]])
+            assert X_union.shape[0] <= bound and union_shape == X_union.shape
+            assert np.array_equal(X_rows, X_union) and val_shape == (len(val), 2)
 
 
 # sigma = 1e12 makes every kernel entry exactly 1.0, so lambda = 1e-300 fails
@@ -199,10 +214,36 @@ def grid_fold(draw):
     return X[:n_train], X[n_train:], y[:n_train], y[n_train:], sizes
 
 
+def constant_gradients(labeled):
+    """The set with every gradient norm equal: each beta chain is then the
+    FPS chain from its initial point, so a chain selected for a smaller
+    target size is a prefix of the one selected for a larger size."""
+    return LabeledSet(descriptors=labeled.descriptors, labels=labeled.labels,
+                      gradient_norms=np.ones(len(labeled)), ids=labeled.ids)
+
+
+@st.composite
+def lattice_set(draw):
+    """A labeled set on a coarse lattice (so descriptors repeat), d = 1..3,
+    constant gradients, with target sizes that include 1 and one that
+    clamps the fold chains to the whole pool."""
+    dim, folds = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    n = draw(st.integers(folds, 12))
+    coords = st.integers(-2, 2).map(lambda v: 0.5 * v)
+    X = np.array(draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
+    g = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    labeled = LabeledSet(descriptors=X, labels=y, gradient_norms=np.full(n, g),
+                         ids=tuple(str(i) for i in range(n)))
+    sizes = draw(st.lists(st.integers(1, n), max_size=3)) + [1, 2 * n]
+    return labeled, folds, sizes
+
+
 class TestGridCosts:
     def test_ggfps_all_sizes_in_one_pass_match_single_size_calls(self, universe):
         plan = small_plan(**DEAD_GRIDS)
-        ctx = _GgfpsCv(universe, plan, seed=5, max_target=40)
+        ctx = _GgfpsCv(constant_gradients(universe), plan, seed=5)
         sizes = [10, 25, 40]
         multi = ctx.evaluate(sizes)
         assert multi.shape == (3, 2, 2, 2)
@@ -212,6 +253,22 @@ class TestGridCosts:
             assert np.array_equal(np.isinf(multi[i]), np.isinf(single))
             alive = np.isfinite(single)
             assert multi[i][alive] == pytest.approx(single[alive], rel=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattice_set(), st.integers(0, 2**32))
+    def test_ggfps_all_sizes_match_single_size_calls_on_lattices(self, case, seed):
+        labeled, folds, sizes = case
+        # every candidate is decisive: lambda >= 1e-3, or an exact all-ones kernel
+        for grids in (dict(sigma_grid=(0.3, 2.0), lambda_grid=(1e-3, 1e-1)),
+                      dict(sigma_grid=(1e12,), lambda_grid=(1e-300, 1e-3))):
+            plan = small_plan(folds=folds, beta_grid=(0.0, 0.7, 2.0), **grids)
+            ctx = _GgfpsCv(labeled, plan, seed=seed)
+            multi = ctx.evaluate(sizes)
+            for i, ts in enumerate(sizes):
+                single = ctx.evaluate([ts])[0]
+                assert np.array_equal(np.isinf(multi[i]), np.isinf(single))
+                alive = np.isfinite(single)
+                assert multi[i][alive] == pytest.approx(single[alive], rel=1e-8, abs=1e-12)
 
     def test_plain_cv_is_bitwise_per_candidate_fit_and_predict(self, universe):
         plan = small_plan(**DEAD_GRIDS)
