@@ -4,12 +4,10 @@ labeled datasets, with a kernel-ridge-regression benchmark harness."""
 __version__ = "0.1.0"
 
 from .dataset import (  # noqa: F401
-    AtomEnvironments,
     Configuration,
     GenerationError,
     LabeledSet,
     XyzParseError,
-    descriptor_identity,
     descriptor_local_radial,
     gradient_norm,
     labeled_set_from_configurations,
@@ -33,13 +31,9 @@ from .experiments import (  # noqa: F401
 from .krr import (  # noqa: F401
     FactorizationError,
     KernelSpec,
-    KrrModel,
     assemble_kernel,
     fit,
-    fit_model,
     fit_prefixes,
-    gaussian_kernel,
-    local_kernel,
     predict,
 )
 from .sampling import (  # noqa: F401
@@ -62,6 +56,5 @@ from .surfaces import (  # noqa: F401
     st_gradient,
     st_value,
     surface_from_spec,
-    surface_grid_csv,
     uniform_domain_sample,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -65,6 +64,8 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: must be a number")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: must be finite")
     return float(value)
 
 
@@ -214,22 +215,13 @@ def cmd_curve(cfg: dict, config_path: Path, out_dir: Path) -> None:
 
 
 def _resolve_threads(flag_value: int | None) -> int:
-    """Worker count from --threads, else GGFPS_LAB_THREADS; 0 or unset means
-    auto, which is 1. The value is validated but changes nothing: replicates
-    always run serially, because replicate threads contend for the GIL and
-    ran slower than one worker in every measured curve workload."""
-    if flag_value is None:
-        env = os.environ.get("GGFPS_LAB_THREADS")
-        if env is not None:
-            try:
-                flag_value = int(env)
-            except ValueError:
-                raise ConfigError("GGFPS_LAB_THREADS: must be an integer") from None
-        else:
-            flag_value = 0
-    if flag_value < 0:
+    """Worker count from --threads; 0 or unset means auto, which is 1. The
+    value is validated but changes nothing: replicates always run serially,
+    because replicate threads contend for the GIL and ran slower than one
+    worker in every measured curve workload."""
+    if flag_value is not None and flag_value < 0:
         raise ConfigError("--threads: must be >= 0")
-    return flag_value if flag_value > 0 else 1
+    return flag_value or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="JSON run configuration")
         p.add_argument("--out", required=True, type=Path, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility and validated (>= 0; env "
-                            "GGFPS_LAB_THREADS as fallback), but runs are always serial")
+                       help="accepted for compatibility and validated (>= 0), "
+                            "but runs are always serial")
     return parser
 
 

@@ -212,31 +212,14 @@ class LabeledSet:
         )
 
 
-@dataclass(frozen=True)
-class AtomEnvironments:
-    """Per-atom descriptor vectors with species tags, for local kernels."""
-
-    species: np.ndarray  # (M,)
-    vectors: np.ndarray  # (M, p)
-
-    def __post_init__(self):
-        spc = np.asarray(self.species, dtype=int)
-        vec = np.asarray(self.vectors, dtype=float)
-        if vec.ndim != 2 or spc.shape != (vec.shape[0],):
-            raise ValueError("vectors must be (M, p) with one species tag per row")
-        spc.setflags(write=False)
-        vec.setflags(write=False)
-        object.__setattr__(self, "species", spc)
-        object.__setattr__(self, "vectors", vec)
-
-
 def parse_extended_xyz(stream) -> list[Configuration]:
     """Parse an extended-XYZ stream into a list of configurations.
 
     Per frame: an atom-count line, a comment line containing ``energy=<float>``,
     then one ``<symbol> x y z fx fy fz`` line per atom. Frame order is kept.
     Raises XyzParseError with 1-based frame index and line number on malformed
-    counts, missing energy keys, non-numeric fields or unknown symbols.
+    counts, missing energy keys, non-numeric or non-finite fields or unknown
+    symbols.
     """
     if isinstance(stream, bytes):
         text = stream.decode("utf-8")
@@ -275,6 +258,8 @@ def parse_extended_xyz(stream) -> list[Configuration]:
             raise XyzParseError(
                 f"non-numeric energy {match.group(1)!r}", frame, pos + 2
             ) from None
+        if not np.isfinite(energy):
+            raise XyzParseError(f"non-finite energy {match.group(1)!r}", frame, pos + 2)
         if pos + 2 + n_atoms > len(lines):
             raise XyzParseError(
                 f"expected {n_atoms} atom lines, stream ends early", frame, len(lines)
@@ -298,6 +283,8 @@ def parse_extended_xyz(stream) -> list[Configuration]:
                 nums = [float(v) for v in parts[1:]]
             except ValueError:
                 raise XyzParseError("non-numeric coordinate or force field", frame, line_no) from None
+            if not np.isfinite(nums).all():
+                raise XyzParseError("non-finite coordinate or force field", frame, line_no)
             positions[a] = nums[:3]
             forces[a] = nums[3:]
         configs.append(
@@ -329,22 +316,15 @@ def gradient_norm(config: Configuration) -> float:
     return float(np.linalg.norm(config.forces))
 
 
-def descriptor_identity(points) -> np.ndarray:
-    """Pass descriptors through unchanged (coordinates used directly)."""
-    arr = np.asarray(points, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError("descriptor entries must be finite")
-    return arr
-
-
 def descriptor_local_radial(
     config: Configuration,
     cutoff: float,
     n_basis: int,
     widths: float,
     species_order=None,
-) -> AtomEnvironments:
-    """Smooth per-atom radial descriptor with a cosine cutoff.
+) -> np.ndarray:
+    """Smooth per-atom radial descriptor with a cosine cutoff, as an (M, p)
+    matrix with one row per atom and p = len(species_order) * n_basis.
 
     For atom a and each species s in ``species_order`` (default: species
     present in the configuration, ascending), component k sums
@@ -377,7 +357,7 @@ def descriptor_local_radial(
             fcut = 0.5 * (np.cos(np.pi * r / cutoff) + 1.0)
             block = np.sum(np.exp(-((r - mu[None, :]) ** 2) / (2.0 * widths**2)) * fcut, axis=0)
             vectors[a, si * n_basis : (si + 1) * n_basis] = block
-    return AtomEnvironments(species=config.species, vectors=vectors)
+    return vectors
 
 
 def labeled_set_from_configurations(
@@ -389,17 +369,20 @@ def labeled_set_from_configurations(
 ) -> LabeledSet:
     """Flatten per-atom radial descriptors of a trajectory into a LabeledSet.
 
-    Assumes a consistent atom ordering across frames (single-molecule
-    trajectories); the species layout is the union over all frames.
+    Every frame must list the same species in the same order as frame 1, so
+    that a descriptor column means the same atom in every row; otherwise a
+    ValueError names the first frame (1-based) that differs.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("no configurations given")
-    union = np.unique(np.concatenate([c.species for c in configs]))
-    rows = []
-    for cfg in configs:
-        env = descriptor_local_radial(cfg, cutoff, n_basis, widths, species_order=union)
-        rows.append(env.vectors.ravel())
+    first = configs[0].species
+    for frame, cfg in enumerate(configs[1:], start=2):
+        if not np.array_equal(cfg.species, first):
+            raise ValueError(f"frame {frame}: species sequence differs from frame 1's")
+    order = np.unique(first)
+    rows = [descriptor_local_radial(cfg, cutoff, n_basis, widths, species_order=order).ravel()
+            for cfg in configs]
     return LabeledSet(
         descriptors=np.asarray(rows),
         labels=np.asarray([c.energy for c in configs]),

@@ -81,28 +81,37 @@ class ExperimentPlan:
     kde_points: int = 101
 
     def __post_init__(self):
-        def canon(name, values, kind=float, positive=True):
-            vals = tuple(sorted({kind(v) for v in values}))
+        def integral(name, value, minimum=None):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name}: must be an integer")
+            if minimum is not None and value < minimum:
+                raise ValueError(f"{name}: must be >= {minimum}")
+            return int(value)
+
+        def finite(name, value):
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, float, np.integer, np.floating))
+                    or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"{name}: entries must be finite numbers")
+            return float(value)
+
+        def canon(name, values, kind=finite, positive=True):
+            vals = tuple(sorted({kind(name, v) for v in values}))
             if not vals:
                 raise ValueError(f"{name}: must be non-empty")
-            if positive and any(v <= 0 for v in vals):
-                raise ValueError(f"{name}: entries must be positive")
+            if any(v < 0 or (positive and v == 0) for v in vals):
+                raise ValueError(f"{name}: entries must be "
+                                 + ("positive" if positive else "nonnegative"))
             return vals
 
-        object.__setattr__(self, "labeled_sizes", canon("labeled_sizes", self.labeled_sizes, int))
-        object.__setattr__(self, "train_sizes", canon("train_sizes", self.train_sizes, int))
-        object.__setattr__(self, "sigma_grid", canon("sigma_grid", self.sigma_grid))
-        object.__setattr__(self, "lambda_grid", canon("lambda_grid", self.lambda_grid))
-        beta = tuple(sorted({float(b) for b in self.beta_grid}))
-        if not beta:
-            raise ValueError("beta_grid: must be non-empty")
-        if any(b < 0 for b in beta):
-            raise ValueError("beta_grid: entries must be nonnegative")
-        object.__setattr__(self, "beta_grid", beta)
-        if self.bootstraps < 1:
-            raise ValueError("bootstraps: must be >= 1")
-        if self.folds < 2:
-            raise ValueError("folds: must be >= 2")
+        for name in ("labeled_sizes", "train_sizes"):
+            object.__setattr__(self, name, canon(name, getattr(self, name), integral))
+        for name in ("sigma_grid", "lambda_grid"):
+            object.__setattr__(self, name, canon(name, getattr(self, name)))
+        object.__setattr__(self, "beta_grid", canon("beta_grid", self.beta_grid, positive=False))
+        for name, minimum in (("bootstraps", 1), ("folds", 2), ("master_seed", None),
+                              ("heatmap_grid", 1), ("kde_points", 2)):
+            object.__setattr__(self, name, integral(name, getattr(self, name), minimum))
         if self.cv_cost not in CV_COSTS:
             raise ValueError(f"cv_cost: must be one of {CV_COSTS}")
         methods = tuple(m for m in METHODS if m in set(self.methods))
@@ -111,10 +120,6 @@ class ExperimentPlan:
         object.__setattr__(self, "methods", methods)
         if max(self.train_sizes) > max(self.labeled_sizes):
             raise ValueError("train_sizes: every train size must fit inside a labeled size")
-        if self.heatmap_grid < 1:
-            raise ValueError("heatmap_grid: must be >= 1")
-        if self.kde_points < 2:
-            raise ValueError("kde_points: must be >= 2")
 
 
 @dataclass(frozen=True)

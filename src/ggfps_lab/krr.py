@@ -1,21 +1,17 @@
-"""Kernel ridge regression with a global Gaussian kernel and a
-species-matched local Gaussian kernel.
+"""Kernel ridge regression with a global Gaussian kernel.
 
 The dual coefficients solve (K + lambda I) alpha = y through a Cholesky
 factorization; predictions contract test-kernel columns against alpha.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist
 
-from .dataset import AtomEnvironments, dumps_17g
-
-KERNEL_KINDS = ("gaussian", "local_gaussian")
+KERNEL_KINDS = ("gaussian",)
 
 
 class FactorizationError(RuntimeError):
@@ -43,25 +39,6 @@ class KernelSpec:
             raise ValueError("sigma: must be positive")
 
 
-def gaussian_kernel(xi, xj, sigma: float) -> float:
-    """exp(-||xi - xj||^2 / (2 sigma^2)); 1 exactly when the points coincide."""
-    xi = np.asarray(xi, dtype=float)
-    xj = np.asarray(xj, dtype=float)
-    d2 = float(np.sum((xi - xj) ** 2))
-    return float(np.exp(-d2 / (2.0 * sigma * sigma)))
-
-
-def local_kernel(a: AtomEnvironments, b: AtomEnvironments, sigma: float) -> float:
-    """Sum of Gaussian similarities over species-matched atom pairs of a and b."""
-    total = 0.0
-    for s in np.intersect1d(np.unique(a.species), np.unique(b.species)):
-        va = a.vectors[a.species == s]
-        vb = b.vectors[b.species == s]
-        d2 = cdist(va, vb, metric="sqeuclidean")
-        total += float(np.sum(np.exp(-d2 / (2.0 * sigma * sigma))))
-    return total
-
-
 def gaussian_gram(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
     """Dense Gaussian kernel matrix between two descriptor stacks."""
     rows = np.asarray(rows, dtype=float)
@@ -73,28 +50,9 @@ def gaussian_gram(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarra
 
 
 def assemble_kernel(rows, cols, spec: KernelSpec) -> np.ndarray:
-    """Kernel matrix with element (i, j) = k(rows[i], cols[j]).
-
-    Global kernel: rows/cols are descriptor matrices. Local kernel: rows/cols
-    are sequences of AtomEnvironments; the square case mirrors the upper
-    triangle so the result is exactly symmetric.
-    """
-    if spec.kind == "gaussian":
-        return gaussian_gram(np.atleast_2d(rows), np.atleast_2d(cols), spec.sigma)
-    for side in (rows, cols):
-        for item in side:
-            if not isinstance(item, AtomEnvironments):
-                raise ValueError("local_gaussian requires AtomEnvironments with species tags")
-    out = np.zeros((len(rows), len(cols)))
-    if rows is cols:
-        for i in range(len(rows)):
-            for j in range(i, len(cols)):
-                out[i, j] = out[j, i] = local_kernel(rows[i], cols[j], spec.sigma)
-        return out
-    for i in range(len(rows)):
-        for j in range(len(cols)):
-            out[i, j] = local_kernel(rows[i], cols[j], spec.sigma)
-    return out
+    """Kernel matrix with element (i, j) = k(rows[i], cols[j]) for descriptor
+    matrices rows and cols."""
+    return gaussian_gram(np.atleast_2d(rows), np.atleast_2d(cols), spec.sigma)
 
 
 def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
@@ -154,49 +112,3 @@ def predict(K_test: np.ndarray, alpha: np.ndarray) -> np.ndarray:
             f"dimension mismatch: K_test {K_test.shape} vs alpha {alpha.shape}"
         )
     return alpha @ K_test
-
-
-@dataclass(frozen=True)
-class KrrModel:
-    """Fitted model: kernel spec, regularizer, training references and duals."""
-
-    kernel: KernelSpec
-    lam: float
-    train_refs: tuple[str, ...]
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.shape != (len(self.train_refs),):
-            raise ValueError("alpha length must match train_refs")
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "train_refs", tuple(str(r) for r in self.train_refs))
-
-    def to_json(self, indent: int | None = None) -> str:
-        doc = {
-            "kernel": {"kind": self.kernel.kind, "sigma": self.kernel.sigma},
-            "lambda": self.lam,
-            "train_refs": list(self.train_refs),
-            "alpha": self.alpha,
-        }
-        return dumps_17g(doc, indent=indent) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "KrrModel":
-        doc = json.loads(text)
-        return cls(
-            kernel=KernelSpec(kind=doc["kernel"]["kind"], sigma=float(doc["kernel"]["sigma"])),
-            lam=float(doc["lambda"]),
-            train_refs=tuple(doc["train_refs"]),
-            alpha=np.asarray(doc["alpha"], dtype=float),
-        )
-
-
-def fit_model(descriptors, y, ids, spec: KernelSpec, lam: float) -> KrrModel:
-    """Assemble the training Gram matrix and fit the dual coefficients."""
-    K = assemble_kernel(descriptors, descriptors, spec)
-    alpha = fit(K, y, lam)
-    return KrrModel(kernel=spec, lam=lam, train_refs=tuple(ids), alpha=alpha)

@@ -45,8 +45,8 @@ class SamplerConfig:
             raise ValueError(f"method: must be one of {METHODS}, got {self.method!r}")
         if self.n < 1:
             raise ValueError("n: must be >= 1")
-        if self.beta < 0:
-            raise ValueError("beta: must be nonnegative")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError("beta: must be finite and nonnegative")
         if self.beta_mode not in BETA_MODES:
             raise ValueError(f"beta_mode: must be one of {BETA_MODES}")
         if self.init_mode is None:

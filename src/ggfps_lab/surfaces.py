@@ -8,12 +8,11 @@ use force-norm information.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledSet, format_float
+from .dataset import LabeledSet
 
 DEFAULT_DOMAIN = (-4.0, 4.0)
 
@@ -169,22 +168,3 @@ def uniform_domain_sample(surface, n: int, seed: int, id_prefix: str = "u") -> L
     gnorms = np.linalg.norm(grads, axis=1)
     ids = [f"{id_prefix}{i:05d}" for i in range(n)]
     return LabeledSet(descriptors=pts, labels=values, gradient_norms=gnorms, ids=ids)
-
-
-def surface_grid_csv(surface, grid_size: int) -> str:
-    """Render a 2-D surface on a regular grid as CSV rows (x0, x1, value, grad_norm)."""
-    if surface.dim != 2:
-        raise ValueError("grid export is defined for 2-D surfaces only")
-    lo, hi = surface.domain
-    axis = np.linspace(lo, hi, grid_size)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    values, grads = surface.value_and_gradient(pts)
-    gnorms = np.linalg.norm(grads, axis=1)
-    out = io.StringIO()
-    out.write("x0,x1,value,grad_norm\n")
-    for p, v, g in zip(pts, values, gnorms):
-        out.write(
-            f"{format_float(p[0])},{format_float(p[1])},{format_float(v)},{format_float(g)}\n"
-        )
-    return out.getvalue()

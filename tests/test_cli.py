@@ -225,6 +225,41 @@ class TestCurve:
         assert "plan.bogus" in capsys.readouterr().err
 
 
+BAD_NUMBERS = [
+    ("sample", "sampler", "beta", float("nan")),
+    ("generate", "generator", "temperature", float("nan")),
+    ("curve", "plan", "beta_grid", [float("nan")]),
+    ("curve", "plan", "sigma_grid", [float("nan")]),
+    ("curve", "plan", "lambda_grid", [float("inf")]),
+    ("curve", "plan", "bootstraps", 1.5),
+    ("curve", "plan", "kde_points", 50.5),
+    ("curve", "plan", "folds", 2.5),
+    ("curve", "plan", "master_seed", 1.5),
+    ("curve", "plan", "labeled_sizes", [40.7]),
+]
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("command, section, field, value", BAD_NUMBERS,
+                             ids=[f"{s}.{f}={v}" for _, s, f, v in BAD_NUMBERS])
+    def test_non_finite_or_non_integral_rejected(self, tmp_path, dataset_dir, capsys,
+                                                 command, section, field, value):
+        """Non-finite numbers and fractional counts fail as config errors
+        before compute: exit 1, the field named, no output directory."""
+        payload = {
+            "sample": lambda: sample_config(dataset_dir, "GGFPS"),
+            "generate": lambda: generate_config(generator="boltzmann", generator_extra={
+                "temperature": 5.0, "step": 0.5}),
+            "curve": lambda: curve_config(dataset_dir),
+        }[command]()
+        payload[section][field] = value
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{section}.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNumericalExit:
     def test_unsolvable_fit_exits_3(self, tmp_path, capsys):
         # every descriptor identical: the Gram matrix is singular and the
@@ -250,9 +285,9 @@ class TestNumericalExit:
 
 
 class TestNoPartialOutput:
-    def test_export_failure_writes_nothing(self, tmp_path, capsys):
-        # all gradient norms zero: the force-norm KDE has zero spread and
-        # fails in export, after every replicate has been computed
+    def test_zero_gradient_dataset_writes_nothing(self, tmp_path, capsys):
+        # all gradient norms zero: the force-norm KDE would have zero spread,
+        # so the run is rejected before compute and leaves no directory
         rng = np.random.default_rng(21)
         rows = ["id,label,grad_norm,x0,x1"]
         rows += [f"r{i},{rng.normal():.17g},0,{x:.17g},{z:.17g}"
@@ -340,30 +375,21 @@ class TestDegenerateKdePolicy:
 
 
 class TestThreads:
-    def test_env_fallback_invalid(self, tmp_path, dataset_dir, monkeypatch, capsys):
+    def test_retired_env_variable_is_ignored(self, tmp_path, dataset_dir, monkeypatch):
+        # the package no longer reads a worker-count environment variable,
+        # so a stale invalid value left in the environment must not fail a run
         monkeypatch.setenv("GGFPS_LAB_THREADS", "many")
-        cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "URS"))
-        assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "GGFPS_LAB_THREADS" in capsys.readouterr().err
-
-    def test_env_fallback_used(self, tmp_path, dataset_dir, monkeypatch):
-        monkeypatch.setenv("GGFPS_LAB_THREADS", "1")
         cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "URS"))
         run_ok(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
-    @pytest.mark.parametrize("flag, env, expected", [
-        (None, None, 1), (["--threads", "0"], None, 1), (None, "0", 1),
-        (["--threads", "3"], None, 3), (None, "2", 2), (["--threads", "1"], "4", 1),
+    @pytest.mark.parametrize("flag, expected", [
+        (None, 1), (["--threads", "0"], 1), (["--threads", "3"], 3), (["--threads", "1"], 1),
     ])
     def test_auto_resolves_to_one_and_explicit_is_honored(
-        self, tmp_path, dataset_dir, monkeypatch, flag, env, expected
+        self, tmp_path, dataset_dir, monkeypatch, flag, expected
     ):
         """Every valid value resolves as documented (auto = 1) and is
         accepted, but none reaches the run: replicates always run serially."""
-        if env is None:
-            monkeypatch.delenv("GGFPS_LAB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("GGFPS_LAB_THREADS", env)
         assert cli._resolve_threads(None if flag is None else int(flag[1])) == expected
         seen = []
         monkeypatch.setattr(cli, "run_experiment",

@@ -9,7 +9,6 @@ from ggfps_lab.dataset import (
     GenerationError,
     LabeledSet,
     XyzParseError,
-    descriptor_identity,
     descriptor_local_radial,
     gradient_norm,
     labeled_set_from_configurations,
@@ -64,6 +63,17 @@ class TestParseExtendedXyz:
         with pytest.raises(XyzParseError) as err:
             parse_extended_xyz("1\nenergy=1\nH a 0 0 0 0 0\n")
         assert err.value.frame == 1 and err.value.line == 3
+
+    @pytest.mark.parametrize("frame2, line", [
+        ("1\nenergy=nan\nH 0 0 0 0 0 1\n", 5),
+        ("1\nenergy=-inf\nH 0 0 0 0 0 1\n", 5),
+        ("2\nenergy=1\nH 0 0 0 0 0 1\nH 0 0 inf 0 0 1\n", 7),
+        ("1\nenergy=1\nH 0 0 0 0 NaN 1\n", 6),
+    ], ids=["nan-energy", "inf-energy", "inf-position", "nan-force"])
+    def test_non_finite_value_names_frame_and_line(self, frame2, line):
+        with pytest.raises(XyzParseError, match="non-finite") as err:
+            parse_extended_xyz("1\nenergy=-0.5\nH 0 0 0 0 0 1\n" + frame2)
+        assert err.value.frame == 2 and err.value.line == line
 
     def test_unknown_symbol(self):
         with pytest.raises(XyzParseError, match="Xx"):
@@ -129,38 +139,21 @@ class TestGradientNorm:
             assert gradient_norm(rotated) == pytest.approx(base, rel=1e-12)
 
 
-class TestDescriptorIdentity:
-    def test_identity(self):
-        assert descriptor_identity([[1.0, 2.0]]).tolist() == [[1.0, 2.0]]
-
-    def test_empty(self):
-        out = descriptor_identity(np.zeros((0, 3)))
-        assert out.shape == (0, 3)
-
-    def test_bitwise_equal(self):
-        X = np.random.default_rng(0).normal(size=(10, 4))
-        assert np.array_equal(descriptor_identity(X), X)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            descriptor_identity([[np.nan, 0.0]])
-
-
 class TestDescriptorLocalRadial:
     def test_isolated_atom_is_zero(self):
         cfg = Configuration(
             positions=[[0.0, 0.0, 0.0]], species=[1], energy=0.0, forces=[[0, 0, 0]]
         )
-        env = descriptor_local_radial(cfg, cutoff=4.0, n_basis=3, widths=0.5)
-        assert np.all(env.vectors == 0.0)
+        vec = descriptor_local_radial(cfg, cutoff=4.0, n_basis=3, widths=0.5)
+        assert np.all(vec == 0.0)
 
     def test_pair_beyond_cutoff_is_zero(self):
         cfg = Configuration(
             positions=[[0, 0, 0], [10, 0, 0]], species=[1, 1], energy=0.0,
             forces=np.zeros((2, 3)),
         )
-        env = descriptor_local_radial(cfg, cutoff=4.0, n_basis=2, widths=0.5)
-        assert np.all(env.vectors == 0.0)
+        vec = descriptor_local_radial(cfg, cutoff=4.0, n_basis=2, widths=0.5)
+        assert np.all(vec == 0.0)
 
     def test_h2_hand_evaluation(self):
         # one neighbor at r=1, cutoff 4, centers mu = (2, 4), width w
@@ -169,14 +162,14 @@ class TestDescriptorLocalRadial:
             positions=[[0, 0, 0], [1.0, 0, 0]], species=[1, 1], energy=0.0,
             forces=np.zeros((2, 3)),
         )
-        env = descriptor_local_radial(cfg, cutoff=4.0, n_basis=2, widths=w)
+        vec = descriptor_local_radial(cfg, cutoff=4.0, n_basis=2, widths=w)
         fcut = 0.5 * (math.cos(math.pi * 1.0 / 4.0) + 1.0)
         expected = [
             math.exp(-((1.0 - 2.0) ** 2) / (2 * w * w)) * fcut,
             math.exp(-((1.0 - 4.0) ** 2) / (2 * w * w)) * fcut,
         ]
-        assert env.vectors[0] == pytest.approx(expected, rel=1e-12)
-        assert env.vectors[1] == pytest.approx(expected, rel=1e-12)
+        assert vec[0] == pytest.approx(expected, rel=1e-12)
+        assert vec[1] == pytest.approx(expected, rel=1e-12)
 
     def test_same_species_permutation_invariance(self):
         rng = np.random.default_rng(41)
@@ -192,7 +185,7 @@ class TestDescriptorLocalRadial:
         b = descriptor_local_radial(cfg_p, 4.0, 3, 0.5)
         # atom 0 (H) of the original is atom 1 of the permuted configuration
         inverse = np.argsort(perm)
-        assert a.vectors == pytest.approx(b.vectors[inverse], abs=1e-10)
+        assert a == pytest.approx(b[inverse], abs=1e-10)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(42)
@@ -206,16 +199,16 @@ class TestDescriptorLocalRadial:
         )
         a = descriptor_local_radial(cfg, 4.0, 4, 0.5)
         b = descriptor_local_radial(moved, 4.0, 4, 0.5)
-        assert a.vectors == pytest.approx(b.vectors, abs=1e-10)
+        assert a == pytest.approx(b, abs=1e-10)
 
     def test_species_order_pads_layout(self):
         cfg = Configuration(
             positions=[[0, 0, 0], [1, 0, 0]], species=[1, 1], energy=0.0,
             forces=np.zeros((2, 3)),
         )
-        env = descriptor_local_radial(cfg, 4.0, 2, 0.5, species_order=[1, 6, 8])
-        assert env.vectors.shape == (2, 6)
-        assert np.all(env.vectors[:, 2:] == 0.0)  # no carbon or oxygen neighbors
+        vec = descriptor_local_radial(cfg, 4.0, 2, 0.5, species_order=[1, 6, 8])
+        assert vec.shape == (2, 6)
+        assert np.all(vec[:, 2:] == 0.0)  # no carbon or oxygen neighbors
 
 
 class TestSynthBoltzmann:
@@ -320,3 +313,18 @@ def test_labeled_set_from_configurations():
     assert len(labeled) == 6
     assert labeled.dim == 3 * 2 * 3  # atoms x species-union x basis
     assert np.all(labeled.gradient_norms >= 0)
+
+
+@pytest.mark.parametrize("species", [[8, 1, 1, 1], [1, 8, 1]])
+def test_labeled_set_from_configurations_rejects_mismatched_frames(species):
+    # frame 3 has an extra atom, or the same atoms in another order: its
+    # descriptor columns would describe different atoms than frame 1's
+    rng = np.random.default_rng(56)
+    frames = [[8, 1, 1], [8, 1, 1], species, [8, 1, 1]]
+    configs = [
+        Configuration(positions=rng.uniform(-1, 1, size=(len(z), 3)), species=z,
+                      energy=0.0, forces=np.zeros((len(z), 3)))
+        for z in frames
+    ]
+    with pytest.raises(ValueError, match="frame 3"):
+        labeled_set_from_configurations(configs, cutoff=4.0, n_basis=3, widths=0.5)

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ggfps_lab.dataset import AtomEnvironments
 from ggfps_lab.krr import (
     FactorizationError,
     KernelSpec,
-    KrrModel,
     assemble_kernel,
     fit,
-    fit_model,
     fit_prefixes,
-    gaussian_kernel,
-    local_kernel,
+    gaussian_gram,
     predict,
 )
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
@@ -28,52 +24,26 @@ def random_spd(rng, n, cond=10.0):
 
 
 class TestGaussianKernel:
+    """Entry-wise checks of gaussian_gram, the one kernel the protocol uses."""
+
     def test_identical_points(self):
-        x = np.array([1.0, -2.0, 0.5])
-        assert gaussian_kernel(x, x, sigma=0.7) == 1.0
+        x = np.array([[1.0, -2.0, 0.5]])
+        assert gaussian_gram(x, x, sigma=0.7)[0, 0] == 1.0
 
     def test_distance_sigma_sqrt2(self):
         sigma = 1.3
-        xi = np.zeros(1)
-        xj = np.array([sigma * math.sqrt(2.0)])
-        assert gaussian_kernel(xi, xj, sigma) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        xi = np.zeros((1, 1))
+        xj = np.array([[sigma * math.sqrt(2.0)]])
+        assert gaussian_gram(xi, xj, sigma)[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_flat_kernel_limit(self):
-        assert gaussian_kernel(np.zeros(1), np.ones(1), sigma=1e8) >= 1 - 1e-15
+        assert gaussian_gram(np.zeros((1, 1)), np.ones((1, 1)), sigma=1e8)[0, 0] >= 1 - 1e-15
 
     def test_symmetry_and_range(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            xi, xj = rng.normal(size=(2, 4))
-            k = gaussian_kernel(xi, xj, 0.9)
-            assert k == gaussian_kernel(xj, xi, 0.9)
-            assert 0.0 < k <= 1.0
-
-
-class TestLocalKernel:
-    def test_distinct_species_identity(self):
-        env = AtomEnvironments(species=[1, 6, 8], vectors=np.random.default_rng(2).normal(size=(3, 4)))
-        assert local_kernel(env, env, sigma=0.5) == pytest.approx(3.0, rel=1e-12)
-
-    def test_no_shared_species(self):
-        a = AtomEnvironments(species=[1], vectors=np.ones((1, 2)))
-        b = AtomEnvironments(species=[6, 8], vectors=np.ones((2, 2)))
-        assert local_kernel(a, b, sigma=1.0) == 0.0
-
-    def test_single_surviving_term(self):
-        sigma = 0.8
-        u = np.array([[0.2, 0.4]])
-        v = np.array([[1.0, -0.3]])
-        a = AtomEnvironments(species=[1], vectors=u)
-        b = AtomEnvironments(species=[1, 6], vectors=np.vstack([v, [5.0, 5.0]]))
-        expected = math.exp(-float(np.sum((u - v) ** 2)) / (2 * sigma**2))
-        assert local_kernel(a, b, sigma) == pytest.approx(expected, rel=1e-12)
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(3)
-        a = AtomEnvironments(species=[1, 1, 6], vectors=rng.normal(size=(3, 5)))
-        b = AtomEnvironments(species=[1, 6, 6], vectors=rng.normal(size=(3, 5)))
-        assert local_kernel(a, b, 0.7) == pytest.approx(local_kernel(b, a, 0.7), rel=1e-14)
+        X = np.random.default_rng(1).normal(size=(50, 4))
+        K = gaussian_gram(X, X, 0.9)
+        assert np.array_equal(K, K.T)
+        assert np.all((K > 0.0) & (K <= 1.0))
 
 
 class TestAssembleKernel:
@@ -95,21 +65,13 @@ class TestAssembleKernel:
         K = assemble_kernel(X, np.zeros((0, 2)), KernelSpec("gaussian", 1.0))
         assert K.shape == (3, 0)
 
-    def test_local_square_symmetric(self):
-        rng = np.random.default_rng(6)
-        envs = [
-            AtomEnvironments(species=[1, 6], vectors=rng.normal(size=(2, 3)))
-            for _ in range(4)
-        ]
-        K = assemble_kernel(envs, envs, KernelSpec("local_gaussian", 0.9))
-        assert np.array_equal(K, K.T)
-        off = assemble_kernel(envs[:2], envs[2:], KernelSpec("local_gaussian", 0.9))
-        assert off.shape == (2, 2)
-        assert off[0, 1] == pytest.approx(local_kernel(envs[0], envs[3], 0.9), rel=1e-14)
 
-    def test_local_requires_species_tags(self):
-        with pytest.raises(ValueError, match="species"):
-            assemble_kernel([np.zeros(3)], [np.zeros(3)], KernelSpec("local_gaussian", 1.0))
+class TestKernelSpec:
+    def test_validation(self):
+        with pytest.raises(ValueError, match="sigma"):
+            KernelSpec("gaussian", 0.0)
+        with pytest.raises(ValueError, match="kind"):
+            KernelSpec("laplacian", 1.0)
 
 
 class TestFit:
@@ -245,48 +207,25 @@ class TestPredict:
 class TestLocalKernelPipeline:
     def test_fit_predict_on_perturbed_trajectory(self):
         # water-like frames: energy is a smooth function of the O-H distances,
-        # so a local-kernel model interpolating 12 frames should predict the
-        # held-out frames far better than the label spread
-        from ggfps_lab.dataset import Configuration, descriptor_local_radial
+        # so a Gaussian-kernel model on the flattened per-atom radial
+        # descriptors, interpolating 12 frames, should predict the held-out
+        # frames far better than the label spread
+        from ggfps_lab.dataset import Configuration, labeled_set_from_configurations
 
         rng = np.random.default_rng(16)
         base = np.array([[0.0, 0.0, 0.0], [0.96, 0.0, 0.0], [-0.24, 0.93, 0.0]])
         species = np.array([8, 1, 1])
-        envs, energies = [], []
+        configs = []
         for _ in range(14):
             pos = base + 0.06 * rng.normal(size=(3, 3))
             d1 = np.linalg.norm(pos[1] - pos[0])
             d2 = np.linalg.norm(pos[2] - pos[0])
-            cfg = Configuration(positions=pos, species=species, energy=0.0,
-                                forces=np.zeros((3, 3)))
-            envs.append(descriptor_local_radial(cfg, cutoff=4.0, n_basis=6, widths=0.3))
-            energies.append((d1 - 0.96) ** 2 + (d2 - 0.96) ** 2)
-        energies = np.asarray(energies)
-        spec = KernelSpec("local_gaussian", 0.35)
-        K = assemble_kernel(envs[:12], envs[:12], spec)
-        alpha = fit(K, energies[:12], lam=1e-10)
-        K_test = assemble_kernel(envs[:12], envs[12:], spec)
-        pred = predict(K_test, alpha)
+            configs.append(Configuration(positions=pos, species=species,
+                                         energy=(d1 - 0.96) ** 2 + (d2 - 0.96) ** 2,
+                                         forces=np.zeros((3, 3))))
+        labeled = labeled_set_from_configurations(configs, cutoff=4.0, n_basis=6, widths=0.3)
+        X, energies = labeled.descriptors, labeled.labels
+        alpha = fit(gaussian_gram(X[:12], X[:12], 0.35), energies[:12], lam=1e-10)
+        pred = predict(gaussian_gram(X[:12], X[12:], 0.35), alpha)
         spread = energies.max() - energies.min()
         assert np.max(np.abs(pred - energies[12:])) < 0.05 * spread
-
-
-class TestKrrModel:
-    def test_json_round_trip(self):
-        labeled = uniform_domain_sample(StyblinskiTang(), 12, seed=15)
-        model = fit_model(
-            labeled.descriptors, labeled.labels, labeled.ids,
-            KernelSpec("gaussian", 2.0), lam=1e-6,
-        )
-        back = KrrModel.from_json(model.to_json())
-        assert back.kernel == model.kernel
-        assert back.lam == model.lam
-        assert back.train_refs == model.train_refs
-        assert np.array_equal(back.alpha, model.alpha)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KrrModel(kernel=KernelSpec("gaussian", 1.0), lam=0.0,
-                     train_refs=("a",), alpha=np.ones(1))
-        with pytest.raises(ValueError, match="sigma"):
-            KernelSpec("gaussian", 0.0)

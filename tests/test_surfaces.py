@@ -11,7 +11,6 @@ from ggfps_lab.surfaces import (
     st_gradient,
     st_value,
     surface_from_spec,
-    surface_grid_csv,
     uniform_domain_sample,
 )
 from oracles import central_difference_gradient
@@ -191,13 +190,3 @@ class TestSurfaceSpec:
         assert adv.bump_amp == 10.0
         with pytest.raises(ValueError, match="bump"):
             surface_from_spec(SurfaceSpec(kind="adversarial_toy"), {"wrong": 1})
-
-
-def test_surface_grid_csv():
-    text = surface_grid_csv(StyblinskiTang(), 5)
-    lines = text.strip().splitlines()
-    assert lines[0] == "x0,x1,value,grad_norm"
-    assert len(lines) == 1 + 25
-    first = lines[1].split(",")
-    assert float(first[0]) == -4.0 and float(first[1]) == -4.0
-    assert float(first[2]) == pytest.approx(scalar_st((-4.0, -4.0)))
