@@ -100,13 +100,15 @@ def _surface_from_config(cfg: dict):
                       ("styblinski_tang", "adversarial_toy"))
     dim = _as_int(surface_cfg.get("dim", 2), "surface.dim", minimum=1)
     domain = surface_cfg.get("domain", [-4.0, 4.0])
-    if (not isinstance(domain, (list, tuple)) or len(domain) != 2
-            or not all(isinstance(v, (int, float)) for v in domain)
-            or not domain[0] < domain[1]):
-        raise ConfigError("surface.domain: must be [lower, upper] with lower < upper")
+    if not isinstance(domain, (list, tuple)) or len(domain) != 2:
+        raise ConfigError("surface.domain: must be [lower, upper]")
+    lower, upper = (_as_number(v, f"surface.domain[{i}]") for i, v in enumerate(domain))
+    # uniform sampling draws lower + (upper - lower) * u, so the width must be finite too
+    if not 0 < upper - lower <= sys.float_info.max:
+        raise ConfigError("surface.domain: must have lower < upper and a finite width")
     if kind == "adversarial_toy" and dim != 2:
         raise ConfigError("surface.dim: adversarial_toy requires dim=2")
-    spec = SurfaceSpec(kind=kind, dim=dim, domain=(float(domain[0]), float(domain[1])))
+    spec = SurfaceSpec(kind=kind, dim=dim, domain=(lower, upper))
     bump = cfg.get("bump")
     if bump is not None:
         if kind != "adversarial_toy":

@@ -21,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.spatial.distance import cdist
 
 from . import __version__ as _tool_version
 from .dataset import LabeledSet, dumps_17g, format_float
-from .krr import FactorizationError, fit, fit_prefixes, gaussian_gram, predict
+from .krr import FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict
 from .sampling import METHODS, SamplerConfig, fps, ggfps, ggfps_chains, urs
 
 CV_COSTS = ("RMSE", "MAE")
@@ -95,8 +94,15 @@ class ExperimentPlan:
                 raise ValueError(f"{name}: entries must be finite numbers")
             return float(value)
 
-        def canon(name, values, kind=finite, positive=True):
-            vals = tuple(sorted({kind(name, v) for v in values}))
+        def listed(name):
+            values = getattr(self, name)
+            if not (isinstance(values, (list, tuple))
+                    or isinstance(values, np.ndarray) and values.ndim == 1):
+                raise ValueError(f"{name}: must be a list")
+            return values
+
+        def canon(name, kind=finite, positive=True):
+            vals = tuple(sorted({kind(name, v) for v in listed(name)}))
             if not vals:
                 raise ValueError(f"{name}: must be non-empty")
             if any(v < 0 or (positive and v == 0) for v in vals):
@@ -105,19 +111,19 @@ class ExperimentPlan:
             return vals
 
         for name in ("labeled_sizes", "train_sizes"):
-            object.__setattr__(self, name, canon(name, getattr(self, name), integral))
+            object.__setattr__(self, name, canon(name, integral))
         for name in ("sigma_grid", "lambda_grid"):
-            object.__setattr__(self, name, canon(name, getattr(self, name)))
-        object.__setattr__(self, "beta_grid", canon("beta_grid", self.beta_grid, positive=False))
+            object.__setattr__(self, name, canon(name))
+        object.__setattr__(self, "beta_grid", canon("beta_grid", positive=False))
         for name, minimum in (("bootstraps", 1), ("folds", 2), ("master_seed", None),
                               ("heatmap_grid", 1), ("kde_points", 2)):
             object.__setattr__(self, name, integral(name, getattr(self, name), minimum))
         if self.cv_cost not in CV_COSTS:
             raise ValueError(f"cv_cost: must be one of {CV_COSTS}")
-        methods = tuple(m for m in METHODS if m in set(self.methods))
-        if not methods or set(self.methods) - set(METHODS):
+        requested = listed("methods")
+        if len(requested) == 0 or any(m not in METHODS for m in requested):
             raise ValueError(f"methods: must be a non-empty subset of {METHODS}")
-        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "methods", tuple(m for m in METHODS if m in requested))
         if max(self.train_sizes) > max(self.labeled_sizes):
             raise ValueError("train_sizes: every train size must fit inside a labeled size")
 

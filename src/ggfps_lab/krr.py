@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.spatial.distance import cdist
 
 KERNEL_KINDS = ("gaussian",)
 
@@ -37,6 +35,18 @@ class KernelSpec:
             raise ValueError(f"kind: must be one of {KERNEL_KINDS}")
         if not self.sigma > 0:
             raise ValueError("sigma: must be positive")
+
+
+def cdist(XA, XB, metric: str) -> np.ndarray:
+    """``scipy.spatial.distance.cdist``, imported on the first call.
+
+    Importing scipy.spatial also loads scipy.linalg; the two would more than
+    double the package's import time and memory, and ``generate`` and
+    ``sample`` use neither. ``fit_prefixes`` imports its LAPACK routines the
+    same way.
+    """
+    from scipy.spatial.distance import cdist as scipy_cdist
+    return scipy_cdist(XA, XB, metric=metric)
 
 
 def gaussian_gram(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
@@ -79,6 +89,8 @@ def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
     sizes = [int(m) for m in sizes]
     if not sizes or min(sizes) < 1 or max(sizes) > n:
         raise ValueError("sizes must be non-empty and within 1..len(y)")
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     top = max(sizes)
     A = K_train[:top, :top] + lam * np.eye(top)
     c, pivot = dpotrf(A, lower=1)

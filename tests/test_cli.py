@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +74,19 @@ class TestGenerate:
         labeled = LabeledSet.from_csv((out / "dataset.csv").read_text())
         assert len(labeled) == 100
         assert np.all(labeled.descriptors >= -4) and np.all(labeled.descriptors <= 4)
+
+    @pytest.mark.parametrize("domain", [[-1e308, 1e308], [float("-inf"), 4], [4, 4]],
+                             ids=["infinite-width", "infinite-bound", "empty"])
+    def test_domain_needs_finite_bounds_and_width(self, tmp_path, capsys, domain):
+        # rng.uniform draws lower + (upper - lower) * u and overflowed on an
+        # infinite width: an OverflowError traceback instead of exit 1
+        cfg = generate_config()
+        cfg["surface"]["domain"] = domain
+        config = write_config(tmp_path, "gen.json", cfg)
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+        assert "surface.domain" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json"),
@@ -216,6 +233,19 @@ class TestCurve:
         config = write_config(tmp_path, "c.json", cfg)
         assert main(["curve", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "plan.folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("labeled_sizes", 40), ("train_sizes", "10"), ("sigma_grid", 1.0),
+        ("lambda_grid", "1e-6"), ("beta_grid", 0.5), ("methods", "URS"),
+    ])
+    def test_list_field_given_a_scalar_names_it(self, tmp_path, dataset_dir, capsys,
+                                                field, value):
+        cfg = curve_config(dataset_dir, **{field: value})
+        config = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(config), "--out", str(out)]) == 1
+        assert f"plan.{field}: must be a list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_plan_field_rejected(self, tmp_path, dataset_dir, capsys):
         cfg = curve_config(dataset_dir)
@@ -404,6 +434,44 @@ class TestThreads:
                      "--threads", "-1"]) == 1
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+SCIPY_PROBE = """
+import json, sys
+from ggfps_lab.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.spatial")))
+
+generate, sample, curve, out = sys.argv[1:]
+after = {}
+for name, config in (("import", None), ("generate", generate), ("sample", sample),
+                     ("curve", curve)):
+    if config is not None:
+        assert main([name, "--config", config, "--out", f"{out}/{name}"]) == 0
+    after[name] = loaded()
+print(json.dumps(after))
+"""
+
+
+def test_scipy_linalg_and_spatial_load_only_for_curve(tmp_path):
+    """The import, generate and sample never call scipy.linalg or
+    scipy.spatial, so a fresh process running them must not load either."""
+    data = tmp_path / "generate" / "dataset.csv"
+    configs = [
+        write_config(tmp_path, "gen.json", generate_config(n=60, seed=11)),
+        write_config(tmp_path, "s.json", sample_config(data.parent, "GGFPS", beta=1.0)),
+        write_config(tmp_path, "c.json", curve_config(data.parent)),
+    ]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *map(str, configs), str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    after = json.loads(proc.stdout)
+    assert after["import"] == after["generate"] == after["sample"] == []
+    assert "scipy.linalg" in after["curve"] and "scipy.spatial" in after["curve"]
 
 
 def test_dumps_17g_round_trips_floats():

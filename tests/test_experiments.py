@@ -59,6 +59,13 @@ class TestExperimentPlan:
         plan = small_plan(methods=("GGFPS", "URS"))
         assert plan.methods == ("URS", "GGFPS")
 
+    def test_list_fields_take_lists_and_1d_arrays(self):
+        plan = small_plan(labeled_sizes=[60], train_sizes=np.array([20, 10]),
+                          sigma_grid=np.array([1.5, 0.5]), methods=np.array(["FPS", "URS"]))
+        assert plan == small_plan(methods=("URS", "FPS"))
+        with pytest.raises(ValueError, match="sigma_grid: must be a list"):
+            small_plan(sigma_grid=np.array([[0.5, 1.5]]))
+
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="folds"):
             small_plan(folds=1)
