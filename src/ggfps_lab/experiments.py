@@ -211,14 +211,18 @@ def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
     every smaller size through its leading block (``fit_prefixes``).
     Candidates marked in ``dead`` (shape (len(sizes), sigmas, lambdas)) are
     skipped; sizes at or beyond a failing pivot are marked there. Returns the
-    costs, 0 where dead.
+    costs, 0 where dead. The kernels take the layout of the distances, so a
+    Fortran-ordered ``d2_train`` spares ``fit_prefixes`` a transposing copy.
     """
     costs = np.zeros(dead.shape)
+    K = np.empty_like(d2_train)
+    K_val = np.empty_like(d2_val)
     for si, sigma in enumerate(plan.sigma_grid):
         if dead[:, si].all():
             continue
-        K = np.exp(-d2_train / (2.0 * sigma * sigma))
-        K_val = np.exp(-d2_val / (2.0 * sigma * sigma))
+        # x / (-c) is bitwise (-x) / c: exp(-d2 / 2 sigma^2) with no temporaries
+        np.exp(np.divide(d2_train, -(2.0 * sigma * sigma), out=K), out=K)
+        np.exp(np.divide(d2_val, -(2.0 * sigma * sigma), out=K_val), out=K_val)
         for li, lam in enumerate(plan.lambda_grid):
             alive = np.flatnonzero(~dead[:, si, li])
             if not alive.size:
@@ -252,8 +256,9 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     d2_val = cdist(X[union], X[val], metric="sqeuclidean")
     costs = np.zeros(dead.shape)
     for b, (chain, sub) in enumerate(zip(chains, rows)):
-        costs[..., b] = _grid_costs(d2_union[np.ix_(sub, sub)], d2_val[sub],
-                                    y[chain[:len(sub)]], y[val], sizes, plan, dead[..., b])
+        costs[..., b] = _grid_costs(np.asfortranarray(d2_union[np.ix_(sub, sub)]),
+                                    d2_val[sub], y[chain[:len(sub)]], y[val], sizes, plan,
+                                    dead[..., b])
     return costs
 
 

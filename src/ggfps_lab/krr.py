@@ -76,6 +76,11 @@ def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
     1-based failing pivot p of the largest block (0 when it factored): the
     leading minor of order p is not positive definite, so every size m >= p
     gets None while smaller sizes are still solved.
+
+    Only the lower triangle of ``K_train`` is read, and ``K_train`` is never
+    written: each call makes one Fortran-ordered copy of the largest block,
+    which LAPACK factors in place. A Fortran-ordered ``K_train`` makes that
+    a column-by-column copy rather than a transpose.
     """
     K_train = np.asarray(K_train, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -92,8 +97,10 @@ def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
     from scipy.linalg.lapack import dpotrf, dpotrs
 
     top = max(sizes)
-    A = K_train[:top, :top] + lam * np.eye(top)
-    c, pivot = dpotrf(A, lower=1)
+    # always a copy, never a view of K_train: dpotrf overwrites it
+    A = np.array(K_train[:top, :top], order="F")
+    A[np.diag_indices(top)] += lam
+    c, pivot = dpotrf(A, lower=1, overwrite_a=1)
     alphas: list[np.ndarray | None] = []
     for m in sizes:
         if pivot and m >= pivot:

@@ -88,6 +88,22 @@ class TestGenerate:
         assert "surface.domain" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_domain_whose_surface_overflows_names_it(self, tmp_path, capsys, recwarn):
+        # x**4 overflowed on [-1e100, 1e100]: two numpy RuntimeWarnings, then
+        # "all entries must be finite", which names no field
+        cfg = generate_config(n=5)
+        cfg["surface"]["domain"] = [-1e100, 1e100]
+        config = write_config(tmp_path, "gen.json", cfg)
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+        assert "surface.domain" in capsys.readouterr().err
+        assert not out.exists()
+        # a box whose corners stay finite is still accepted
+        cfg["surface"]["domain"] = [-1e50, 1e50]
+        run_ok(["generate", "--config", str(write_config(tmp_path, "gen.json", cfg)),
+                "--out", str(out)])
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1

@@ -293,6 +293,23 @@ class TestGridCosts:
         assert np.isinf(expected[1, 0]) and np.isfinite(expected).sum() == 3
         assert np.array_equal(cv.evaluate()[:, :, 0], expected)
 
+    def test_layout_of_d2_train_changes_no_bit_and_no_input(self, universe):
+        plan = small_plan(**DEAD_GRIDS)
+        X, y = universe.descriptors, universe.labels
+        tr, val = np.arange(40), np.arange(100, 120)
+        d2_train = cdist(X[tr], X[tr], metric="sqeuclidean")
+        d2_val = cdist(X[tr], X[val], metric="sqeuclidean")
+        sizes = [5, 20, 40]
+        results = []
+        for d2 in (d2_train, np.asfortranarray(d2_train)):
+            kept, kept_val = d2.copy(), d2_val.copy()
+            dead = np.zeros((len(sizes), 2, 2), dtype=bool)
+            costs = _grid_costs(d2, d2_val, y[tr], y[val], sizes, plan, dead)
+            assert np.array_equal(d2, kept) and np.array_equal(d2_val, kept_val)
+            results.append((costs.tobytes(), dead.tobytes()))
+        assert results[0] == results[1]
+        assert np.frombuffer(results[0][1], dtype=bool).any()
+
     @settings(max_examples=60, deadline=None)
     @given(grid_fold())
     def test_multi_size_routine_matches_direct_fits(self, fold):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ggfps_lab.krr import (
@@ -172,6 +173,44 @@ class TestFitPrefixes:
             if m < p:
                 direct = fit(K[:m, :m], y[:m], 1e-12)
                 assert np.linalg.norm(alpha - direct) <= 1e-8 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_leaves_k_train_unchanged(self, order):
+        # dpotrf factors its argument in place: the F-ordered case is a block
+        # of exactly top x top, which a non-copying asfortranarray would hand over
+        rng = np.random.default_rng(14)
+        K = np.array(random_spd(rng, 30), order=order)
+        before = K.copy(order=order)
+        alphas, pivot = fit_prefixes(K, rng.normal(size=30), 1e-4, [10, 30])
+        assert pivot == 0 and all(a is not None for a in alphas)
+        assert np.array_equal(K, before)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_reads_only_the_lower_triangle(self, order):
+        rng = np.random.default_rng(15)
+        n = 25
+        K = random_spd(rng, n)
+        K[np.triu_indices(n, 1)] = np.nan
+        symmetric = np.tril(K) + np.tril(K, -1).T
+        y = rng.normal(size=n)
+        sizes = [3, 17, n]
+        got, pivot = fit_prefixes(np.array(K, order=order), y, 1e-6, sizes)
+        expected, _ = fit_prefixes(symmetric, y, 1e-6, sizes)
+        assert pivot == 0
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
+    def test_factors_one_fortran_copy_in_place(self, monkeypatch):
+        calls = []
+
+        def recording_dpotrf(a, **kwargs):
+            calls.append((a.flags.f_contiguous, kwargs))
+            return dpotrf(a, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording_dpotrf)
+        rng = np.random.default_rng(16)
+        fit_prefixes(random_spd(rng, 20), rng.normal(size=20), 1e-4, [5, 12])
+        assert calls == [(True, {"lower": 1, "overwrite_a": 1})]
 
     def test_rejects_sizes_outside_the_matrix(self):
         K, y = np.eye(3), np.ones(3)
