@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dataset import (
     GenerationError,
@@ -35,7 +33,7 @@ from .sampling import (
     SamplerConfig,
     select,
 )
-from .surfaces import StyblinskiTang, SurfaceSpec, surface_from_spec, uniform_domain_sample
+from .surfaces import SurfaceSpec, surface_from_spec, uniform_domain_sample
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -123,25 +121,6 @@ def _surface_from_config(cfg: dict):
         raise ConfigError(f"bump: {exc}") from None
 
 
-def _check_uniform_domain(surface) -> None:
-    """Reject a Styblinski-Tang box on which a uniform draw can overflow.
-
-    Away from the wells, each coordinate's value term (x^4 - 16 x^2 + 5 x) / 2
-    and gradient (4 x^3 - 32 x + 5) / 2 grow with |x|, so labels and gradient
-    norms that are finite at the two corners whose coordinates all equal one
-    bound are finite on the whole box.
-    """
-    if not isinstance(surface, StyblinskiTang):
-        return
-    corners = np.array([[bound] * surface.dim for bound in surface.domain], dtype=float)
-    with np.errstate(all="ignore"):
-        values, grads = surface.value_and_gradient(corners)
-        norms = np.linalg.norm(grads, axis=1)
-    if not (np.isfinite(values).all() and np.isfinite(norms).all()):
-        raise ConfigError("surface.domain: too wide: surface values or gradient norms "
-                          "overflow at its corners")
-
-
 def _resolve(path_str: str, config_path: Path) -> Path:
     p = Path(path_str)
     return p if p.is_absolute() else config_path.parent / p
@@ -156,7 +135,6 @@ def cmd_generate(cfg: dict, config_path: Path, out_dir: Path) -> None:
     n = _as_int(_require(gen, "n", "generator"), "generator.n", minimum=1)
     seed = _as_int(_require(gen, "seed", "generator"), "generator.seed")
     if kind == "uniform":
-        _check_uniform_domain(surface)
         labeled = uniform_domain_sample(surface, n, seed)
     else:
         temperature = _as_number(_require(gen, "temperature", "generator"), "generator.temperature")

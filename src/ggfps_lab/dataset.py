@@ -22,6 +22,10 @@ SYMBOL_TO_Z = {
 Z_TO_SYMBOL = {z: s for s, z in SYMBOL_TO_Z.items()}
 
 _ENERGY_RE = re.compile(r"(?:^|\s)energy=(\S+)")
+# Rows parsed per float conversion in ``LabeledSet.from_csv``: large enough
+# to amortize the call, small enough that the block's field strings stay a
+# few MiB.
+CSV_BLOCK_ROWS = 4096
 
 
 def format_float(x: float) -> str:
@@ -168,26 +172,38 @@ class LabeledSet:
 
     @classmethod
     def from_csv(cls, text: str) -> "LabeledSet":
+        """Parse ``to_csv`` output; blank lines are skipped.
+
+        Every row's field count is checked first; the rows are then parsed in
+        blocks of ``CSV_BLOCK_ROWS``, one ``np.array(fields, dtype=float)``
+        call per block, which applies Python's ``float`` to each field in row
+        order. So the first error in row order is raised, with ``float``'s
+        message, as a row-by-row parse would raise it.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty CSV document")
         header = lines[0].split(",")
         if header[:3] != ["id", "label", "grad_norm"]:
             raise ValueError("CSV header must start with id,label,grad_norm")
-        d = len(header) - 3
-        ids, labels, gnorms, rows = [], [], [], []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 3 + d:
-                raise ValueError(f"row has {len(parts)} fields, expected {3 + d}")
-            ids.append(parts[0])
-            labels.append(float(parts[1]))
-            gnorms.append(float(parts[2]))
-            rows.append([float(v) for v in parts[3:]])
+        width = len(header)
+        body = lines[1:]
+        bad = next((r for r, ln in enumerate(body) if ln.count(",") != width - 1), None)
+        rows = body if bad is None else body[:bad]
+        values = np.empty((len(rows), width - 1))
+        ids: list[str] = []
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            fields = ",".join(rows[start:start + CSV_BLOCK_ROWS]).split(",")
+            ids.extend(fields[::width])
+            del fields[::width]
+            block = np.array(fields, dtype=float).reshape(-1, width - 1)
+            values[start:start + len(block)] = block
+        if bad is not None:
+            raise ValueError(f"row has {body[bad].count(',') + 1} fields, expected {width}")
         return cls(
-            descriptors=np.asarray(rows, dtype=float).reshape(len(ids), d),
-            labels=np.asarray(labels),
-            gradient_norms=np.asarray(gnorms),
+            descriptors=np.ascontiguousarray(values[:, 2:]),
+            labels=values[:, 0].copy(),
+            gradient_norms=values[:, 1].copy(),
             ids=tuple(ids),
         )
 

@@ -56,7 +56,9 @@ def gaussian_gram(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarra
     if rows.size == 0 or cols.size == 0:
         return np.zeros((rows.shape[0], cols.shape[0]))
     d2 = cdist(rows, cols, metric="sqeuclidean")
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    # in place, bitwise equal to np.exp(-d2 / (2 sigma^2)): negating either
+    # operand of a division is exact
+    return np.exp(np.divide(d2, -(2.0 * sigma * sigma), out=d2), out=d2)
 
 
 def assemble_kernel(rows, cols, spec: KernelSpec) -> np.ndarray:

@@ -9,9 +9,11 @@ exponent sweep keeps early picks covering both extremes.
 
 Both samplers, and the per-(fold, beta) chains of GGFPS cross-validation
 (``ggfps_chains``), run on one greedy kernel (``_greedy``) that advances B
-chains over one pool in lockstep, keeping a (B, N) array of minimum
-distances. Each step computes the B distance rows of the new picks from a
-transposed copy of the descriptors; no pairwise matrix is built.
+chains over one pool in lockstep, keeping (B, N) arrays of minimum
+distances and their logs. Each step screens the whole pool against the B
+new picks with one BLAS product and recomputes the exact distance only
+where the screen cannot prove that the minimum stays as it is; no pairwise
+matrix is built.
 """
 from __future__ import annotations
 
@@ -96,70 +98,164 @@ def _log_gradients(g: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(g, floor))
 
 
-class _DistanceRows:
-    """Euclidean distance rows of a point set: ``rows(idx)[r, j] = ||x_j - x_idx[r]||``.
+def _distances(X: np.ndarray, points, centers) -> np.ndarray:
+    """Euclidean distances ``||X[points] - X[centers]||``; the two index
+    arrays broadcast.
 
-    Squared coordinate differences are added in coordinate order from a
-    transposed (d, N) copy, then square-rooted. For d < 8 that is the order
-    in which ``np.linalg.norm(X - x, axis=1)`` sums, so rows are bitwise
-    identical to it; for d >= 8 numpy sums pairwise and a row may differ in
-    the last ulp.
+    Squared coordinate differences are added in coordinate order, then
+    square-rooted. For d < 8 that is the order in which
+    ``np.linalg.norm(X - x, axis=1)`` sums, so the distances are bitwise
+    identical to it; for d >= 8 numpy sums pairwise and a distance may
+    differ in the last ulp.
     """
-
-    def __init__(self, X: np.ndarray):
-        self._XT = np.ascontiguousarray(X.T)
-
-    def __call__(self, idx: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(idx), self._XT.shape[1]))
-        diff = np.empty_like(out)
-        for coord in self._XT:
-            np.subtract(coord, coord[idx, None], out=diff)
-            np.multiply(diff, diff, out=diff)
-            out += diff
-        return np.sqrt(out, out=out)
+    squares = X.take(points, axis=0) - X.take(centers, axis=0)
+    squares *= squares
+    out = np.zeros(squares.shape[:-1])
+    for coord in range(X.shape[1]):
+        out += squares[..., coord]
+    return np.sqrt(out, out=out)
 
 
-def _greedy(rows, inits, exponents: np.ndarray, log_g: np.ndarray | None = None) -> np.ndarray:
-    """Greedy max-min selection of B chains over one pool, in lockstep.
+def _greedy(X: np.ndarray, inits, exponents: np.ndarray,
+            log_g: np.ndarray | None = None) -> np.ndarray:
+    """Greedy max-min selection of B chains over the rows of ``X``, in lockstep.
 
-    ``rows(idx)`` returns the (len(idx), N) distance rows of pool points
-    ``idx``. Chain b starts at ``inits[b]``; step k >= 1 picks the remaining
-    index maximising ``exponents[b, k] * log_g + log(min_dist[b])``, or plain
+    Chain b starts at ``inits[b]``; step k >= 1 picks the remaining index
+    maximising ``exponents[b, k] * log_g + log(min_dist[b])``, or plain
     ``min_dist[b]`` where that exponent is 0, the smallest index winning
-    ties. When every remaining score is -inf (only duplicates of selected
-    points remain) the smallest remaining index is taken. Column 0 of
-    ``exponents`` belongs to the initial point; returns the (B, n) picks
-    with n = ``exponents.shape[1]``.
+    ties. ``min_dist[b, j]`` is the minimum over chain b's picks s of the
+    exact distance ``_distances(X, j, s)``. When every remaining score is
+    -inf (only duplicates of selected points remain) the smallest remaining
+    index is taken. Column 0 of ``exponents`` belongs to the initial point;
+    returns the (B, n) picks with n = ``exponents.shape[1]``.
+
+    **Screened updates.** A new pick s can only lower ``min_dist[b, j]`` where
+    its exact distance D is below m = ``min_dist[b, j]``, and after a few
+    picks that is a small share of the pool. So each step first screens
+    every point with one BLAS product, and computes D only for the points
+    the screen cannot rule out; every other point keeps m, the value
+    ``np.minimum(m, D)`` would have kept. The screen runs on x' = 2^-e x,
+    with e chosen so that |x'| < 1 in every coordinate (an exact scaling
+    unless x' is subnormal), and reads
+
+        F = -2 x'_s . x'_j + fl((1 - c2) q_s) + q_j,    q = fl(|x'|^2),
+
+    one dot product of length d + 2. The point is a candidate unless
+    ``lim[b, j] <= F``, where
+
+        lim = fl(m'^2) c1 + c2 q_j + c3,    m' = 2^-e m,
+        c1 = 1 + 2 (d + 4) u,   c2 = 2 (3 d + 7) u,
+        c3 = 2^-2e 2 d eta + 8 (d + 1) eta,
+
+    with u = 2^-53 and eta = 2^-1074, the smallest subnormal. A NaN or inf
+    on either side makes the point a candidate.
+
+    Why nothing closer is skipped. Write S for the squared distance in real
+    arithmetic, N = |x'_j|^2 + |x'_s|^2, and gamma_k = k u / (1 - k u).
+    (1) D is fl(sqrt(fl-sum of d fl-squares of fl-differences)); rounding is
+    monotone and m is a double, so D < m forces the computed sum below m^2.
+    That sum is at least S (1 - (d + 2) u) - d eta: d + 2 relative roundings
+    per term, and at most eta/2 lost per square that underflows. Hence
+    S < M / 2^-2e with M = 2^-2e (m^2 + d eta) / (1 - (d + 2) u).
+    (2) Scaling moves each coordinate by at most eta/2, so the scaled
+    distance is below sqrt(M) + sqrt(d) eta, and the real value S'' of
+    |x'_j - x'_s|^2 below M (1 + u) + 2 sqrt(d) eta + d eta^2.
+    (3) A dot product of length d + 2, summed in any order with or without
+    FMA, errs by at most gamma_{d+2} times the sum of the absolute terms
+    (here 2 N (1 + gamma_d + u)) plus eta/2 per product that underflows; q
+    errs by gamma_d |x'|^2 + d eta / 2, and the coefficient of q_s by u. So
+    |F - (S'' - c2 q_s)| <= (3 d + 7) u N + 4 d eta, two u N to spare.
+    Adding up, D < m implies F < M (1 + u) + (3 d + 7) u N - c2 q_s
+    + (4 d + 2 sqrt(d) + 1) eta. With c2 twice the factor on N, the q_s
+    terms cancel and c2 q_j covers the rest; c1 covers (1 + u) /
+    (1 - (d + 2) u) and c3 the absolute terms, each with a factor of about
+    two to spare for the few roundings in evaluating ``lim`` itself and in
+    m' when it is subnormal. |x'| < 1 keeps every term of F below 4 d, so
+    the screen neither overflows nor returns NaN; an exact distance that
+    overflowed (m = inf) gives ``lim = inf``, a permanent candidate. A
+    scale so small that 2^-2e d eta overflows makes every point a candidate,
+    which is slow but exact.
+
+    ``log(min_dist)`` is kept alongside and recomputed only where
+    ``min_dist`` changed; ``np.log`` works elementwise, so it is bitwise the
+    value a full-row ``log`` would give. The BLAS product only decides
+    which points get an exact recomputation, so picks do not depend on its
+    summation order or thread count.
     """
+    X = np.asarray(X, dtype=float)
     inits = np.asarray(inits, dtype=np.intp)
     n_chains, n = exponents.shape
+    n_pool, dim = X.shape
     chains = np.arange(n_chains)
     picks = np.empty((n_chains, n), dtype=np.intp)
     picks[:, 0] = inits
-    min_dist = rows(inits)
+    min_dist = _distances(X, np.arange(n_pool)[None, :], inits[:, None])
     taken = np.zeros(min_dist.shape, dtype=bool)
     taken[chains, inits] = True
-    score = np.empty_like(min_dist)
+
+    u, eta = 2.0**-53, 2.0**-1074
+    c1 = 1.0 + 2 * (dim + 4) * u
+    c2 = 2 * (3 * dim + 7) * u
+    e = int(np.frexp(np.abs(X).max(initial=0.0))[1])  # |x| < 2^e
+    with np.errstate(over="ignore"):
+        c3 = float(np.ldexp(2 * dim * eta, -2 * e)) + 8 * (dim + 1) * eta
+    # rows of `screen`: x'^T, ones, q; the pick side is [-2 x'_s, (1 - c2) q_s, 1]
+    screen = np.empty((dim + 2, n_pool))
+    np.ldexp(X.T, -e, out=screen[:dim])
+    screen[dim] = 1.0
+    np.einsum("ij,ij->j", screen[:dim], screen[:dim], out=screen[dim + 1])
+    floor = c2 * screen[dim + 1] + c3
+
+    def limit(dist, points):
+        lim = np.ldexp(dist, -e)
+        lim *= lim
+        lim *= c1
+        lim += floor[points]
+        return lim
+
+    # min_dist, log_min and lim are C-contiguous, so ravel() gives views
     with np.errstate(divide="ignore"):
+        log_min = np.log(min_dist)
+        lim = limit(min_dist, slice(None))
+        buf = np.empty_like(min_dist)  # a step's scores, then its screen values
+        near = np.empty(min_dist.shape, dtype=bool)
+        side = np.empty((n_chains, dim + 2))
+        side[:, dim + 1] = 1.0
         for k in range(1, n):
             beta = exponents[:, k]
             zero = beta == 0.0
             if zero.all():
-                np.copyto(score, min_dist)
+                score = min_dist
             else:
-                np.log(min_dist, out=score)
-                score += beta[:, None] * log_g
+                score = np.multiply(beta[:, None], log_g, out=buf)
+                score += log_min
                 if zero.any():
                     score[zero] = min_dist[zero]
-            np.copyto(score, -np.inf, where=taken)
             best = score.argmax(axis=1)
+            if taken[chains, best].any():
+                # a selected point tied the top score (0 or -inf) or scored NaN
+                score = np.where(taken, -np.inf, score)
+                best = score.argmax(axis=1)
             stuck = score[chains, best] == -np.inf
             if stuck.any():
                 best[stuck] = taken[stuck].argmin(axis=1)
             picks[:, k] = best
             taken[chains, best] = True
-            if k + 1 < n:
-                np.minimum(min_dist, rows(best), out=min_dist)
+            if k + 1 == n:
+                break
+            np.multiply(screen[:dim, best].T, -2.0, out=side[:, :dim])
+            np.multiply(screen[dim + 1, best], 1.0 - c2, out=side[:, dim])
+            np.less_equal(lim, np.matmul(side, screen, out=buf), out=near)
+            # flat indices into the (B, N) arrays: 2-D nonzero and fancy
+            # indexing are several times slower
+            flat = np.flatnonzero(np.logical_not(near, out=near))
+            rows, points = np.divmod(flat, n_pool)
+            dist = _distances(X, points, best[rows])
+            closer = dist < min_dist.ravel()[flat]
+            flat, points, dist = flat[closer], points[closer], dist[closer]
+            min_dist.ravel()[flat] = dist
+            log_min.ravel()[flat] = np.log(dist)
+            lim.ravel()[flat] = limit(dist, points)
     return picks
 
 
@@ -222,7 +318,7 @@ def fps(X: np.ndarray, n: int, init: int | None = None, seed: int = 0) -> list[i
         raise CapacityError(f"cannot select {n} from {n_total} samples")
     if init is None:
         init = int(np.random.default_rng(seed).integers(n_total))
-    return _greedy(_DistanceRows(X), [int(init)], np.zeros((1, n)))[0].tolist()
+    return _greedy(X, [int(init)], np.zeros((1, n)))[0].tolist()
 
 
 def ggfps_chains(
@@ -262,7 +358,7 @@ def ggfps_chains(
             init_mode = "random_uniform"
         inits = [_initial_index(g, init_mode, seed) for seed in seeds]
     log_g = _log_gradients(g)
-    return _greedy(_DistanceRows(X), inits, exponents, log_g), warnings
+    return _greedy(X, inits, exponents, log_g), warnings
 
 
 def ggfps(

@@ -153,14 +153,45 @@ def surface_from_spec(spec: SurfaceSpec, bump_params: dict | None = None):
     return AdversarialToy(domain=spec.domain, **params)
 
 
+def _check_domain(surface) -> None:
+    """Reject a box on which evaluating the surface can overflow.
+
+    The terms that grow with the box are largest at its corners:
+    Styblinski-Tang's per-coordinate value (x^4 - 16 x^2 + 5 x) / 2 and
+    gradient (4 x^3 - 32 x + 5) / 2 grow with |x|, so the two corners whose
+    coordinates all equal one bound suffice; the bump's squared distance to
+    its center, its offsets (x - c) / r^2 and its phases w x grow toward one
+    of the four corners, so all four are checked. A corner evaluation that
+    overflows anywhere, or yields a non-finite label or gradient norm,
+    raises ValueError naming ``surface.domain``; nothing is drawn and numpy
+    prints no warning.
+    """
+    lo, hi = surface.domain
+    if isinstance(surface, AdversarialToy):
+        corners = np.array([[lo, lo], [lo, hi], [hi, lo], [hi, hi]], dtype=float)
+    else:
+        corners = np.array([[bound] * surface.dim for bound in (lo, hi)], dtype=float)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            values, grads = surface.value_and_gradient(corners)
+            finite = np.isfinite(values).all() and np.isfinite(np.linalg.norm(grads, axis=1)).all()
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise ValueError("surface.domain: too wide: surface values or gradient norms "
+                         "overflow at its corners")
+
+
 def uniform_domain_sample(surface, n: int, seed: int, id_prefix: str = "u") -> LabeledSet:
     """Draw n points i.i.d. uniform over the surface's box domain.
 
     Labels are surface values, gradient norms are Euclidean norms of the
-    exact gradient. Deterministic per seed.
+    exact gradient. Deterministic per seed. A box on which the surface
+    overflows is rejected first (see ``_check_domain``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_domain(surface)
     lo, hi = surface.domain
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n, surface.dim))

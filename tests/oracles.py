@@ -3,7 +3,9 @@
 Everything here recomputes from scratch: full pairwise distance matrices,
 per-step minimum-distance recomputation, plain-power scores, explicit
 matrix inverses and central finite differences. None of it shares code
-with the package.
+with the package. ``greedy_rows`` and ``labeled_arrays_from_csv`` keep the
+package's former, straightforward selection kernel and CSV parser as the
+references its faster versions must match bit for bit.
 """
 import numpy as np
 
@@ -116,3 +118,76 @@ def random_rotation(dim, rng):
     A = rng.standard_normal((dim, dim))
     Q, R = np.linalg.qr(A)
     return Q * np.sign(np.diag(R))
+
+
+def distance_rows(XT, idx):
+    """Distance rows ``out[r, j] = ||x_j - x_idx[r]||`` from a transposed (d, N)
+    copy: squared coordinate differences added in coordinate order, then
+    square-rooted."""
+    out = np.zeros((len(idx), XT.shape[1]))
+    diff = np.empty_like(out)
+    for coord in XT:
+        np.subtract(coord, coord[idx, None], out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
+    return np.sqrt(out, out=out)
+
+
+def greedy_rows(X, inits, exponents, log_g=None):
+    """Lockstep greedy max-min selection that recomputes the full distance row
+    of every new pick and every score at each step (the rule of
+    ``sampling._greedy``)."""
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    inits = np.asarray(inits, dtype=np.intp)
+    n_chains, n = exponents.shape
+    chains = np.arange(n_chains)
+    picks = np.empty((n_chains, n), dtype=np.intp)
+    picks[:, 0] = inits
+    min_dist = distance_rows(XT, inits)
+    taken = np.zeros(min_dist.shape, dtype=bool)
+    taken[chains, inits] = True
+    score = np.empty_like(min_dist)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, n):
+            beta = exponents[:, k]
+            zero = beta == 0.0
+            if zero.all():
+                np.copyto(score, min_dist)
+            else:
+                np.log(min_dist, out=score)
+                score += beta[:, None] * log_g
+                if zero.any():
+                    score[zero] = min_dist[zero]
+            np.copyto(score, -np.inf, where=taken)
+            best = score.argmax(axis=1)
+            stuck = score[chains, best] == -np.inf
+            if stuck.any():
+                best[stuck] = taken[stuck].argmin(axis=1)
+            picks[:, k] = best
+            taken[chains, best] = True
+            if k + 1 < n:
+                np.minimum(min_dist, distance_rows(XT, best), out=min_dist)
+    return picks
+
+
+def labeled_arrays_from_csv(text):
+    """Row-by-row CSV parse: (descriptors, labels, gradient norms, ids), with
+    errors raised in row order and, within a row, field order."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty CSV document")
+    header = lines[0].split(",")
+    if header[:3] != ["id", "label", "grad_norm"]:
+        raise ValueError("CSV header must start with id,label,grad_norm")
+    d = len(header) - 3
+    ids, labels, gnorms, rows = [], [], [], []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 3 + d:
+            raise ValueError(f"row has {len(parts)} fields, expected {3 + d}")
+        ids.append(parts[0])
+        labels.append(float(parts[1]))
+        gnorms.append(float(parts[2]))
+        rows.append([float(v) for v in parts[3:]])
+    return (np.asarray(rows, dtype=float).reshape(len(ids), d), np.asarray(labels, dtype=float),
+            np.asarray(gnorms, dtype=float), tuple(ids))

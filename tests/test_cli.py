@@ -104,6 +104,26 @@ class TestGenerate:
                 "--out", str(out)])
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("domain, bump", [
+        ([-1e200, 1e200], None),
+        ([-8e307, 8e307], {"bump_radius": 0.1}),
+    ], ids=["square-overflows", "offset-overflows"])
+    def test_bump_domain_whose_surface_overflows_names_it(self, tmp_path, capsys, recwarn,
+                                                          domain, bump):
+        # the first box printed an overflow warning and exited 0 with all-zero
+        # labels and gradient norms; the second made 0 * inf = NaN and exited 1
+        # with "all entries must be finite"
+        cfg = generate_config(kind="adversarial_toy", n=5)
+        cfg["surface"]["domain"] = domain
+        if bump is not None:
+            cfg["bump"] = bump
+        out = tmp_path / "o"
+        config = write_config(tmp_path, "gen.json", cfg)
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+        assert "surface.domain" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -494,3 +514,34 @@ def test_dumps_17g_round_trips_floats():
     values = [0.1, 1 / 3, 1e-300, 123456.789, -2.903534]
     doc = json.loads(dumps_17g({"v": values}))
     assert doc["v"] == values
+
+
+def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The selection kernel's BLAS product only decides which distances are
+    recomputed exactly, so a GGFPS selection is byte-identical with one and
+    two BLAS threads. N * d = 12,000 is above the 9,216 at which OpenBLAS
+    threads the product."""
+    rng = np.random.default_rng(8)
+    labeled = LabeledSet(descriptors=rng.uniform(-4.0, 4.0, size=(3000, 4)),
+                         labels=np.zeros(3000), gradient_norms=rng.uniform(0.1, 10.0, size=3000),
+                         ids=tuple(f"p{i}" for i in range(3000)))
+    data = tmp_path / "pool.csv"
+    data.write_text(labeled.to_csv())
+    cfg = write_config(tmp_path, "s.json", {
+        "schema_version": 1, "dataset": str(data),
+        "sampler": {"method": "GGFPS", "n": 150, "beta": 1.0, "seed": 5},
+    })
+    src = Path(cli.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ggfps_lab.cli", "sample", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "selection.json").read_bytes())
+    assert outputs[0] == outputs[1]
+

@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from ggfps_lab import dataset
 from ggfps_lab.dataset import (
     Configuration,
     GenerationError,
@@ -17,7 +21,7 @@ from ggfps_lab.dataset import (
     write_extended_xyz,
 )
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
-from oracles import random_rotation
+from oracles import labeled_arrays_from_csv, random_rotation
 
 
 def make_config(rng, n_atoms=4):
@@ -296,6 +300,66 @@ class TestLabeledSetSerialization:
                 gradient_norms=np.array([-1.0]), ids=("a",),
             )
 
+
+FLOAT_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(0, 1e6).map(lambda v: f"{v:.17g}"),
+    st.sampled_from([" 1.5 ", "\t2", "1_0", "1__0", "_1", "\u0661\u0662", "\u0663.\u0665",
+                     "nan", "-inf", "Infinity", "1e999", "-0", "0x1p3", "", " ", "x", "1e5_0"]),
+)
+
+
+@st.composite
+def csv_documents(draw):
+    """A labeled-set CSV, mostly well formed: valid, odd and invalid floats,
+    whitespace, blank lines and the odd row with a wrong field count."""
+    dim = draw(st.integers(0, 3))
+    lines = ["id,label,grad_norm" + "".join(f",x{j}" for j in range(dim))]
+    for r in range(draw(st.integers(0, 12))):
+        fields = [f"r{r}"] + [draw(FLOAT_FIELDS) for _ in range(2 + dim)]
+        if draw(st.integers(0, 9)) == 0:
+            fields = fields[:-1] if draw(st.booleans()) and len(fields) > 1 else fields + ["1"]
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        labeled = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple((a.shape, a.tobytes()) for a in (labeled.descriptors, labeled.labels,
+                                                  labeled.gradient_norms)) + (labeled.ids,)
+
+
+class TestFromCsvMatchesRowByRowParser:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_documents(), st.sampled_from([1, 2, 5, dataset.CSV_BLOCK_ROWS]))
+    def test_same_arrays_or_same_error(self, text, block_rows):
+        expected = parse_outcome(lambda t: LabeledSet(*labeled_arrays_from_csv(t)), text)
+        with mock.patch.object(dataset, "CSV_BLOCK_ROWS", block_rows):
+            assert parse_outcome(LabeledSet.from_csv, text) == expected
+
+    def test_first_error_in_row_order_wins(self):
+        header = "id,label,grad_norm,x0"
+        bad_float_first = "\n".join([header, "a,1,1,1", "b,1,oops,1", "c,1,1"])
+        with pytest.raises(ValueError, match="could not convert string to float: 'oops'"):
+            LabeledSet.from_csv(bad_float_first)
+        bad_count_first = "\n".join([header, "a,1,1", "b,1,oops,1"])
+        with pytest.raises(ValueError, match="row has 3 fields, expected 4"):
+            LabeledSet.from_csv(bad_count_first)
+
+    def test_many_blocks(self):
+        labeled = uniform_domain_sample(StyblinskiTang(dim=3), 2 * dataset.CSV_BLOCK_ROWS + 7,
+                                        seed=5)
+        back = LabeledSet.from_csv(labeled.to_csv())
+        assert back.descriptors.tobytes() == labeled.descriptors.tobytes()
+        assert back.labels.tobytes() == labeled.labels.tobytes()
+        assert back.gradient_norms.tobytes() == labeled.gradient_norms.tobytes()
+        assert back.ids == labeled.ids
+        assert back.descriptors.flags.c_contiguous
 
 def test_labeled_set_from_configurations():
     rng = np.random.default_rng(55)

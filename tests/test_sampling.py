@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ggfps_lab.dataset import LabeledSet, synth_boltzmann_set
 from ggfps_lab.sampling import (
+    BETA_MODES,
     CapacityError,
     SamplerConfig,
     beta_schedule,
@@ -13,8 +16,9 @@ from ggfps_lab.sampling import (
     ggfps_chains,
     select,
     urs,
-    _DistanceRows,
+    _distances,
     _greedy,
+    _log_gradients,
 )
 from ggfps_lab.surfaces import StyblinskiTang
 from oracles import (
@@ -22,6 +26,7 @@ from oracles import (
     greedy_fps,
     greedy_ggfps,
     greedy_ggfps_fast,
+    greedy_rows,
     random_rotation,
 )
 
@@ -282,7 +287,57 @@ def _random_instance(rng, n_pts, dim):
     return X, g
 
 
+@st.composite
+def greedy_cases(draw):
+    """A pool, chains and exponents for ``_greedy``: one scale per dataset from
+    1e-300 to 1e300, optionally far from the origin, with duplicated rows,
+    zero gradients, and swept or constant betas."""
+    n_chains = draw(st.integers(1, 4))
+    dim = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 9, 16, 64]))
+    n_pts = draw(st.integers(2, 300))
+    n_sel = draw(st.integers(1, min(n_pts, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    X = rng.normal(size=(n_pts, dim))
+    if draw(st.booleans()):
+        # a lattice, jittered or not: many exact ties and near-ties that
+        # only the screen's rounding slack keeps apart
+        jitter = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6]))
+        X = np.round(X * 2) / 2 + jitter * rng.normal(size=X.shape)
+    X += draw(st.sampled_from([0.0, 1.0, 1e3, 1e8])) * rng.normal(size=dim)
+    with np.errstate(over="ignore"):
+        X *= scale
+    assume(np.isfinite(X).all())
+    n_dup = draw(st.integers(0, n_pts // 2))
+    X[rng.integers(n_pts, size=n_dup)] = X[rng.integers(n_pts, size=n_dup)]
+    g = rng.uniform(0.0, 10.0, size=n_pts)
+    g[rng.random(n_pts) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    mode = draw(st.sampled_from(BETA_MODES))
+    betas = [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for _ in range(n_chains)]
+    exponents = np.stack([beta_schedule(b, n_sel, mode).values for b in betas])
+    inits = rng.integers(n_pts, size=n_chains)
+    return X, inits, exponents, _log_gradients(g)
+
+
 class TestGreedyKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(greedy_cases())
+    def test_screened_kernel_matches_full_row_reference(self, case):
+        X, inits, exponents, log_g = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = greedy_rows(X, inits, exponents, log_g)
+            got = _greedy(X, inits, exponents, log_g)
+        assert np.array_equal(got, expected)
+
+    def test_overflowing_distances_select_as_the_reference(self):
+        # coordinates near +-1e200: every exact distance overflows to inf
+        X = np.random.default_rng(44).uniform(-1e200, 1e200, size=(60, 2))
+        exponents = np.stack([np.zeros(30), beta_schedule(1.0, 30).values])
+        log_g = np.zeros(60)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(_greedy(X, [3, 7], exponents, log_g),
+                                  greedy_rows(X, [3, 7], exponents, log_g))
+
     def test_lockstep_matches_independent_chains(self):
         rng = np.random.default_rng(40)
         for _ in range(10):
@@ -298,7 +353,7 @@ class TestGreedyKernel:
             exponents = np.stack([beta_schedule(c.beta, n_sel, c.beta_mode).values
                                   for c in configs])
             log_g = np.log(np.maximum(g, 1e-12 * g.max()))
-            picks = _greedy(_DistanceRows(X), inits, exponents, log_g)
+            picks = _greedy(X, inits, exponents, log_g)
             for row, config, init in zip(picks, configs, inits):
                 assert row.tolist() == ggfps(labeled, config, init=init).indices
             # the beta=0 row is FPS
@@ -328,7 +383,7 @@ class TestGreedyKernel:
         rng = np.random.default_rng(dim)
         X = rng.normal(size=(500, dim)) * rng.uniform(0.01, 100, size=dim)
         idx = np.array([0, 7, 499, 7])
-        got = _DistanceRows(X)(idx)
+        got = _distances(X, np.arange(500)[None, :], idx[:, None])
         for r, i in enumerate(idx):
             assert np.array_equal(got[r], np.linalg.norm(X - X[i], axis=1))
 
@@ -337,7 +392,7 @@ class TestGreedyKernel:
         rng = np.random.default_rng(dim)
         X = rng.normal(size=(500, dim)) * rng.uniform(0.01, 100, size=dim)
         idx = np.array([3, 250])
-        got = _DistanceRows(X)(idx)
+        got = _distances(X, np.arange(500)[None, :], idx[:, None])
         for r, i in enumerate(idx):
             assert got[r] == pytest.approx(np.linalg.norm(X - X[i], axis=1), rel=1e-12, abs=0)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,27 @@ class TestUniformDomainSample:
         assert labeled.labels == pytest.approx(st_value(labeled.descriptors))
         norms = np.linalg.norm(st_gradient(labeled.descriptors), axis=1)
         assert labeled.gradient_norms == pytest.approx(norms)
+
+    @pytest.mark.parametrize("surface", [
+        StyblinskiTang(domain=(-1e100, 1e100)),
+        StyblinskiTang(dim=5, domain=(-4.0, 1e80)),
+        AdversarialToy(domain=(-1e200, 1e200)),
+        AdversarialToy(bump_radius=0.1, domain=(-8e307, 8e307)),
+    ], ids=["st-x4", "st-upper-bound", "bump-square", "bump-offset"])
+    def test_overflowing_domain_names_it_without_warning(self, surface):
+        # used to print numpy RuntimeWarnings, then raise "all entries must be
+        # finite" (Styblinski-Tang, bump offsets) or return all-zero labels
+        # (bump squares), naming no field
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="surface.domain"):
+                uniform_domain_sample(surface, 5, 1)
+
+    def test_wide_domain_within_range_is_drawn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labeled = uniform_domain_sample(AdversarialToy(domain=(-1e100, 1e100)), 5, 1)
+        assert np.isfinite(labeled.labels).all() and len(labeled) == 5
 
 
 class TestSurfaceSpec:
