@@ -51,10 +51,8 @@ from .sampling import (  # noqa: F401
 from .surfaces import (  # noqa: F401
     AdversarialToy,
     StyblinskiTang,
-    SurfaceSpec,
     adversarial_value_and_gradient,
     st_gradient,
     st_value,
-    surface_from_spec,
     uniform_domain_sample,
 )

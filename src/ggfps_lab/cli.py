@@ -6,41 +6,43 @@ Three subcommands wire JSON run configurations to the library:
   sample    run one sampler over a dataset file and emit the selection
   curve     run the full learning-curve experiment and emit CSV outputs
 
+Each config field is checked once, by the library type or function that
+takes it; this module only walks the config's objects, rejects missing and
+unknown fields, and puts the section's path in front of a library error.
+
 Exit codes: 0 success, 1 config/validation, 2 I/O, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .dataset import (
-    GenerationError,
-    LabeledSet,
-    XyzParseError,
-    dumps_17g,
-    synth_boltzmann_set,
-)
+from .dataset import GenerationError, LabeledSet, dumps_17g, synth_boltzmann_set
 from .experiments import ExperimentPlan, ReplicateError, run_experiment
 from .krr import FactorizationError
-from .sampling import (
-    BETA_MODES,
-    INIT_MODES,
-    METHODS,
-    CapacityError,
-    SamplerConfig,
-    select,
-)
-from .surfaces import SurfaceSpec, surface_from_spec, uniform_domain_sample
+from .sampling import SamplerConfig, select
+from .surfaces import AdversarialToy, StyblinskiTang, uniform_domain_sample
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
-GENERATOR_KINDS = ("uniform", "boltzmann")
+SURFACES = {"styblinski_tang": StyblinskiTang, "adversarial_toy": AdversarialToy}
+# generator kind -> (function, required fields, optional fields)
+GENERATORS = {
+    "uniform": (uniform_domain_sample, ("n", "seed"), ()),
+    "boltzmann": (synth_boltzmann_set, ("n", "seed", "temperature", "step"),
+                  ("burn_in", "thinning")),
+}
+BUMP_FIELDS = tuple(f.name for f in dataclasses.fields(AdversarialToy)
+                    if f.name.startswith("bump_"))
+SAMPLER_FIELDS = tuple(f.name for f in dataclasses.fields(SamplerConfig))
+PLAN_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentPlan))
 
 
 class ConfigError(ValueError):
@@ -53,26 +55,41 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
+def _section(value, path: str, required=(), optional=None) -> dict:
+    """``value``, checked to be a config object that holds every ``required``
+    field and, unless ``optional`` is None, no field outside ``required`` and
+    ``optional``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: must be an object")
+    for key in required:
+        _require(value, key, path)
+    unknown = [] if optional is None else sorted(set(value) - {*required, *optional})
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown field")
     return value
 
 
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: must be a number")
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{path}: must be finite")
-    return float(value)
+def _kind(table: dict, section: dict, path: str):
+    """The ``table`` entry that the section's ``kind`` names, and the
+    section's other fields."""
+    kind = section["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{path}.kind: must be one of {list(table)}")
+    return table[kind], {k: v for k, v in section.items() if k != "kind"}
 
 
-def _as_choice(value, path: str, choices) -> str:
-    if value not in choices:
-        raise ConfigError(f"{path}: must be one of {list(choices)}")
-    return value
+def _build(path: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, whose errors name the argument at fault first
+    ("n: must be >= 1"), with a TypeError or ValueError turned into a
+    ConfigError on that field of section ``path``. A message that names the
+    ``surface`` argument's box (``surface.domain``) is already a config path."""
+    try:
+        return fn(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        message = str(exc)
+        if not message.startswith("surface."):
+            message = f"{path}.{message}"
+        raise ConfigError(message) from None
 
 
 def load_config(path: Path) -> dict:
@@ -92,62 +109,25 @@ def load_config(path: Path) -> dict:
     return cfg
 
 
-def _surface_from_config(cfg: dict):
-    surface_cfg = _require(cfg, "surface", "config")
-    if not isinstance(surface_cfg, dict):
-        raise ConfigError("surface: must be an object")
-    kind = _as_choice(_require(surface_cfg, "kind", "surface"), "surface.kind",
-                      ("styblinski_tang", "adversarial_toy"))
-    dim = _as_int(surface_cfg.get("dim", 2), "surface.dim", minimum=1)
-    domain = surface_cfg.get("domain", [-4.0, 4.0])
-    if not isinstance(domain, (list, tuple)) or len(domain) != 2:
-        raise ConfigError("surface.domain: must be [lower, upper]")
-    lower, upper = (_as_number(v, f"surface.domain[{i}]") for i, v in enumerate(domain))
-    # uniform sampling draws lower + (upper - lower) * u, so the width must be finite too
-    if not 0 < upper - lower <= sys.float_info.max:
-        raise ConfigError("surface.domain: must have lower < upper and a finite width")
-    if kind == "adversarial_toy" and dim != 2:
-        raise ConfigError("surface.dim: adversarial_toy requires dim=2")
-    spec = SurfaceSpec(kind=kind, dim=dim, domain=(lower, upper))
+def _surface(cfg: dict):
+    spec = _section(cfg["surface"], "surface", ("kind",), ("dim", "domain"))
+    surface_type, fields = _kind(SURFACES, spec, "surface")
+    surface = _build("surface", surface_type, **fields)
     bump = cfg.get("bump")
     if bump is not None:
-        if kind != "adversarial_toy":
+        if surface_type is not AdversarialToy:
             raise ConfigError("bump: only valid for surface.kind=adversarial_toy")
-        if not isinstance(bump, dict):
-            raise ConfigError("bump: must be an object")
-    try:
-        return surface_from_spec(spec, bump)
-    except ValueError as exc:
-        raise ConfigError(f"bump: {exc}") from None
-
-
-def _resolve(path_str: str, config_path: Path) -> Path:
-    p = Path(path_str)
-    return p if p.is_absolute() else config_path.parent / p
+        surface = _build("bump", dataclasses.replace, surface,
+                         **_section(bump, "bump", (), BUMP_FIELDS))
+    return surface
 
 
 def cmd_generate(cfg: dict, config_path: Path, out_dir: Path) -> None:
-    surface = _surface_from_config(cfg)
-    gen = _require(cfg, "generator", "config")
-    if not isinstance(gen, dict):
-        raise ConfigError("generator: must be an object")
-    kind = _as_choice(_require(gen, "kind", "generator"), "generator.kind", GENERATOR_KINDS)
-    n = _as_int(_require(gen, "n", "generator"), "generator.n", minimum=1)
-    seed = _as_int(_require(gen, "seed", "generator"), "generator.seed")
-    if kind == "uniform":
-        labeled = uniform_domain_sample(surface, n, seed)
-    else:
-        temperature = _as_number(_require(gen, "temperature", "generator"), "generator.temperature")
-        step = _as_number(_require(gen, "step", "generator"), "generator.step")
-        if temperature <= 0:
-            raise ConfigError("generator.temperature: must be positive")
-        if step <= 0:
-            raise ConfigError("generator.step: must be positive")
-        labeled = synth_boltzmann_set(
-            surface, temperature, n, seed, step,
-            burn_in=_as_int(gen.get("burn_in", 1000), "generator.burn_in", minimum=0),
-            thinning=_as_int(gen.get("thinning", 10), "generator.thinning", minimum=1),
-        )
+    surface = _surface(cfg)
+    gen = _section(cfg["generator"], "generator", ("kind",))
+    (generate, required, optional), fields = _kind(GENERATORS, gen, "generator")
+    _section(gen, "generator", ("kind",) + required, optional)
+    labeled = _build("generator", generate, surface, **fields)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "dataset.csv").write_text(labeled.to_csv())
     (out_dir / "dataset.json").write_text(labeled.to_json(indent=2))
@@ -162,58 +142,40 @@ def cmd_generate(cfg: dict, config_path: Path, out_dir: Path) -> None:
 
 
 def _load_dataset(cfg: dict, config_path: Path) -> LabeledSet:
-    dataset_path = _resolve(_require(cfg, "dataset", "config"), config_path)
+    if not isinstance(cfg["dataset"], str):
+        raise ConfigError("dataset: must be a file path")
+    # relative to the config's directory; joining an absolute path keeps it
+    dataset_path = config_path.parent / cfg["dataset"]
     if not dataset_path.exists():
         raise ConfigError(f"dataset: file not found: {dataset_path}")
-    text = dataset_path.read_text()
-    if dataset_path.suffix == ".json":
-        return LabeledSet.from_json(text)
-    return LabeledSet.from_csv(text)
+    parse = LabeledSet.from_json if dataset_path.suffix == ".json" else LabeledSet.from_csv
+    try:
+        return parse(dataset_path.read_text())
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"dataset: {dataset_path}: {exc}") from None
 
 
 def cmd_sample(cfg: dict, config_path: Path, out_dir: Path) -> None:
-    labeled = _load_dataset(cfg, config_path)
-    sampler = _require(cfg, "sampler", "config")
-    if not isinstance(sampler, dict):
-        raise ConfigError("sampler: must be an object")
-    method = _as_choice(_require(sampler, "method", "sampler"), "sampler.method", METHODS)
-    config = SamplerConfig(
-        method=method,
-        n=_as_int(_require(sampler, "n", "sampler"), "sampler.n", minimum=1),
-        beta=_as_number(sampler.get("beta", 0.0), "sampler.beta"),
-        beta_mode=_as_choice(sampler.get("beta_mode", "swept"), "sampler.beta_mode", BETA_MODES),
-        init_mode=(
-            _as_choice(sampler["init_mode"], "sampler.init_mode", INIT_MODES)
-            if "init_mode" in sampler else None
-        ),
-        seed=_as_int(_require(sampler, "seed", "sampler"), "sampler.seed"),
-    )
-    result = select(labeled, config)
+    sampler = _section(cfg["sampler"], "sampler", ("method", "n", "seed"), SAMPLER_FIELDS)
+    config = _build("sampler", SamplerConfig, **sampler)
+    result = select(_load_dataset(cfg, config_path), config)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "selection.json").write_text(result.to_json(indent=2))
 
 
 def cmd_curve(cfg: dict, config_path: Path, out_dir: Path) -> None:
-    labeled = _load_dataset(cfg, config_path)
-    plan_cfg = _require(cfg, "plan", "config")
-    if not isinstance(plan_cfg, dict):
-        raise ConfigError("plan: must be an object")
-    known = {
-        "labeled_sizes", "train_sizes", "bootstraps", "sigma_grid", "lambda_grid",
-        "beta_grid", "folds", "cv_cost", "methods", "master_seed",
-        "heatmap_grid", "kde_points",
-    }
-    unknown = set(plan_cfg) - known
-    if unknown:
-        raise ConfigError(f"plan.{sorted(unknown)[0]}: unknown field")
-    kwargs = dict(plan_cfg)
-    for req in ("labeled_sizes", "train_sizes", "master_seed"):
-        _require(plan_cfg, req, "plan")
-    try:
-        plan = ExperimentPlan(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"plan.{exc}") from None
-    run_experiment(labeled, plan, out_dir)
+    plan_cfg = _section(cfg["plan"], "plan", ("labeled_sizes", "train_sizes", "master_seed"),
+                        PLAN_FIELDS)
+    plan = _build("plan", ExperimentPlan, **plan_cfg)
+    run_experiment(_load_dataset(cfg, config_path), plan, out_dir)
+
+
+# command -> (function, required top-level sections, optional ones)
+COMMANDS = {
+    "generate": (cmd_generate, ("surface", "generator"), ("bump",)),
+    "sample": (cmd_sample, ("dataset", "sampler"), ()),
+    "curve": (cmd_curve, ("dataset", "plan"), ()),
+}
 
 
 def _resolve_threads(flag_value: int | None) -> int:
@@ -249,37 +211,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, required, optional = COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
         _resolve_threads(args.threads)
-        if args.command == "generate":
-            cmd_generate(cfg, args.config, args.out)
-        elif args.command == "sample":
-            cmd_sample(cfg, args.config, args.out)
-        else:
-            cmd_curve(cfg, args.config, args.out)
-    except ReplicateError as exc:
-        code = _classify(exc.cause)
+        _section(cfg, "config", required, ("schema_version",) + optional)
+        command(cfg, args.config, args.out)
+    except Exception as exc:  # noqa: BLE001 - classified, re-raised when unexpected
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except (ConfigError, CapacityError, XyzParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (FactorizationError, GenerationError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def _classify(exc: BaseException) -> int:
-    if isinstance(exc, (FactorizationError, GenerationError, FloatingPointError)):
+def _exit_code(exc: BaseException) -> int | None:
+    """Exit code for an exception that ended a run; a ReplicateError takes
+    its cause's. None for an exception of no known kind, which is a bug."""
+    if isinstance(exc, ReplicateError):
+        exc = exc.cause
+    if isinstance(exc, (FactorizationError, GenerationError, ArithmeticError)):
         return EXIT_NUMERICAL
     if isinstance(exc, OSError):
         return EXIT_IO
-    return EXIT_NUMERICAL if isinstance(exc, ArithmeticError) else EXIT_CONFIG
+    return EXIT_CONFIG if isinstance(exc, ValueError) else None
 
 
 if __name__ == "__main__":

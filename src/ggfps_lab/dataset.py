@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,28 @@ _ENERGY_RE = re.compile(r"(?:^|\s)energy=(\S+)")
 # to amortize the call, small enough that the block's field strings stay a
 # few MiB.
 CSV_BLOCK_ROWS = 4096
+
+
+def check_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer
+    (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}")
+    return int(value)
+
+
+def check_number(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a finite
+    number (not a bool), and above 0 when ``positive``."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name}: must be a finite number")
+    if positive and not value > 0:
+        raise ValueError(f"{name}: must be positive")
+    return float(value)
 
 
 def format_float(x: float) -> str:
@@ -219,7 +242,13 @@ class LabeledSet:
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledSet":
+        """Parse ``to_json`` output; ValueError for a malformed document."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a JSON dataset must be an object")
+        for key in ("descriptors", "labels", "gradient_norms", "ids"):
+            if key not in doc:
+                raise ValueError(f"{key}: required key is missing")
         return cls(
             descriptors=np.asarray(doc["descriptors"], dtype=float),
             labels=np.asarray(doc["labels"], dtype=float),
@@ -350,12 +379,9 @@ def descriptor_local_radial(
     Pass the dataset-wide species union as ``species_order`` when descriptors
     from different configurations must share a layout.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    if n_basis < 1:
-        raise ValueError("n_basis must be >= 1")
-    if widths <= 0:
-        raise ValueError("widths must be positive")
+    cutoff = check_number("cutoff", cutoff, positive=True)
+    n_basis = check_int("n_basis", n_basis, 1)
+    widths = check_number("widths", widths, positive=True)
     if species_order is None:
         species_order = np.unique(config.species)
     species_order = np.asarray(species_order, dtype=int)
@@ -407,6 +433,7 @@ def labeled_set_from_configurations(
     )
 
 
+@np.errstate(over="raise", invalid="raise")
 def synth_boltzmann_set(
     surface,
     temperature: float,
@@ -422,13 +449,14 @@ def synth_boltzmann_set(
     Gaussian proposals with standard deviation ``step``; proposals leaving the
     box are rejected. After ``burn_in`` steps the current position is recorded
     every ``thinning`` steps until n samples exist. Deterministic per seed.
+    An overflow in numpy raises FloatingPointError instead of a warning.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1 (empty set requested)")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    n = check_int("n", n, 1)
+    seed = check_int("seed", seed, 0)
+    temperature = check_number("temperature", temperature, positive=True)
+    step = check_number("step", step, positive=True)
+    burn_in = check_int("burn_in", burn_in, 0)
+    thinning = check_int("thinning", thinning, 1)
     lo, hi = surface.domain
     dim = surface.dim
     rng = np.random.default_rng(seed)

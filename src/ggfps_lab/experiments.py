@@ -23,9 +23,9 @@ import numpy as np
 import scipy
 
 from . import __version__ as _tool_version
-from .dataset import LabeledSet, dumps_17g, format_float
+from .dataset import LabeledSet, check_int, check_number, dumps_17g, format_float
 from .krr import FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict
-from .sampling import METHODS, SamplerConfig, fps, ggfps, ggfps_chains, urs
+from .sampling import METHODS, SamplerConfig, check_beta, fps, ggfps, ggfps_chains, urs
 
 CV_COSTS = ("RMSE", "MAE")
 
@@ -80,20 +80,6 @@ class ExperimentPlan:
     kde_points: int = 101
 
     def __post_init__(self):
-        def integral(name, value, minimum=None):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name}: must be an integer")
-            if minimum is not None and value < minimum:
-                raise ValueError(f"{name}: must be >= {minimum}")
-            return int(value)
-
-        def finite(name, value):
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, float, np.integer, np.floating))
-                    or not abs(value) <= sys.float_info.max):
-                raise ValueError(f"{name}: entries must be finite numbers")
-            return float(value)
-
         def listed(name):
             values = getattr(self, name)
             if not (isinstance(values, (list, tuple))
@@ -101,23 +87,21 @@ class ExperimentPlan:
                 raise ValueError(f"{name}: must be a list")
             return values
 
-        def canon(name, kind=finite, positive=True):
-            vals = tuple(sorted({kind(name, v) for v in listed(name)}))
+        def canon(name, check):
+            vals = tuple(sorted({check(name, v) for v in listed(name)}))
             if not vals:
                 raise ValueError(f"{name}: must be non-empty")
-            if any(v < 0 or (positive and v == 0) for v in vals):
-                raise ValueError(f"{name}: entries must be "
-                                 + ("positive" if positive else "nonnegative"))
             return vals
 
         for name in ("labeled_sizes", "train_sizes"):
-            object.__setattr__(self, name, canon(name, integral))
+            object.__setattr__(self, name, canon(name, lambda name, v: check_int(name, v, 1)))
         for name in ("sigma_grid", "lambda_grid"):
-            object.__setattr__(self, name, canon(name))
-        object.__setattr__(self, "beta_grid", canon("beta_grid", positive=False))
+            object.__setattr__(self, name, canon(
+                name, lambda name, v: check_number(name, v, positive=True)))
+        object.__setattr__(self, "beta_grid", canon("beta_grid", check_beta))
         for name, minimum in (("bootstraps", 1), ("folds", 2), ("master_seed", None),
                               ("heatmap_grid", 1), ("kde_points", 2)):
-            object.__setattr__(self, name, integral(name, getattr(self, name), minimum))
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if self.cv_cost not in CV_COSTS:
             raise ValueError(f"cv_cost: must be one of {CV_COSTS}")
         requested = listed("methods")
@@ -489,8 +473,7 @@ def bin_errors_by_force_norm(test_errors, bin_capacity: int = 30) -> list[ForceN
         raise ValueError("empty input: nothing to bin")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected (force_norm, abs_err) pairs")
-    if bin_capacity < 1:
-        raise ValueError("bin_capacity must be >= 1")
+    bin_capacity = check_int("bin_capacity", bin_capacity, 1)
     order = np.argsort(arr[:, 0], kind="stable")
     arr = arr[order]
     bins = []
@@ -542,8 +525,7 @@ def selection_heatmap_2d(selections, labeled: LabeledSet, grid: int) -> np.ndarr
     interior edge belongs to the lower-index cell."""
     if labeled.dim != 2:
         raise ValueError("heatmaps are defined for 2-D descriptors only")
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    grid = check_int("grid", grid, 1)
     X = labeled.descriptors
     counts = np.zeros((grid, grid), dtype=int)
     axes_edges = []

@@ -21,16 +21,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledSet, dumps_17g
+from .dataset import LabeledSet, check_int, check_number, dumps_17g
 
 METHODS = ("URS", "FPS", "GGFPS")
 BETA_MODES = ("swept", "constant")
 INIT_MODES = ("random_uniform", "gradient_weighted", "gradient_argmax")
 GRAD_FLOOR_REL = 1e-12
+# The largest exponent bound beta. A GGFPS score is beta_k log g + log d with
+# |beta_k| <= beta, and |log x| < 745 for every positive double x (log 2^-1074
+# = -744.4, log of the largest double = 709.8), so every finite score is below
+# 745 (1e305 + 1) < 7.5e307 in magnitude, under the largest double 1.8e308.
+# The swept schedule's linspace(-beta, beta) spans 2e305, also finite.
+BETA_MAX = 1e305
 
 
 class CapacityError(ValueError):
     """Requested more samples than the pool holds."""
+
+
+def check_beta(name: str, value) -> float:
+    """``value`` as a float in [0, BETA_MAX]; ValueError naming ``name`` otherwise."""
+    beta = check_number(name, value)
+    if not 0 <= beta <= BETA_MAX:
+        raise ValueError(f"{name}: must be in [0, {BETA_MAX:g}]")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -45,10 +59,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method: must be one of {METHODS}, got {self.method!r}")
-        if self.n < 1:
-            raise ValueError("n: must be >= 1")
-        if not 0 <= self.beta < np.inf:
-            raise ValueError("beta: must be finite and nonnegative")
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
+        object.__setattr__(self, "beta", check_beta("beta", self.beta))
         if self.beta_mode not in BETA_MODES:
             raise ValueError(f"beta_mode: must be one of {BETA_MODES}")
         if self.init_mode is None:
@@ -265,8 +278,7 @@ def urs(n_total: int, n: int, seed: int) -> list[int]:
     Implemented as a prefix of a seeded permutation, so a shorter draw with
     the same seed is a prefix of a longer one.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_int("n", n, 1)
     if n > n_total:
         raise CapacityError(f"cannot draw {n} from {n_total} samples")
     perm = np.random.default_rng(seed).permutation(n_total)
@@ -280,13 +292,12 @@ def beta_schedule(beta: float, n: int, mode: str = "swept") -> BetaSchedule:
     reorders them by descending magnitude with alternating signs starting
     positive: {+beta, -beta, ...} decaying toward 0, so the earliest
     selections see both extreme exponents. Constant mode repeats beta.
+    beta must lie in [0, BETA_MAX].
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    beta = check_beta("beta", beta)
+    n = check_int("n", n, 1)
     if mode == "constant":
-        return BetaSchedule(np.full(n, float(beta)))
+        return BetaSchedule(np.full(n, beta))
     if mode != "swept":
         raise ValueError(f"mode: must be one of {BETA_MODES}")
     magnitudes = np.sort(np.abs(np.linspace(-beta, beta, n)))[::-1]
@@ -312,8 +323,7 @@ def fps(X: np.ndarray, n: int, init: int | None = None, seed: int = 0) -> list[i
     """
     X = _validate_matrix(X)
     n_total = X.shape[0]
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_int("n", n, 1)
     if n > n_total:
         raise CapacityError(f"cannot select {n} from {n_total} samples")
     if init is None:
@@ -341,8 +351,7 @@ def ggfps_chains(
     """
     X = _validate_matrix(X)
     n_total = X.shape[0]
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_int("n", n, 1)
     if n > n_total:
         raise CapacityError(f"cannot select {n} from {n_total} samples")
     if horizon is None:

@@ -8,33 +8,30 @@ use force-norm information.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledSet
+from .dataset import LabeledSet, check_int, check_number
 
 DEFAULT_DOMAIN = (-4.0, 4.0)
 
-SURFACE_KINDS = ("styblinski_tang", "adversarial_toy")
+
+def _check_pair(name: str, value) -> tuple[float, float]:
+    """Two finite numbers given as a list, tuple or 1-D array."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2:
+        raise ValueError(f"{name}: must be a list of two numbers")
+    return tuple(check_number(f"{name}[{i}]", v) for i, v in enumerate(value))
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """Declarative description of a benchmark surface."""
-
-    kind: str
-    dim: int = 2
-    domain: tuple[float, float] = DEFAULT_DOMAIN
-
-    def __post_init__(self):
-        if self.kind not in SURFACE_KINDS:
-            raise ValueError(f"kind: must be one of {SURFACE_KINDS}, got {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim: must be >= 1")
-        lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError("domain: lower bound must be strictly below upper bound")
+def _check_box(domain) -> tuple[float, float]:
+    """The box bounds as floats, with lower < upper and a finite width:
+    uniform sampling draws lower + (upper - lower) * u."""
+    lower, upper = _check_pair("domain", domain)
+    if not 0 < upper - lower <= sys.float_info.max:
+        raise ValueError("domain: must have lower < upper and a finite width")
+    return lower, upper
 
 
 def _as_points(x) -> tuple[np.ndarray, bool]:
@@ -73,8 +70,6 @@ def adversarial_value_and_gradient(x, bump_center, bump_radius, bump_amp, bump_f
         raise ValueError("the bump surface is defined for 2-D points only")
     c = np.asarray(bump_center, dtype=float)
     r = float(bump_radius)
-    if r <= 0:
-        raise ValueError("bump_radius must be positive")
     w = float(bump_freq)
     diff = pts - c
     window = np.exp(-np.sum(diff**2, axis=1) / (2.0 * r * r))
@@ -98,6 +93,10 @@ class StyblinskiTang:
     dim: int = 2
     domain: tuple[float, float] = DEFAULT_DOMAIN
 
+    def __post_init__(self):
+        object.__setattr__(self, "dim", check_int("dim", self.dim, 1))
+        object.__setattr__(self, "domain", _check_box(self.domain))
+
     def value(self, x):
         return st_value(x)
 
@@ -110,14 +109,28 @@ class StyblinskiTang:
 
 @dataclass(frozen=True)
 class AdversarialToy:
-    """Flat 2-D surface with a localized high-variance bump."""
+    """Flat 2-D surface with a localized high-variance bump. Every field must
+    be finite, and the window's divisor 2 bump_radius^2 positive and finite."""
 
     bump_center: tuple[float, float] = (2.0, 2.0)
     bump_radius: float = 0.7
     bump_amp: float = 50.0
     bump_freq: float = 6.0
     domain: tuple[float, float] = DEFAULT_DOMAIN
-    dim: int = field(default=2, init=False)
+    dim: int = 2
+
+    def __post_init__(self):
+        if check_int("dim", self.dim) != 2:
+            raise ValueError("dim: adversarial_toy is defined for dim=2 only")
+        radius = check_number("bump_radius", self.bump_radius, positive=True)
+        if not 0 < 2.0 * radius * radius <= sys.float_info.max:
+            raise ValueError("bump_radius: 2 * bump_radius**2 must be a nonzero finite number")
+        for name, value in (("domain", _check_box(self.domain)),
+                            ("bump_center", _check_pair("bump_center", self.bump_center)),
+                            ("bump_radius", radius),
+                            ("bump_amp", check_number("bump_amp", self.bump_amp)),
+                            ("bump_freq", check_number("bump_freq", self.bump_freq))):
+            object.__setattr__(self, name, value)
 
     def value(self, x):
         return self.value_and_gradient(x)[0]
@@ -129,28 +142,6 @@ class AdversarialToy:
         return adversarial_value_and_gradient(
             x, self.bump_center, self.bump_radius, self.bump_amp, self.bump_freq
         )
-
-
-def surface_from_spec(spec: SurfaceSpec, bump_params: dict | None = None):
-    """Instantiate the surface described by ``spec``.
-
-    ``bump_params`` may override bump_center/bump_radius/bump_amp/bump_freq
-    for the adversarial kind; it is rejected for the Styblinski-Tang kind.
-    """
-    if spec.kind == "styblinski_tang":
-        if bump_params:
-            raise ValueError("bump parameters are only valid for the adversarial_toy kind")
-        return StyblinskiTang(dim=spec.dim, domain=spec.domain)
-    if spec.dim != 2:
-        raise ValueError("dim: adversarial_toy is defined for dim=2 only")
-    params = dict(bump_params or {})
-    allowed = {"bump_center", "bump_radius", "bump_amp", "bump_freq"}
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(f"unknown bump parameters: {sorted(unknown)}")
-    if "bump_center" in params:
-        params["bump_center"] = tuple(float(v) for v in params["bump_center"])
-    return AdversarialToy(domain=spec.domain, **params)
 
 
 def _check_domain(surface) -> None:
@@ -182,15 +173,17 @@ def _check_domain(surface) -> None:
                          "overflow at its corners")
 
 
+@np.errstate(over="raise", invalid="raise")
 def uniform_domain_sample(surface, n: int, seed: int, id_prefix: str = "u") -> LabeledSet:
     """Draw n points i.i.d. uniform over the surface's box domain.
 
     Labels are surface values, gradient norms are Euclidean norms of the
     exact gradient. Deterministic per seed. A box on which the surface
-    overflows is rejected first (see ``_check_domain``).
+    overflows is rejected first (see ``_check_domain``); an overflow in numpy
+    while evaluating the draw raises FloatingPointError instead of a warning.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_int("n", n, 1)
+    seed = check_int("seed", seed, 0)
     _check_domain(surface)
     lo, hi = surface.domain
     rng = np.random.default_rng(seed)

@@ -1,15 +1,24 @@
+import copy
+import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggfps_lab import cli, experiments
 from ggfps_lab.cli import main
-from ggfps_lab.dataset import LabeledSet, dumps_17g, synth_boltzmann_set
+from ggfps_lab.dataset import (
+    GenerationError, LabeledSet, XyzParseError, dumps_17g, synth_boltzmann_set,
+)
+from ggfps_lab.experiments import DegenerateDistributionError, ReplicateError
+from ggfps_lab.krr import FactorizationError
+from ggfps_lab.sampling import BETA_MAX, CapacityError
 from ggfps_lab.surfaces import StyblinskiTang
 
 
@@ -545,3 +554,198 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
         outputs.append((out / "selection.json").read_bytes())
     assert outputs[0] == outputs[1]
 
+
+
+def bump_config(generator="uniform", **bump):
+    extra = ({"temperature": 5.0, "step": 0.5, "burn_in": 10, "thinning": 2}
+             if generator == "boltzmann" else {})
+    cfg = generate_config(kind="adversarial_toy", n=20, generator=generator,
+                          generator_extra=extra)
+    cfg["bump"] = bump
+    return cfg
+
+
+# (command, base config, path of the replaced field, value, field path in the error)
+BAD_FIELDS = [
+    ("generate", "bump", ("bump", "bump_center"), 5, "bump.bump_center"),
+    ("generate", "bump", ("bump", "bump_center"), None, "bump.bump_center"),
+    ("generate", "bump", ("bump", "bump_center"), [1, 2, 3], "bump.bump_center"),
+    ("generate", "bump", ("bump", "bump_amp"), float("inf"), "bump.bump_amp"),
+    ("generate", "bump", ("bump", "bump_radius"), float("nan"), "bump.bump_radius"),
+    ("generate", "bump", ("bump", "bump_radius"), "x", "bump.bump_radius"),
+    ("generate", "bump", ("bump", "bump_radius"), 1e200, "bump.bump_radius"),
+    ("generate", "bump", ("bump", "bump_freq"), True, "bump.bump_freq"),
+    ("generate", "boltzmann-bump", ("bump", "bump_center"), [float("nan"), 0],
+     "bump.bump_center[0]"),
+    ("generate", "bump", ("bump", "wrong"), 1, "bump.wrong: unknown field"),
+    ("generate", "st", ("bump",), {"bump_amp": 1.0}, "bump: only valid"),
+    ("generate", "st", ("surface", "kind"), "mystery", "surface.kind"),
+    ("generate", "st", ("surface", "kind"), [], "surface.kind"),
+    ("generate", "st", ("generator", "seed"), -1, "generator.seed"),
+    ("generate", "st", ("generator", "wrong"), 1, "generator.wrong: unknown field"),
+    ("generate", "st", ("generator", "temperature"), 5.0,
+     "generator.temperature: unknown field"),
+    ("generate", "st", ("wrong",), 1, "config.wrong: unknown field"),
+    ("sample", "ggfps", ("sampler", "seed"), -1, "sampler.seed"),
+    ("sample", "ggfps", ("sampler", "wrong"), 1, "sampler.wrong: unknown field"),
+    ("sample", "ggfps", ("sampler", "beta"), 1e308, "sampler.beta"),
+    ("sample", "ggfps", ("dataset",), 5, "dataset"),
+    ("curve", "plan", ("plan", "beta_grid"), [1e308], "plan.beta_grid"),
+]
+
+
+def base_config(name, dataset_dir):
+    return {
+        "st": lambda: generate_config(n=20),
+        "bump": lambda: bump_config(),
+        "boltzmann-bump": lambda: bump_config("boltzmann"),
+        "ggfps": lambda: sample_config(dataset_dir, "GGFPS", beta=1.0),
+        "plan": lambda: curve_config(dataset_dir),
+    }[name]()
+
+
+def replace(cfg, path, value):
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    return cfg
+
+
+class TestFieldPaths:
+    @pytest.mark.parametrize("command, base, path, value, expected", BAD_FIELDS,
+                             ids=[f"{'.'.join(p)}={v!r}" for _, _, p, v, _ in BAD_FIELDS])
+    def test_bad_field_exits_1_naming_it(self, tmp_path, dataset_dir, capsys,
+                                         command, base, path, value, expected):
+        """Each field is checked by the library type that takes it; the CLI
+        names its path. These configs used to end in tracebacks, name the
+        wrong field, warn, or exit 0."""
+        cfg = replace(base_config(base, dataset_dir), path, value)
+        config = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_beta_at_its_bound_selects_without_warning(self, tmp_path, dataset_dir):
+        cfg = write_config(tmp_path, "s.json",
+                           sample_config(dataset_dir, "GGFPS", n=20, beta=BETA_MAX))
+        out = tmp_path / "o"
+        run_ok(["sample", "--config", str(cfg), "--out", str(out)])
+        indices = json.loads((out / "selection.json").read_text())["indices"]
+        assert len(set(indices)) == 20
+
+
+class TestDatasetFile:
+    @pytest.mark.parametrize("name, text, expected", [
+        ("list.json", "[1, 2]", "must be an object"),
+        ("partial.json", json.dumps({"labels": [1.0], "gradient_norms": [1.0], "ids": ["a"]}),
+         "descriptors: required key is missing"),
+        ("bad.csv", "id,label,grad_norm,x0\na,1,1,oops\n", "could not convert"),
+    ])
+    def test_malformed_dataset_exits_1_naming_it(self, tmp_path, capsys, name, text,
+                                                 expected):
+        # the JSON files used to raise a TypeError or KeyError traceback
+        (tmp_path / name).write_text(text)
+        cfg = write_config(tmp_path, "s.json", {
+            "schema_version": 1, "dataset": name,
+            "sampler": {"method": "URS", "n": 1, "seed": 1},
+        })
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "dataset" in err and expected in err
+        assert not out.exists()
+
+
+EXIT_CODES = [
+    (ValueError("v"), 1), (cli.ConfigError("c"), 1), (CapacityError("c"), 1),
+    (XyzParseError("x", 1, 1), 1), (DegenerateDistributionError("d"), 1),
+    (OSError("o"), 2), (PermissionError("p"), 2),
+    (FactorizationError(0), 3), (GenerationError("g"), 3), (FloatingPointError("f"), 3),
+    (ZeroDivisionError("z"), 3), (OverflowError("o"), 3),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code", EXIT_CODES,
+                             ids=[type(e).__name__ for e, _ in EXIT_CODES])
+    def test_same_code_direct_and_as_replicate_cause(self, tmp_path, dataset_dir,
+                                                      monkeypatch, exc, code):
+        config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        argv = ["curve", "--config", str(config), "--out", str(tmp_path / "o")]
+        for raised in (exc, ReplicateError("URS", 40, 10, 0, exc)):
+            def fail(labeled, plan, out, raised=raised):
+                raise raised
+            monkeypatch.setattr(cli, "run_experiment", fail)
+            assert main(argv) == code
+
+    def test_unexpected_exception_is_raised_both_ways(self, tmp_path, dataset_dir,
+                                                      monkeypatch):
+        config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        argv = ["curve", "--config", str(config), "--out", str(tmp_path / "o")]
+        for raised in (TypeError("bug"), ReplicateError("URS", 40, 10, 0, TypeError("bug"))):
+            def fail(labeled, plan, out, raised=raised):
+                raise raised
+            monkeypatch.setattr(cli, "run_experiment", fail)
+            with pytest.raises(type(raised)):
+                main(argv)
+
+
+FUZZ_VALUES = [None, True, "x", [], {}, -1, 0, 2.5, float("nan"), float("inf"),
+               float("-inf"), 1e308, [1, 2, 3]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(3)
+    (root / "dataset.csv").write_text(
+        LabeledSet(descriptors=rng.uniform(-4.0, 4.0, size=(40, 2)),
+                   labels=rng.normal(size=40), gradient_norms=rng.uniform(0.1, 5.0, size=40),
+                   ids=tuple(f"p{i}" for i in range(40))).to_csv())
+    return root
+
+
+FUZZ_BASES = [
+    ("generate", generate_config(n=20)),
+    ("generate", bump_config("boltzmann", bump_center=[2.0, 2.0], bump_radius=0.7,
+                             bump_amp=50.0, bump_freq=6.0)),
+    ("sample", sample_config(Path("."), "GGFPS", n=5, beta=1.0, beta_mode="swept",
+                             init_mode="gradient_weighted")),
+    ("curve", curve_config(Path("."), labeled_sizes=[30], folds=3, cv_cost="RMSE",
+                           methods=["URS", "GGFPS"], heatmap_grid=5, kde_points=11)),
+]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """One valid config with one field, or one section, replaced by a value
+    from FUZZ_VALUES, or with an unknown key added at the top level or in a
+    section."""
+    command, base = draw(st.sampled_from(FUZZ_BASES))
+    cfg = copy.deepcopy(base)
+    sections = [key for key, value in cfg.items() if isinstance(value, dict)]
+    paths = [(key,) for key in [*cfg, "unknown"]]
+    paths += [(key, field) for key in sections for field in [*cfg[key], "unknown"]]
+    return command, replace(cfg, draw(st.sampled_from(paths)),
+                            draw(st.sampled_from(FUZZ_VALUES)))
+
+
+_fuzz_runs = itertools.count()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=fuzzed_configs())
+def test_fuzzed_config_exits_with_a_code_and_writes_nothing_on_failure(fuzz_root, case):
+    """A config with one bad field never raises out of ``main``: it exits 0,
+    1, 2 or 3, and a non-zero exit leaves no output directory."""
+    command, cfg = case
+    config = fuzz_root / "c.json"
+    config.write_text(json.dumps(cfg))
+    out = fuzz_root / f"out{next(_fuzz_runs)}"
+    code = main([command, "--config", str(config), "--out", str(out)])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert not out.exists()
+    shutil.rmtree(out, ignore_errors=True)

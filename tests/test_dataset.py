@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -243,8 +244,22 @@ class TestSynthBoltzmann:
         assert np.all(hot.descriptors >= -4) and np.all(hot.descriptors <= 4)
 
     def test_empty_request_rejected(self):
-        with pytest.raises(ValueError, match="n must be"):
+        with pytest.raises(ValueError, match="n: must be >= 1"):
             synth_boltzmann_set(StyblinskiTang(), 1.0, 0, 0, 0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("seed", -1), ("temperature", float("nan")), ("temperature", 0.0),
+        ("step", "x"), ("burn_in", -1), ("thinning", 0),
+    ])
+    def test_numbers_checked(self, field, value):
+        args = dict(temperature=1.0, n=5, seed=0, step=0.5, burn_in=10, thinning=1)
+        with pytest.raises(ValueError, match=f"{field}: must"):
+            synth_boltzmann_set(StyblinskiTang(), **{**args, field: value})
+
+    def test_overflowing_walk_raises_without_warning(self):
+        # a proposal step of 1e308 overflowed with a numpy RuntimeWarning
+        with pytest.raises(FloatingPointError):
+            synth_boltzmann_set(StyblinskiTang(), 1.0, 5, 0, 1e308, burn_in=10)
 
     def test_non_finite_surface_rejected(self):
         class BadSurface:
@@ -332,6 +347,24 @@ def parse_outcome(parse, text):
         return type(exc), str(exc)
     return tuple((a.shape, a.tobytes()) for a in (labeled.descriptors, labeled.labels,
                                                   labeled.gradient_norms)) + (labeled.ids,)
+
+
+class TestFromJson:
+    def test_round_trip(self):
+        labeled = LabeledSet(descriptors=np.eye(2), labels=[1.0, 2.0],
+                             gradient_norms=[0.5, 0.0], ids=("a", "b"))
+        back = LabeledSet.from_json(labeled.to_json())
+        assert np.array_equal(back.descriptors, labeled.descriptors) and back.ids == ("a", "b")
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "must be an object"),
+        ({"labels": [], "gradient_norms": [], "ids": []}, "descriptors: required key"),
+        ({"descriptors": [], "labels": [], "gradient_norms": []}, "ids: required key"),
+    ])
+    def test_malformed_document_raises_value_error(self, doc, message):
+        # a list raised TypeError and a missing key KeyError
+        with pytest.raises(ValueError, match=message):
+            LabeledSet.from_json(json.dumps(doc))
 
 
 class TestFromCsvMatchesRowByRowParser:

@@ -79,6 +79,9 @@ class TestExperimentPlan:
             small_plan(sigma_grid=())
         with pytest.raises(ValueError, match="bootstraps"):
             small_plan(bootstraps=0)
+        # chose beta 1e308, whose swept schedule is NaN and infinite
+        with pytest.raises(ValueError, match="beta_grid"):
+            small_plan(beta_grid=(0.0, 1e308))
 
 
 class TestCrossValidate:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ggfps_lab.dataset import LabeledSet, synth_boltzmann_set
 from ggfps_lab.sampling import (
+    BETA_MAX,
     BETA_MODES,
     CapacityError,
     SamplerConfig,
@@ -108,6 +109,18 @@ class TestBetaSchedule:
             assert np.array_equal(signs[nonzero], expected_signs[nonzero])
             if nonzero.any():
                 assert values[0] > 0 or beta == 0
+
+    def test_beta_is_bounded_so_scores_stay_finite(self):
+        # beta 1e308 gave [nan, -inf, inf, -inf, 1e308]: linspace's span overflowed
+        with pytest.raises(ValueError, match="beta"):
+            beta_schedule(1e308, 5)
+        with pytest.raises(ValueError, match="beta"):
+            SamplerConfig(method="GGFPS", n=5, beta=1e308)
+        values = beta_schedule(BETA_MAX, 5).values
+        assert values.tolist() == [BETA_MAX, -BETA_MAX, BETA_MAX / 2, -BETA_MAX / 2, 0.0]
+        # the extreme |log g| and |log d| of positive doubles keep a score finite
+        logs = np.log(np.array([5e-324, np.finfo(float).max]))
+        assert np.isfinite(np.abs(values).max() * np.abs(logs).max() + np.abs(logs).max())
 
 
 class TestFps:

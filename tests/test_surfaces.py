@@ -7,11 +7,9 @@ import pytest
 from ggfps_lab.surfaces import (
     AdversarialToy,
     StyblinskiTang,
-    SurfaceSpec,
     adversarial_value_and_gradient,
     st_gradient,
     st_value,
-    surface_from_spec,
     uniform_domain_sample,
 )
 from oracles import central_difference_gradient
@@ -183,6 +181,18 @@ class TestUniformDomainSample:
             with pytest.raises(ValueError, match="surface.domain"):
                 uniform_domain_sample(surface, 5, 1)
 
+    @pytest.mark.parametrize("n, seed, field", [(2.5, 1, "n"), (0, 1, "n"), (5, -1, "seed")])
+    def test_numbers_checked(self, n, seed, field):
+        with pytest.raises(ValueError, match=f"{field}: must"):
+            uniform_domain_sample(StyblinskiTang(), n, seed)
+
+    def test_overflow_inside_the_box_raises_without_warning(self):
+        # the corners stay finite, but gradient norms near the bump's center
+        # overflow: this printed a RuntimeWarning, then "all entries must be finite"
+        surface = AdversarialToy(bump_center=(0.0, 0.0), bump_amp=1e160)
+        with pytest.raises(FloatingPointError):
+            uniform_domain_sample(surface, 50, 0)
+
     def test_wide_domain_within_range_is_drawn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -191,24 +201,34 @@ class TestUniformDomainSample:
 
 
 class TestSurfaceSpec:
+    """The surface constructors check their own fields. The surface kind and
+    unknown bump fields are config-level checks, tested in test_cli.py."""
+
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError, match="dim"):
-            SurfaceSpec(kind="styblinski_tang", dim=0)
+            StyblinskiTang(dim=0)
+        with pytest.raises(ValueError, match="dim"):
+            AdversarialToy(dim=3)
 
     def test_rejects_bad_domain(self):
-        with pytest.raises(ValueError, match="domain"):
-            SurfaceSpec(kind="styblinski_tang", domain=(4.0, -4.0))
+        for surface in (StyblinskiTang, AdversarialToy):
+            with pytest.raises(ValueError, match="domain"):
+                surface(domain=(4.0, -4.0))
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            SurfaceSpec(kind="mystery")
+    @pytest.mark.parametrize("field, value", [
+        ("bump_center", (1.0, 2.0, 3.0)), ("bump_center", (float("nan"), 0.0)),
+        ("bump_center", None), ("bump_radius", 0.0), ("bump_radius", -1.0),
+        ("bump_radius", 1e200), ("bump_radius", 1e-170), ("bump_radius", "x"),
+        ("bump_amp", float("inf")), ("bump_freq", True), ("bump_freq", float("nan")),
+    ])
+    def test_rejects_bad_bump_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AdversarialToy(**{field: value})
 
     def test_factory_round_trip(self):
-        st = surface_from_spec(SurfaceSpec(kind="styblinski_tang", dim=3))
-        assert st.dim == 3
-        adv = surface_from_spec(
-            SurfaceSpec(kind="adversarial_toy"), {"bump_amp": 10.0}
-        )
-        assert adv.bump_amp == 10.0
+        st = StyblinskiTang(dim=3, domain=[-2, 2])
+        assert st.dim == 3 and st.domain == (-2.0, 2.0)
+        adv = AdversarialToy(bump_center=[1, 2], bump_amp=10)
+        assert adv.bump_amp == 10.0 and adv.bump_center == (1.0, 2.0)
         with pytest.raises(ValueError, match="bump"):
-            surface_from_spec(SurfaceSpec(kind="adversarial_toy"), {"wrong": 1})
+            AdversarialToy(bump_radius=0.0)
