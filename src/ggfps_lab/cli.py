@@ -82,7 +82,9 @@ def _build(path: str, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, whose errors name the argument at fault first
     ("n: must be >= 1"), with a TypeError or ValueError turned into a
     ConfigError on that field of section ``path``. A message that names the
-    ``surface`` argument's box (``surface.domain``) is already a config path."""
+    ``surface`` argument's box (``surface.domain``) is already a config path.
+    An overflow that names one of the keyword arguments ("step: ...") gets
+    the section's path and stays a FloatingPointError."""
     try:
         return fn(*args, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -90,6 +92,10 @@ def _build(path: str, fn, *args, **kwargs):
         if not message.startswith("surface."):
             message = f"{path}.{message}"
         raise ConfigError(message) from None
+    except FloatingPointError as exc:
+        if str(exc).partition(":")[0] not in kwargs:
+            raise
+        raise FloatingPointError(f"{path}.{exc}") from None
 
 
 def load_config(path: Path) -> dict:

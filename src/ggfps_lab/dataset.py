@@ -51,6 +51,16 @@ def check_number(name: str, value, positive: bool = False) -> float:
     return float(value)
 
 
+def check_width(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a positive
+    finite width w of a Gaussian exp(-d^2 / (2 w^2)) whose divisor 2 w^2
+    neither overflows nor underflows to 0 (roughly 1e-162 < w < 1e154)."""
+    width = check_number(name, value, positive=True)
+    if not 0 < 2.0 * width * width <= sys.float_info.max:
+        raise ValueError(f"{name}: 2 * {name}**2 must be a nonzero finite number")
+    return width
+
+
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits (lossless round-trip)."""
     return f"{float(x):.17g}"
@@ -449,7 +459,8 @@ def synth_boltzmann_set(
     Gaussian proposals with standard deviation ``step``; proposals leaving the
     box are rejected. After ``burn_in`` steps the current position is recorded
     every ``thinning`` steps until n samples exist. Deterministic per seed.
-    An overflow in numpy raises FloatingPointError instead of a warning.
+    An overflow in numpy raises FloatingPointError instead of a warning; when
+    a proposal overflows, its message names ``step``.
     """
     n = check_int("n", n, 1)
     seed = check_int("seed", seed, 0)
@@ -468,7 +479,10 @@ def synth_boltzmann_set(
     recorded = 0
     total_steps = burn_in + n * thinning
     for it in range(1, total_steps + 1):
-        prop = x + step * rng.standard_normal(dim)
+        try:
+            prop = x + step * rng.standard_normal(dim)
+        except FloatingPointError:
+            raise FloatingPointError(f"step: a proposal of step {step:g} overflows") from None
         if np.all(prop >= lo) and np.all(prop <= hi):
             fp = float(surface.value(prop))
             if not np.isfinite(fp):

@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__ as _tool_version
-from .dataset import LabeledSet, check_int, check_number, dumps_17g, format_float
+from .dataset import LabeledSet, check_int, check_number, check_width, dumps_17g, format_float
 from .krr import FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict
 from .sampling import METHODS, SamplerConfig, check_beta, fps, ggfps, ggfps_chains, urs
 
@@ -95,9 +95,9 @@ class ExperimentPlan:
 
         for name in ("labeled_sizes", "train_sizes"):
             object.__setattr__(self, name, canon(name, lambda name, v: check_int(name, v, 1)))
-        for name in ("sigma_grid", "lambda_grid"):
-            object.__setattr__(self, name, canon(
-                name, lambda name, v: check_number(name, v, positive=True)))
+        object.__setattr__(self, "sigma_grid", canon("sigma_grid", check_width))
+        object.__setattr__(self, "lambda_grid", canon(
+            "lambda_grid", lambda name, v: check_number(name, v, positive=True)))
         object.__setattr__(self, "beta_grid", canon("beta_grid", check_beta))
         for name, minimum in (("bootstraps", 1), ("folds", 2), ("master_seed", None),
                               ("heatmap_grid", 1), ("kde_points", 2)):
@@ -185,44 +185,68 @@ def _mirror_size(size: int, folds: int, cap: int) -> int:
 
 def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
                 y_val: np.ndarray, sizes: list[int], plan: ExperimentPlan,
-                dead: np.ndarray) -> np.ndarray:
+                dead: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
     """Validation cost of every (train size, sigma, lambda) candidate on one fold.
 
     The training set of size m is the first m rows of ``d2_train`` (squared
     distances among the largest training set), ``d2_val`` (to the validation
     points) and ``y_train``. Per sigma one ``exp`` covers the largest block;
-    per lambda one Cholesky factor of the largest size still alive solves
-    every smaller size through its leading block (``fit_prefixes``).
-    Candidates marked in ``dead`` (shape (len(sizes), sigmas, lambdas)) are
-    skipped; sizes at or beyond a failing pivot are marked there. Returns the
-    costs, 0 where dead. The kernels take the layout of the distances, so a
-    Fortran-ordered ``d2_train`` spares ``fit_prefixes`` a transposing copy.
+    per lambda one Cholesky factor solves every size through its leading
+    block (``fit_prefixes``).
+
+    Two masks of shape (len(sizes), sigmas, lambdas) say what to score.
+    ``dead`` marks candidates that can never win: sizes at or beyond a
+    failing pivot, and candidates whose cost is not finite (NaN in the
+    result). It is updated in place. ``skip`` marks live candidates that
+    need no cost on this fold. A (sigma, lambda) column with nothing outside
+    both masks is not factored; any other column is factored at its largest
+    size not in ``dead``, skipped or not, because the factor of a smaller
+    block differs in its last bits from the leading block of a larger
+    factor. So every cost computed is bitwise the cost of a call without
+    ``skip``. Returns the costs, 0 where dead or skipped. The kernels take
+    the layout of the distances, so a Fortran-ordered ``d2_train`` spares
+    ``fit_prefixes`` a transposing copy.
     """
     costs = np.zeros(dead.shape)
+    todo = ~dead if skip is None else ~(dead | skip)
     K = np.empty_like(d2_train)
     K_val = np.empty_like(d2_val)
     for si, sigma in enumerate(plan.sigma_grid):
-        if dead[:, si].all():
+        if not todo[:, si].any():
             continue
-        # x / (-c) is bitwise (-x) / c: exp(-d2 / 2 sigma^2) with no temporaries
-        np.exp(np.divide(d2_train, -(2.0 * sigma * sigma), out=K), out=K)
-        np.exp(np.divide(d2_val, -(2.0 * sigma * sigma), out=K_val), out=K_val)
+        # x / (-c) is bitwise (-x) / c: exp(-d2 / 2 sigma^2) with no temporaries;
+        # a quotient that overflows to -inf (2 sigma^2 subnormal) gives exp = 0,
+        # the correctly rounded kernel value
+        with np.errstate(over="ignore"):
+            np.exp(np.divide(d2_train, -(2.0 * sigma * sigma), out=K), out=K)
+            np.exp(np.divide(d2_val, -(2.0 * sigma * sigma), out=K_val), out=K_val)
         for li, lam in enumerate(plan.lambda_grid):
-            alive = np.flatnonzero(~dead[:, si, li])
-            if not alive.size:
+            wanted = np.flatnonzero(todo[:, si, li])
+            if not wanted.size:
                 continue
-            alphas, _ = fit_prefixes(K, y_train, lam, [sizes[i] for i in alive])
-            for i, alpha in zip(alive, alphas):
+            solve = [sizes[i] for i in wanted]
+            top = max(m for m, gone in zip(sizes, dead[:, si, li]) if not gone)
+            if top > max(solve):
+                solve.append(top)  # sets the factor's size; its alpha goes unused
+            alphas, pivot = fit_prefixes(K, y_train, lam, solve)
+            if pivot:
+                dead[:, si, li] |= np.asarray(sizes) >= pivot
+            for i, alpha in zip(wanted, alphas):
                 if alpha is None:
-                    dead[i, si, li] = True
                     continue
-                pred = predict(K_val[:len(alpha)], alpha)
-                costs[i, si, li] = _cost(pred, y_val, plan.cv_cost)
+                # labels near the float range overflow the cost: the candidate is dead
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cost = _cost(predict(K_val[:len(alpha)], alpha), y_val, plan.cv_cost)
+                if not np.isfinite(cost):
+                    dead[i, si, li] = True
+                    cost = np.nan
+                costs[i, si, li] = cost
     return costs
 
 
 def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
-                chains: np.ndarray, sizes: list[int], dead: np.ndarray) -> np.ndarray:
+                chains: np.ndarray, sizes: list[int], dead: np.ndarray,
+                skip: np.ndarray | None = None) -> np.ndarray:
     """Validation costs of B training chains on one fold, shape
     (len(sizes), sigmas, lambdas, B).
 
@@ -230,8 +254,8 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     m is its first m rows, scored on the rows ``val``. One union x union and
     one union x validation squared-distance matrix cover every chain: cdist
     computes each pair on its own, so a chain's slice is bitwise a cdist
-    over that chain. ``dead`` has the result's shape and is updated in place
-    (see ``_grid_costs``).
+    over that chain. ``dead`` and ``skip`` have the result's shape and mean
+    what they mean for ``_grid_costs``; ``dead`` is updated in place.
     """
     X, y = train.descriptors, train.labels
     union, rows = np.unique(chains, return_inverse=True)
@@ -240,10 +264,67 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     d2_val = cdist(X[union], X[val], metric="sqeuclidean")
     costs = np.zeros(dead.shape)
     for b, (chain, sub) in enumerate(zip(chains, rows)):
-        costs[..., b] = _grid_costs(np.asfortranarray(d2_union[np.ix_(sub, sub)]),
-                                    d2_val[sub], y[chain[:len(sub)]], y[val], sizes, plan,
-                                    dead[..., b])
+        d2_train, d2_chain_val = np.asfortranarray(d2_union[np.ix_(sub, sub)]), d2_val[sub]
+        if b == len(chains) - 1:
+            # both are copies: free the union matrices before the last chain's
+            # factorizations, which set the fold's peak memory
+            del d2_union, d2_val
+        costs[..., b] = _grid_costs(d2_train, d2_chain_val, y[chain[:len(sub)]], y[val], sizes,
+                                    plan, dead[..., b], None if skip is None else skip[..., b])
     return costs
+
+
+def _fold_means(sums: np.ndarray, excluded: np.ndarray, folds: int) -> np.ndarray:
+    """Mean fold costs from their sums: inf where ``excluded``, NaN where a
+    fold's cost was not finite."""
+    return np.where(excluded & ~np.isnan(sums), np.inf, sums / folds)
+
+
+def _pruned_search(shape: tuple[int, ...], folds: int, fold_costs) -> np.ndarray:
+    """Mean fold costs of a (sizes, sigmas, lambdas, B) candidate grid, with
+    every candidate that cannot be chosen reported as inf and not scored on
+    every fold.
+
+    ``fold_costs(fi, dead, skip)`` returns fold fi's costs as ``_fold_costs``
+    does, updating ``dead``. Three passes:
+
+    1. fold 0 for every candidate;
+    2. every size's fold-0 winner (its incumbent) on the other folds, at
+       every size, in fold order; for each size the smallest incumbent mean
+       is an upper bound U on the winning mean;
+    3. the other candidates on folds 1.. in order, each (size, candidate)
+       entry dropped (``pruned``) once its partial sum s gives s / folds > U.
+
+    Costs are >= 0 (a non-finite one kills its candidate), and adding a
+    non-negative float never makes a sum smaller, so a pruned entry's full
+    mean would be strictly above U: it can neither win nor tie. Every other
+    entry is summed in fold order from the same fold costs, so it is bitwise
+    the exhaustive search's mean; the minimizer and its ties are the same.
+    ``pruned`` is kept apart from ``dead`` because only ``dead`` bounds the
+    size at which a candidate is factored.
+    """
+    sums = np.zeros(shape)
+    dead = np.zeros(shape, dtype=bool)
+    pruned = np.zeros(shape, dtype=bool)
+
+    def add_fold(fi, skip):
+        if not (dead | skip).all():
+            sums[...] += fold_costs(fi, dead, skip)
+
+    add_fold(0, np.zeros(shape, dtype=bool))
+    incumbent = np.zeros(shape[1:], dtype=bool)
+    for alive, fold0 in zip(~dead, sums):
+        if alive.any():
+            incumbent.flat[np.argmin(np.where(alive, fold0, np.inf))] = True
+    others = np.broadcast_to(~incumbent, shape)
+    for fi in range(1, folds):
+        add_fold(fi, others)
+    means = np.where(dead | others, np.inf, sums / folds)
+    bound = means.min(axis=(1, 2, 3), keepdims=True)
+    for fi in range(1, folds):
+        pruned |= others & ~dead & (sums / folds > bound)
+        add_fold(fi, ~others | pruned)
+    return _fold_means(sums, dead | pruned, folds)
 
 
 class _PlainCv:
@@ -255,15 +336,18 @@ class _PlainCv:
         self.val_folds = _fold_partition(len(train), plan.folds, seed)
 
     def evaluate(self) -> np.ndarray:
-        """Mean fold costs, shape (sigmas, lambdas, 1)."""
+        """Mean fold costs, shape (sigmas, lambdas, 1): inf for a candidate
+        whose factorization failed or that ``_pruned_search`` dropped, NaN
+        for one whose cost was not finite."""
         plan = self.plan
-        shape = (1, len(plan.sigma_grid), len(plan.lambda_grid), 1)
-        sums = np.zeros(shape)
-        dead = np.zeros(shape, dtype=bool)
-        for val in self.val_folds:
+
+        def fold_costs(fi, dead, skip):
+            val = self.val_folds[fi]
             tr = np.setdiff1d(np.arange(len(self.train)), val)
-            sums += _fold_costs(self.train, plan, val, tr[None], [len(tr)], dead)
-        return np.where(dead, np.inf, sums / len(self.val_folds))[0]
+            return _fold_costs(self.train, plan, val, tr[None], [len(tr)], dead, skip)
+
+        shape = (1, len(plan.sigma_grid), len(plan.lambda_grid), 1)
+        return _pruned_search(shape, len(self.val_folds), fold_costs)[0]
 
 
 class _GgfpsCv:
@@ -273,8 +357,10 @@ class _GgfpsCv:
     Fold sub-selections are prefixes of per-(fold, beta) selection chains
     built at the largest mirrored target size, so one call evaluates all
     target sizes in one pass, consistently with chain truncation. Folds run
-    one at a time: a fold's beta chains are selected together, in lockstep,
-    scored, and dropped before the next fold.
+    one at a time: a fold's chains are selected together, in lockstep, for
+    the betas that still have a candidate to score, then scored and dropped
+    before the next fold. A chain does not depend on which others are
+    selected with it.
     """
 
     def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int):
@@ -284,31 +370,49 @@ class _GgfpsCv:
         self.val_folds = _fold_partition(len(train), plan.folds, seed)
 
     def evaluate(self, target_sizes: list[int]) -> np.ndarray:
-        """Mean fold costs, shape (len(target_sizes), sigmas, lambdas, betas)."""
+        """Mean fold costs, shape (len(target_sizes), sigmas, lambdas, betas),
+        with inf and NaN as for ``_PlainCv.evaluate``."""
         plan = self.plan
         train = self.train
-        shape = (len(target_sizes), len(plan.sigma_grid), len(plan.lambda_grid),
-                 len(plan.beta_grid))
-        sums = np.zeros(shape)
-        dead = np.zeros(shape, dtype=bool)
-        for fi, val in enumerate(self.val_folds):
+
+        def fold_costs(fi, dead, skip):
+            val = self.val_folds[fi]
             pool = np.setdiff1d(np.arange(len(train)), val)
             chain_len = _mirror_size(max(target_sizes), plan.folds, len(pool))
-            seeds = [derive_seed(self.seed, "fold-select", fi, bi)
-                     for bi in range(len(plan.beta_grid))]
+            # Python ints: derive_seed hashes the repr of its parts
+            betas = np.flatnonzero(~(dead | skip).all(axis=(0, 1, 2))).tolist()
+            seeds = [derive_seed(self.seed, "fold-select", fi, bi) for bi in betas]
             chains, _ = ggfps_chains(train.descriptors[pool], train.gradient_norms[pool],
-                                     plan.beta_grid, seeds, chain_len)
+                                     [plan.beta_grid[bi] for bi in betas], seeds, chain_len)
             sizes = [_mirror_size(ts, plan.folds, chain_len) for ts in target_sizes]
-            sums += _fold_costs(train, plan, val, pool[chains], sizes, dead)
-        return np.where(dead, np.inf, sums / len(self.val_folds))
+            costs = np.zeros(dead.shape)
+            dead_b = dead[..., betas]
+            costs[..., betas] = _fold_costs(train, plan, val, pool[chains], sizes, dead_b,
+                                            skip[..., betas])
+            dead[..., betas] = dead_b
+            return costs
+
+        shape = (len(target_sizes), len(plan.sigma_grid), len(plan.lambda_grid),
+                 len(plan.beta_grid))
+        return _pruned_search(shape, len(self.val_folds), fold_costs)
 
 
 def choose_from_costs(costs: np.ndarray, plan: ExperimentPlan, with_beta: bool) -> CvChoice:
-    """Pick the minimizing (sigma, lambda[, beta]); ties fall to the smaller
-    sigma, then lambda, then beta (grids are sorted, argmin takes the first)."""
-    if not np.isfinite(costs).any():
+    """Pick the minimizing (sigma, lambda[, beta]) among the finite costs;
+    ties fall to the smaller sigma, then lambda, then beta (grids are sorted,
+    argmin takes the first). With no finite cost it raises
+    FloatingPointError naming ``cv_cost`` when some cost was not a number
+    (the candidate factored but its cost overflowed), and FactorizationError
+    otherwise."""
+    finite = np.isfinite(costs)
+    if not finite.any():
+        if np.isnan(costs).any():
+            raise FloatingPointError(
+                f"cv_cost: the validation {plan.cv_cost} is not finite for any candidate "
+                "that factored (the labels are too large for it)"
+            )
         raise FactorizationError(0)
-    flat = int(np.argmin(costs))
+    flat = int(np.argmin(np.where(finite, costs, np.inf)))
     si, li, bi = np.unravel_index(flat, costs.shape)
     return CvChoice(
         sigma=plan.sigma_grid[si],
@@ -324,7 +428,9 @@ def cross_validate(
     target_size: int | None = None,
     seed: int = 0,
 ) -> CvChoice:
-    """Exhaustive grid search minimizing the mean fold cost.
+    """Grid search minimizing the mean fold cost; the choice is the
+    exhaustive search's, though candidates that cannot win are not scored on
+    every fold (see ``_pruned_search``).
 
     URS / FPS: folds partition ``train`` and candidates are (sigma, lambda).
     GGFPS: candidates include the exponent bound beta; for every fold and

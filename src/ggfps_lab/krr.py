@@ -57,8 +57,10 @@ def gaussian_gram(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarra
         return np.zeros((rows.shape[0], cols.shape[0]))
     d2 = cdist(rows, cols, metric="sqeuclidean")
     # in place, bitwise equal to np.exp(-d2 / (2 sigma^2)): negating either
-    # operand of a division is exact
-    return np.exp(np.divide(d2, -(2.0 * sigma * sigma), out=d2), out=d2)
+    # operand of a division is exact. A quotient that overflows to -inf
+    # (2 sigma^2 subnormal) gives exp = 0, the correctly rounded value.
+    with np.errstate(over="ignore"):
+        return np.exp(np.divide(d2, -(2.0 * sigma * sigma), out=d2), out=d2)
 
 
 def assemble_kernel(rows, cols, spec: KernelSpec) -> np.ndarray:

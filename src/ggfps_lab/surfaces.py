@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledSet, check_int, check_number
+from .dataset import LabeledSet, check_int, check_number, check_width
 
 DEFAULT_DOMAIN = (-4.0, 4.0)
+# Bound on bump_amp * (1/bump_radius + |bump_freq|). Each gradient component
+# of the bump stays below that product, so the two squares that a gradient
+# norm sums stay below 2e306, and every label (at most bump_amp) is finite.
+BUMP_GRADIENT_MAX = 1e153
 
 
 def _check_pair(name: str, value) -> tuple[float, float]:
@@ -110,7 +114,9 @@ class StyblinskiTang:
 @dataclass(frozen=True)
 class AdversarialToy:
     """Flat 2-D surface with a localized high-variance bump. Every field must
-    be finite, and the window's divisor 2 bump_radius^2 positive and finite."""
+    be finite, the window's divisor 2 bump_radius^2 positive and finite, and
+    bump_amp * (1/bump_radius + |bump_freq|), which bounds each gradient
+    component, at most ``BUMP_GRADIENT_MAX``."""
 
     bump_center: tuple[float, float] = (2.0, 2.0)
     bump_radius: float = 0.7
@@ -122,14 +128,19 @@ class AdversarialToy:
     def __post_init__(self):
         if check_int("dim", self.dim) != 2:
             raise ValueError("dim: adversarial_toy is defined for dim=2 only")
-        radius = check_number("bump_radius", self.bump_radius, positive=True)
-        if not 0 < 2.0 * radius * radius <= sys.float_info.max:
-            raise ValueError("bump_radius: 2 * bump_radius**2 must be a nonzero finite number")
+        radius = check_width("bump_radius", self.bump_radius)
+        amp = check_number("bump_amp", self.bump_amp)
+        freq = check_number("bump_freq", self.bump_freq)
+        scale = abs(amp) * (1.0 / radius + abs(freq))
+        if not scale <= BUMP_GRADIENT_MAX:
+            # the largest factor of the product is the field at fault
+            _, name = max((abs(amp), "bump_amp"), (abs(freq), "bump_freq"),
+                          (1.0 / radius, "bump_radius"))
+            raise ValueError(f"{name}: bump_amp * (1/bump_radius + |bump_freq|) = {scale:.3g} "
+                             f"exceeds {BUMP_GRADIENT_MAX:g}, so gradient norms would overflow")
         for name, value in (("domain", _check_box(self.domain)),
                             ("bump_center", _check_pair("bump_center", self.bump_center)),
-                            ("bump_radius", radius),
-                            ("bump_amp", check_number("bump_amp", self.bump_amp)),
-                            ("bump_freq", check_number("bump_freq", self.bump_freq))):
+                            ("bump_radius", radius), ("bump_amp", amp), ("bump_freq", freq)):
             object.__setattr__(self, name, value)
 
     def value(self, x):

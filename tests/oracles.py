@@ -3,11 +3,19 @@
 Everything here recomputes from scratch: full pairwise distance matrices,
 per-step minimum-distance recomputation, plain-power scores, explicit
 matrix inverses and central finite differences. None of it shares code
-with the package. ``greedy_rows`` and ``labeled_arrays_from_csv`` keep the
-package's former, straightforward selection kernel and CSV parser as the
-references its faster versions must match bit for bit.
+with the package, except the exhaustive cross-validation loops.
+``greedy_rows`` and ``labeled_arrays_from_csv`` keep the package's former,
+straightforward selection kernel and CSV parser as the references its
+faster versions must match bit for bit. ``exhaustive_plain_cv`` and
+``exhaustive_ggfps_cv`` keep the former fold loops, which score every
+candidate on every fold through the package's own fold routine: the
+pruned search must return the same choice and, wherever it reports a
+finite cost, the same bits.
 """
 import numpy as np
+
+from ggfps_lab.experiments import _fold_costs, _fold_means, _mirror_size, derive_seed
+from ggfps_lab.sampling import ggfps_chains
 
 
 def full_distance_matrix(X):
@@ -191,3 +199,37 @@ def labeled_arrays_from_csv(text):
         rows.append([float(v) for v in parts[3:]])
     return (np.asarray(rows, dtype=float).reshape(len(ids), d), np.asarray(labels, dtype=float),
             np.asarray(gnorms, dtype=float), tuple(ids))
+
+
+def exhaustive_plain_cv(cv):
+    """Mean fold costs of every (sigma, lambda) candidate of a ``_PlainCv``,
+    shape (sigmas, lambdas, 1)."""
+    plan = cv.plan
+    shape = (1, len(plan.sigma_grid), len(plan.lambda_grid), 1)
+    sums = np.zeros(shape)
+    dead = np.zeros(shape, dtype=bool)
+    for val in cv.val_folds:
+        tr = np.setdiff1d(np.arange(len(cv.train)), val)
+        sums += _fold_costs(cv.train, plan, val, tr[None], [len(tr)], dead)
+    return _fold_means(sums, dead, len(cv.val_folds))[0]
+
+
+def exhaustive_ggfps_cv(cv, target_sizes):
+    """Mean fold costs of every (sigma, lambda, beta) candidate of a
+    ``_GgfpsCv``, shape (len(target_sizes), sigmas, lambdas, betas); every
+    fold selects the chains of every beta."""
+    plan, train = cv.plan, cv.train
+    shape = (len(target_sizes), len(plan.sigma_grid), len(plan.lambda_grid),
+             len(plan.beta_grid))
+    sums = np.zeros(shape)
+    dead = np.zeros(shape, dtype=bool)
+    for fi, val in enumerate(cv.val_folds):
+        pool = np.setdiff1d(np.arange(len(train)), val)
+        chain_len = _mirror_size(max(target_sizes), plan.folds, len(pool))
+        seeds = [derive_seed(cv.seed, "fold-select", fi, bi)
+                 for bi in range(len(plan.beta_grid))]
+        chains, _ = ggfps_chains(train.descriptors[pool], train.gradient_norms[pool],
+                                 plan.beta_grid, seeds, chain_len)
+        sizes = [_mirror_size(ts, plan.folds, chain_len) for ts in target_sizes]
+        sums += _fold_costs(train, plan, val, pool[chains], sizes, dead)
+    return _fold_means(sums, dead, len(cv.val_folds))

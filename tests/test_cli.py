@@ -359,6 +359,45 @@ class TestNumericalExit:
         assert not (tmp_path / "o").exists()
 
 
+    def test_cost_that_overflows_names_cv_cost(self, tmp_path, capsys, recwarn):
+        # labels near 1e160: every factorization succeeds but every validation
+        # RMSE overflows. This printed numpy overflow warnings and blamed the
+        # factorization ("factorization failed for every candidate")
+        rng = np.random.default_rng(3)
+        labels = 1e160 * (1 + 1e-9 * rng.normal(size=60))
+        rows = ["id,label,grad_norm,x0,x1"]
+        rows += [f"r{i},{y:.17g},{1 + i % 7},{x:.17g},{z:.17g}"
+                 for i, (y, (x, z)) in enumerate(zip(labels, rng.uniform(-4, 4, (60, 2))))]
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, "c.json", {
+            "schema_version": 1,
+            "dataset": str(data),
+            "plan": {
+                "labeled_sizes": [40], "train_sizes": [10], "bootstraps": 1,
+                "sigma_grid": [0.5, 1.5], "lambda_grid": [1e-6], "methods": ["URS"],
+                "master_seed": 1,
+            },
+        })
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "cv_cost: the validation RMSE is not finite" in err
+        assert "factorization" not in err
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_walk_whose_step_overflows_names_it(self, tmp_path, capsys):
+        # step * z overflowed: exit 3 with only "overflow encountered in multiply"
+        cfg = generate_config(n=5, generator="boltzmann",
+                              generator_extra={"temperature": 5.0, "step": 1e308})
+        config = write_config(tmp_path, "gen.json", cfg)
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 3
+        assert "generator.step: a proposal of step 1e+308 overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNoPartialOutput:
     def test_zero_gradient_dataset_writes_nothing(self, tmp_path, capsys):
         # all gradient norms zero: the force-norm KDE would have zero spread,
@@ -575,6 +614,13 @@ BAD_FIELDS = [
     ("generate", "bump", ("bump", "bump_radius"), "x", "bump.bump_radius"),
     ("generate", "bump", ("bump", "bump_radius"), 1e200, "bump.bump_radius"),
     ("generate", "bump", ("bump", "bump_freq"), True, "bump.bump_freq"),
+    # gradient norms overflowed: the corner check blamed surface.domain, and a
+    # boltzmann walk exited 3 with only "overflow encountered in multiply"
+    ("generate", "bump", ("bump", "bump_amp"), 1e308, "bump.bump_amp"),
+    ("generate", "boltzmann-bump", ("bump", "bump_amp"), 1e308, "bump.bump_amp"),
+    ("generate", "bump", ("bump", "bump_freq"), 1e308, "bump.bump_freq"),
+    ("generate", "boltzmann-bump", ("bump", "bump_freq"), 1e308, "bump.bump_freq"),
+    ("generate", "bump", ("bump", "bump_radius"), 1e-160, "bump.bump_radius"),
     ("generate", "boltzmann-bump", ("bump", "bump_center"), [float("nan"), 0],
      "bump.bump_center[0]"),
     ("generate", "bump", ("bump", "wrong"), 1, "bump.wrong: unknown field"),
@@ -591,6 +637,10 @@ BAD_FIELDS = [
     ("sample", "ggfps", ("sampler", "beta"), 1e308, "sampler.beta"),
     ("sample", "ggfps", ("dataset",), 5, "dataset"),
     ("curve", "plan", ("plan", "beta_grid"), [1e308], "plan.beta_grid"),
+    # 2 sigma^2 infinite fitted every output on an all-ones kernel and exited
+    # 0; 2 sigma^2 = 0 printed warnings and exited 3 after compute
+    ("curve", "plan", ("plan", "sigma_grid"), [0.5, 1e200], "plan.sigma_grid"),
+    ("curve", "plan", ("plan", "sigma_grid"), [1e-200], "plan.sigma_grid"),
 ]
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ggfps_lab import experiments
 from ggfps_lab.dataset import LabeledSet
 from ggfps_lab.experiments import (
+    CV_COSTS,
     CvChoice,
     DegenerateDistributionError,
     ExperimentPlan,
@@ -27,10 +28,13 @@ from ggfps_lab.experiments import (
     learning_curve,
     selection_heatmap_2d,
 )
-from ggfps_lab.krr import FactorizationError, KernelSpec, assemble_kernel, fit, predict
-from ggfps_lab.sampling import SamplerConfig, ggfps
+from ggfps_lab.krr import (
+    FactorizationError, KernelSpec, assemble_kernel, fit, fit_prefixes, predict,
+)
+from ggfps_lab.sampling import SamplerConfig, ggfps, ggfps_chains
 from scipy.spatial.distance import cdist
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
+from oracles import exhaustive_ggfps_cv, exhaustive_plain_cv
 
 SMALL_GRIDS = dict(sigma_grid=(0.5, 1.5), lambda_grid=(1e-6,), beta_grid=(0.0, 1.0))
 
@@ -110,13 +114,19 @@ class TestCrossValidate:
         assert choice.sigma in (0.25, 1.0, 4.0)
 
     def test_fold_order_does_not_change_choice(self, universe):
+        # the pruned search drops different candidates in either order, so
+        # the whole grids are compared on the exhaustive search
         plan = small_plan()
         train = universe.subset(range(25))
         ctx = _PlainCv(train, plan, seed=9)
-        costs = ctx.evaluate()
+        costs, full = ctx.evaluate(), exhaustive_plain_cv(ctx)
         ctx.val_folds = list(reversed(ctx.val_folds))
-        costs_reversed = ctx.evaluate()
-        assert np.allclose(costs, costs_reversed, rtol=0, atol=1e-12)
+        costs_reversed, full_reversed = ctx.evaluate(), exhaustive_plain_cv(ctx)
+        assert np.allclose(full, full_reversed, rtol=0, atol=1e-12)
+        assert_prunes(costs, full)
+        assert_prunes(costs_reversed, full_reversed)
+        assert (choose_from_costs(costs, plan, with_beta=False)
+                == choose_from_costs(costs_reversed, plan, with_beta=False))
 
     def test_tie_break_prefers_smaller_candidates(self):
         plan = small_plan(sigma_grid=(0.5, 1.0), lambda_grid=(1e-8, 1e-4),
@@ -124,6 +134,15 @@ class TestCrossValidate:
         costs = np.ones((2, 2, 2))
         choice = choose_from_costs(costs, plan, with_beta=True)
         assert choice == CvChoice(sigma=0.5, lam=1e-8, beta=0.0)
+
+    def test_choice_skips_costs_that_are_not_numbers(self):
+        plan = small_plan(sigma_grid=(0.5, 1.0), lambda_grid=(1e-8,), beta_grid=(0.0,))
+        costs = np.array([[[np.nan]], [[2.0]]])
+        assert choose_from_costs(costs, plan, with_beta=False).sigma == 1.0
+        with pytest.raises(FloatingPointError, match="cv_cost: the validation RMSE"):
+            choose_from_costs(np.array([[[np.nan]], [[np.inf]]]), plan, with_beta=False)
+        with pytest.raises(FactorizationError):
+            choose_from_costs(np.full((2, 1, 1), np.inf), plan, with_beta=False)
 
     def test_degenerate_fold_rejected(self, universe):
         plan = small_plan()
@@ -157,34 +176,46 @@ class TestFoldCosts:
         assert dead[1:, 1, 0].all() and not dead[0].any()
 
     def test_ggfps_cv_runs_two_cdist_calls_per_fold_over_its_chains(self, universe, monkeypatch):
+        """Each visit of a fold selects the chains of the betas it scores,
+        and runs two cdist calls over their union, never over the pool."""
         plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
-        calls = []
+        events = []
+
+        def recording_chains(X, g, betas, seeds, n):
+            chains, warnings = ggfps_chains(X, g, betas, seeds, n)
+            events.append(("chains", X.copy(), list(betas), seeds, chains))
+            return chains, warnings
 
         def recording_cdist(XA, XB, **kwargs):
-            calls.append((XA.copy(), XB.shape))
+            events.append(("cdist", XA.copy(), XB.shape))
             return cdist(XA, XB, **kwargs)
 
+        monkeypatch.setattr(experiments, "ggfps_chains", recording_chains)
         monkeypatch.setattr(experiments, "cdist", recording_cdist)
         ctx = _GgfpsCv(universe, plan, seed=5)
         ctx.evaluate([5, 10])
-        assert len(calls) == 2 * plan.folds
+        visits = [events[i:i + 3] for i in range(0, len(events), 3)]
+        assert len(events) == 3 * len(visits) and len(visits) >= plan.folds
+        pools = {fi: np.setdiff1d(np.arange(len(universe)), val)
+                 for fi, val in enumerate(ctx.val_folds)}
         X = universe.descriptors
-        for fi, val in enumerate(ctx.val_folds):
-            pool_idx = np.setdiff1d(np.arange(len(universe)), val)
-            chain_len = _mirror_size(10, plan.folds, len(pool_idx))
+        for (kind, X_pool, betas, seeds, chains), union_call, val_call in visits:
+            assert kind == "chains" and union_call[0] == val_call[0] == "cdist"
+            (fi,) = [fi for fi, pool in pools.items() if np.array_equal(X_pool, X[pool])]
+            chain_len = _mirror_size(10, plan.folds, len(pools[fi]))
             # pool >> chains: the matrices must not grow with the pool
-            bound = min(len(pool_idx), len(plan.beta_grid) * chain_len)
-            assert bound < len(pool_idx)
-            pool = universe.subset(pool_idx)
-            expected = set()
-            for bi, beta in enumerate(plan.beta_grid):
-                config = SamplerConfig(method="GGFPS", n=chain_len, beta=beta,
-                                       seed=derive_seed(5, "fold-select", fi, bi))
-                expected.update(ggfps(pool, config, horizon=chain_len).indices)
-            (X_union, union_shape), (X_rows, val_shape) = calls[2 * fi], calls[2 * fi + 1]
-            assert np.array_equal(X_union, X[pool_idx[sorted(expected)]])
-            assert X_union.shape[0] <= bound and union_shape == X_union.shape
-            assert np.array_equal(X_rows, X_union) and val_shape == (len(val), 2)
+            assert len(betas) * chain_len < len(pools[fi])
+            pool = universe.subset(pools[fi])
+            for beta, seed, chain in zip(betas, seeds, chains):
+                bi = plan.beta_grid.index(beta)
+                assert seed == derive_seed(5, "fold-select", fi, bi)
+                config = SamplerConfig(method="GGFPS", n=chain_len, beta=beta, seed=seed)
+                assert chain.tolist() == ggfps(pool, config, horizon=chain_len).indices
+            union = np.unique(chains)
+            assert np.array_equal(union_call[1], X_pool[union])
+            assert union_call[2] == union_call[1].shape
+            assert np.array_equal(val_call[1], X_pool[union])
+            assert val_call[2] == (len(ctx.val_folds[fi]), 2)
 
 
 # sigma = 1e12 makes every kernel entry exactly 1.0, so lambda = 1e-300 fails
@@ -250,19 +281,39 @@ def lattice_set(draw):
     return labeled, folds, sizes
 
 
+def assert_prunes(pruned, full):
+    """``pruned``, a pruned search's mean costs of one size, against ``full``,
+    the exhaustive search's: every finite entry bitwise equal, every entry it
+    dropped (inf or NaN where ``full`` is finite) strictly above the minimum,
+    and the same minimizer."""
+    kept, valid = np.isfinite(pruned), np.isfinite(full)
+    assert np.array_equal(pruned[kept], full[kept])
+    assert np.isnan(full[np.isnan(pruned)]).all()
+    assert not kept.any() or (full[valid & ~kept] > full[valid].min()).all()
+    if valid.any():
+        assert (np.argmin(np.where(kept, pruned, np.inf))
+                == np.argmin(np.where(valid, full, np.inf)))
+
+
 class TestGridCosts:
     def test_ggfps_all_sizes_in_one_pass_match_single_size_calls(self, universe):
+        # the whole grids are compared on the exhaustive search; the pruned
+        # search drops different candidates for one size and for several
         plan = small_plan(**DEAD_GRIDS)
         ctx = _GgfpsCv(constant_gradients(universe), plan, seed=5)
         sizes = [10, 25, 40]
-        multi = ctx.evaluate(sizes)
-        assert multi.shape == (3, 2, 2, 2)
-        assert np.isinf(multi[:, 1, 0]).all() and np.isfinite(multi[:, 1, 1]).all()
+        multi, full = ctx.evaluate(sizes), exhaustive_ggfps_cv(ctx, sizes)
+        assert multi.shape == full.shape == (3, 2, 2, 2)
+        assert np.isinf(full[:, 1, 0]).all() and np.isfinite(full[:, 1, 1]).all()
         for i, ts in enumerate(sizes):
-            single = ctx.evaluate([ts])[0]
-            assert np.array_equal(np.isinf(multi[i]), np.isinf(single))
-            alive = np.isfinite(single)
-            assert multi[i][alive] == pytest.approx(single[alive], rel=1e-8)
+            single, full_single = ctx.evaluate([ts])[0], exhaustive_ggfps_cv(ctx, [ts])[0]
+            assert np.array_equal(np.isinf(full[i]), np.isinf(full_single))
+            alive = np.isfinite(full_single)
+            assert full[i][alive] == pytest.approx(full_single[alive], rel=1e-8)
+            assert_prunes(multi[i], full[i])
+            assert_prunes(single, full_single)
+            assert (choose_from_costs(multi[i], plan, with_beta=True)
+                    == choose_from_costs(single, plan, with_beta=True))
 
     @settings(max_examples=40, deadline=None)
     @given(lattice_set(), st.integers(0, 2**32))
@@ -273,12 +324,14 @@ class TestGridCosts:
                       dict(sigma_grid=(1e12,), lambda_grid=(1e-300, 1e-3))):
             plan = small_plan(folds=folds, beta_grid=(0.0, 0.7, 2.0), **grids)
             ctx = _GgfpsCv(labeled, plan, seed=seed)
-            multi = ctx.evaluate(sizes)
+            multi, full = ctx.evaluate(sizes), exhaustive_ggfps_cv(ctx, sizes)
             for i, ts in enumerate(sizes):
-                single = ctx.evaluate([ts])[0]
-                assert np.array_equal(np.isinf(multi[i]), np.isinf(single))
-                alive = np.isfinite(single)
-                assert multi[i][alive] == pytest.approx(single[alive], rel=1e-8, abs=1e-12)
+                single, full_single = ctx.evaluate([ts])[0], exhaustive_ggfps_cv(ctx, [ts])[0]
+                assert np.array_equal(np.isinf(full[i]), np.isinf(full_single))
+                alive = np.isfinite(full_single)
+                assert full[i][alive] == pytest.approx(full_single[alive], rel=1e-8, abs=1e-12)
+                assert_prunes(multi[i], full[i])
+                assert_prunes(single, full_single)
 
     def test_plain_cv_is_bitwise_per_candidate_fit_and_predict(self, universe):
         plan = small_plan(**DEAD_GRIDS)
@@ -294,7 +347,22 @@ class TestGridCosts:
             sums += np.nan_to_num(fold, nan=np.inf)
         expected = np.where(np.isinf(sums), np.inf, sums / len(cv.val_folds))
         assert np.isinf(expected[1, 0]) and np.isfinite(expected).sum() == 3
-        assert np.array_equal(cv.evaluate()[:, :, 0], expected)
+        assert np.array_equal(exhaustive_plain_cv(cv)[:, :, 0], expected)
+        assert_prunes(cv.evaluate()[:, :, 0], expected)
+
+    def test_cost_that_is_not_finite_kills_its_candidate(self, universe):
+        plan = small_plan(**DEAD_GRIDS)
+        X = universe.descriptors
+        tr, val = np.arange(20), np.arange(100, 110)
+        # labels near 1e160: the squared errors overflow, silently
+        y = 1e160 * (1 + universe.labels / 1e3)
+        dead = np.zeros((2, 2, 2), dtype=bool)
+        costs = _grid_costs(cdist(X[tr], X[tr], metric="sqeuclidean"),
+                            cdist(X[tr], X[val], metric="sqeuclidean"),
+                            y[tr], y[val], [5, 20], plan, dead)
+        assert dead.all()
+        assert np.isnan(costs[:, 0]).all() and np.isnan(costs[0, 1, 1])
+        assert (costs[1:, 1, 0] == 0).all()
 
     def test_layout_of_d2_train_changes_no_bit_and_no_input(self, universe):
         plan = small_plan(**DEAD_GRIDS)
@@ -329,6 +397,70 @@ class TestGridCosts:
             assert np.array_equal(dead, np.isnan(expected))
             assert (costs[dead] == 0).all()
             assert costs[~dead] == pytest.approx(expected[~dead], rel=1e-8, abs=1e-12)
+
+
+@st.composite
+def cv_case(draw):
+    """A labeled set on a coarse lattice (descriptors repeat, so some
+    kernels are singular), with a few repeated labels and gradient norms; a
+    plan whose grids hold dead candidates (lambda 1e-300) and exact ties
+    (sigma 1e12 and 1e13 both make an all-ones kernel); GGFPS target sizes,
+    one of which may clamp the fold chains to the whole pool."""
+    dim, folds = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    n = draw(st.integers(folds, 14))
+    coords = st.integers(-2, 2).map(lambda v: 0.5 * v)
+    X = np.array(draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 2.5]) | st.floats(-5, 5),
+                               min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 3.0]), min_size=n, max_size=n)))
+    labeled = LabeledSet(descriptors=X, labels=y, gradient_norms=g,
+                         ids=tuple(str(i) for i in range(n)))
+    plan = small_plan(folds=folds, sigma_grid=(0.3, 2.0, 1e12, 1e13),
+                      lambda_grid=(1e-300, 1e-6, 1e-2), beta_grid=(0.0, 0.7, 2.0),
+                      cv_cost=draw(st.sampled_from(CV_COSTS)))
+    sizes = draw(st.lists(st.integers(1, 2 * n), min_size=1, max_size=3))
+    return labeled, plan, sizes
+
+
+class TestPrunedSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(cv_case(), st.integers(0, 2**32))
+    def test_pruned_search_matches_exhaustive_search(self, case, seed):
+        labeled, plan, sizes = case
+        plain = _PlainCv(labeled, plan, seed=seed)
+        ggfps_cv = _GgfpsCv(labeled, plan, seed=seed)
+        pairs = [(plain.evaluate(), exhaustive_plain_cv(plain), False)]
+        pairs += [(pruned, full, True) for pruned, full in
+                  zip(ggfps_cv.evaluate(sizes), exhaustive_ggfps_cv(ggfps_cv, sizes))]
+        for pruned, full, with_beta in pairs:
+            assert_prunes(pruned, full)
+            if np.isfinite(full).any():
+                assert (choose_from_costs(pruned, plan, with_beta)
+                        == choose_from_costs(full, plan, with_beta))
+
+    def test_pruning_factors_fewer_candidates_than_the_exhaustive_search(
+            self, universe, monkeypatch):
+        calls = []
+
+        def counting_fit_prefixes(*args):
+            calls.append(args[3])
+            return fit_prefixes(*args)
+
+        monkeypatch.setattr(experiments, "fit_prefixes", counting_fit_prefixes)
+        plan = small_plan(sigma_grid=(0.25, 0.5, 1.0, 2.0, 4.0), lambda_grid=(1e-8, 1e-4),
+                          beta_grid=(0.0, 0.5, 1.0, 2.0))
+        train = universe.subset(range(60))
+        plain, ggfps_cv = _PlainCv(train, plan, seed=4), _GgfpsCv(train, plan, seed=4)
+        counts = []
+        for run in (plain.evaluate, lambda: exhaustive_plain_cv(plain),
+                    lambda: ggfps_cv.evaluate([10, 20]),
+                    lambda: exhaustive_ggfps_cv(ggfps_cv, [10, 20])):
+            calls.clear()
+            run()
+            counts.append(len(calls))
+        assert counts[1] == plan.folds * 5 * 2 and counts[0] < counts[1]
+        assert counts[3] == plan.folds * 5 * 2 * 4 and counts[2] < counts[3]
 
 
 class TestLearningCurve:

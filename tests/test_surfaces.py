@@ -188,10 +188,22 @@ class TestUniformDomainSample:
 
     def test_overflow_inside_the_box_raises_without_warning(self):
         # the corners stay finite, but gradient norms near the bump's center
-        # overflow: this printed a RuntimeWarning, then "all entries must be finite"
-        surface = AdversarialToy(bump_center=(0.0, 0.0), bump_amp=1e160)
+        # overflowed: this printed a RuntimeWarning, then "all entries must be
+        # finite". The bump's gradient bound now rejects that amplitude, so
+        # the draw's guard is checked on a surface that spikes at the center
+        with pytest.raises(ValueError, match="bump_amp"):
+            AdversarialToy(bump_center=(0.0, 0.0), bump_amp=1e160)
+
+        class Spike:
+            dim, domain = 2, (-4.0, 4.0)
+
+            def value_and_gradient(self, x):
+                # exp(2000 / |x|^2) is exp(62.5) at the corners and overflows
+                # wherever |x|^2 < 2.8
+                return np.exp(2000.0 / np.sum(x * x, axis=1)), np.zeros_like(x)
+
         with pytest.raises(FloatingPointError):
-            uniform_domain_sample(surface, 50, 0)
+            uniform_domain_sample(Spike(), 50, 0)
 
     def test_wide_domain_within_range_is_drawn(self):
         with warnings.catch_warnings():
