@@ -16,6 +16,7 @@ import hashlib
 import io
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -25,7 +26,9 @@ import scipy
 from . import __version__ as _tool_version
 from .dataset import LabeledSet, check_int, check_number, check_width, dumps_17g, format_float
 from .krr import FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict
-from .sampling import METHODS, SamplerConfig, check_beta, fps, ggfps, ggfps_chains, urs
+# ggfps is not called here, but stays importable from this module: the
+# benchmark's tracer (bench/worker.py) wraps experiments.ggfps by name
+from .sampling import METHODS, check_beta, fps, ggfps, ggfps_chains, urs  # noqa: F401
 
 CV_COSTS = ("RMSE", "MAE")
 
@@ -158,9 +161,32 @@ class _CellResult:
     sel_global: np.ndarray
 
 
+@contextmanager
+def _finite(quantity: str):
+    """Raise FloatingPointError naming ``quantity`` where numpy would warn
+    that computing it overflowed or made an invalid value."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"{quantity}: {exc} (the labels are too large for it)") from None
+
+
+def _mean_var(values: np.ndarray, quantity: str) -> tuple[float, float]:
+    """Mean and population variance of ``values``; FloatingPointError naming
+    ``quantity`` where either would overflow or be NaN."""
+    with _finite(quantity):
+        return float(values.mean()), float(values.var())
+
+
 def _errors(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float, np.ndarray]:
-    abs_err = np.abs(pred - truth)
-    return float(abs_err.mean()), float(np.sqrt(np.mean(abs_err**2))), abs_err
+    with _finite("test MAE"):
+        abs_err = np.abs(pred - truth)
+        mae = float(abs_err.mean())
+    with _finite("test RMSE"):
+        rmse = float(np.sqrt(np.mean(abs_err**2)))
+    return mae, rmse, abs_err
 
 
 def _cost(pred: np.ndarray, truth: np.ndarray, cv_cost: str) -> float:
@@ -244,6 +270,13 @@ def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
     return costs
 
 
+def _chain_block(d2_union: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """``d2_union[np.ix_(sub, sub)]`` in Fortran order, bitwise, from one
+    copy: the transpose of a C-ordered flat ``take``. cdist's squared
+    distances are bitwise symmetric, so the transpose changes no bit."""
+    return np.take(d2_union, sub[:, None] * len(d2_union) + sub).T
+
+
 def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
                 chains: np.ndarray, sizes: list[int], dead: np.ndarray,
                 skip: np.ndarray | None = None) -> np.ndarray:
@@ -254,8 +287,9 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     m is its first m rows, scored on the rows ``val``. One union x union and
     one union x validation squared-distance matrix cover every chain: cdist
     computes each pair on its own, so a chain's slice is bitwise a cdist
-    over that chain. ``dead`` and ``skip`` have the result's shape and mean
-    what they mean for ``_grid_costs``; ``dead`` is updated in place.
+    over that chain. The matrices live for this one call, that is one fold
+    visit. ``dead`` and ``skip`` have the result's shape and mean what they
+    mean for ``_grid_costs``; ``dead`` is updated in place.
     """
     X, y = train.descriptors, train.labels
     union, rows = np.unique(chains, return_inverse=True)
@@ -264,7 +298,7 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     d2_val = cdist(X[union], X[val], metric="sqeuclidean")
     costs = np.zeros(dead.shape)
     for b, (chain, sub) in enumerate(zip(chains, rows)):
-        d2_train, d2_chain_val = np.asfortranarray(d2_union[np.ix_(sub, sub)]), d2_val[sub]
+        d2_train, d2_chain_val = _chain_block(d2_union, sub), d2_val[sub]
         if b == len(chains) - 1:
             # both are copies: free the union matrices before the last chain's
             # factorizations, which set the fold's peak memory
@@ -356,11 +390,13 @@ class _GgfpsCv:
 
     Fold sub-selections are prefixes of per-(fold, beta) selection chains
     built at the largest mirrored target size, so one call evaluates all
-    target sizes in one pass, consistently with chain truncation. Folds run
-    one at a time: a fold's chains are selected together, in lockstep, for
-    the betas that still have a candidate to score, then scored and dropped
-    before the next fold. A chain does not depend on which others are
-    selected with it.
+    target sizes in one pass, consistently with chain truncation. Each
+    fold's chains are selected once, in one lockstep call on the fold's
+    first visit, for every beta that still has a live candidate, and kept
+    as index arrays (at most betas x chain length per fold) for the fold's
+    later visit. A chain does not depend on which others are selected with
+    it. Distance matrices are built per visit, over the chains it scores,
+    one fold at a time.
     """
 
     def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int):
@@ -374,21 +410,27 @@ class _GgfpsCv:
         with inf and NaN as for ``_PlainCv.evaluate``."""
         plan = self.plan
         train = self.train
+        fold_chains: dict[int, dict[int, np.ndarray]] = {}  # fold -> beta index -> train rows
 
         def fold_costs(fi, dead, skip):
             val = self.val_folds[fi]
             pool = np.setdiff1d(np.arange(len(train)), val)
             chain_len = _mirror_size(max(target_sizes), plan.folds, len(pool))
-            # Python ints: derive_seed hashes the repr of its parts
+            if fi not in fold_chains:
+                # dead only grows, so a later visit needs no beta left out here;
+                # Python ints: derive_seed hashes the repr of its parts
+                alive = np.flatnonzero(~dead.all(axis=(0, 1, 2))).tolist()
+                seeds = [derive_seed(self.seed, "fold-select", fi, bi) for bi in alive]
+                chains, _ = ggfps_chains(train.descriptors[pool], train.gradient_norms[pool],
+                                         [plan.beta_grid[bi] for bi in alive], seeds, chain_len)
+                fold_chains[fi] = dict(zip(alive, pool[chains]))
             betas = np.flatnonzero(~(dead | skip).all(axis=(0, 1, 2))).tolist()
-            seeds = [derive_seed(self.seed, "fold-select", fi, bi) for bi in betas]
-            chains, _ = ggfps_chains(train.descriptors[pool], train.gradient_norms[pool],
-                                     [plan.beta_grid[bi] for bi in betas], seeds, chain_len)
             sizes = [_mirror_size(ts, plan.folds, chain_len) for ts in target_sizes]
             costs = np.zeros(dead.shape)
             dead_b = dead[..., betas]
-            costs[..., betas] = _fold_costs(train, plan, val, pool[chains], sizes, dead_b,
-                                            skip[..., betas])
+            costs[..., betas] = _fold_costs(train, plan, val,
+                                            np.stack([fold_chains[fi][bi] for bi in betas]),
+                                            sizes, dead_b, skip[..., betas])
             dead[..., betas] = dead_b
             return costs
 
@@ -461,6 +503,32 @@ def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[fl
     return mae, rmse, test, abs_err
 
 
+def _ggfps_picks(L: LabeledSet, plan: ExperimentPlan, ts_list: list[int], cv_seed: int,
+                 sel_seed: int) -> list:
+    """Per train size, its GGFPS (choice, selection), or the exception that
+    choosing raised, for the caller to raise at that size's turn.
+
+    One cross-validation scores every size; then one lockstep call selects
+    the chain of every distinct chosen beta, each bitwise ``ggfps`` with that
+    beta, ``sel_seed`` and horizon max(ts_list), and a size's selection is
+    the prefix of its beta's chain.
+    """
+    choices = []
+    for costs in _GgfpsCv(L, plan, cv_seed).evaluate(ts_list):
+        try:
+            choices.append(choose_from_costs(costs, plan, with_beta=True))
+        except (FactorizationError, FloatingPointError) as exc:  # raised at its size's turn
+            choices.append(exc)
+    betas = sorted({c.beta for c in choices if isinstance(c, CvChoice)})
+    chains = {}
+    if betas:
+        picks, _ = ggfps_chains(L.descriptors, L.gradient_norms, betas,
+                                [sel_seed] * len(betas), max(ts_list))
+        chains = dict(zip(betas, picks))
+    return [c if isinstance(c, Exception) else (c, chains[c.beta][:ts])
+            for c, ts in zip(choices, ts_list)]
+
+
 def _run_replicate(
     universe: LabeledSet,
     plan: ExperimentPlan,
@@ -481,25 +549,16 @@ def _run_replicate(
             chain = np.asarray(urs(labeled_size, n_chain, sel_seed))
         elif method == "FPS":
             chain = np.asarray(fps(L.descriptors, n_chain, seed=sel_seed))
-        else:
-            chain = None
-            ggfps_ctx = _GgfpsCv(L, plan, derive_seed(master, "cv", method, labeled_size, rep))
-            beta_chains: dict[float, np.ndarray] = {}
         for i, ts in enumerate(ts_list):
             try:
                 if method == "GGFPS":
                     if i == 0:
-                        ggfps_costs = ggfps_ctx.evaluate(ts_list)
-                    choice = choose_from_costs(ggfps_costs[i], plan, with_beta=True)
-                    if choice.beta not in beta_chains:
-                        config = SamplerConfig(
-                            method="GGFPS", n=n_chain, beta=choice.beta,
-                            beta_mode="swept", seed=sel_seed,
-                        )
-                        beta_chains[choice.beta] = np.asarray(
-                            ggfps(L, config, horizon=n_chain).indices
-                        )
-                    sel = beta_chains[choice.beta][:ts]
+                        picks = _ggfps_picks(
+                            L, plan, ts_list, derive_seed(master, "cv", method, labeled_size, rep),
+                            sel_seed)
+                    if isinstance(picks[i], Exception):
+                        raise picks[i]
+                    choice, sel = picks[i]
                 else:
                     sel = chain[:ts]
                     choice = cross_validate(
@@ -548,13 +607,15 @@ def _group_cells(cells: list[_CellResult], plan: ExperimentPlan):
 def _aggregate(groups) -> list[CurvePoint]:
     points = []
     for (method, ls, ts), group in groups:
-        maes = np.array([c.mae for c in group])
-        rmses = np.array([c.rmse for c in group])
+        cell = f"method={method}, labeled_size={ls}, train_size={ts}"
+        mae_mean, mae_var = _mean_var(np.array([c.mae for c in group]),
+                                      f"{cell}: MAE mean and variance")
+        rmse_mean, rmse_var = _mean_var(np.array([c.rmse for c in group]),
+                                        f"{cell}: RMSE mean and variance")
         points.append(
             CurvePoint(
                 method=method, labeled_size=ls, train_size=ts,
-                mae_mean=float(maes.mean()), mae_var=float(maes.var()),
-                rmse_mean=float(rmses.mean()), rmse_var=float(rmses.var()),
+                mae_mean=mae_mean, mae_var=mae_var, rmse_mean=rmse_mean, rmse_var=rmse_var,
                 chosen_beta=tuple(c.beta for c in group),
                 chosen_sigma=tuple(c.sigma for c in group),
                 chosen_lambda=tuple(c.lam for c in group),
@@ -573,6 +634,7 @@ def bin_errors_by_force_norm(test_errors, bin_capacity: int = 30) -> list[ForceN
 
     The last bin may be smaller; bounds are the extreme force norms inside
     each bin; the error statistics are per-bin mean and population variance.
+    A statistic that overflows raises FloatingPointError naming its bin.
     """
     arr = np.asarray(list(test_errors), dtype=float)
     if arr.size == 0:
@@ -585,16 +647,11 @@ def bin_errors_by_force_norm(test_errors, bin_capacity: int = 30) -> list[ForceN
     bins = []
     for start in range(0, len(arr), bin_capacity):
         chunk = arr[start : start + bin_capacity]
-        errs = chunk[:, 1]
-        bins.append(
-            ForceNormBin(
-                bin_lo=float(chunk[0, 0]),
-                bin_hi=float(chunk[-1, 0]),
-                count=len(chunk),
-                abs_err_mean=float(errs.mean()),
-                abs_err_var=float(errs.var()),
-            )
-        )
+        lo, hi = float(chunk[0, 0]), float(chunk[-1, 0])
+        mean, var = _mean_var(chunk[:, 1], f"force-norm bin [{lo!r}, {hi!r}]: absolute "
+                                           "error mean and variance")
+        bins.append(ForceNormBin(bin_lo=lo, bin_hi=hi, count=len(chunk),
+                                 abs_err_mean=mean, abs_err_var=var))
     return bins
 
 

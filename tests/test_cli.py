@@ -387,6 +387,46 @@ class TestNumericalExit:
         assert not out.exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_test_error_that_overflows_names_it(self, tmp_path, capsys, recwarn):
+        # labels near 1e160 with cv_cost MAE: the CV costs stay finite, but
+        # the test RMSE squares errors near 1e160. This exited 0 after numpy
+        # warnings, with mae_var inf, rmse_mean inf and rmse_var nan in curves.csv
+        rng = np.random.default_rng(3)
+        labels = 1e160 * (1 + 1e-9 * rng.normal(size=60))
+        rows = ["id,label,grad_norm,x0,x1"]
+        rows += [f"r{i},{y:.17g},{1 + i % 7},{x:.17g},{z:.17g}"
+                 for i, (y, (x, z)) in enumerate(zip(labels, rng.uniform(-4, 4, (60, 2))))]
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, "c.json", {
+            "schema_version": 1,
+            "dataset": str(data),
+            "plan": {
+                "labeled_sizes": [40], "train_sizes": [10], "bootstraps": 2,
+                "sigma_grid": [1.0], "lambda_grid": [1e-4], "methods": ["URS"],
+                "cv_cost": "MAE", "master_seed": 1,
+            },
+        })
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "method=URS" in err and "test RMSE: overflow" in err
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_ggfps_size_whose_choice_fails_is_the_failing_cell(self, tmp_path, dataset_dir,
+                                                               capsys):
+        # sigma 1e12 makes every kernel entry 1.0 and lambda 1e-300 then fails
+        # at pivot 2: train size 1 is scored, train size 5 has no candidate
+        cfg = write_config(tmp_path, "c.json", curve_config(
+            dataset_dir, train_sizes=[1, 5], bootstraps=2, sigma_grid=[1e12],
+            lambda_grid=[1e-300], methods=["GGFPS"]))
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "method=GGFPS, labeled_size=40, train_size=5, replicate=0:" in err
+        assert not out.exists()
+
     def test_walk_whose_step_overflows_names_it(self, tmp_path, capsys):
         # step * z overflowed: exit 3 with only "overflow encountered in multiply"
         cfg = generate_config(n=5, generator="boltzmann",

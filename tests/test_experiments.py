@@ -15,6 +15,7 @@ from ggfps_lab.experiments import (
     ReplicateError,
     _GgfpsCv,
     _PlainCv,
+    _chain_block,
     _cost,
     _fold_costs,
     _grid_costs,
@@ -176,32 +177,16 @@ class TestFoldCosts:
         assert dead[1:, 1, 0].all() and not dead[0].any()
 
     def test_ggfps_cv_runs_two_cdist_calls_per_fold_over_its_chains(self, universe, monkeypatch):
-        """Each visit of a fold selects the chains of the betas it scores,
-        and runs two cdist calls over their union, never over the pool."""
+        """Each visit of a fold runs two cdist calls over the union of the
+        chains it scores, never over the pool; each chain it scores is a
+        chain selected for that fold, bitwise the solo ``ggfps`` chain of its
+        beta with the derived seed."""
         plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
-        events = []
-
-        def recording_chains(X, g, betas, seeds, n):
-            chains, warnings = ggfps_chains(X, g, betas, seeds, n)
-            events.append(("chains", X.copy(), list(betas), seeds, chains))
-            return chains, warnings
-
-        def recording_cdist(XA, XB, **kwargs):
-            events.append(("cdist", XA.copy(), XB.shape))
-            return cdist(XA, XB, **kwargs)
-
-        monkeypatch.setattr(experiments, "ggfps_chains", recording_chains)
-        monkeypatch.setattr(experiments, "cdist", recording_cdist)
-        ctx = _GgfpsCv(universe, plan, seed=5)
-        ctx.evaluate([5, 10])
-        visits = [events[i:i + 3] for i in range(0, len(events), 3)]
-        assert len(events) == 3 * len(visits) and len(visits) >= plan.folds
-        pools = {fi: np.setdiff1d(np.arange(len(universe)), val)
-                 for fi, val in enumerate(ctx.val_folds)}
+        ctx, pools, calls, visits = record_ggfps_cv(universe, plan, monkeypatch, [5, 10])
+        assert len(visits) >= plan.folds
         X = universe.descriptors
-        for (kind, X_pool, betas, seeds, chains), union_call, val_call in visits:
-            assert kind == "chains" and union_call[0] == val_call[0] == "cdist"
-            (fi,) = [fi for fi, pool in pools.items() if np.array_equal(X_pool, X[pool])]
+        selected = {}
+        for fi, betas, seeds, chains in calls:
             chain_len = _mirror_size(10, plan.folds, len(pools[fi]))
             # pool >> chains: the matrices must not grow with the pool
             assert len(betas) * chain_len < len(pools[fi])
@@ -211,11 +196,74 @@ class TestFoldCosts:
                 assert seed == derive_seed(5, "fold-select", fi, bi)
                 config = SamplerConfig(method="GGFPS", n=chain_len, beta=beta, seed=seed)
                 assert chain.tolist() == ggfps(pool, config, horizon=chain_len).indices
+                selected.setdefault(fi, []).append(pools[fi][chain])
+        for fi, chains, cdist_calls in visits:
+            for chain in chains:
+                assert any(np.array_equal(chain, kept) for kept in selected[fi])
             union = np.unique(chains)
-            assert np.array_equal(union_call[1], X_pool[union])
-            assert union_call[2] == union_call[1].shape
-            assert np.array_equal(val_call[1], X_pool[union])
-            assert val_call[2] == (len(ctx.val_folds[fi]), 2)
+            (union_XA, union_XB), (val_XA, val_XB) = cdist_calls
+            assert np.array_equal(union_XA, X[union]) and union_XB == union_XA.shape
+            assert np.array_equal(val_XA, X[union])
+            assert val_XB == (len(ctx.val_folds[fi]), 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 30), st.integers(0, 2**32))
+    def test_chain_block_is_bitwise_the_fortran_ix_gather(self, dim, n, seed):
+        rng = np.random.default_rng(seed)
+        # a few repeated rows and a wide spread of scales
+        X = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        X[rng.integers(0, n, size=n // 3)] = X[0]
+        d2_union = cdist(X, X, metric="sqeuclidean")
+        sub = rng.permutation(n)[:rng.integers(1, n + 1)]
+        block = _chain_block(d2_union, sub)
+        expected = np.asfortranarray(d2_union[np.ix_(sub, sub)])
+        assert block.flags.f_contiguous
+        assert block.tobytes(order="A") == expected.tobytes(order="A")
+
+    def test_ggfps_cv_selects_each_fold_chain_once(self, universe, monkeypatch):
+        """A fold's chains are selected in one lockstep call on its first
+        visit and kept for its later visit: at most one ``ggfps_chains`` call
+        per fold, each (fold, beta) chain selected at most once."""
+        plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
+        _, _, calls, visits = record_ggfps_cv(universe, plan, monkeypatch, [5, 10])
+        folds = [fi for fi, _, _, _ in calls]
+        assert len(folds) == len(set(folds)) <= plan.folds
+        keys = [(fi, beta) for fi, betas, _, _ in calls for beta in betas]
+        assert len(keys) == len(set(keys))
+        # some fold is visited twice, so the kept chains are what is pinned
+        assert len(visits) > len(calls)
+
+
+def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
+    """Run ``_GgfpsCv.evaluate`` on ``universe`` and record its chain
+    selections as (fold, betas, seeds, pool-relative chains) and its fold
+    visits as (fold, scored train-row chains, [(cdist XA, XB shape), ...])."""
+    ctx = _GgfpsCv(universe, plan, seed=5)
+    pools = {fi: np.setdiff1d(np.arange(len(universe)), val)
+             for fi, val in enumerate(ctx.val_folds)}
+    X = universe.descriptors
+    calls, visits = [], []
+
+    def recording_chains(X_pool, g, betas, seeds, n):
+        chains, warnings = ggfps_chains(X_pool, g, betas, seeds, n)
+        (fi,) = [fi for fi, pool in pools.items() if np.array_equal(X_pool, X[pool])]
+        calls.append((fi, list(betas), list(seeds), chains.copy()))
+        return chains, warnings
+
+    def recording_fold_costs(train, plan, val, chains, *args):
+        (fi,) = [fi for fi, v in enumerate(ctx.val_folds) if np.array_equal(v, val)]
+        visits.append((fi, chains.copy(), []))
+        return _fold_costs(train, plan, val, chains, *args)
+
+    def recording_cdist(XA, XB, **kwargs):
+        visits[-1][2].append((XA.copy(), XB.shape))
+        return cdist(XA, XB, **kwargs)
+
+    monkeypatch.setattr(experiments, "ggfps_chains", recording_chains)
+    monkeypatch.setattr(experiments, "_fold_costs", recording_fold_costs)
+    monkeypatch.setattr(experiments, "cdist", recording_cdist)
+    ctx.evaluate(target_sizes)
+    return ctx, pools, calls, visits
 
 
 # sigma = 1e12 makes every kernel entry exactly 1.0, so lambda = 1e-300 fails
@@ -503,6 +551,21 @@ class TestLearningCurve:
                          if c.method == method and c.replicate == rep}
                 short, long = group[10], group[20]
                 assert np.array_equal(long.sel_global[:10], short.sel_global)
+
+    def test_ggfps_selection_is_the_solo_chain_of_its_chosen_beta(self, universe):
+        plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0), methods=("GGFPS",))
+        cells = _run_cells(universe, plan)
+        for c in cells:
+            labeled_global = np.asarray(experiments.urs(
+                len(universe), c.labeled_size,
+                derive_seed(plan.master_seed, "labeled", c.labeled_size, c.replicate)))
+            seed = derive_seed(plan.master_seed, "select", "GGFPS", c.labeled_size, c.replicate)
+            n_chain = max(plan.train_sizes)
+            config = SamplerConfig(method="GGFPS", n=n_chain, beta=c.beta, seed=seed)
+            chain = ggfps(universe.subset(labeled_global), config, horizon=n_chain).indices
+            assert c.sel_global.tolist() == labeled_global[chain[:c.train_size]].tolist()
+        # the replicates choose more than one beta, so one call selects several
+        assert len({(c.replicate, c.beta) for c in cells}) > plan.bootstraps
 
     def test_bootstrap_aggregation_matches_two_pass_oracle(self, universe):
         plan = small_plan(bootstraps=4, train_sizes=(10,))
