@@ -270,13 +270,6 @@ def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
     return costs
 
 
-def _chain_block(d2_union: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """``d2_union[np.ix_(sub, sub)]`` in Fortran order, bitwise, from one
-    copy: the transpose of a C-ordered flat ``take``. cdist's squared
-    distances are bitwise symmetric, so the transpose changes no bit."""
-    return np.take(d2_union, sub[:, None] * len(d2_union) + sub).T
-
-
 def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
                 chains: np.ndarray, sizes: list[int], dead: np.ndarray,
                 skip: np.ndarray | None = None) -> np.ndarray:
@@ -284,27 +277,25 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     (len(sizes), sigmas, lambdas, B).
 
     ``chains`` (B, n) holds rows of ``train``; chain b's training set of size
-    m is its first m rows, scored on the rows ``val``. One union x union and
-    one union x validation squared-distance matrix cover every chain: cdist
-    computes each pair on its own, so a chain's slice is bitwise a cdist
-    over that chain. The matrices live for this one call, that is one fold
-    visit. ``dead`` and ``skip`` have the result's shape and mean what they
-    mean for ``_grid_costs``; ``dead`` is updated in place.
+    m is its first m rows, scored on the rows ``val``. Chain by chain, cdist
+    fills two buffers over its first c = max(sizes) rows, against themselves
+    and the v validation rows, so a visit holds at most 3 c^2 + 2 c v doubles:
+    the distances, kernel and factored copy (c x c), and the validation
+    distances and kernel (c x v). ``dead`` and ``skip``, of the result's
+    shape, are as for ``_grid_costs``; ``dead`` is updated in place.
     """
     X, y = train.descriptors, train.labels
-    union, rows = np.unique(chains, return_inverse=True)
-    rows = rows.reshape(chains.shape)[:, :max(sizes)]
-    d2_union = cdist(X[union], X[union], metric="sqeuclidean")
-    d2_val = cdist(X[union], X[val], metric="sqeuclidean")
+    top = max(sizes)
+    # one pair of buffers for all chains: blocks freed per chain let malloc
+    # return their pages, and each chain faulted them in again (~4x the faults)
+    d2_chain, d2_val = np.empty((top, top)), np.empty((top, len(val)))
     costs = np.zeros(dead.shape)
-    for b, (chain, sub) in enumerate(zip(chains, rows)):
-        d2_train, d2_chain_val = _chain_block(d2_union, sub), d2_val[sub]
-        if b == len(chains) - 1:
-            # both are copies: free the union matrices before the last chain's
-            # factorizations, which set the fold's peak memory
-            del d2_union, d2_val
-        costs[..., b] = _grid_costs(d2_train, d2_chain_val, y[chain[:len(sub)]], y[val], sizes,
-                                    plan, dead[..., b], None if skip is None else skip[..., b])
+    for b, chain in enumerate(chains[:, :top]):
+        cdist(X[chain], X[chain], metric="sqeuclidean", out=d2_chain)
+        cdist(X[chain], X[val], metric="sqeuclidean", out=d2_val)
+        # cdist's squared distances are bitwise symmetric: .T is the Fortran block
+        costs[..., b] = _grid_costs(d2_chain.T, d2_val, y[chain], y[val], sizes, plan,
+                                    dead[..., b], None if skip is None else skip[..., b])
     return costs
 
 
@@ -395,8 +386,8 @@ class _GgfpsCv:
     first visit, for every beta that still has a live candidate, and kept
     as index arrays (at most betas x chain length per fold) for the fold's
     later visit. A chain does not depend on which others are selected with
-    it. Distance matrices are built per visit, over the chains it scores,
-    one fold at a time.
+    it. A visit scores its chains one at a time (``_fold_costs``), holding
+    3 c^2 + 2 c v doubles for c chain rows and v validation rows.
     """
 
     def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int):

@@ -37,7 +37,7 @@ class KernelSpec:
             raise ValueError("sigma: must be positive")
 
 
-def cdist(XA, XB, metric: str) -> np.ndarray:
+def cdist(XA, XB, metric: str, out: np.ndarray | None = None) -> np.ndarray:
     """``scipy.spatial.distance.cdist``, imported on the first call.
 
     Importing scipy.spatial also loads scipy.linalg; the two would more than
@@ -46,7 +46,7 @@ def cdist(XA, XB, metric: str) -> np.ndarray:
     same way.
     """
     from scipy.spatial.distance import cdist as scipy_cdist
-    return scipy_cdist(XA, XB, metric=metric)
+    return scipy_cdist(XA, XB, metric=metric, out=out)
 
 
 def gaussian_gram(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:

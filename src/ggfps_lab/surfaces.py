@@ -192,6 +192,8 @@ def uniform_domain_sample(surface, n: int, seed: int, id_prefix: str = "u") -> L
     exact gradient. Deterministic per seed. A box on which the surface
     overflows is rejected first (see ``_check_domain``); an overflow in numpy
     while evaluating the draw raises FloatingPointError instead of a warning.
+    A draw whose labels and gradient norms are all 0 (the bump's window is 0
+    beyond some 40 radii) raises ValueError naming ``surface.domain``.
     """
     n = check_int("n", n, 1)
     seed = check_int("seed", seed, 0)
@@ -201,5 +203,7 @@ def uniform_domain_sample(surface, n: int, seed: int, id_prefix: str = "u") -> L
     pts = rng.uniform(lo, hi, size=(n, surface.dim))
     values, grads = surface.value_and_gradient(pts)
     gnorms = np.linalg.norm(grads, axis=1)
+    if not (values.any() or gnorms.any()):
+        raise ValueError("surface.domain: too wide: every drawn label and gradient norm is 0")
     ids = [f"{id_prefix}{i:05d}" for i in range(n)]
     return LabeledSet(descriptors=pts, labels=values, gradient_norms=gnorms, ids=ids)

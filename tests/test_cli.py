@@ -116,12 +116,15 @@ class TestGenerate:
     @pytest.mark.parametrize("domain, bump", [
         ([-1e200, 1e200], None),
         ([-8e307, 8e307], {"bump_radius": 0.1}),
-    ], ids=["square-overflows", "offset-overflows"])
+        ([-1e100, 1e100], None),
+    ], ids=["square-overflows", "offset-overflows", "window-underflows"])
     def test_bump_domain_whose_surface_overflows_names_it(self, tmp_path, capsys, recwarn,
                                                           domain, bump):
         # the first box printed an overflow warning and exited 0 with all-zero
         # labels and gradient norms; the second made 0 * inf = NaN and exited 1
-        # with "all entries must be finite"
+        # with "all entries must be finite"; on the third nothing overflows,
+        # but the bump's window underflows to 0 at every drawn point, and it
+        # exited 0 with all-zero labels and gradient norms
         cfg = generate_config(kind="adversarial_toy", n=5)
         cfg["surface"]["domain"] = domain
         if bump is not None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from ggfps_lab.experiments import (
     ReplicateError,
     _GgfpsCv,
     _PlainCv,
-    _chain_block,
     _cost,
     _fold_costs,
     _grid_costs,
@@ -160,7 +160,7 @@ class TestFoldCosts:
         plan = small_plan(**DEAD_GRIDS)
         rng = np.random.default_rng(65)
         val = np.arange(100, 120)
-        # overlapping chains, so the union matrix dedupes shared points
+        # overlapping chains: each is scored on its own rows, shared or not
         chains = np.stack([rng.permutation(40)[:18] for _ in range(3)])
         sizes = [1, 7, 15]
         dead = np.zeros((3, 2, 2, 3), dtype=bool)
@@ -176,11 +176,13 @@ class TestFoldCosts:
             assert np.array_equal(dead[..., b], dead_b)
         assert dead[1:, 1, 0].all() and not dead[0].any()
 
-    def test_ggfps_cv_runs_two_cdist_calls_per_fold_over_its_chains(self, universe, monkeypatch):
-        """Each visit of a fold runs two cdist calls over the union of the
-        chains it scores, never over the pool; each chain it scores is a
-        chain selected for that fold, bitwise the solo ``ggfps`` chain of its
-        beta with the derived seed."""
+    def test_ggfps_cv_runs_two_cdist_calls_per_chain_never_over_the_pool(self, universe,
+                                                                         monkeypatch):
+        """Each chain a fold visit scores gets two cdist calls, over its first
+        max(sizes) rows against themselves and against the fold's validation
+        rows, and none covers the pool; each chain it scores is a chain
+        selected for that fold, bitwise the solo ``ggfps`` chain of its beta
+        with the derived seed."""
         plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
         ctx, pools, calls, visits = record_ggfps_cv(universe, plan, monkeypatch, [5, 10])
         assert len(visits) >= plan.folds
@@ -188,8 +190,8 @@ class TestFoldCosts:
         selected = {}
         for fi, betas, seeds, chains in calls:
             chain_len = _mirror_size(10, plan.folds, len(pools[fi]))
-            # pool >> chains: the matrices must not grow with the pool
-            assert len(betas) * chain_len < len(pools[fi])
+            # pool >> chain: the matrices must not grow with the pool
+            assert chain_len < len(pools[fi])
             pool = universe.subset(pools[fi])
             for beta, seed, chain in zip(betas, seeds, chains):
                 bi = plan.beta_grid.index(beta)
@@ -197,28 +199,48 @@ class TestFoldCosts:
                 config = SamplerConfig(method="GGFPS", n=chain_len, beta=beta, seed=seed)
                 assert chain.tolist() == ggfps(pool, config, horizon=chain_len).indices
                 selected.setdefault(fi, []).append(pools[fi][chain])
-        for fi, chains, cdist_calls in visits:
-            for chain in chains:
+        for fi, chains, top, cdist_calls in visits:
+            assert len(cdist_calls) == 2 * len(chains)
+            for chain, (train_XA, train_XB), (val_XA, val_XB) in zip(
+                    chains, cdist_calls[::2], cdist_calls[1::2]):
                 assert any(np.array_equal(chain, kept) for kept in selected[fi])
-            union = np.unique(chains)
-            (union_XA, union_XB), (val_XA, val_XB) = cdist_calls
-            assert np.array_equal(union_XA, X[union]) and union_XB == union_XA.shape
-            assert np.array_equal(val_XA, X[union])
-            assert val_XB == (len(ctx.val_folds[fi]), 2)
+                assert np.array_equal(train_XA, X[chain[:top]]) and train_XB == train_XA.shape
+                assert np.array_equal(val_XA, X[chain[:top]])
+                assert val_XB == (len(ctx.val_folds[fi]), 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 64), st.integers(1, 30), st.integers(0, 2**32))
-    def test_chain_block_is_bitwise_the_fortran_ix_gather(self, dim, n, seed):
+    def test_cdist_transpose_is_bitwise_its_fortran_block(self, dim, n, seed):
+        # _fold_costs hands cdist(A, A).T to the factorization as the
+        # Fortran-ordered training block, which relies on this symmetry
         rng = np.random.default_rng(seed)
         # a few repeated rows and a wide spread of scales
-        X = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
-        X[rng.integers(0, n, size=n // 3)] = X[0]
-        d2_union = cdist(X, X, metric="sqeuclidean")
-        sub = rng.permutation(n)[:rng.integers(1, n + 1)]
-        block = _chain_block(d2_union, sub)
-        expected = np.asfortranarray(d2_union[np.ix_(sub, sub)])
-        assert block.flags.f_contiguous
-        assert block.tobytes(order="A") == expected.tobytes(order="A")
+        A = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        A[rng.integers(0, n, size=n // 3)] = A[0]
+        d2 = cdist(A, A, metric="sqeuclidean")
+        assert d2.T.flags.f_contiguous
+        assert d2.T.tobytes(order="A") == d2.tobytes(order="A")
+
+    def test_visit_holds_one_chains_blocks_not_a_union_matrix(self):
+        """One visit's matrices are one chain's blocks at a time. 20 chains
+        of 100 rows from an 800-row training portion cover about 740 rows,
+        whose union matrix alone is 4.4 MB; a chain's five 100 x 100 blocks
+        are 0.4 MB."""
+        rng = np.random.default_rng(3)
+        train = uniform_domain_sample(StyblinskiTang(), 900, seed=3)
+        val = np.arange(800, 900)
+        chains = np.stack([rng.permutation(800)[:100] for _ in range(20)])
+        plan = small_plan(sigma_grid=(0.5, 1.5), lambda_grid=(1e-4,))
+        dead = np.zeros((2, 2, 1, 20), dtype=bool)
+        # the first call imports scipy's distance and LAPACK modules
+        _fold_costs(train, plan, val, chains, [50, 100], dead.copy())
+        tracemalloc.start()
+        try:
+            _fold_costs(train, plan, val, chains, [50, 100], dead)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_ggfps_cv_selects_each_fold_chain_once(self, universe, monkeypatch):
         """A fold's chains are selected in one lockstep call on its first
@@ -237,7 +259,8 @@ class TestFoldCosts:
 def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
     """Run ``_GgfpsCv.evaluate`` on ``universe`` and record its chain
     selections as (fold, betas, seeds, pool-relative chains) and its fold
-    visits as (fold, scored train-row chains, [(cdist XA, XB shape), ...])."""
+    visits as (fold, scored train-row chains, max(sizes),
+    [(cdist XA, XB shape), ...])."""
     ctx = _GgfpsCv(universe, plan, seed=5)
     pools = {fi: np.setdiff1d(np.arange(len(universe)), val)
              for fi, val in enumerate(ctx.val_folds)}
@@ -250,13 +273,13 @@ def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
         calls.append((fi, list(betas), list(seeds), chains.copy()))
         return chains, warnings
 
-    def recording_fold_costs(train, plan, val, chains, *args):
+    def recording_fold_costs(train, plan, val, chains, sizes, *args):
         (fi,) = [fi for fi, v in enumerate(ctx.val_folds) if np.array_equal(v, val)]
-        visits.append((fi, chains.copy(), []))
-        return _fold_costs(train, plan, val, chains, *args)
+        visits.append((fi, chains.copy(), max(sizes), []))
+        return _fold_costs(train, plan, val, chains, sizes, *args)
 
     def recording_cdist(XA, XB, **kwargs):
-        visits[-1][2].append((XA.copy(), XB.shape))
+        visits[-1][3].append((XA.copy(), XB.shape))
         return cdist(XA, XB, **kwargs)
 
     monkeypatch.setattr(experiments, "ggfps_chains", recording_chains)

@@ -171,11 +171,14 @@ class TestUniformDomainSample:
         StyblinskiTang(dim=5, domain=(-4.0, 1e80)),
         AdversarialToy(domain=(-1e200, 1e200)),
         AdversarialToy(bump_radius=0.1, domain=(-8e307, 8e307)),
-    ], ids=["st-x4", "st-upper-bound", "bump-square", "bump-offset"])
+        AdversarialToy(domain=(-1e100, 1e100)),
+    ], ids=["st-x4", "st-upper-bound", "bump-square", "bump-offset", "bump-window"])
     def test_overflowing_domain_names_it_without_warning(self, surface):
         # used to print numpy RuntimeWarnings, then raise "all entries must be
         # finite" (Styblinski-Tang, bump offsets) or return all-zero labels
-        # (bump squares), naming no field
+        # (bump squares), naming no field; the bump's window underflows at
+        # every point drawn from the last box, which returned all-zero labels
+        # with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="surface.domain"):
@@ -206,10 +209,13 @@ class TestUniformDomainSample:
             uniform_domain_sample(Spike(), 50, 0)
 
     def test_wide_domain_within_range_is_drawn(self):
+        # a bump as wide as the box: its window stays nonzero at every draw
+        surface = AdversarialToy(bump_radius=1e99, domain=(-1e100, 1e100))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            labeled = uniform_domain_sample(AdversarialToy(domain=(-1e100, 1e100)), 5, 1)
+            labeled = uniform_domain_sample(surface, 5, 1)
         assert np.isfinite(labeled.labels).all() and len(labeled) == 5
+        assert labeled.gradient_norms.all()
 
 
 class TestSurfaceSpec:
