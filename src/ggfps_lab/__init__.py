@@ -4,16 +4,9 @@ labeled datasets, with a kernel-ridge-regression benchmark harness."""
 __version__ = "0.1.0"
 
 from .dataset import (  # noqa: F401
-    Configuration,
     GenerationError,
     LabeledSet,
-    XyzParseError,
-    descriptor_local_radial,
-    gradient_norm,
-    labeled_set_from_configurations,
-    parse_extended_xyz,
     synth_boltzmann_set,
-    write_extended_xyz,
 )
 from .experiments import (  # noqa: F401
     CurvePoint,
@@ -30,14 +23,11 @@ from .experiments import (  # noqa: F401
 )
 from .krr import (  # noqa: F401
     FactorizationError,
-    KernelSpec,
-    assemble_kernel,
     fit,
     fit_prefixes,
     predict,
 )
 from .sampling import (  # noqa: F401
-    BetaSchedule,
     CapacityError,
     SamplerConfig,
     SelectionResult,

@@ -21,10 +21,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dataset import GenerationError, LabeledSet, dumps_17g, synth_boltzmann_set
+from .dataset import (GenerationError, LabeledSet, dumps_17g, synth_boltzmann_set,
+                      write_outputs)
 from .experiments import ExperimentPlan, ReplicateError, run_experiment
 from .krr import FactorizationError
-from .sampling import SamplerConfig, select
+from .sampling import CapacityError, SamplerConfig, select
 from .surfaces import AdversarialToy, StyblinskiTang, uniform_domain_sample
 
 EXIT_OK = 0
@@ -134,9 +135,6 @@ def cmd_generate(cfg: dict, config_path: Path, out_dir: Path) -> None:
     (generate, required, optional), fields = _kind(GENERATORS, gen, "generator")
     _section(gen, "generator", ("kind",) + required, optional)
     labeled = _build("generator", generate, surface, **fields)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "dataset.csv").write_text(labeled.to_csv())
-    (out_dir / "dataset.json").write_text(labeled.to_json(indent=2))
     manifest = {
         "schema_version": 1,
         "tool": {"name": "ggfps-lab", "version": __version__},
@@ -144,7 +142,11 @@ def cmd_generate(cfg: dict, config_path: Path, out_dir: Path) -> None:
         "config": cfg,
         "rows": len(labeled),
     }
-    (out_dir / "manifest.json").write_text(dumps_17g(manifest, indent=2) + "\n")
+    write_outputs(out_dir, {
+        "dataset.csv": labeled.to_csv(),
+        "dataset.json": labeled.to_json(indent=2),
+        "manifest.json": dumps_17g(manifest, indent=2) + "\n",
+    })
 
 
 def _load_dataset(cfg: dict, config_path: Path) -> LabeledSet:
@@ -164,9 +166,11 @@ def _load_dataset(cfg: dict, config_path: Path) -> LabeledSet:
 def cmd_sample(cfg: dict, config_path: Path, out_dir: Path) -> None:
     sampler = _section(cfg["sampler"], "sampler", ("method", "n", "seed"), SAMPLER_FIELDS)
     config = _build("sampler", SamplerConfig, **sampler)
-    result = select(_load_dataset(cfg, config_path), config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "selection.json").write_text(result.to_json(indent=2))
+    try:
+        result = select(_load_dataset(cfg, config_path), config)
+    except CapacityError as exc:
+        raise ConfigError(f"sampler.{exc}") from None
+    write_outputs(out_dir, {"selection.json": result.to_json(indent=2)})
 
 
 def cmd_curve(cfg: dict, config_path: Path, out_dir: Path) -> None:

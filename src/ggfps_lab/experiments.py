@@ -24,7 +24,8 @@ import numpy as np
 import scipy
 
 from . import __version__ as _tool_version
-from .dataset import LabeledSet, check_int, check_number, check_width, dumps_17g, format_float
+from .dataset import (LabeledSet, check_int, check_number, check_width, dumps_17g, format_float,
+                      write_outputs)
 from .krr import FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict
 # ggfps is not called here, but stays importable from this module: the
 # benchmark's tracer (bench/worker.py) wraps experiments.ggfps by name
@@ -574,11 +575,13 @@ def _run_cells(universe: LabeledSet, plan: ExperimentPlan) -> list[_CellResult]:
     jobs = []
     for ls in plan.labeled_sizes:
         if ls > len(universe):
-            raise ValueError(f"labeled size {ls} exceeds the universe size {len(universe)}")
+            raise ValueError(f"plan.labeled_sizes: labeled size {ls} exceeds the universe "
+                             f"size {len(universe)}")
         ts_list = [ts for ts in plan.train_sizes if ts < ls]
         if not ts_list:
             raise ValueError(
-                f"no train size below labeled size {ls}: nothing would remain for testing"
+                f"plan.train_sizes: no train size below labeled size {ls}: "
+                "nothing would remain for testing"
             )
         for rep in range(plan.bootstraps):
             jobs.append((ls, ts_list, rep))
@@ -785,8 +788,9 @@ def run_experiment(
     heatmap.csv (2-D descriptors only) and manifest.json into ``out_dir``.
 
     Every output is built in memory first: a run that fails, in compute or
-    in export, creates no directory and writes no file. A dataset or plan
-    whose KDE export cannot succeed is rejected before any compute."""
+    in export, creates no directory and writes no file, and a failed write
+    removes what the run wrote (``write_outputs``). A dataset or plan whose
+    KDE export cannot succeed is rejected before any compute."""
     t0 = time.perf_counter()
     _check_kde_inputs(universe, plan)
     groups = _group_cells(_run_cells(universe, plan), plan)
@@ -810,10 +814,4 @@ def run_experiment(
         "wall_clock_seconds": time.perf_counter() - t0,
     }
     texts["manifest.json"] = dumps_17g(manifest, indent=2) + "\n"
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    for name, text in texts.items():
-        written[name] = out_dir / name
-        written[name].write_text(text)
-    return written
+    return write_outputs(out_dir, texts)

@@ -5,11 +5,7 @@ factorization; predictions contract test-kernel columns against alpha.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-KERNEL_KINDS = ("gaussian",)
 
 
 class FactorizationError(RuntimeError):
@@ -23,18 +19,6 @@ class FactorizationError(RuntimeError):
         where = f" at pivot {pivot}" if pivot else " for every candidate"
         super().__init__(f"factorization failed{where}: matrix is not positive definite")
         self.pivot = pivot
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    kind: str
-    sigma: float
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"kind: must be one of {KERNEL_KINDS}")
-        if not self.sigma > 0:
-            raise ValueError("sigma: must be positive")
 
 
 def cdist(XA, XB, metric: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -61,12 +45,6 @@ def gaussian_gram(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarra
     # (2 sigma^2 subnormal) gives exp = 0, the correctly rounded value.
     with np.errstate(over="ignore"):
         return np.exp(np.divide(d2, -(2.0 * sigma * sigma), out=d2), out=d2)
-
-
-def assemble_kernel(rows, cols, spec: KernelSpec) -> np.ndarray:
-    """Kernel matrix with element (i, j) = k(rows[i], cols[j]) for descriptor
-    matrices rows and cols."""
-    return gaussian_gram(np.atleast_2d(rows), np.atleast_2d(cols), spec.sigma)
 
 
 def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,

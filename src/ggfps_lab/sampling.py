@@ -73,21 +73,6 @@ class SamplerConfig:
             raise ValueError("init_mode: gradient-based initialization requires method GGFPS")
 
 
-@dataclass(frozen=True)
-class BetaSchedule:
-    """Per-iteration exponent sequence derived from the sweep bound beta."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _initial_index(g: np.ndarray, init_mode: str, seed: int) -> int:
     """First GGFPS pick per ``init_mode``: drawn with probability proportional
     to the gradient norms, their argmax, or uniform."""
@@ -280,13 +265,13 @@ def urs(n_total: int, n: int, seed: int) -> list[int]:
     """
     n = check_int("n", n, 1)
     if n > n_total:
-        raise CapacityError(f"cannot draw {n} from {n_total} samples")
+        raise CapacityError(f"n: cannot draw {n} from {n_total} samples")
     perm = np.random.default_rng(seed).permutation(n_total)
     return [int(i) for i in perm[:n]]
 
 
-def beta_schedule(beta: float, n: int, mode: str = "swept") -> BetaSchedule:
-    """Exponent sequence for n selections.
+def beta_schedule(beta: float, n: int, mode: str = "swept") -> np.ndarray:
+    """Exponent sequence for n selections, as a read-only float array.
 
     Swept mode takes the n linearly spaced values over [-beta, beta] and
     reorders them by descending magnitude with alternating signs starting
@@ -297,12 +282,14 @@ def beta_schedule(beta: float, n: int, mode: str = "swept") -> BetaSchedule:
     beta = check_beta("beta", beta)
     n = check_int("n", n, 1)
     if mode == "constant":
-        return BetaSchedule(np.full(n, beta))
-    if mode != "swept":
+        values = np.full(n, beta)
+    elif mode == "swept":
+        magnitudes = np.sort(np.abs(np.linspace(-beta, beta, n)))[::-1]
+        values = magnitudes * np.where(np.arange(n) % 2 == 0, 1.0, -1.0) + 0.0
+    else:
         raise ValueError(f"mode: must be one of {BETA_MODES}")
-    magnitudes = np.sort(np.abs(np.linspace(-beta, beta, n)))[::-1]
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return BetaSchedule(magnitudes * signs + 0.0)
+    values.setflags(write=False)
+    return values
 
 
 def _validate_matrix(X: np.ndarray) -> np.ndarray:
@@ -325,7 +312,7 @@ def fps(X: np.ndarray, n: int, init: int | None = None, seed: int = 0) -> list[i
     n_total = X.shape[0]
     n = check_int("n", n, 1)
     if n > n_total:
-        raise CapacityError(f"cannot select {n} from {n_total} samples")
+        raise CapacityError(f"n: cannot select {n} from {n_total} samples")
     if init is None:
         init = int(np.random.default_rng(seed).integers(n_total))
     return _greedy(X, [int(init)], np.zeros((1, n)))[0].tolist()
@@ -353,12 +340,12 @@ def ggfps_chains(
     n_total = X.shape[0]
     n = check_int("n", n, 1)
     if n > n_total:
-        raise CapacityError(f"cannot select {n} from {n_total} samples")
+        raise CapacityError(f"n: cannot select {n} from {n_total} samples")
     if horizon is None:
         horizon = n
     if horizon < n:
         raise ValueError("horizon must be at least n")
-    exponents = np.stack([beta_schedule(b, horizon, beta_mode).values[:n] for b in betas])
+    exponents = np.stack([beta_schedule(b, horizon, beta_mode)[:n] for b in betas])
 
     warnings: list[str] = []
     if inits is None:
@@ -384,9 +371,9 @@ def ggfps(
     Iteration k then maximises g_j^beta_k * d_j over the remaining points
     (smallest index on ties), with beta_k from the schedule and d_j the
     incrementally maintained minimum distance. Scores are compared in the
-    log domain so large norms and |beta| up to 2 cannot overflow. Once every
-    remaining point duplicates a selected one (all scores -inf), the smallest
-    remaining index is taken.
+    log domain, where |beta| <= ``BETA_MAX`` keeps every score finite (see
+    there). Once every remaining point duplicates a selected one (all scores
+    -inf), the smallest remaining index is taken.
 
     ``horizon`` pins the schedule length independently of n (default n), so
     shorter runs sharing a horizon are prefixes of longer ones. An explicit

@@ -18,7 +18,7 @@ from ggfps_lab.experiments import (
     kde_1d,
     learning_curve,
 )
-from ggfps_lab.krr import KernelSpec, assemble_kernel, fit, predict
+from ggfps_lab.krr import fit, gaussian_gram, predict
 from ggfps_lab.sampling import SamplerConfig, beta_schedule, fps, ggfps, urs
 from ggfps_lab.surfaces import AdversarialToy, StyblinskiTang, st_gradient, st_value, uniform_domain_sample
 from oracles import (
@@ -62,7 +62,7 @@ def test_c01_sampler_oracle_equivalence():
             method="GGFPS", n=n_sel, beta=beta, beta_mode=mode, init_mode="gradient_argmax"
         )
         got = ggfps(labeled_from(X, g), config)
-        betas = beta_schedule(beta, n_sel, mode).values
+        betas = beta_schedule(beta, n_sel, mode)
         expected = greedy_ggfps_fast(X, g, n_sel, int(np.argmax(g)), betas)
         assert got.indices == expected
     assert time.perf_counter() - t0 < 10.0
@@ -153,7 +153,7 @@ def test_c05_krr_correctness():
         assert np.linalg.norm(alpha - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     train = uniform_domain_sample(StyblinskiTang(), 50, seed=10055)
-    K = assemble_kernel(train.descriptors, train.descriptors, KernelSpec("gaussian", 1.5))
+    K = gaussian_gram(train.descriptors, train.descriptors, 1.5)
     alpha = fit(K, train.labels, lam=1e-12)
     pred = predict(K, alpha)
     assert np.linalg.norm(pred - train.labels) <= 1e-6 * np.linalg.norm(train.labels)

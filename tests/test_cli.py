@@ -13,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ggfps_lab import cli, experiments
 from ggfps_lab.cli import main
-from ggfps_lab.dataset import (
-    GenerationError, LabeledSet, XyzParseError, dumps_17g, synth_boltzmann_set,
-)
+from ggfps_lab.dataset import GenerationError, LabeledSet, dumps_17g, synth_boltzmann_set
 from ggfps_lab.experiments import DegenerateDistributionError, ReplicateError
 from ggfps_lab.krr import FactorizationError
 from ggfps_lab.sampling import BETA_MAX, CapacityError
@@ -148,6 +146,16 @@ class TestGenerate:
         assert main(["generate", "--config", str(config),
                      "--out", str(blocker / "sub")]) == 2
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # dataset.json/ is a directory, so its write fails after dataset.csv's;
+        # dataset.csv used to stay behind
+        config = write_config(tmp_path, "gen.json", generate_config(n=5))
+        out = tmp_path / "o"
+        (out / "dataset.json").mkdir(parents=True)
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["dataset.json"]
+        assert not any((out / "dataset.json").iterdir())
+
 
 @pytest.fixture()
 def dataset_dir(tmp_path):
@@ -201,6 +209,16 @@ class TestSample:
         cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "FPS", n=61))
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "61" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["URS", "FPS", "GGFPS"])
+    def test_n_above_the_dataset_size_names_sampler_n(self, tmp_path, dataset_dir, capsys,
+                                                      method):
+        cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, method, n=100))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampler.n: cannot ") and "100 from 60 samples" in err
+        assert not out.exists()
 
     def test_missing_dataset(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json", {
@@ -274,6 +292,30 @@ class TestCurve:
         run_ok(["curve", "--config", str(cfg), "--out", str(out_b), "--threads", "1"])
         for name in ("curves.csv", "bins.csv", "kde.csv", "heatmap.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("sizes, message", [
+        ({"labeled_sizes": [500]},
+         "plan.labeled_sizes: labeled size 500 exceeds the universe size 60"),
+        ({"labeled_sizes": [10, 40], "train_sizes": [20]},
+         "plan.train_sizes: no train size below labeled size 10"),
+    ], ids=["labeled-above-dataset", "no-train-below-labeled"])
+    def test_size_that_cannot_fit_names_the_plan_field(self, tmp_path, dataset_dir, capsys,
+                                                       sizes, message):
+        config = write_config(tmp_path, "c.json", curve_config(dataset_dir, **sizes))
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, dataset_dir):
+        # kde.csv/ is a directory, so its write fails after curves.csv's and
+        # bins.csv's; both used to stay behind
+        config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        out = tmp_path / "o"
+        (out / "kde.csv").mkdir(parents=True)
+        assert main(["curve", "--config", str(config), "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["kde.csv"]
+        assert not any((out / "kde.csv").iterdir())
 
     def test_invalid_plan_field_names_path(self, tmp_path, dataset_dir, capsys):
         cfg = curve_config(dataset_dir)
@@ -753,7 +795,7 @@ class TestDatasetFile:
 
 EXIT_CODES = [
     (ValueError("v"), 1), (cli.ConfigError("c"), 1), (CapacityError("c"), 1),
-    (XyzParseError("x", 1, 1), 1), (DegenerateDistributionError("d"), 1),
+    (DegenerateDistributionError("d"), 1),
     (OSError("o"), 2), (PermissionError("p"), 2),
     (FactorizationError(0), 3), (GenerationError("g"), 3), (FloatingPointError("f"), 3),
     (ZeroDivisionError("z"), 3), (OverflowError("o"), 3),

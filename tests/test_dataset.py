@@ -1,5 +1,4 @@
 import json
-import math
 from unittest import mock
 
 import numpy as np
@@ -9,211 +8,9 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from ggfps_lab import dataset
-from ggfps_lab.dataset import (
-    Configuration,
-    GenerationError,
-    LabeledSet,
-    XyzParseError,
-    descriptor_local_radial,
-    gradient_norm,
-    labeled_set_from_configurations,
-    parse_extended_xyz,
-    synth_boltzmann_set,
-    write_extended_xyz,
-)
+from ggfps_lab.dataset import GenerationError, LabeledSet, synth_boltzmann_set, write_outputs
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
-from oracles import labeled_arrays_from_csv, random_rotation
-
-
-def make_config(rng, n_atoms=4):
-    return Configuration(
-        positions=rng.uniform(-3, 3, size=(n_atoms, 3)),
-        species=rng.integers(1, 9, size=n_atoms),
-        energy=float(rng.normal()),
-        forces=rng.normal(size=(n_atoms, 3)),
-    )
-
-
-class TestParseExtendedXyz:
-    def test_minimal_frame(self):
-        configs = parse_extended_xyz("1\nenergy=-0.5\nH 0 0 0 0 0 1\n")
-        assert len(configs) == 1
-        cfg = configs[0]
-        assert cfg.n_atoms == 1
-        assert cfg.species.tolist() == [1]
-        assert cfg.energy == -0.5
-        assert cfg.forces.tolist() == [[0.0, 0.0, 1.0]]
-
-    def test_empty_stream(self):
-        assert parse_extended_xyz("") == []
-        assert parse_extended_xyz(b"\n\n") == []
-
-    def test_missing_energy_names_second_frame(self):
-        text = (
-            "1\nenergy=-0.5\nH 0 0 0 0 0 1\n"
-            "1\ncomment with no key\nH 0 0 0 0 0 1\n"
-        )
-        with pytest.raises(XyzParseError) as err:
-            parse_extended_xyz(text)
-        assert err.value.frame == 2
-        assert err.value.line == 5
-        assert "energy" in str(err.value)
-
-    def test_malformed_atom_count(self):
-        with pytest.raises(XyzParseError) as err:
-            parse_extended_xyz("x\nenergy=1\n")
-        assert err.value.frame == 1 and err.value.line == 1
-
-    def test_non_numeric_field(self):
-        with pytest.raises(XyzParseError) as err:
-            parse_extended_xyz("1\nenergy=1\nH a 0 0 0 0 0\n")
-        assert err.value.frame == 1 and err.value.line == 3
-
-    @pytest.mark.parametrize("frame2, line", [
-        ("1\nenergy=nan\nH 0 0 0 0 0 1\n", 5),
-        ("1\nenergy=-inf\nH 0 0 0 0 0 1\n", 5),
-        ("2\nenergy=1\nH 0 0 0 0 0 1\nH 0 0 inf 0 0 1\n", 7),
-        ("1\nenergy=1\nH 0 0 0 0 NaN 1\n", 6),
-    ], ids=["nan-energy", "inf-energy", "inf-position", "nan-force"])
-    def test_non_finite_value_names_frame_and_line(self, frame2, line):
-        with pytest.raises(XyzParseError, match="non-finite") as err:
-            parse_extended_xyz("1\nenergy=-0.5\nH 0 0 0 0 0 1\n" + frame2)
-        assert err.value.frame == 2 and err.value.line == line
-
-    def test_unknown_symbol(self):
-        with pytest.raises(XyzParseError, match="Xx"):
-            parse_extended_xyz("1\nenergy=1\nXx 0 0 0 0 0 0\n")
-
-    def test_bytes_input(self):
-        configs = parse_extended_xyz(b"1\nenergy=2.5\nC 1 2 3 0 0 0\n")
-        assert configs[0].species.tolist() == [6]
-
-    def test_frame_order_preserved(self):
-        text = "1\nenergy=1\nH 0 0 0 0 0 0\n1\nenergy=2\nO 0 0 0 0 0 0\n"
-        configs = parse_extended_xyz(text)
-        assert [c.energy for c in configs] == [1.0, 2.0]
-        assert [int(c.species[0]) for c in configs] == [1, 8]
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(17)
-        configs = [make_config(rng, n) for n in (1, 3, 5)]
-        back = parse_extended_xyz(write_extended_xyz(configs))
-        for a, b in zip(configs, back):
-            assert np.array_equal(a.positions, b.positions)
-            assert np.array_equal(a.forces, b.forces)
-            assert a.energy == b.energy
-            assert np.array_equal(a.species, b.species)
-
-
-class TestGradientNorm:
-    def test_zero_forces(self):
-        cfg = Configuration(
-            positions=np.zeros((2, 3)), species=[1, 1], energy=0.0, forces=np.zeros((2, 3))
-        )
-        assert gradient_norm(cfg) == 0.0
-
-    def test_three_four_five(self):
-        cfg = Configuration(
-            positions=np.zeros((1, 3)), species=[1], energy=0.0, forces=[[3.0, 4.0, 0.0]]
-        )
-        assert gradient_norm(cfg) == pytest.approx(5.0, rel=1e-15)
-
-    def test_two_atom_norm(self):
-        cfg = Configuration(
-            positions=np.zeros((2, 3)), species=[1, 1], energy=0.0,
-            forces=[[1.0, 0.0, 0.0], [0.0, 2.0, 2.0]],
-        )
-        assert gradient_norm(cfg) == pytest.approx(3.0, rel=1e-15)  # sqrt(1+4+4)
-
-    def test_invariance_under_row_permutation_and_rotation(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            cfg = make_config(rng, 5)
-            perm = rng.permutation(5)
-            rot = random_rotation(3, rng)
-            permuted = Configuration(
-                positions=cfg.positions, species=cfg.species, energy=cfg.energy,
-                forces=cfg.forces[perm],
-            )
-            rotated = Configuration(
-                positions=cfg.positions, species=cfg.species, energy=cfg.energy,
-                forces=cfg.forces @ rot.T,
-            )
-            base = gradient_norm(cfg)
-            assert gradient_norm(permuted) == pytest.approx(base, rel=1e-12)
-            assert gradient_norm(rotated) == pytest.approx(base, rel=1e-12)
-
-
-class TestDescriptorLocalRadial:
-    def test_isolated_atom_is_zero(self):
-        cfg = Configuration(
-            positions=[[0.0, 0.0, 0.0]], species=[1], energy=0.0, forces=[[0, 0, 0]]
-        )
-        vec = descriptor_local_radial(cfg, cutoff=4.0, n_basis=3, widths=0.5)
-        assert np.all(vec == 0.0)
-
-    def test_pair_beyond_cutoff_is_zero(self):
-        cfg = Configuration(
-            positions=[[0, 0, 0], [10, 0, 0]], species=[1, 1], energy=0.0,
-            forces=np.zeros((2, 3)),
-        )
-        vec = descriptor_local_radial(cfg, cutoff=4.0, n_basis=2, widths=0.5)
-        assert np.all(vec == 0.0)
-
-    def test_h2_hand_evaluation(self):
-        # one neighbor at r=1, cutoff 4, centers mu = (2, 4), width w
-        w = 0.5
-        cfg = Configuration(
-            positions=[[0, 0, 0], [1.0, 0, 0]], species=[1, 1], energy=0.0,
-            forces=np.zeros((2, 3)),
-        )
-        vec = descriptor_local_radial(cfg, cutoff=4.0, n_basis=2, widths=w)
-        fcut = 0.5 * (math.cos(math.pi * 1.0 / 4.0) + 1.0)
-        expected = [
-            math.exp(-((1.0 - 2.0) ** 2) / (2 * w * w)) * fcut,
-            math.exp(-((1.0 - 4.0) ** 2) / (2 * w * w)) * fcut,
-        ]
-        assert vec[0] == pytest.approx(expected, rel=1e-12)
-        assert vec[1] == pytest.approx(expected, rel=1e-12)
-
-    def test_same_species_permutation_invariance(self):
-        rng = np.random.default_rng(41)
-        pos = rng.uniform(-1.5, 1.5, size=(5, 3))
-        species = np.array([1, 1, 6, 6, 6])
-        cfg = Configuration(positions=pos, species=species, energy=0.0, forces=np.zeros((5, 3)))
-        # swap the two hydrogens and rotate the carbons among themselves
-        perm = np.array([1, 0, 4, 2, 3])
-        cfg_p = Configuration(
-            positions=pos[perm], species=species[perm], energy=0.0, forces=np.zeros((5, 3))
-        )
-        a = descriptor_local_radial(cfg, 4.0, 3, 0.5)
-        b = descriptor_local_radial(cfg_p, 4.0, 3, 0.5)
-        # atom 0 (H) of the original is atom 1 of the permuted configuration
-        inverse = np.argsort(perm)
-        assert a == pytest.approx(b[inverse], abs=1e-10)
-
-    def test_rigid_motion_invariance(self):
-        rng = np.random.default_rng(42)
-        pos = rng.uniform(-1.5, 1.5, size=(6, 3))
-        species = np.array([1, 1, 6, 8, 8, 8])
-        rot = random_rotation(3, rng)
-        shift = rng.uniform(-5, 5, size=3)
-        cfg = Configuration(positions=pos, species=species, energy=0.0, forces=np.zeros((6, 3)))
-        moved = Configuration(
-            positions=pos @ rot.T + shift, species=species, energy=0.0, forces=np.zeros((6, 3))
-        )
-        a = descriptor_local_radial(cfg, 4.0, 4, 0.5)
-        b = descriptor_local_radial(moved, 4.0, 4, 0.5)
-        assert a == pytest.approx(b, abs=1e-10)
-
-    def test_species_order_pads_layout(self):
-        cfg = Configuration(
-            positions=[[0, 0, 0], [1, 0, 0]], species=[1, 1], energy=0.0,
-            forces=np.zeros((2, 3)),
-        )
-        vec = descriptor_local_radial(cfg, 4.0, 2, 0.5, species_order=[1, 6, 8])
-        assert vec.shape == (2, 6)
-        assert np.all(vec[:, 2:] == 0.0)  # no carbon or oxygen neighbors
+from oracles import labeled_arrays_from_csv
 
 
 class TestSynthBoltzmann:
@@ -394,34 +191,25 @@ class TestFromCsvMatchesRowByRowParser:
         assert back.ids == labeled.ids
         assert back.descriptors.flags.c_contiguous
 
-def test_labeled_set_from_configurations():
-    rng = np.random.default_rng(55)
-    base = rng.uniform(-1, 1, size=(3, 3))
-    configs = []
-    for _ in range(6):
-        pos = base + 0.05 * rng.normal(size=(3, 3))
-        configs.append(
-            Configuration(
-                positions=pos, species=[8, 1, 1],
-                energy=float(rng.normal()), forces=rng.normal(size=(3, 3)),
-            )
-        )
-    labeled = labeled_set_from_configurations(configs, cutoff=4.0, n_basis=3, widths=0.5)
-    assert len(labeled) == 6
-    assert labeled.dim == 3 * 2 * 3  # atoms x species-union x basis
-    assert np.all(labeled.gradient_norms >= 0)
 
+class TestWriteOutputs:
+    def test_writes_every_text_and_returns_the_paths(self, tmp_path):
+        out = tmp_path / "new" / "out"
+        written = write_outputs(out, {"a.csv": "1\n", "b.json": "{}\n"})
+        assert written == {"a.csv": out / "a.csv", "b.json": out / "b.json"}
+        assert (out / "a.csv").read_text() == "1\n"
+        assert (out / "b.json").read_text() == "{}\n"
 
-@pytest.mark.parametrize("species", [[8, 1, 1, 1], [1, 8, 1]])
-def test_labeled_set_from_configurations_rejects_mismatched_frames(species):
-    # frame 3 has an extra atom, or the same atoms in another order: its
-    # descriptor columns would describe different atoms than frame 1's
-    rng = np.random.default_rng(56)
-    frames = [[8, 1, 1], [8, 1, 1], species, [8, 1, 1]]
-    configs = [
-        Configuration(positions=rng.uniform(-1, 1, size=(len(z), 3)), species=z,
-                      energy=0.0, forces=np.zeros((len(z), 3)))
-        for z in frames
-    ]
-    with pytest.raises(ValueError, match="frame 3"):
-        labeled_set_from_configurations(configs, cutoff=4.0, n_basis=3, widths=0.5)
+    def test_failed_write_removes_the_written_files_and_the_new_directory(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(FileNotFoundError):
+            write_outputs(out, {"a.csv": "1\n", "missing/b.csv": "2\n"})
+        assert not out.exists()
+
+    def test_failed_write_keeps_a_directory_it_did_not_create(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "old.txt").write_text("kept")
+        with pytest.raises(FileNotFoundError):
+            write_outputs(out, {"a.csv": "1\n", "missing/b.csv": "2\n"})
+        assert [p.name for p in out.iterdir()] == ["old.txt"]

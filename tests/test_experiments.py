@@ -30,7 +30,7 @@ from ggfps_lab.experiments import (
     selection_heatmap_2d,
 )
 from ggfps_lab.krr import (
-    FactorizationError, KernelSpec, assemble_kernel, fit, fit_prefixes, predict,
+    FactorizationError, fit, fit_prefixes, gaussian_gram, predict,
 )
 from ggfps_lab.sampling import SamplerConfig, ggfps, ggfps_chains
 from scipy.spatial.distance import cdist
@@ -101,7 +101,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(50)
         X = rng.uniform(-4, 4, size=(80, 2))
         sigma_star = 1.0
-        K = assemble_kernel(X, X, KernelSpec("gaussian", sigma_star))
+        K = gaussian_gram(X, X, sigma_star)
         y = K @ rng.normal(size=80)
         train = LabeledSet(
             descriptors=X, labels=y, gradient_norms=np.ones(80),

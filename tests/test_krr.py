@@ -7,8 +7,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ggfps_lab.krr import (
     FactorizationError,
-    KernelSpec,
-    assemble_kernel,
     fit,
     fit_prefixes,
     gaussian_gram,
@@ -48,31 +46,25 @@ class TestGaussianKernel:
 
 
 class TestAssembleKernel:
+    """Whole kernel matrices, as the protocol assembles them."""
+
     def test_unit_diagonal(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(6, 3))
-        K = assemble_kernel(X, X, KernelSpec("gaussian", 1.1))
+        K = gaussian_gram(X, X, 1.1)
         assert np.all(np.diag(K) == 1.0)
         assert np.max(np.abs(K - K.T)) < 1e-12
 
     def test_two_by_two_off_diagonal(self):
         sigma = 0.6
         X = np.array([[0.0], [sigma * math.sqrt(2.0)]])
-        K = assemble_kernel(X, X, KernelSpec("gaussian", sigma))
+        K = gaussian_gram(X, X, sigma)
         assert K[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_empty_columns(self):
         X = np.random.default_rng(5).normal(size=(3, 2))
-        K = assemble_kernel(X, np.zeros((0, 2)), KernelSpec("gaussian", 1.0))
+        K = gaussian_gram(X, np.zeros((0, 2)), 1.0)
         assert K.shape == (3, 0)
-
-
-class TestKernelSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="sigma"):
-            KernelSpec("gaussian", 0.0)
-        with pytest.raises(ValueError, match="kind"):
-            KernelSpec("laplacian", 1.0)
 
 
 class TestFit:
@@ -122,7 +114,7 @@ class TestFit:
         rng = np.random.default_rng(10)
         X = rng.uniform(-1, 1, size=(30, 2))
         y = rng.normal(size=30)
-        K = assemble_kernel(X, X, KernelSpec("gaussian", 0.5))
+        K = gaussian_gram(X, X, 0.5)
         residuals = []
         for lam in (1e-2, 1e-6, 1e-10):
             alpha = fit(K, y, lam)
@@ -143,7 +135,7 @@ class TestFitPrefixes:
     def test_prefixes_match_direct_fit(self):
         rng = np.random.default_rng(11)
         X = rng.uniform(-2, 2, size=(120, 2))
-        K = assemble_kernel(X, X, KernelSpec("gaussian", 0.7))
+        K = gaussian_gram(X, X, 0.7)
         y = rng.normal(size=120)
         sizes = [64, 1, 7, 50, 65, 7, 119]
         alphas, pivot = fit_prefixes(K, y, 1e-6, sizes)
@@ -231,8 +223,7 @@ class TestPredict:
 
     def test_interpolation_at_vanishing_lambda(self):
         labeled = uniform_domain_sample(StyblinskiTang(), 40, seed=14)
-        spec = KernelSpec("gaussian", 1.5)
-        K = assemble_kernel(labeled.descriptors, labeled.descriptors, spec)
+        K = gaussian_gram(labeled.descriptors, labeled.descriptors, 1.5)
         alpha = fit(K, labeled.labels, lam=1e-12)
         pred = predict(K, alpha)
         rel = np.abs(pred - labeled.labels) / np.maximum(np.abs(labeled.labels), 1.0)
@@ -242,29 +233,3 @@ class TestPredict:
         with pytest.raises(ValueError, match="mismatch"):
             predict(np.ones((3, 2)), np.ones(4))
 
-
-class TestLocalKernelPipeline:
-    def test_fit_predict_on_perturbed_trajectory(self):
-        # water-like frames: energy is a smooth function of the O-H distances,
-        # so a Gaussian-kernel model on the flattened per-atom radial
-        # descriptors, interpolating 12 frames, should predict the held-out
-        # frames far better than the label spread
-        from ggfps_lab.dataset import Configuration, labeled_set_from_configurations
-
-        rng = np.random.default_rng(16)
-        base = np.array([[0.0, 0.0, 0.0], [0.96, 0.0, 0.0], [-0.24, 0.93, 0.0]])
-        species = np.array([8, 1, 1])
-        configs = []
-        for _ in range(14):
-            pos = base + 0.06 * rng.normal(size=(3, 3))
-            d1 = np.linalg.norm(pos[1] - pos[0])
-            d2 = np.linalg.norm(pos[2] - pos[0])
-            configs.append(Configuration(positions=pos, species=species,
-                                         energy=(d1 - 0.96) ** 2 + (d2 - 0.96) ** 2,
-                                         forces=np.zeros((3, 3))))
-        labeled = labeled_set_from_configurations(configs, cutoff=4.0, n_basis=6, widths=0.3)
-        X, energies = labeled.descriptors, labeled.labels
-        alpha = fit(gaussian_gram(X[:12], X[:12], 0.35), energies[:12], lam=1e-10)
-        pred = predict(gaussian_gram(X[:12], X[12:], 0.35), alpha)
-        spread = energies.max() - energies.min()
-        assert np.max(np.abs(pred - energies[12:])) < 0.05 * spread

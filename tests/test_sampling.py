@@ -77,21 +77,28 @@ class TestUrs:
 
 class TestBetaSchedule:
     def test_zero_beta(self):
-        assert beta_schedule(0.0, 4).values.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert beta_schedule(0.0, 4).tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_swept_ordering(self):
-        values = beta_schedule(2.0, 4, "swept").values
+        values = beta_schedule(2.0, 4, "swept")
         assert values == pytest.approx([2.0, -2.0, 2.0 / 3.0, -2.0 / 3.0], abs=1e-12)
 
     def test_constant_mode(self):
-        assert beta_schedule(1.5, 3, "constant").values.tolist() == [1.5, 1.5, 1.5]
+        assert beta_schedule(1.5, 3, "constant").tolist() == [1.5, 1.5, 1.5]
+
+    @pytest.mark.parametrize("mode", ["swept", "constant"])
+    def test_is_a_read_only_float_array(self, mode):
+        values = beta_schedule(1.5, 3, mode)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
 
     def test_matches_independent_construction(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             beta = float(rng.uniform(0, 2))
             n = int(rng.integers(1, 30))
-            values = beta_schedule(beta, n).values
+            values = beta_schedule(beta, n)
             assert values == pytest.approx(alternating_betas(beta, n), abs=1e-12)
 
     def test_invariants(self):
@@ -99,7 +106,7 @@ class TestBetaSchedule:
         for _ in range(50):
             beta = float(rng.uniform(0, 2))
             n = int(rng.integers(1, 40))
-            values = beta_schedule(beta, n).values
+            values = beta_schedule(beta, n)
             assert np.all(np.abs(values) <= beta + 1e-12)
             linspaced = np.sort(np.abs(np.linspace(-beta, beta, n)))
             assert np.sort(np.abs(values)) == pytest.approx(linspaced, abs=1e-12)
@@ -116,7 +123,7 @@ class TestBetaSchedule:
             beta_schedule(1e308, 5)
         with pytest.raises(ValueError, match="beta"):
             SamplerConfig(method="GGFPS", n=5, beta=1e308)
-        values = beta_schedule(BETA_MAX, 5).values
+        values = beta_schedule(BETA_MAX, 5)
         assert values.tolist() == [BETA_MAX, -BETA_MAX, BETA_MAX / 2, -BETA_MAX / 2, 0.0]
         # the extreme |log g| and |log d| of positive doubles keep a score finite
         logs = np.log(np.array([5e-324, np.finfo(float).max]))
@@ -191,7 +198,7 @@ class TestGgfps:
                 make_labeled(X, g),
                 ggfps_config(n_sel, beta=beta, mode=mode, init_mode="gradient_argmax"),
             )
-            betas = beta_schedule(beta, n_sel, mode).values
+            betas = beta_schedule(beta, n_sel, mode)
             assert got.indices == greedy_ggfps(X, g, n_sel, init, betas)
 
     def test_gradient_scale_invariance(self):
@@ -273,7 +280,7 @@ class TestDuplicateDescriptors:
         g = np.ones(5)
         result = ggfps(make_labeled(X, g), ggfps_config(5, beta=0.5, init_mode="gradient_argmax"))
         assert result.indices == [0, 1, 2, 3, 4]
-        assert result.indices == greedy_ggfps(X, g, 5, 0, beta_schedule(0.5, 5).values)
+        assert result.indices == greedy_ggfps(X, g, 5, 0, beta_schedule(0.5, 5))
 
     def test_boltzmann_repro(self):
         data = synth_boltzmann_set(StyblinskiTang(), 2.0, 300, seed=3, step=1.0,
@@ -286,7 +293,7 @@ class TestDuplicateDescriptors:
         # every distinct descriptor is covered before any duplicate is taken
         first = data.descriptors[result.indices[:36]]
         assert len(np.unique(first, axis=0)) == 36
-        betas = beta_schedule(1.0, 41).values
+        betas = beta_schedule(1.0, 41)
         expected = greedy_ggfps_fast(data.descriptors, data.gradient_norms, 41,
                                      result.indices[0], betas)
         assert result.indices == expected
@@ -327,7 +334,7 @@ def greedy_cases(draw):
     g[rng.random(n_pts) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
     mode = draw(st.sampled_from(BETA_MODES))
     betas = [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for _ in range(n_chains)]
-    exponents = np.stack([beta_schedule(b, n_sel, mode).values for b in betas])
+    exponents = np.stack([beta_schedule(b, n_sel, mode) for b in betas])
     inits = rng.integers(n_pts, size=n_chains)
     return X, inits, exponents, _log_gradients(g)
 
@@ -345,7 +352,7 @@ class TestGreedyKernel:
     def test_overflowing_distances_select_as_the_reference(self):
         # coordinates near +-1e200: every exact distance overflows to inf
         X = np.random.default_rng(44).uniform(-1e200, 1e200, size=(60, 2))
-        exponents = np.stack([np.zeros(30), beta_schedule(1.0, 30).values])
+        exponents = np.stack([np.zeros(30), beta_schedule(1.0, 30)])
         log_g = np.zeros(60)
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.array_equal(_greedy(X, [3, 7], exponents, log_g),
@@ -363,7 +370,7 @@ class TestGreedyKernel:
                                      mode=mode, seed=int(rng.integers(100)))
                         for mode in ("swept", "constant", "swept", "constant")]
             inits = [int(rng.integers(n_pts)) for _ in configs]
-            exponents = np.stack([beta_schedule(c.beta, n_sel, c.beta_mode).values
+            exponents = np.stack([beta_schedule(c.beta, n_sel, c.beta_mode)
                                   for c in configs])
             log_g = np.log(np.maximum(g, 1e-12 * g.max()))
             picks = _greedy(X, inits, exponents, log_g)
