@@ -15,10 +15,14 @@ Exit codes: 0 success, 1 config/validation, 2 I/O, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .dataset import (GenerationError, LabeledSet, dumps_17g, synth_boltzmann_set,
@@ -219,7 +223,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """ctypes handle on the OpenBLAS that numpy's wheel bundles and ``import
+    numpy`` has loaded, with its thread-count setter and getter declared; None
+    where numpy ships no such library or it lacks them."""
+    found = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not found:
+        return None
+    try:
+        # RTLD_NOLOAD: numpy's copy of the library, never a second one
+        lib = ctypes.CDLL(str(found[0]), mode=os.RTLD_NOLOAD)
+        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        lib.scipy_openblas_set_num_threads64_.restype = None
+        lib.scipy_openblas_get_num_threads64_.argtypes = []
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+def _pin_numpy_blas() -> None:
+    """Run numpy's BLAS products on one thread; a no-op without its OpenBLAS.
+
+    numpy and scipy each bundle an OpenBLAS with its own thread pool. numpy's
+    products (``krr.predict``, the selection screen) gain nothing from a
+    second thread and their bytes do not depend on it. But OpenBLAS workers
+    poll for a while after each call before they sleep, so an idle numpy
+    worker most likely takes a core that scipy's two-thread Cholesky needs:
+    on 2 cores, pinning it took the benchmark's ``plain-cv`` from 2.98 to
+    2.44 s (medians of 10 runs each).
+    scipy's pool is left alone, because its thread count moves the output
+    bytes.
+    """
+    lib = _numpy_openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
 def main(argv=None) -> int:
+    _pin_numpy_blas()
     args = build_parser().parse_args(argv)
     command, required, optional = COMMANDS[args.command]
     try:

@@ -654,7 +654,9 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     IQR collapses to zero on heavily tied data."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
-    std = float(np.std(samples, ddof=1))
+    # a std that overflows is inf, and min() below then takes the IQR's scale
+    with np.errstate(over="ignore"):
+        std = float(np.std(samples, ddof=1))
     q1, q3 = np.percentile(samples, [25.0, 75.0])
     iqr = float(q3 - q1)
     scale = min(std, iqr / 1.34) if iqr > 0 else std
@@ -672,8 +674,10 @@ def kde_1d(samples, eval_grid) -> np.ndarray:
     h = silverman_bandwidth(samples)
     if not h > 0:
         raise DegenerateDistributionError("samples have zero spread")
-    z = (grid[:, None] - samples[None, :]) / h
-    return np.exp(-0.5 * z**2).sum(axis=1) / (len(samples) * h * np.sqrt(2.0 * np.pi))
+    # a z or z**2 that overflows gives exp(-inf) = 0, the correctly rounded value
+    with np.errstate(over="ignore"):
+        z2 = ((grid[:, None] - samples[None, :]) / h) ** 2
+    return np.exp(-0.5 * z2).sum(axis=1) / (len(samples) * h * np.sqrt(2.0 * np.pi))
 
 
 def selection_heatmap_2d(selections, labeled: LabeledSet, grid: int) -> np.ndarray:
@@ -734,13 +738,33 @@ def _bins_csv(groups, universe: LabeledSet) -> str:
 _KDE_QUANTITIES = (("force_norm", "gradient_norms"), ("label", "labels"))
 
 
+def _kde_span(values: np.ndarray) -> tuple[float, float, float]:
+    """Silverman bandwidth h of ``values`` and the ends of their KDE grid,
+    4h beyond the extremes. Where a sum overflows, any of the three may be
+    inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = silverman_bandwidth(values)
+        return h, values.min() - 4.0 * h, values.max() + 4.0 * h
+
+
 def _check_kde_inputs(universe: LabeledSet, plan: ExperimentPlan) -> None:
     """Reject, before any compute, a run whose KDE export is bound to fail:
-    a quantity with zero spread over the dataset, or selected series that
-    hold fewer than 2 samples (min(train_sizes) x bootstraps)."""
+    a quantity whose bandwidth or grid over the dataset is not finite, or
+    that has zero spread, or selected series that hold fewer than 2 samples
+    (min(train_sizes) x bootstraps)."""
     for quantity, attr in _KDE_QUANTITIES:
         values = getattr(universe, attr)
-        if len(values) > 1 and not silverman_bandwidth(values) > 0:
+        if len(values) < 2:
+            continue
+        h, lo, hi = _kde_span(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = hi - lo
+        if not np.isfinite(width):
+            raise ValueError(
+                f"{quantity}: the KDE bandwidth or grid over all {len(values)} dataset "
+                "points is not finite (values too large)"
+            )
+        if not h > 0:
             raise DegenerateDistributionError(
                 f"{quantity}: zero spread over all {len(values)} dataset points, "
                 "so its KDE is undefined"
@@ -757,8 +781,8 @@ def _kde_csv(groups, universe: LabeledSet, plan: ExperimentPlan) -> str:
     out.write("series,quantity,labeled_size,train_size,x,density\n")
     for quantity, attr in _KDE_QUANTITIES:
         base = getattr(universe, attr)
-        h = silverman_bandwidth(base)
-        grid = np.linspace(base.min() - 4.0 * h, base.max() + 4.0 * h, plan.kde_points)
+        _, lo, hi = _kde_span(base)
+        grid = np.linspace(lo, hi, plan.kde_points)
         for x, d in zip(grid, kde_1d(base, grid)):
             out.write(f"labeled,{quantity},,,{format_float(x)},{format_float(d)}\n")
         for (method, ls, ts), group in groups:
@@ -790,7 +814,11 @@ def run_experiment(
     Every output is built in memory first: a run that fails, in compute or
     in export, creates no directory and writes no file, and a failed write
     removes what the run wrote (``write_outputs``). A dataset or plan whose
-    KDE export cannot succeed is rejected before any compute."""
+    KDE export cannot succeed is rejected before any compute.
+
+    The output bytes depend on the thread count of scipy's OpenBLAS. This
+    function sets no BLAS thread count; the CLI runs numpy's OpenBLAS on one
+    thread, which changes its speed but no output byte."""
     t0 = time.perf_counter()
     _check_kde_inputs(universe, plan)
     groups = _group_cells(_run_cells(universe, plan), plan)

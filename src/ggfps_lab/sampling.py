@@ -78,7 +78,12 @@ def _initial_index(g: np.ndarray, init_mode: str, seed: int) -> int:
     to the gradient norms, their argmax, or uniform."""
     rng = np.random.default_rng(seed)
     if init_mode == "gradient_weighted":
-        return int(rng.choice(len(g), p=g / g.sum()))
+        with np.errstate(over="ignore"):
+            total = g.sum()
+        if not np.isfinite(total):  # norms that add up past the largest double
+            g = g / g.max()
+            total = g.sum()
+        return int(rng.choice(len(g), p=g / total))
     if init_mode == "gradient_argmax":
         return int(np.argmax(g))
     return int(rng.integers(len(g)))

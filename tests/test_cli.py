@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from ggfps_lab.dataset import GenerationError, LabeledSet, dumps_17g, synth_bolt
 from ggfps_lab.experiments import DegenerateDistributionError, ReplicateError
 from ggfps_lab.krr import FactorizationError
 from ggfps_lab.sampling import BETA_MAX, CapacityError
-from ggfps_lab.surfaces import StyblinskiTang
+from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
 
 
 def write_config(tmp_path, name, payload):
@@ -241,6 +242,19 @@ class TestSample:
         run_ok(["sample", "--config", str(cfg), "--out", str(out)])
         doc = json.loads((out / "selection.json").read_text())
         assert doc["warnings"] and "fell back" in doc["warnings"][0]
+
+    def test_ggfps_on_gradient_norms_that_sum_past_the_largest_double(self, tmp_path):
+        # the weighted first pick divided by a sum that overflowed: exit 1
+        # with numpy's "Probabilities do not sum to 1", which names no field
+        data = tmp_path / "huge.csv"
+        data.write_text("id,label,grad_norm,x0\nr0,0,1e308,0\nr1,1,1e308,1\nr2,2,1,2\n")
+        cfg = write_config(tmp_path, "s.json", {
+            "schema_version": 1, "dataset": str(data),
+            "sampler": {"method": "GGFPS", "n": 2, "beta": 1.0, "seed": 1},
+        })
+        out = tmp_path / "o"
+        run_ok(["sample", "--config", str(cfg), "--out", str(out)])
+        assert json.loads((out / "selection.json").read_text())["indices"][0] in (0, 1)
 
     def test_ggfps_on_duplicate_descriptors(self, tmp_path):
         # a Metropolis walk with 36 distinct points; GGFPS n=41 used to exit 1
@@ -540,6 +554,25 @@ class TestDegenerateKdePolicy:
         assert "force_norm" in err and "zero spread" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("quantity", ["force_norm", "label"])
+    def test_kde_grid_that_overflows_rejected_before_compute(self, tmp_path, monkeypatch,
+                                                             capsys, quantity):
+        # two values of 1e308: the bandwidth or base.max() + 4h overflows. This
+        # exited 0 with 202 nan and inf rows in kde.csv
+        huge = {0: 1e308, 1: 1e308}
+        rows = [f"r{i},{huge.get(i, 0.5 * i) if quantity == 'label' else 0.5 * i},"
+                f"{huge.get(i, 1.0 + i) if quantity == 'force_norm' else 1.0 + i},{i},{i % 3}"
+                for i in range(6)]
+        plan = {"labeled_sizes": [6], "train_sizes": [3], "bootstraps": 1, "folds": 2,
+                "methods": ["URS"]}
+        out = tmp_path / "o"
+        monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
+        assert main(["curve", "--config", str(kde_config(tmp_path, rows, plan)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {quantity}: the KDE bandwidth or grid")
+        assert not out.exists()
+
     def test_too_few_selected_samples_rejected_before_compute(self, tmp_path, monkeypatch,
                                                                capsys):
         monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
@@ -570,6 +603,61 @@ class TestDegenerateKdePolicy:
         out = tmp_path / "o"
         assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 1
         assert calls and "zero spread" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# a grad_norm or label column at an edge of the float range: value of row i of 40
+EDGE_COLUMNS = {
+    "all-near-max": lambda i: 1.7e308 * (1 - i / 80),
+    "two-at-max": lambda i: 1.7e308 if i < 2 else 1.0 + i,
+    "one-at-max": lambda i: 1.7e308 if i == 0 else 1.0 + i,
+    "signed-near-max": lambda i: (-1) ** i * 1.7e308 * (1 - i / 80),
+    "all-subnormal": lambda i: 5e-324 * (1 + i),
+    "one-subnormal": lambda i: 5e-324 if i == 0 else 1.0 + i,
+}
+EDGE_CASES = [(column, name) for column in ("grad_norm", "label") for name in EDGE_COLUMNS
+              if not (column == "grad_norm" and name.startswith("signed"))]
+EDGE_RUNS = {
+    "sample-FPS": ("sample", {"sampler": {"method": "FPS", "n": 10, "seed": 3}}),
+    "sample-GGFPS": ("sample", {"sampler": {"method": "GGFPS", "n": 10, "beta": 1.0,
+                                            "seed": 3}}),
+    "curve-URS": ("curve", {"plan": {
+        "labeled_sizes": [30], "train_sizes": [10], "bootstraps": 2, "sigma_grid": [1.0],
+        "lambda_grid": [1e-6], "methods": ["URS"], "master_seed": 5}}),
+    "curve-GGFPS": ("curve", {"plan": {
+        "labeled_sizes": [30], "train_sizes": [10], "bootstraps": 2, "sigma_grid": [1.0],
+        "lambda_grid": [1e-6], "beta_grid": [0.0, 1.0], "methods": ["GGFPS"],
+        "master_seed": 5}}),
+}
+NOT_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+@pytest.mark.parametrize("column, values", EDGE_CASES)
+@pytest.mark.parametrize("run", list(EDGE_RUNS))
+def test_float_range_edges_give_finite_outputs_or_a_clean_exit(tmp_path, capsys, run, column,
+                                                                values):
+    """Every run exits 0 with finite outputs, or exits 1 or 3 and leaves no
+    output directory; a numpy RuntimeWarning fails the test."""
+    edge = EDGE_COLUMNS[values]
+    rng = np.random.default_rng(31)
+    rows = ["id,label,grad_norm,x0,x1"]
+    for i, (x, z) in enumerate(rng.uniform(-4, 4, size=(40, 2))):
+        label = edge(i) if column == "label" else rng.normal()
+        grad_norm = edge(i) if column == "grad_norm" else 1.0 + rng.uniform()
+        rows.append(f"r{i},{label:.17g},{grad_norm:.17g},{x:.17g},{z:.17g}")
+    data = tmp_path / "edge.csv"
+    data.write_text("\n".join(rows) + "\n")
+    command, section = EDGE_RUNS[run]
+    cfg = write_config(tmp_path, "c.json", {"schema_version": 1, "dataset": str(data),
+                                            **section})
+    out = tmp_path / "o"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert "dataset:" not in capsys.readouterr().err  # the CSV itself is valid
+    if code == 0:
+        for path in out.iterdir():
+            assert not NOT_FINITE.search(path.read_text()), path.name
+    else:
+        assert code in (1, 3)
         assert not out.exists()
 
 
@@ -649,11 +737,36 @@ def test_dumps_17g_round_trips_floats():
     assert doc["v"] == values
 
 
-def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
+@pytest.fixture()
+def numpy_blas():
+    """numpy's OpenBLAS handle; its thread count is restored after the test."""
+    lib = cli._numpy_openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    before = lib.scipy_openblas_get_num_threads64_()
+    yield lib
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+def outputs_by_numpy_threads(lib, monkeypatch, argv, out_root, names):
+    """The bytes of ``names`` after ``main(argv + --out)`` with numpy's pool
+    at 1 and at 2 threads; main's own pin is switched off for the runs."""
+    monkeypatch.setattr(cli, "_pin_numpy_blas", lambda: None)
+    outputs = []
+    for threads in (1, 2):
+        lib.scipy_openblas_set_num_threads64_(threads)
+        assert lib.scipy_openblas_get_num_threads64_() == threads
+        out = out_root / f"threads{threads}"
+        run_ok([*argv, "--out", str(out)])
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    return outputs
+
+
+def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, numpy_blas, monkeypatch):
     """The selection kernel's BLAS product only decides which distances are
-    recomputed exactly, so a GGFPS selection is byte-identical with one and
-    two BLAS threads. N * d = 12,000 is above the 9,216 at which OpenBLAS
-    threads the product."""
+    recomputed exactly, so a GGFPS selection is byte-identical with numpy's
+    OpenBLAS on one and two threads. N * d = 12,000 is above the 9,216 at
+    which OpenBLAS threads the product."""
     rng = np.random.default_rng(8)
     labeled = LabeledSet(descriptors=rng.uniform(-4.0, 4.0, size=(3000, 4)),
                          labels=np.zeros(3000), gradient_norms=rng.uniform(0.1, 10.0, size=3000),
@@ -664,20 +777,47 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
         "schema_version": 1, "dataset": str(data),
         "sampler": {"method": "GGFPS", "n": 150, "beta": 1.0, "seed": 5},
     })
-    src = Path(cli.__file__).resolve().parents[1]
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "ggfps_lab.cli", "sample", "--config", str(cfg),
-             "--out", str(out)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append((out / "selection.json").read_bytes())
-    assert outputs[0] == outputs[1]
+    one, two = outputs_by_numpy_threads(numpy_blas, monkeypatch,
+                                        ["sample", "--config", str(cfg)], tmp_path,
+                                        ["selection.json"])
+    assert one == two
 
+
+def test_curve_bytes_do_not_depend_on_numpy_blas_threads(tmp_path, numpy_blas, monkeypatch):
+    """numpy's products in ``curve`` (``predict``, the selection screen) give
+    the same bytes with numpy's OpenBLAS on one and two threads. The final
+    fits predict 150 x 150 = 22,500 entries, above the 9,216 at which
+    OpenBLAS threads a matrix-vector product."""
+    data = tmp_path / "pool.csv"
+    data.write_text(uniform_domain_sample(StyblinskiTang(dim=2), 300, 12).to_csv())
+    cfg = write_config(tmp_path, "c.json", {
+        "schema_version": 1, "dataset": str(data),
+        "plan": {"labeled_sizes": [300], "train_sizes": [100, 150], "bootstraps": 1,
+                 "sigma_grid": [1.0, 3.0], "lambda_grid": [1e-6], "beta_grid": [0.0, 1.0],
+                 "master_seed": 4},
+    })
+    names = ["curves.csv", "bins.csv", "kde.csv", "heatmap.csv"]
+    one, two = outputs_by_numpy_threads(numpy_blas, monkeypatch,
+                                        ["curve", "--config", str(cfg)], tmp_path, names)
+    assert one == two
+
+
+def test_main_runs_numpy_blas_on_one_thread(tmp_path, dataset_dir, numpy_blas):
+    numpy_blas.scipy_openblas_set_num_threads64_(2)
+    cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "URS"))
+    run_ok(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert numpy_blas.scipy_openblas_get_num_threads64_() == 1
+
+
+@pytest.mark.parametrize("missing", ["library", "setter"])
+def test_main_runs_without_numpy_openblas(tmp_path, dataset_dir, monkeypatch, missing):
+    if missing == "library":  # numpy installed where no numpy.libs directory is
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "site" / "numpy" / "__init__.py"))
+    else:  # a library that exports no thread setter
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda *args, **kwargs: object())
+    assert cli._numpy_openblas() is None
+    cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "GGFPS", beta=1.0))
+    run_ok(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
 def bump_config(generator="uniform", **bump):

@@ -228,6 +228,24 @@ class TestGgfps:
         freq = counts / counts.sum()
         assert freq == pytest.approx(g / g.sum(), abs=0.03)
 
+    def test_weighted_init_of_norms_that_sum_past_the_largest_double(self):
+        # g.sum() overflowed: numpy warned and rng.choice raised "Probabilities
+        # do not sum to 1", which named no field
+        g = np.array([1e308, 1e308, 1.0])
+        labeled = make_labeled(np.arange(3.0), g)
+        for s in range(20):
+            first = ggfps(labeled, ggfps_config(2, beta=1.0, seed=s)).indices[0]
+            expected = np.random.default_rng(s).choice(3, p=(g / 1e308) / (g / 1e308).sum())
+            assert first == expected
+
+    def test_weighted_init_of_finite_sums_is_unchanged(self):
+        rng = np.random.default_rng(28)
+        for g in (rng.uniform(0.1, 10, size=30), np.full(5, 1e307), np.full(4, 5e-324)):
+            labeled = make_labeled(rng.normal(size=len(g)), g)
+            for s in range(5):
+                first = ggfps(labeled, ggfps_config(1, beta=1.0, seed=s)).indices[0]
+                assert first == np.random.default_rng(s).choice(len(g), p=g / g.sum())
+
     def test_prefix_consistency_with_shared_horizon(self):
         rng = np.random.default_rng(24)
         X = rng.normal(size=(50, 2))
