@@ -251,7 +251,6 @@ def synth_boltzmann_set(
     step: float,
     burn_in: int = 1000,
     thinning: int = 10,
-    id_prefix: str = "b",
 ) -> LabeledSet:
     """Metropolis random walk targeting exp(-f(x)/temperature) on the surface domain.
 
@@ -298,5 +297,5 @@ def synth_boltzmann_set(
         descriptors=points,
         labels=values,
         gradient_norms=np.linalg.norm(grads, axis=1),
-        ids=tuple(f"{id_prefix}{i:05d}" for i in range(n)),
+        ids=tuple(f"b{i:05d}" for i in range(n)),
     )

@@ -27,11 +27,10 @@ from . import __version__ as _tool_version
 from .dataset import (LabeledSet, check_int, check_number, check_width, dumps_17g, format_float,
                       write_outputs)
 from .krr import FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict
-# ggfps is not called here, but stays importable from this module: the
-# benchmark's tracer (bench/worker.py) wraps experiments.ggfps by name
-from .sampling import METHODS, check_beta, fps, ggfps, ggfps_chains, urs  # noqa: F401
+from .sampling import METHODS, check_beta, fps, ggfps_chains, urs
 
 CV_COSTS = ("RMSE", "MAE")
+BIN_CAPACITY = 30  # test errors per force-norm bin
 
 
 class DegenerateDistributionError(ValueError):
@@ -455,32 +454,12 @@ def choose_from_costs(costs: np.ndarray, plan: ExperimentPlan, with_beta: bool) 
     )
 
 
-def cross_validate(
-    train: LabeledSet,
-    plan: ExperimentPlan,
-    method: str,
-    target_size: int | None = None,
-    seed: int = 0,
-) -> CvChoice:
-    """Grid search minimizing the mean fold cost; the choice is the
-    exhaustive search's, though candidates that cannot win are not scored on
-    every fold (see ``_pruned_search``).
-
-    URS / FPS: folds partition ``train`` and candidates are (sigma, lambda).
-    GGFPS: candidates include the exponent bound beta; for every fold and
-    every beta the training subset is re-selected inside the fold's training
-    portion at ``target_size`` scaled by (folds-1)/folds, mirroring how the
-    final selection of ``target_size`` points is made from the full set.
-    """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
-    if method == "GGFPS":
-        if target_size is None:
-            raise ValueError("target_size is required for GGFPS cross-validation")
-        costs = _GgfpsCv(train, plan, seed).evaluate([target_size])[0]
-        return choose_from_costs(costs, plan, with_beta=True)
-    costs = _PlainCv(train, plan, seed).evaluate()
-    return choose_from_costs(costs, plan, with_beta=False)
+def cross_validate(train: LabeledSet, plan: ExperimentPlan, seed: int = 0) -> CvChoice:
+    """sigma x lambda grid search for a URS or FPS training set: the folds
+    partition ``train``, and the choice minimizes the mean fold cost. It is
+    the exhaustive search's choice, though candidates that cannot win are
+    not scored on every fold (see ``_pruned_search``)."""
+    return choose_from_costs(_PlainCv(train, plan, seed).evaluate(), plan, with_beta=False)
 
 
 def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -495,30 +474,42 @@ def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[fl
     return mae, rmse, test, abs_err
 
 
-def _ggfps_picks(L: LabeledSet, plan: ExperimentPlan, ts_list: list[int], cv_seed: int,
-                 sel_seed: int) -> list:
-    """Per train size, its GGFPS (choice, selection), or the exception that
-    choosing raised, for the caller to raise at that size's turn.
+def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
+           labeled_size: int, rep: int):
+    """Yield, per train size in ``ts_list``, the (choice, selection) of
+    ``method`` on ``L``; each selection is a prefix of a max(ts_list) chain.
 
-    One cross-validation scores every size; then one lockstep call selects
-    the chain of every distinct chosen beta, each bitwise ``ggfps`` with that
-    beta, ``sel_seed`` and horizon max(ts_list), and a size's selection is
-    the prefix of its beta's chain.
+    URS / FPS cross-validate a size's prefix when it is asked for. GGFPS
+    cross-validates every size at once, then one lockstep call selects the
+    chain of every distinct chosen beta, each bitwise ``ggfps`` with that
+    beta and seed; a size whose choice failed raises when it is asked for.
     """
+    master = plan.master_seed
+    sel_seed = derive_seed(master, "select", method, labeled_size, rep)
+    n_chain = max(ts_list)
+    if method != "GGFPS":
+        chain = np.asarray(urs(len(L), n_chain, sel_seed) if method == "URS"
+                           else fps(L.descriptors, n_chain, seed=sel_seed))
+        for ts in ts_list:
+            seed = derive_seed(master, "cv", method, labeled_size, ts, rep)
+            yield cross_validate(L.subset(chain[:ts]), plan, seed), chain[:ts]
+        return
     choices = []
-    for costs in _GgfpsCv(L, plan, cv_seed).evaluate(ts_list):
+    cv = _GgfpsCv(L, plan, derive_seed(master, "cv", method, labeled_size, rep))
+    for costs in cv.evaluate(ts_list):
         try:
             choices.append(choose_from_costs(costs, plan, with_beta=True))
         except (FactorizationError, FloatingPointError) as exc:  # raised at its size's turn
             choices.append(exc)
     betas = sorted({c.beta for c in choices if isinstance(c, CvChoice)})
-    chains = {}
     if betas:
         picks, _ = ggfps_chains(L.descriptors, L.gradient_norms, betas,
-                                [sel_seed] * len(betas), max(ts_list))
+                                [sel_seed] * len(betas), n_chain)
         chains = dict(zip(betas, picks))
-    return [c if isinstance(c, Exception) else (c, chains[c.beta][:ts])
-            for c, ts in zip(choices, ts_list)]
+    for choice, ts in zip(choices, ts_list):
+        if isinstance(choice, Exception):
+            raise choice
+        yield choice, chains[choice.beta][:ts]
 
 
 def _run_replicate(
@@ -528,35 +519,16 @@ def _run_replicate(
     ts_list: list[int],
     rep: int,
 ) -> list[_CellResult]:
-    master = plan.master_seed
-    n_chain = max(ts_list)
     labeled_global = np.asarray(
-        urs(len(universe), labeled_size, derive_seed(master, "labeled", labeled_size, rep))
+        urs(len(universe), labeled_size, derive_seed(plan.master_seed, "labeled", labeled_size, rep))
     )
     L = universe.subset(labeled_global)
     cells: list[_CellResult] = []
     for method in plan.methods:
-        sel_seed = derive_seed(master, "select", method, labeled_size, rep)
-        if method == "URS":
-            chain = np.asarray(urs(labeled_size, n_chain, sel_seed))
-        elif method == "FPS":
-            chain = np.asarray(fps(L.descriptors, n_chain, seed=sel_seed))
-        for i, ts in enumerate(ts_list):
+        picks = _picks(L, plan, method, ts_list, labeled_size, rep)
+        for ts in ts_list:
             try:
-                if method == "GGFPS":
-                    if i == 0:
-                        picks = _ggfps_picks(
-                            L, plan, ts_list, derive_seed(master, "cv", method, labeled_size, rep),
-                            sel_seed)
-                    if isinstance(picks[i], Exception):
-                        raise picks[i]
-                    choice, sel = picks[i]
-                else:
-                    sel = chain[:ts]
-                    choice = cross_validate(
-                        L.subset(sel), plan, method,
-                        seed=derive_seed(master, "cv", method, labeled_size, ts, rep),
-                    )
+                choice, sel = next(picks)
                 mae, rmse, test, abs_err = _fit_and_score(L, sel, choice)
             except Exception as exc:  # noqa: BLE001 - annotate the failing cell
                 raise ReplicateError(method, labeled_size, ts, rep, exc) from exc
@@ -572,6 +544,12 @@ def _run_replicate(
 
 
 def _run_cells(universe: LabeledSet, plan: ExperimentPlan) -> list[_CellResult]:
+    if min(plan.labeled_sizes) < plan.folds:
+        raise ValueError(f"plan.labeled_sizes: labeled size {min(plan.labeled_sizes)} cannot "
+                         f"fill {plan.folds} cross-validation folds")
+    if {"URS", "FPS"} & set(plan.methods) and min(plan.train_sizes) < plan.folds:
+        raise ValueError(f"plan.train_sizes: train size {min(plan.train_sizes)} cannot fill "
+                         f"{plan.folds} cross-validation folds for URS or FPS")
     jobs = []
     for ls in plan.labeled_sizes:
         if ls > len(universe):
@@ -623,8 +601,9 @@ def learning_curve(labeled: LabeledSet, plan: ExperimentPlan) -> list[CurvePoint
     return _aggregate(_group_cells(_run_cells(labeled, plan), plan))
 
 
-def bin_errors_by_force_norm(test_errors, bin_capacity: int = 30) -> list[ForceNormBin]:
-    """Sort (force_norm, abs_err) pairs by force norm and fill fixed-capacity bins.
+def bin_errors_by_force_norm(test_errors) -> list[ForceNormBin]:
+    """Sort (force_norm, abs_err) pairs by force norm and fill bins of
+    ``BIN_CAPACITY`` pairs.
 
     The last bin may be smaller; bounds are the extreme force norms inside
     each bin; the error statistics are per-bin mean and population variance.
@@ -635,12 +614,11 @@ def bin_errors_by_force_norm(test_errors, bin_capacity: int = 30) -> list[ForceN
         raise ValueError("empty input: nothing to bin")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected (force_norm, abs_err) pairs")
-    bin_capacity = check_int("bin_capacity", bin_capacity, 1)
     order = np.argsort(arr[:, 0], kind="stable")
     arr = arr[order]
     bins = []
-    for start in range(0, len(arr), bin_capacity):
-        chunk = arr[start : start + bin_capacity]
+    for start in range(0, len(arr), BIN_CAPACITY):
+        chunk = arr[start : start + BIN_CAPACITY]
         lo, hi = float(chunk[0, 0]), float(chunk[-1, 0])
         mean, var = _mean_var(chunk[:, 1], f"force-norm bin [{lo!r}, {hi!r}]: absolute "
                                            "error mean and variance")

@@ -330,7 +330,6 @@ def ggfps_chains(
     seeds,
     n: int,
     *,
-    horizon: int | None = None,
     beta_mode: str = "swept",
     init_mode: str = "gradient_weighted",
     inits=None,
@@ -346,11 +345,7 @@ def ggfps_chains(
     n = check_int("n", n, 1)
     if n > n_total:
         raise CapacityError(f"n: cannot select {n} from {n_total} samples")
-    if horizon is None:
-        horizon = n
-    if horizon < n:
-        raise ValueError("horizon must be at least n")
-    exponents = np.stack([beta_schedule(b, horizon, beta_mode)[:n] for b in betas])
+    exponents = np.stack([beta_schedule(b, n, beta_mode) for b in betas])
 
     warnings: list[str] = []
     if inits is None:
@@ -366,7 +361,6 @@ def ggfps(
     labeled: LabeledSet,
     config: SamplerConfig,
     init: int | None = None,
-    horizon: int | None = None,
 ) -> "SelectionResult":
     """Gradient-guided furthest point sampling.
 
@@ -380,15 +374,13 @@ def ggfps(
     there). Once every remaining point duplicates a selected one (all scores
     -inf), the smallest remaining index is taken.
 
-    ``horizon`` pins the schedule length independently of n (default n), so
-    shorter runs sharing a horizon are prefixes of longer ones. An explicit
-    ``init`` index overrides the configured initialization.
+    An explicit ``init`` index overrides the configured initialization.
     """
     if config.method != "GGFPS":
         raise ValueError("config.method must be GGFPS")
     picks, warnings = ggfps_chains(
         labeled.descriptors, labeled.gradient_norms, [config.beta], [config.seed], config.n,
-        horizon=horizon, beta_mode=config.beta_mode, init_mode=config.init_mode,
+        beta_mode=config.beta_mode, init_mode=config.init_mode,
         inits=None if init is None else [int(init)],
     )
     return SelectionResult(

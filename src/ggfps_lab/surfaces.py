@@ -185,7 +185,7 @@ def _check_domain(surface) -> None:
 
 
 @np.errstate(over="raise", invalid="raise")
-def uniform_domain_sample(surface, n: int, seed: int, id_prefix: str = "u") -> LabeledSet:
+def uniform_domain_sample(surface, n: int, seed: int) -> LabeledSet:
     """Draw n points i.i.d. uniform over the surface's box domain.
 
     Labels are surface values, gradient norms are Euclidean norms of the
@@ -205,5 +205,5 @@ def uniform_domain_sample(surface, n: int, seed: int, id_prefix: str = "u") -> L
     gnorms = np.linalg.norm(grads, axis=1)
     if not (values.any() or gnorms.any()):
         raise ValueError("surface.domain: too wide: every drawn label and gradient norm is 0")
-    ids = [f"{id_prefix}{i:05d}" for i in range(n)]
+    ids = [f"u{i:05d}" for i in range(n)]
     return LabeledSet(descriptors=pts, labels=values, gradient_norms=gnorms, ids=ids)

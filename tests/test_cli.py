@@ -312,7 +312,13 @@ class TestCurve:
          "plan.labeled_sizes: labeled size 500 exceeds the universe size 60"),
         ({"labeled_sizes": [10, 40], "train_sizes": [20]},
          "plan.train_sizes: no train size below labeled size 10"),
-    ], ids=["labeled-above-dataset", "no-train-below-labeled"])
+        # both failed in the first replicate, as a degenerate fold of one cell
+        ({"labeled_sizes": [4, 40], "train_sizes": [3, 10], "methods": ["GGFPS"]},
+         "plan.labeled_sizes: labeled size 4 cannot fill 5 cross-validation folds"),
+        ({"train_sizes": [3, 20]},
+         "plan.train_sizes: train size 3 cannot fill 5 cross-validation folds for URS or FPS"),
+    ], ids=["labeled-above-dataset", "no-train-below-labeled", "labeled-below-folds",
+            "urs-fps-train-below-folds"])
     def test_size_that_cannot_fit_names_the_plan_field(self, tmp_path, dataset_dir, capsys,
                                                        sizes, message):
         config = write_config(tmp_path, "c.json", curve_config(dataset_dir, **sizes))
@@ -484,6 +490,20 @@ class TestNumericalExit:
         assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "method=GGFPS, labeled_size=40, train_size=5, replicate=0:" in err
+        assert not out.exists()
+
+    def test_urs_sizes_fail_in_size_order(self, tmp_path, dataset_dir, capsys):
+        # with the kernel above, train size 2's one-point folds factor and its
+        # final fit fails at pivot 2; train size 10 fails in its CV ("for every
+        # candidate"). Each size is cross-validated and scored before the next
+        cfg = write_config(tmp_path, "c.json", curve_config(
+            dataset_dir, train_sizes=[2, 10], folds=2, sigma_grid=[1e12],
+            lambda_grid=[1e-300], methods=["URS"]))
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("method=URS, labeled_size=40, train_size=2, replicate=0: "
+                "factorization failed at pivot 2") in err
         assert not out.exists()
 
     def test_walk_whose_step_overflows_names_it(self, tmp_path, capsys):

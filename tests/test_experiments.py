@@ -93,9 +93,10 @@ class TestCrossValidate:
     def test_single_candidate_grids(self, universe):
         plan = small_plan(sigma_grid=(1.3,), lambda_grid=(1e-5,), beta_grid=(0.4,))
         train = universe.subset(range(30))
-        for method, beta in (("URS", None), ("FPS", None), ("GGFPS", 0.4)):
-            choice = cross_validate(train, plan, method, target_size=10, seed=5)
-            assert choice == CvChoice(sigma=1.3, lam=1e-5, beta=beta)
+        assert cross_validate(train, plan, seed=5) == CvChoice(sigma=1.3, lam=1e-5, beta=None)
+        costs = _GgfpsCv(train, plan, seed=5).evaluate([10])[0]
+        assert (choose_from_costs(costs, plan, with_beta=True)
+                == CvChoice(sigma=1.3, lam=1e-5, beta=0.4))
 
     def test_recovers_teacher_bandwidth(self):
         rng = np.random.default_rng(50)
@@ -111,7 +112,7 @@ class TestCrossValidate:
             labeled_sizes=(80,), train_sizes=(40,),
             sigma_grid=(0.0625, 0.25, 1.0, 4.0, 16.0), lambda_grid=(1e-8,),
         )
-        choice = cross_validate(train, plan, "URS", seed=3)
+        choice = cross_validate(train, plan, seed=3)
         assert choice.sigma in (0.25, 1.0, 4.0)
 
     def test_fold_order_does_not_change_choice(self, universe):
@@ -148,11 +149,7 @@ class TestCrossValidate:
     def test_degenerate_fold_rejected(self, universe):
         plan = small_plan()
         with pytest.raises(ValueError, match="fold"):
-            cross_validate(universe.subset(range(3)), plan, "URS", seed=0)
-
-    def test_ggfps_requires_target_size(self, universe):
-        with pytest.raises(ValueError, match="target_size"):
-            cross_validate(universe.subset(range(30)), small_plan(), "GGFPS")
+            cross_validate(universe.subset(range(3)), plan, seed=0)
 
 
 class TestFoldCosts:
@@ -197,7 +194,7 @@ class TestFoldCosts:
                 bi = plan.beta_grid.index(beta)
                 assert seed == derive_seed(5, "fold-select", fi, bi)
                 config = SamplerConfig(method="GGFPS", n=chain_len, beta=beta, seed=seed)
-                assert chain.tolist() == ggfps(pool, config, horizon=chain_len).indices
+                assert chain.tolist() == ggfps(pool, config).indices
                 selected.setdefault(fi, []).append(pools[fi][chain])
         for fi, chains, top, cdist_calls in visits:
             assert len(cdist_calls) == 2 * len(chains)
@@ -585,7 +582,7 @@ class TestLearningCurve:
             seed = derive_seed(plan.master_seed, "select", "GGFPS", c.labeled_size, c.replicate)
             n_chain = max(plan.train_sizes)
             config = SamplerConfig(method="GGFPS", n=n_chain, beta=c.beta, seed=seed)
-            chain = ggfps(universe.subset(labeled_global), config, horizon=n_chain).indices
+            chain = ggfps(universe.subset(labeled_global), config).indices
             assert c.sel_global.tolist() == labeled_global[chain[:c.train_size]].tolist()
         # the replicates choose more than one beta, so one call selects several
         assert len({(c.replicate, c.beta) for c in cells}) > plan.bootstraps

@@ -246,15 +246,6 @@ class TestGgfps:
                 first = ggfps(labeled, ggfps_config(1, beta=1.0, seed=s)).indices[0]
                 assert first == np.random.default_rng(s).choice(len(g), p=g / g.sum())
 
-    def test_prefix_consistency_with_shared_horizon(self):
-        rng = np.random.default_rng(24)
-        X = rng.normal(size=(50, 2))
-        g = rng.uniform(0.2, 3.0, size=50)
-        labeled = make_labeled(X, g)
-        full = ggfps(labeled, ggfps_config(30, beta=1.5, seed=4), horizon=30)
-        short = ggfps(labeled, ggfps_config(12, beta=1.5, seed=4), horizon=30)
-        assert full.indices[:12] == short.indices
-
     def test_determinism(self):
         rng = np.random.default_rng(25)
         X = rng.normal(size=(40, 3))
@@ -403,11 +394,11 @@ class TestGreedyKernel:
             X, g = _random_instance(rng, 300, dim)
             labeled = make_labeled(X, g)
             betas, seeds = (0.0, 0.7, 2.0), (3, 4, 5)
-            picks, warnings = ggfps_chains(X, g, betas, seeds, 40, horizon=60)
+            picks, warnings = ggfps_chains(X, g, betas, seeds, 40)
             assert picks.shape == (3, 40) and warnings == []
             for row, beta, seed in zip(picks, betas, seeds):
                 config = ggfps_config(40, beta=beta, seed=seed)
-                assert row.tolist() == ggfps(labeled, config, horizon=60).indices
+                assert row.tolist() == ggfps(labeled, config).indices
 
     def test_ggfps_chains_warn_once_on_zero_gradients(self):
         X = np.random.default_rng(43).normal(size=(12, 2))
