@@ -267,6 +267,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         _resolve_threads(args.threads)
+        if args.out.is_dir() and any(args.out.iterdir()):
+            raise ConfigError(f"--out: {args.out} is not empty; a run writes into a new "
+                              "or empty directory, so no earlier run's files mix with it")
         _section(cfg, "config", required, ("schema_version",) + optional)
         command(cfg, args.config, args.out)
     except Exception as exc:  # noqa: BLE001 - classified, re-raised when unexpected

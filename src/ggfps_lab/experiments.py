@@ -26,7 +26,8 @@ import scipy
 from . import __version__ as _tool_version
 from .dataset import (LabeledSet, check_int, check_number, check_width, dumps_17g, format_float,
                       write_outputs)
-from .krr import FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict
+from .krr import (FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, gaussian_kernel,
+                  predict)
 from .sampling import METHODS, check_beta, fps, ggfps_chains, urs
 
 CV_COSTS = ("RMSE", "MAE")
@@ -111,8 +112,18 @@ class ExperimentPlan:
         if len(requested) == 0 or any(m not in METHODS for m in requested):
             raise ValueError(f"methods: must be a non-empty subset of {METHODS}")
         object.__setattr__(self, "methods", tuple(m for m in METHODS if m in requested))
-        if max(self.train_sizes) > max(self.labeled_sizes):
-            raise ValueError("train_sizes: every train size must fit inside a labeled size")
+        if max(self.train_sizes) >= max(self.labeled_sizes):
+            raise ValueError(f"train_sizes: train size {max(self.train_sizes)} is not below any "
+                             "labeled size: nothing would remain for testing")
+        if min(self.train_sizes) >= min(self.labeled_sizes):
+            raise ValueError(f"train_sizes: no train size below labeled size "
+                             f"{min(self.labeled_sizes)}: nothing would remain for testing")
+        if min(self.labeled_sizes) < self.folds:
+            raise ValueError(f"labeled_sizes: labeled size {min(self.labeled_sizes)} cannot "
+                             f"fill {self.folds} cross-validation folds")
+        if {"URS", "FPS"} & set(self.methods) and min(self.train_sizes) < self.folds:
+            raise ValueError(f"train_sizes: train size {min(self.train_sizes)} cannot fill "
+                             f"{self.folds} cross-validation folds for URS or FPS")
 
 
 @dataclass(frozen=True)
@@ -240,12 +251,8 @@ def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
     for si, sigma in enumerate(plan.sigma_grid):
         if not todo[:, si].any():
             continue
-        # x / (-c) is bitwise (-x) / c: exp(-d2 / 2 sigma^2) with no temporaries;
-        # a quotient that overflows to -inf (2 sigma^2 subnormal) gives exp = 0,
-        # the correctly rounded kernel value
-        with np.errstate(over="ignore"):
-            np.exp(np.divide(d2_train, -(2.0 * sigma * sigma), out=K), out=K)
-            np.exp(np.divide(d2_val, -(2.0 * sigma * sigma), out=K_val), out=K_val)
+        gaussian_kernel(d2_train, sigma, out=K)
+        gaussian_kernel(d2_val, sigma, out=K_val)
         for li, lam in enumerate(plan.lambda_grid):
             wanted = np.flatnonzero(todo[:, si, li])
             if not wanted.size:
@@ -282,7 +289,8 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     and the v validation rows, so a visit holds at most 3 c^2 + 2 c v doubles:
     the distances, kernel and factored copy (c x c), and the validation
     distances and kernel (c x v). ``dead`` and ``skip``, of the result's
-    shape, are as for ``_grid_costs``; ``dead`` is updated in place.
+    shape, are as for ``_grid_costs``; ``dead`` is updated in place. A chain
+    with every candidate dead or skipped gets no cdist and costs 0.
     """
     X, y = train.descriptors, train.labels
     top = max(sizes)
@@ -290,7 +298,9 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     # return their pages, and each chain faulted them in again (~4x the faults)
     d2_chain, d2_val = np.empty((top, top)), np.empty((top, len(val)))
     costs = np.zeros(dead.shape)
-    for b, chain in enumerate(chains[:, :top]):
+    idle = (dead if skip is None else dead | skip).all(axis=(0, 1, 2))
+    for b in np.flatnonzero(~idle):
+        chain = chains[b, :top]
         cdist(X[chain], X[chain], metric="sqeuclidean", out=d2_chain)
         cdist(X[chain], X[val], metric="sqeuclidean", out=d2_val)
         # cdist's squared distances are bitwise symmetric: .T is the Fortran block
@@ -305,13 +315,13 @@ def _fold_means(sums: np.ndarray, excluded: np.ndarray, folds: int) -> np.ndarra
     return np.where(excluded & ~np.isnan(sums), np.inf, sums / folds)
 
 
-def _pruned_search(shape: tuple[int, ...], folds: int, fold_costs) -> np.ndarray:
+def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list) -> np.ndarray:
     """Mean fold costs of a (sizes, sigmas, lambdas, B) candidate grid, with
     every candidate that cannot be chosen reported as inf and not scored on
     every fold.
 
-    ``fold_costs(fi, dead, skip)`` returns fold fi's costs as ``_fold_costs``
-    does, updating ``dead``. Three passes:
+    ``folds`` holds each fold's ``(val, chains, sizes)``, which
+    ``_fold_costs`` scores. Three passes:
 
     1. fold 0 for every candidate;
     2. every size's fold-0 winner (its incumbent) on the other folds, at
@@ -328,28 +338,29 @@ def _pruned_search(shape: tuple[int, ...], folds: int, fold_costs) -> np.ndarray
     ``pruned`` is kept apart from ``dead`` because only ``dead`` bounds the
     size at which a candidate is factored.
     """
+    _, chains, sizes = folds[0]
+    shape = (len(sizes), len(plan.sigma_grid), len(plan.lambda_grid), len(chains))
     sums = np.zeros(shape)
     dead = np.zeros(shape, dtype=bool)
     pruned = np.zeros(shape, dtype=bool)
 
     def add_fold(fi, skip):
-        if not (dead | skip).all():
-            sums[...] += fold_costs(fi, dead, skip)
+        sums[...] += _fold_costs(train, plan, *folds[fi], dead, skip)
 
-    add_fold(0, np.zeros(shape, dtype=bool))
+    add_fold(0, None)
     incumbent = np.zeros(shape[1:], dtype=bool)
     for alive, fold0 in zip(~dead, sums):
         if alive.any():
             incumbent.flat[np.argmin(np.where(alive, fold0, np.inf))] = True
     others = np.broadcast_to(~incumbent, shape)
-    for fi in range(1, folds):
+    for fi in range(1, len(folds)):
         add_fold(fi, others)
-    means = np.where(dead | others, np.inf, sums / folds)
+    means = np.where(dead | others, np.inf, sums / len(folds))
     bound = means.min(axis=(1, 2, 3), keepdims=True)
-    for fi in range(1, folds):
-        pruned |= others & ~dead & (sums / folds > bound)
+    for fi in range(1, len(folds)):
+        pruned |= others & ~dead & (sums / len(folds) > bound)
         add_fold(fi, ~others | pruned)
-    return _fold_means(sums, dead | pruned, folds)
+    return _fold_means(sums, dead | pruned, len(folds))
 
 
 class _PlainCv:
@@ -358,76 +369,46 @@ class _PlainCv:
     def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int):
         self.train = train
         self.plan = plan
+        self.seed = seed
         self.val_folds = _fold_partition(len(train), plan.folds, seed)
 
     def evaluate(self) -> np.ndarray:
         """Mean fold costs, shape (sigmas, lambdas, 1): inf for a candidate
         whose factorization failed or that ``_pruned_search`` dropped, NaN
         for one whose cost was not finite."""
-        plan = self.plan
-
-        def fold_costs(fi, dead, skip):
-            val = self.val_folds[fi]
-            tr = np.setdiff1d(np.arange(len(self.train)), val)
-            return _fold_costs(self.train, plan, val, tr[None], [len(tr)], dead, skip)
-
-        shape = (1, len(plan.sigma_grid), len(plan.lambda_grid), 1)
-        return _pruned_search(shape, len(self.val_folds), fold_costs)[0]
+        rows = np.arange(len(self.train))
+        folds = [(val, np.setdiff1d(rows, val)[None], [len(rows) - len(val)])
+                 for val in self.val_folds]
+        return _pruned_search(self.train, self.plan, folds)[0]
 
 
-class _GgfpsCv:
+class _GgfpsCv(_PlainCv):
     """sigma x lambda x beta grid search where each beta candidate re-selects
     a training subset inside every fold's training portion.
 
     Fold sub-selections are prefixes of per-(fold, beta) selection chains
     built at the largest mirrored target size, so one call evaluates all
-    target sizes in one pass, consistently with chain truncation. Each
-    fold's chains are selected once, in one lockstep call on the fold's
-    first visit, for every beta that still has a live candidate, and kept
-    as index arrays (at most betas x chain length per fold) for the fold's
-    later visit. A chain does not depend on which others are selected with
-    it. A visit scores its chains one at a time (``_fold_costs``), holding
-    3 c^2 + 2 c v doubles for c chain rows and v validation rows.
+    target sizes in one pass, consistently with chain truncation. Before the
+    search, each fold's chains are selected in one lockstep call for every
+    beta and kept as index arrays (folds x betas x chain length in all).
     """
-
-    def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int):
-        self.train = train
-        self.plan = plan
-        self.seed = seed
-        self.val_folds = _fold_partition(len(train), plan.folds, seed)
 
     def evaluate(self, target_sizes: list[int]) -> np.ndarray:
         """Mean fold costs, shape (len(target_sizes), sigmas, lambdas, betas),
         with inf and NaN as for ``_PlainCv.evaluate``."""
-        plan = self.plan
-        train = self.train
-        fold_chains: dict[int, dict[int, np.ndarray]] = {}  # fold -> beta index -> train rows
-
-        def fold_costs(fi, dead, skip):
-            val = self.val_folds[fi]
+        plan, train = self.plan, self.train
+        folds = []
+        for fi, val in enumerate(self.val_folds):
             pool = np.setdiff1d(np.arange(len(train)), val)
             chain_len = _mirror_size(max(target_sizes), plan.folds, len(pool))
-            if fi not in fold_chains:
-                # dead only grows, so a later visit needs no beta left out here;
-                # Python ints: derive_seed hashes the repr of its parts
-                alive = np.flatnonzero(~dead.all(axis=(0, 1, 2))).tolist()
-                seeds = [derive_seed(self.seed, "fold-select", fi, bi) for bi in alive]
-                chains, _ = ggfps_chains(train.descriptors[pool], train.gradient_norms[pool],
-                                         [plan.beta_grid[bi] for bi in alive], seeds, chain_len)
-                fold_chains[fi] = dict(zip(alive, pool[chains]))
-            betas = np.flatnonzero(~(dead | skip).all(axis=(0, 1, 2))).tolist()
-            sizes = [_mirror_size(ts, plan.folds, chain_len) for ts in target_sizes]
-            costs = np.zeros(dead.shape)
-            dead_b = dead[..., betas]
-            costs[..., betas] = _fold_costs(train, plan, val,
-                                            np.stack([fold_chains[fi][bi] for bi in betas]),
-                                            sizes, dead_b, skip[..., betas])
-            dead[..., betas] = dead_b
-            return costs
-
-        shape = (len(target_sizes), len(plan.sigma_grid), len(plan.lambda_grid),
-                 len(plan.beta_grid))
-        return _pruned_search(shape, len(self.val_folds), fold_costs)
+            # Python ints: derive_seed hashes the repr of its parts
+            seeds = [derive_seed(self.seed, "fold-select", fi, bi)
+                     for bi in range(len(plan.beta_grid))]
+            chains, _ = ggfps_chains(train.descriptors[pool], train.gradient_norms[pool],
+                                     plan.beta_grid, seeds, chain_len)
+            folds.append((val, pool[chains],
+                          [_mirror_size(ts, plan.folds, chain_len) for ts in target_sizes]))
+        return _pruned_search(train, plan, folds)
 
 
 def choose_from_costs(costs: np.ndarray, plan: ExperimentPlan, with_beta: bool) -> CvChoice:
@@ -480,9 +461,10 @@ def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
     ``method`` on ``L``; each selection is a prefix of a max(ts_list) chain.
 
     URS / FPS cross-validate a size's prefix when it is asked for. GGFPS
-    cross-validates every size at once, then one lockstep call selects the
-    chain of every distinct chosen beta, each bitwise ``ggfps`` with that
-    beta and seed; a size whose choice failed raises when it is asked for.
+    cross-validates every size at once and chooses each size's beta in
+    order up to the first choice that fails; one lockstep call then selects
+    the chain of every distinct beta chosen, each bitwise ``ggfps`` with
+    that beta and seed. The failing size raises when it is asked for.
     """
     master = plan.master_seed
     sel_seed = derive_seed(master, "select", method, labeled_size, rep)
@@ -494,22 +476,23 @@ def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
             seed = derive_seed(master, "cv", method, labeled_size, ts, rep)
             yield cross_validate(L.subset(chain[:ts]), plan, seed), chain[:ts]
         return
-    choices = []
+    choices, failure = [], None
     cv = _GgfpsCv(L, plan, derive_seed(master, "cv", method, labeled_size, rep))
     for costs in cv.evaluate(ts_list):
         try:
             choices.append(choose_from_costs(costs, plan, with_beta=True))
         except (FactorizationError, FloatingPointError) as exc:  # raised at its size's turn
-            choices.append(exc)
-    betas = sorted({c.beta for c in choices if isinstance(c, CvChoice)})
+            failure = exc
+            break
+    betas = sorted({c.beta for c in choices})
     if betas:
         picks, _ = ggfps_chains(L.descriptors, L.gradient_norms, betas,
                                 [sel_seed] * len(betas), n_chain)
         chains = dict(zip(betas, picks))
     for choice, ts in zip(choices, ts_list):
-        if isinstance(choice, Exception):
-            raise choice
         yield choice, chains[choice.beta][:ts]
+    if failure is not None:
+        raise failure
 
 
 def _run_replicate(
@@ -544,26 +527,15 @@ def _run_replicate(
 
 
 def _run_cells(universe: LabeledSet, plan: ExperimentPlan) -> list[_CellResult]:
-    if min(plan.labeled_sizes) < plan.folds:
-        raise ValueError(f"plan.labeled_sizes: labeled size {min(plan.labeled_sizes)} cannot "
-                         f"fill {plan.folds} cross-validation folds")
-    if {"URS", "FPS"} & set(plan.methods) and min(plan.train_sizes) < plan.folds:
-        raise ValueError(f"plan.train_sizes: train size {min(plan.train_sizes)} cannot fill "
-                         f"{plan.folds} cross-validation folds for URS or FPS")
-    jobs = []
+    if max(plan.labeled_sizes) > len(universe):
+        raise ValueError(f"plan.labeled_sizes: labeled size {max(plan.labeled_sizes)} exceeds "
+                         f"the universe size {len(universe)}")
+    cells = []
     for ls in plan.labeled_sizes:
-        if ls > len(universe):
-            raise ValueError(f"plan.labeled_sizes: labeled size {ls} exceeds the universe "
-                             f"size {len(universe)}")
         ts_list = [ts for ts in plan.train_sizes if ts < ls]
-        if not ts_list:
-            raise ValueError(
-                f"plan.train_sizes: no train size below labeled size {ls}: "
-                "nothing would remain for testing"
-            )
         for rep in range(plan.bootstraps):
-            jobs.append((ls, ts_list, rep))
-    return [cell for job in jobs for cell in _run_replicate(universe, plan, *job)]
+            cells += _run_replicate(universe, plan, ls, ts_list, rep)
+    return cells
 
 
 def _group_cells(cells: list[_CellResult], plan: ExperimentPlan):

@@ -40,11 +40,16 @@ def gaussian_gram(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarra
     if rows.size == 0 or cols.size == 0:
         return np.zeros((rows.shape[0], cols.shape[0]))
     d2 = cdist(rows, cols, metric="sqeuclidean")
-    # in place, bitwise equal to np.exp(-d2 / (2 sigma^2)): negating either
-    # operand of a division is exact. A quotient that overflows to -inf
-    # (2 sigma^2 subnormal) gives exp = 0, the correctly rounded value.
+    return gaussian_kernel(d2, sigma, out=d2)
+
+
+def gaussian_kernel(d2: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
+    """exp(-d2 / (2 sigma^2)) into ``out`` (which may be ``d2``), with no
+    temporaries and bitwise as written: negating either operand of a division
+    is exact. A quotient that overflows to -inf (2 sigma^2 subnormal) gives
+    exp = 0, the correctly rounded value."""
     with np.errstate(over="ignore"):
-        return np.exp(np.divide(d2, -(2.0 * sigma * sigma), out=d2), out=d2)
+        return np.exp(np.divide(d2, -(2.0 * sigma * sigma), out=out), out=out)
 
 
 def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,

@@ -69,8 +69,11 @@ class SamplerConfig:
             object.__setattr__(self, "init_mode", default)
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode: must be one of {INIT_MODES}")
-        if self.method != "GGFPS" and self.init_mode != "random_uniform":
-            raise ValueError("init_mode: gradient-based initialization requires method GGFPS")
+        if self.method != "GGFPS":  # URS and FPS would silently drop these settings
+            for name, dropped in (("beta", 0.0), ("beta_mode", "swept"),
+                                  ("init_mode", "random_uniform")):
+                if getattr(self, name) != dropped:
+                    raise ValueError(f"{name}: {getattr(self, name)!r} requires method GGFPS")
 
 
 def _initial_index(g: np.ndarray, init_mode: str, seed: int) -> int:

@@ -42,6 +42,18 @@ def run_ok(argv):
     assert main(argv) == 0
 
 
+def fail_opening(monkeypatch, name):
+    """Make every ``Path.open`` of a file called ``name`` fail with an OSError."""
+    real_open = Path.open
+
+    def failing_open(self, *args, **kwargs):
+        if self.name == name:
+            raise PermissionError(f"refused: {self}")
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", failing_open)
+
+
 class TestGenerate:
     def test_deterministic_outputs(self, tmp_path):
         config = write_config(tmp_path, "gen.json", generate_config())
@@ -147,15 +159,15 @@ class TestGenerate:
         assert main(["generate", "--config", str(config),
                      "--out", str(blocker / "sub")]) == 2
 
-    def test_failed_write_leaves_no_file(self, tmp_path):
-        # dataset.json/ is a directory, so its write fails after dataset.csv's;
-        # dataset.csv used to stay behind
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # the write of dataset.json fails after dataset.csv's; dataset.csv used
+        # to stay behind. The empty --out existed before, so it stays.
         config = write_config(tmp_path, "gen.json", generate_config(n=5))
         out = tmp_path / "o"
-        (out / "dataset.json").mkdir(parents=True)
+        out.mkdir()
+        fail_opening(monkeypatch, "dataset.json")
         assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
-        assert [p.name for p in out.iterdir()] == ["dataset.json"]
-        assert not any((out / "dataset.json").iterdir())
+        assert not any(out.iterdir())
 
 
 @pytest.fixture()
@@ -219,6 +231,19 @@ class TestSample:
         assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: sampler.n: cannot ") and "100 from 60 samples" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["URS", "FPS"])
+    @pytest.mark.parametrize("extra, field", [
+        ({"beta": 7, "beta_mode": "constant"}, "beta"), ({"beta_mode": "constant"}, "beta_mode"),
+    ])
+    def test_ggfps_setting_for_another_method_names_it(self, tmp_path, dataset_dir, capsys,
+                                                       method, extra, field):
+        # these exited 0 with "beta": null, as if the settings had been used
+        cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, method, **extra))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: sampler.{field}: ")
         assert not out.exists()
 
     def test_missing_dataset(self, tmp_path, capsys):
@@ -317,8 +342,12 @@ class TestCurve:
          "plan.labeled_sizes: labeled size 4 cannot fill 5 cross-validation folds"),
         ({"train_sizes": [3, 20]},
          "plan.train_sizes: train size 3 cannot fill 5 cross-validation folds for URS or FPS"),
+        # the train size 40 was dropped: exit 0 with no row for it
+        ({"labeled_sizes": [40], "train_sizes": [10, 40]},
+         "plan.train_sizes: train size 40 is not below any labeled size: "
+         "nothing would remain for testing"),
     ], ids=["labeled-above-dataset", "no-train-below-labeled", "labeled-below-folds",
-            "urs-fps-train-below-folds"])
+            "urs-fps-train-below-folds", "train-equal-to-largest-labeled"])
     def test_size_that_cannot_fit_names_the_plan_field(self, tmp_path, dataset_dir, capsys,
                                                        sizes, message):
         config = write_config(tmp_path, "c.json", curve_config(dataset_dir, **sizes))
@@ -327,15 +356,35 @@ class TestCurve:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
-    def test_failed_write_leaves_no_file(self, tmp_path, dataset_dir):
-        # kde.csv/ is a directory, so its write fails after curves.csv's and
-        # bins.csv's; both used to stay behind
+    def test_failed_write_leaves_no_file(self, tmp_path, dataset_dir, monkeypatch):
+        # the write of kde.csv fails after curves.csv's and bins.csv's; both
+        # used to stay behind. The run created --out, so it goes too.
         config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
         out = tmp_path / "o"
-        (out / "kde.csv").mkdir(parents=True)
+        fail_opening(monkeypatch, "kde.csv")
         assert main(["curve", "--config", str(config), "--out", str(out)]) == 2
-        assert [p.name for p in out.iterdir()] == ["kde.csv"]
-        assert not any((out / "kde.csv").iterdir())
+        assert not out.exists()
+
+    def test_used_out_directory_rejected_before_compute(self, tmp_path, dataset_dir,
+                                                        monkeypatch, capsys):
+        # a 3-D run into a 2-D run's directory left the old heatmap.csv beside
+        # the new manifest
+        config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        out = tmp_path / "o"
+        run_ok(["curve", "--config", str(config), "--out", str(out)])
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
+        assert main(["curve", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --out: {out} is not empty")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_empty_out_directory_accepted(self, tmp_path, dataset_dir):
+        config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        out = tmp_path / "o"
+        out.mkdir()
+        run_ok(["curve", "--config", str(config), "--out", str(out)])
+        assert (out / "curves.csv").is_file()
 
     def test_invalid_plan_field_names_path(self, tmp_path, dataset_dir, capsys):
         cfg = curve_config(dataset_dir)

@@ -71,6 +71,18 @@ class TestExperimentPlan:
         with pytest.raises(ValueError, match="sigma_grid: must be a list"):
             small_plan(sigma_grid=np.array([[0.5, 1.5]]))
 
+    def test_sizes_that_cannot_fit_are_rejected_at_construction(self):
+        # a train size equal to the largest labeled size was dropped silently
+        with pytest.raises(ValueError, match="^train_sizes: train size 60 is not below any "
+                                             "labeled size: nothing would remain"):
+            small_plan(train_sizes=(20, 60))
+        with pytest.raises(ValueError, match="^labeled_sizes: labeled size 4 cannot fill 5"):
+            small_plan(labeled_sizes=(4, 60), train_sizes=(3, 10), methods=("GGFPS",))
+        with pytest.raises(ValueError, match="^train_sizes: train size 3 cannot fill 5"):
+            small_plan(train_sizes=(3, 10), methods=("FPS", "GGFPS"))
+        # GGFPS folds partition the labeled set, so a small train size is fine
+        assert small_plan(train_sizes=(3, 10), methods=("GGFPS",)).train_sizes == (3, 10)
+
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="folds"):
             small_plan(folds=1)
@@ -173,13 +185,45 @@ class TestFoldCosts:
             assert np.array_equal(dead[..., b], dead_b)
         assert dead[1:, 1, 0].all() and not dead[0].any()
 
+    def test_chain_with_nothing_to_score_gets_no_cdist(self, universe, monkeypatch):
+        """A chain whose candidates are all skipped, or all dead, is not
+        scored: no cdist call, costs 0, and its ``dead`` entries untouched.
+        The other chains are bitwise what a call without ``skip`` gives."""
+        plan = small_plan(**DEAD_GRIDS)
+        rng = np.random.default_rng(66)
+        val = np.arange(100, 120)
+        chains = np.stack([rng.permutation(40)[:18] for _ in range(4)])
+        sizes = [1, 7, 15]
+        full_dead = np.zeros((3, 2, 2, 4), dtype=bool)
+        full = _fold_costs(universe, plan, val, chains, sizes, full_dead)
+        calls = []
+
+        def counting_cdist(XA, XB, **kwargs):
+            calls.append(XA.copy())
+            return cdist(XA, XB, **kwargs)
+
+        monkeypatch.setattr(experiments, "cdist", counting_cdist)
+        dead = np.zeros((3, 2, 2, 4), dtype=bool)
+        dead[..., 3] = True
+        skip = np.zeros_like(dead)
+        skip[..., 1] = True
+        costs = _fold_costs(universe, plan, val, chains, sizes, dead, skip)
+        assert len(calls) == 4
+        assert np.array_equal(calls[0], universe.descriptors[chains[0, :15]])
+        assert np.array_equal(calls[2], universe.descriptors[chains[2, :15]])
+        assert (costs[..., [1, 3]] == 0).all()
+        assert not dead[..., 1].any() and dead[..., 3].all()
+        assert np.array_equal(costs[..., [0, 2]], full[..., [0, 2]])
+        assert np.array_equal(dead[..., [0, 2]], full_dead[..., [0, 2]])
+
     def test_ggfps_cv_runs_two_cdist_calls_per_chain_never_over_the_pool(self, universe,
                                                                          monkeypatch):
-        """Each chain a fold visit scores gets two cdist calls, over its first
-        max(sizes) rows against themselves and against the fold's validation
-        rows, and none covers the pool; each chain it scores is a chain
-        selected for that fold, bitwise the solo ``ggfps`` chain of its beta
-        with the derived seed."""
+        """Each chain of a fold visit that has a candidate to score gets two
+        cdist calls, over its first max(sizes) rows against themselves and
+        against the fold's validation rows, and none covers the pool; a chain
+        whose candidates are all dead or skipped gets none. Each chain is a
+        chain selected for that fold, bitwise the solo ``ggfps`` chain of its
+        beta with the derived seed."""
         plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
         ctx, pools, calls, visits = record_ggfps_cv(universe, plan, monkeypatch, [5, 10])
         assert len(visits) >= plan.folds
@@ -196,14 +240,17 @@ class TestFoldCosts:
                 config = SamplerConfig(method="GGFPS", n=chain_len, beta=beta, seed=seed)
                 assert chain.tolist() == ggfps(pool, config).indices
                 selected.setdefault(fi, []).append(pools[fi][chain])
-        for fi, chains, top, cdist_calls in visits:
-            assert len(cdist_calls) == 2 * len(chains)
+        for fi, chains, top, idle, cdist_calls in visits:
+            assert all(any(np.array_equal(chain, kept) for kept in selected[fi])
+                       for chain in chains)
+            assert len(cdist_calls) == 2 * (~idle).sum()
             for chain, (train_XA, train_XB), (val_XA, val_XB) in zip(
-                    chains, cdist_calls[::2], cdist_calls[1::2]):
-                assert any(np.array_equal(chain, kept) for kept in selected[fi])
+                    chains[~idle], cdist_calls[::2], cdist_calls[1::2]):
                 assert np.array_equal(train_XA, X[chain[:top]]) and train_XB == train_XA.shape
                 assert np.array_equal(val_XA, X[chain[:top]])
                 assert val_XB == (len(ctx.val_folds[fi]), 2)
+        # the later visits leave some chains unscored
+        assert any(idle.any() for _, _, _, idle, _ in visits)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 64), st.integers(1, 30), st.integers(0, 2**32))
@@ -240,15 +287,13 @@ class TestFoldCosts:
         assert peak < 1_000_000
 
     def test_ggfps_cv_selects_each_fold_chain_once(self, universe, monkeypatch):
-        """A fold's chains are selected in one lockstep call on its first
-        visit and kept for its later visit: at most one ``ggfps_chains`` call
-        per fold, each (fold, beta) chain selected at most once."""
+        """Each fold's chains are selected before the search, in one lockstep
+        call for every beta, and kept for the fold's visits: one
+        ``ggfps_chains`` call per fold, in fold order."""
         plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
         _, _, calls, visits = record_ggfps_cv(universe, plan, monkeypatch, [5, 10])
-        folds = [fi for fi, _, _, _ in calls]
-        assert len(folds) == len(set(folds)) <= plan.folds
-        keys = [(fi, beta) for fi, betas, _, _ in calls for beta in betas]
-        assert len(keys) == len(set(keys))
+        assert [fi for fi, _, _, _ in calls] == list(range(plan.folds))
+        assert all(betas == list(plan.beta_grid) for _, betas, _, _ in calls)
         # some fold is visited twice, so the kept chains are what is pinned
         assert len(visits) > len(calls)
 
@@ -256,8 +301,8 @@ class TestFoldCosts:
 def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
     """Run ``_GgfpsCv.evaluate`` on ``universe`` and record its chain
     selections as (fold, betas, seeds, pool-relative chains) and its fold
-    visits as (fold, scored train-row chains, max(sizes),
-    [(cdist XA, XB shape), ...])."""
+    visits as (fold, train-row chains, max(sizes), per chain whether every
+    candidate was dead or skipped, [(cdist XA, XB shape), ...])."""
     ctx = _GgfpsCv(universe, plan, seed=5)
     pools = {fi: np.setdiff1d(np.arange(len(universe)), val)
              for fi, val in enumerate(ctx.val_folds)}
@@ -270,13 +315,14 @@ def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
         calls.append((fi, list(betas), list(seeds), chains.copy()))
         return chains, warnings
 
-    def recording_fold_costs(train, plan, val, chains, sizes, *args):
+    def recording_fold_costs(train, plan, val, chains, sizes, dead, skip=None):
         (fi,) = [fi for fi, v in enumerate(ctx.val_folds) if np.array_equal(v, val)]
-        visits.append((fi, chains.copy(), max(sizes), []))
-        return _fold_costs(train, plan, val, chains, sizes, *args)
+        idle = (dead if skip is None else dead | skip).all(axis=(0, 1, 2))
+        visits.append((fi, chains.copy(), max(sizes), idle, []))
+        return _fold_costs(train, plan, val, chains, sizes, dead, skip)
 
     def recording_cdist(XA, XB, **kwargs):
-        visits[-1][3].append((XA.copy(), XB.shape))
+        visits[-1][4].append((XA.copy(), XB.shape))
         return cdist(XA, XB, **kwargs)
 
     monkeypatch.setattr(experiments, "ggfps_chains", recording_chains)
@@ -599,10 +645,9 @@ class TestLearningCurve:
             assert p.mae_mean == pytest.approx(mean, abs=1e-12)
             assert p.mae_var == pytest.approx(var, abs=1e-12)
 
-    def test_no_valid_train_size_rejected(self, universe):
-        plan = small_plan(labeled_sizes=(20,), train_sizes=(20,))
+    def test_no_valid_train_size_rejected(self):
         with pytest.raises(ValueError, match="remain"):
-            learning_curve(universe, plan)
+            small_plan(labeled_sizes=(20,), train_sizes=(20,))
 
     def test_replicate_error_identifies_cell(self):
         degenerate = LabeledSet(

@@ -462,3 +462,9 @@ class TestSelectDispatch:
             SamplerConfig(method="GGFPS", n=1, beta=-0.5)
         with pytest.raises(ValueError, match="init_mode"):
             SamplerConfig(method="FPS", n=1, init_mode="gradient_argmax")
+        with pytest.raises(ValueError, match="^beta: 7.0 requires method GGFPS"):
+            SamplerConfig(method="URS", n=1, beta=7)
+        with pytest.raises(ValueError, match="^beta_mode: 'constant' requires method GGFPS"):
+            SamplerConfig(method="FPS", n=1, beta_mode="constant")
+        # the values URS and FPS do use are still accepted
+        SamplerConfig(method="FPS", n=1, beta=0.0, beta_mode="swept", init_mode="random_uniform")
