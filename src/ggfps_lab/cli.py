@@ -267,7 +267,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         _resolve_threads(args.threads)
-        if args.out.is_dir() and any(args.out.iterdir()):
+        # --out, or the nearest of its parents that exists
+        existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out: {existing} exists and is not a directory")
+        if existing == args.out and any(args.out.iterdir()):
             raise ConfigError(f"--out: {args.out} is not empty; a run writes into a new "
                               "or empty directory, so no earlier run's files mix with it")
         _section(cfg, "config", required, ("schema_version",) + optional)

@@ -526,26 +526,22 @@ def _run_replicate(
     return cells
 
 
-def _run_cells(universe: LabeledSet, plan: ExperimentPlan) -> list[_CellResult]:
+def _run_cells(universe: LabeledSet, plan: ExperimentPlan):
+    """Every cell of the plan, grouped by (method, labeled size, train size)
+    in plan order, each group's replicates in order:
+    [((method, ls, ts), cells), ...]."""
     if max(plan.labeled_sizes) > len(universe):
         raise ValueError(f"plan.labeled_sizes: labeled size {max(plan.labeled_sizes)} exceeds "
                          f"the universe size {len(universe)}")
-    cells = []
+    groups: dict[tuple[str, int, int], list[_CellResult]] = {
+        (method, ls, ts): [] for method in plan.methods for ls in plan.labeled_sizes
+        for ts in plan.train_sizes if ts < ls}
     for ls in plan.labeled_sizes:
         ts_list = [ts for ts in plan.train_sizes if ts < ls]
         for rep in range(plan.bootstraps):
-            cells += _run_replicate(universe, plan, ls, ts_list, rep)
-    return cells
-
-
-def _group_cells(cells: list[_CellResult], plan: ExperimentPlan):
-    """Cells grouped by (method, labeled size, train size), in plan order,
-    each group's replicates in order: [((method, ls, ts), cells), ...]."""
-    groups: dict[tuple[str, int, int], list[_CellResult]] = {}
-    for c in sorted(cells, key=lambda c: c.replicate):
-        groups.setdefault((c.method, c.labeled_size, c.train_size), []).append(c)
-    rank = {m: i for i, m in enumerate(plan.methods)}
-    return sorted(groups.items(), key=lambda kv: (rank[kv[0][0]],) + kv[0][1:])
+            for c in _run_replicate(universe, plan, ls, ts_list, rep):
+                groups[c.method, c.labeled_size, c.train_size].append(c)
+    return list(groups.items())
 
 
 def _aggregate(groups) -> list[CurvePoint]:
@@ -570,7 +566,7 @@ def _aggregate(groups) -> list[CurvePoint]:
 
 def learning_curve(labeled: LabeledSet, plan: ExperimentPlan) -> list[CurvePoint]:
     """Bootstrapped learning curves for every method and size combination."""
-    return _aggregate(_group_cells(_run_cells(labeled, plan), plan))
+    return _aggregate(_run_cells(labeled, plan))
 
 
 def bin_errors_by_force_norm(test_errors) -> list[ForceNormBin]:
@@ -697,11 +693,17 @@ def _kde_span(values: np.ndarray) -> tuple[float, float, float]:
         return h, values.min() - 4.0 * h, values.max() + 4.0 * h
 
 
-def _check_kde_inputs(universe: LabeledSet, plan: ExperimentPlan) -> None:
-    """Reject, before any compute, a run whose KDE export is bound to fail:
-    a quantity whose bandwidth or grid over the dataset is not finite, or
-    that has zero spread, or selected series that hold fewer than 2 samples
-    (min(train_sizes) x bootstraps)."""
+def _check_exports(universe: LabeledSet, plan: ExperimentPlan) -> None:
+    """Reject, before any compute, a run whose KDE or heatmap export is bound
+    to fail: a quantity whose bandwidth or grid over the dataset is not
+    finite, or that has zero spread, selected series that hold fewer than 2
+    samples (min(train_sizes) x bootstraps), or a 2-D descriptor column whose
+    range is not finite, which would make every heatmap edge NaN."""
+    for c, column in enumerate(universe.descriptors.T if universe.dim == 2 else ()):
+        lo, hi = float(column.min()), float(column.max())
+        if not np.isfinite(hi - lo):  # Python floats overflow to inf silently
+            raise ValueError(f"x{c}: the heatmap grid over the descriptor range "
+                             f"[{lo!r}, {hi!r}] is not finite (values too large)")
     for quantity, attr in _KDE_QUANTITIES:
         values = getattr(universe, attr)
         if len(values) < 2:
@@ -764,14 +766,14 @@ def run_experiment(
     Every output is built in memory first: a run that fails, in compute or
     in export, creates no directory and writes no file, and a failed write
     removes what the run wrote (``write_outputs``). A dataset or plan whose
-    KDE export cannot succeed is rejected before any compute.
+    KDE or heatmap export cannot succeed is rejected before any compute.
 
     The output bytes depend on the thread count of scipy's OpenBLAS. This
     function sets no BLAS thread count; the CLI runs numpy's OpenBLAS on one
     thread, which changes its speed but no output byte."""
     t0 = time.perf_counter()
-    _check_kde_inputs(universe, plan)
-    groups = _group_cells(_run_cells(universe, plan), plan)
+    _check_exports(universe, plan)
+    groups = _run_cells(universe, plan)
     texts = {
         "curves.csv": _curves_csv(_aggregate(groups)),
         "bins.csv": _bins_csv(groups, universe),

@@ -7,13 +7,14 @@ candidate's gradient norm raised to an iteration-dependent exponent, so the
 selection can be biased toward (or away from) high-force regions while the
 exponent sweep keeps early picks covering both extremes.
 
-Both samplers, and the per-(fold, beta) chains of GGFPS cross-validation
-(``ggfps_chains``), run on one greedy kernel (``_greedy``) that advances B
-chains over one pool in lockstep, keeping (B, N) arrays of minimum
-distances and their logs. Each step screens the whole pool against the B
-new picks with one BLAS product and recomputes the exact distance only
-where the screen cannot prove that the minimum stays as it is; no pairwise
-matrix is built.
+FPS *is* GGFPS at beta = 0 with a uniform first pick: ``fps`` is one
+``ggfps_chains`` call, and so are ``ggfps`` and the per-(fold, beta) chains
+of GGFPS cross-validation. ``ggfps_chains`` runs the one greedy kernel
+(``_greedy``), which advances B chains over one pool in lockstep, keeping
+(B, N) arrays of minimum distances and their logs. Each step screens the
+whole pool against the B new picks with one BLAS product and recomputes
+the exact distance only where the screen cannot prove that the minimum
+stays as it is; no pairwise matrix is built.
 """
 from __future__ import annotations
 
@@ -98,9 +99,7 @@ def _log_gradients(g: np.ndarray) -> np.ndarray:
     The floor is relative to max(g), so it preserves the ordering of all
     nonzero norms; it is never below the smallest positive double.
     """
-    gmax = float(g.max()) if len(g) else 0.0
-    floor = GRAD_FLOOR_REL * gmax if gmax > 0 else np.finfo(float).tiny
-    floor = max(floor, np.finfo(float).tiny)
+    floor = max(GRAD_FLOOR_REL * float(g.max()), np.finfo(float).tiny)
     return np.log(np.maximum(g, floor))
 
 
@@ -112,18 +111,19 @@ def _distances(X: np.ndarray, points, centers) -> np.ndarray:
     square-rooted. For d < 8 that is the order in which
     ``np.linalg.norm(X - x, axis=1)`` sums, so the distances are bitwise
     identical to it; for d >= 8 numpy sums pairwise and a distance may
-    differ in the last ulp.
+    differ in the last ulp. A distance past the largest double is inf,
+    which ``_greedy`` handles exactly.
     """
-    squares = X.take(points, axis=0) - X.take(centers, axis=0)
-    squares *= squares
-    out = np.zeros(squares.shape[:-1])
-    for coord in range(X.shape[1]):
-        out += squares[..., coord]
+    with np.errstate(over="ignore"):
+        squares = X.take(points, axis=0) - X.take(centers, axis=0)
+        squares *= squares
+        out = np.zeros(squares.shape[:-1])
+        for coord in range(X.shape[1]):
+            out += squares[..., coord]
     return np.sqrt(out, out=out)
 
 
-def _greedy(X: np.ndarray, inits, exponents: np.ndarray,
-            log_g: np.ndarray | None = None) -> np.ndarray:
+def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> np.ndarray:
     """Greedy max-min selection of B chains over the rows of ``X``, in lockstep.
 
     Chain b starts at ``inits[b]``; step k >= 1 picks the remaining index
@@ -300,30 +300,18 @@ def beta_schedule(beta: float, n: int, mode: str = "swept") -> np.ndarray:
     return values
 
 
-def _validate_matrix(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("descriptor matrix must be 2-D")
-    if not np.isfinite(X).all():
-        raise ValueError("descriptor matrix must be finite")
-    return X
-
-
 def fps(X: np.ndarray, n: int, init: int | None = None, seed: int = 0) -> list[int]:
-    """Furthest point sampling over descriptor rows.
+    """Furthest point sampling over descriptor rows: the ``ggfps_chains``
+    chain at beta = 0 with a uniform first pick.
 
     Starts from ``init`` (or a uniform-random index per ``seed``), then
     repeatedly selects the remaining index with the largest minimum distance
     to the selected set, ties broken by smallest index.
     """
-    X = _validate_matrix(X)
-    n_total = X.shape[0]
-    n = check_int("n", n, 1)
-    if n > n_total:
-        raise CapacityError(f"n: cannot select {n} from {n_total} samples")
-    if init is None:
-        init = int(np.random.default_rng(seed).integers(n_total))
-    return _greedy(X, [int(init)], np.zeros((1, n)))[0].tolist()
+    picks, _ = ggfps_chains(X, np.zeros(len(X)), [0.0], [seed], n,
+                            init_mode="random_uniform",
+                            inits=None if init is None else [int(init)])
+    return picks[0].tolist()
 
 
 def ggfps_chains(
@@ -343,7 +331,11 @@ def ggfps_chains(
     (see there for the rule). Returns the (B, n) picks and the warnings;
     ``inits``, when given, overrides the configured initial points.
     """
-    X = _validate_matrix(X)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("descriptor matrix must be 2-D")
+    if not np.isfinite(X).all():
+        raise ValueError("descriptor matrix must be finite")
     n_total = X.shape[0]
     n = check_int("n", n, 1)
     if n > n_total:
@@ -424,16 +416,11 @@ class SelectionResult:
 
 def select(labeled: LabeledSet, config: SamplerConfig) -> SelectionResult:
     """Run the configured sampler over a labeled set."""
+    if config.method == "GGFPS":
+        return ggfps(labeled, config)
     if config.method == "URS":
-        indices = urs(len(labeled), config.n, config.seed)
-        return SelectionResult(
-            method="URS", seed=config.seed, beta=None, beta_mode=None,
-            init_mode=None, indices=indices,
-        )
-    if config.method == "FPS":
-        indices = fps(labeled.descriptors, config.n, seed=config.seed)
-        return SelectionResult(
-            method="FPS", seed=config.seed, beta=None, beta_mode=None,
-            init_mode=config.init_mode, indices=indices,
-        )
-    return ggfps(labeled, config)
+        indices, init_mode = urs(len(labeled), config.n, config.seed), None
+    else:
+        indices, init_mode = fps(labeled.descriptors, config.n, seed=config.seed), "random_uniform"
+    return SelectionResult(method=config.method, seed=config.seed, beta=None, beta_mode=None,
+                           init_mode=init_mode, indices=indices)

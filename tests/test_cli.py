@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from ggfps_lab.cli import main
 from ggfps_lab.dataset import GenerationError, LabeledSet, dumps_17g, synth_boltzmann_set
 from ggfps_lab.experiments import DegenerateDistributionError, ReplicateError
 from ggfps_lab.krr import FactorizationError
-from ggfps_lab.sampling import BETA_MAX, CapacityError
+from ggfps_lab.sampling import BETA_MAX, BETA_MODES, INIT_MODES, CapacityError
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
 
 
@@ -152,12 +153,15 @@ class TestGenerate:
                      "--out", str(tmp_path / "o")]) == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_unwritable_output(self, tmp_path):
+    def test_unwritable_output(self, tmp_path, capsys):
+        # exited 2 after generating, once the write found a file in the way;
+        # it is now a config error found before compute
         config = write_config(tmp_path, "gen.json", generate_config(n=5))
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         assert main(["generate", "--config", str(config),
-                     "--out", str(blocker / "sub")]) == 2
+                     "--out", str(blocker / "sub")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --out: {blocker} exists and is not")
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         # the write of dataset.json fails after dataset.csv's; dataset.csv used
@@ -280,6 +284,20 @@ class TestSample:
         out = tmp_path / "o"
         run_ok(["sample", "--config", str(cfg), "--out", str(out)])
         assert json.loads((out / "selection.json").read_text())["indices"][0] in (0, 1)
+
+    def test_fps_on_descriptors_whose_distance_overflows(self, tmp_path):
+        # x0 = 0, 0, 1e300: squaring the distance overflowed with a numpy
+        # RuntimeWarning, which under -W error escaped main as a traceback
+        data = tmp_path / "far.csv"
+        data.write_text("id,label,grad_norm,x0\nr0,0,1,0\nr1,1,1,0\nr2,2,1,1e300\n")
+        cfg = write_config(tmp_path, "s.json", {
+            "schema_version": 1, "dataset": str(data),
+            "sampler": {"method": "FPS", "n": 2, "seed": 3},
+        })
+        out = tmp_path / "o"
+        run_ok(["sample", "--config", str(cfg), "--out", str(out)])
+        indices = json.loads((out / "selection.json").read_text())["indices"]
+        assert 2 in indices and len(set(indices)) == 2
 
     def test_ggfps_on_duplicate_descriptors(self, tmp_path):
         # a Metropolis walk with 36 distinct points; GGFPS n=41 used to exit 1
@@ -412,6 +430,26 @@ class TestCurve:
         config = write_config(tmp_path, "c.json", cfg)
         assert main(["curve", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "plan.bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "curve"])
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+def test_out_that_is_not_a_directory_rejected_before_compute(
+    tmp_path, dataset_dir, monkeypatch, capsys, command, under
+):
+    # both computed everything, then exited 2 with "[Errno 20] Not a directory"
+    occupied = tmp_path / "occupied"
+    occupied.write_text("kept\n")
+    out = occupied / "o" if under else occupied
+    if command == "generate":
+        config = write_config(tmp_path, "c.json", generate_config())
+        monkeypatch.setitem(cli.GENERATORS, "uniform", (refuse_compute, ("n", "seed"), ()))
+    else:
+        config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out: {occupied} exists and is not a directory\n"
+    assert occupied.read_text() == "kept\n"
 
 
 BAD_NUMBERS = [
@@ -640,6 +678,26 @@ class TestDegenerateKdePolicy:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {quantity}: the KDE bandwidth or grid")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_descriptor_range_past_the_float_range_rejected_before_compute(
+        self, tmp_path, monkeypatch, capsys, column
+    ):
+        # x spanning +-1.7e308: the heatmap edges were NaN, every selected
+        # point was counted in cell (0, 0), and the run exited 0
+        rows = []
+        for i, row in enumerate(random_rows(40, lambda i: 1.0 + i)):
+            fields = row.split(",")
+            if i < 2:
+                fields[3 + column] = repr((-1) ** i * 1.7e308)
+            rows.append(",".join(fields))
+        plan = {"labeled_sizes": [30], "train_sizes": [10], "bootstraps": 1, "methods": ["URS"]}
+        out = tmp_path / "o"
+        monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
+        assert main(["curve", "--config", str(kde_config(tmp_path, rows, plan)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: x{column}: the heatmap grid")
         assert not out.exists()
 
     def test_too_few_selected_samples_rejected_before_compute(self, tmp_path, monkeypatch,
@@ -1091,5 +1149,68 @@ def test_fuzzed_config_exits_with_a_code_and_writes_nothing_on_failure(fuzz_root
     code = main([command, "--config", str(config), "--out", str(out)])
     assert code in (0, 1, 2, 3)
     if code:
+        assert not out.exists()
+    shutil.rmtree(out, ignore_errors=True)
+
+
+# column magnitudes of a fuzzed dataset: zero, subnormals, the edges of the
+# range where a square underflows or overflows, and the largest doubles
+FUZZ_MAGNITUDES = [0.0, 5e-324, 1e-310, 1e-150, 1.0, 1e150, 1e300, 1.7e308]
+
+
+@st.composite
+def fuzzed_samples(draw):
+    """Rows of a dataset of 2-30 points and 1-3 descriptor columns, each
+    column of one magnitude from FUZZ_MAGNITUDES (labels and descriptors
+    signed), with duplicated rows and maybe a constant column; and a
+    ``sampler`` section for it."""
+    n_rows, dim = draw(st.integers(2, 30)), draw(st.integers(1, 3))
+    columns = []
+    for c in range(dim + 2):  # label, grad_norm, x0, ...
+        scale = draw(st.sampled_from(FUZZ_MAGNITUDES))
+        factors = st.floats(0.0 if c == 1 else -1.0, 1.0)
+        columns.append([scale * f for f in draw(st.lists(factors, min_size=n_rows,
+                                                         max_size=n_rows))])
+    values = np.array(columns).T
+    rows = st.integers(0, n_rows - 1)
+    for src, dst in draw(st.lists(st.tuples(rows, rows), max_size=n_rows // 2)):
+        values[dst] = values[src]
+    constant = draw(st.sampled_from([None, *range(dim + 2)]))
+    if constant is not None:
+        values[:, constant] = values[0, constant]
+    method = draw(st.sampled_from(["URS", "FPS", "GGFPS"]))
+    sampler = {"method": method, "n": draw(st.integers(1, 30)),
+               "seed": draw(st.integers(0, 1000))}
+    if method == "GGFPS":
+        sampler.update(beta=draw(st.sampled_from([0.0, 0.5, 2.0, BETA_MAX])),
+                       beta_mode=draw(st.sampled_from(BETA_MODES)),
+                       init_mode=draw(st.sampled_from(INIT_MODES)))
+    return values, sampler
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=fuzzed_samples())
+def test_fuzzed_dataset_gives_a_selection_or_a_clean_exit(fuzz_root, case):
+    """``sample`` on any dataset of these magnitudes exits 0 with n distinct
+    in-range indices, or exits 1, 2 or 3 and leaves no output directory; no
+    exception and no numpy RuntimeWarning escapes ``main``."""
+    values, sampler = case
+    header = ",".join(["id", "label", "grad_norm"] + [f"x{j}" for j in range(values.shape[1] - 2)])
+    data = fuzz_root / "fuzzed.csv"
+    data.write_text("\n".join([header] + [f"r{i}," + ",".join(map(repr, map(float, row)))
+                                          for i, row in enumerate(values)]) + "\n")
+    config = fuzz_root / "s.json"
+    config.write_text(json.dumps({"schema_version": 1, "dataset": str(data),
+                                  "sampler": sampler}))
+    out = fuzz_root / f"out{next(_fuzz_runs)}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["sample", "--config", str(config), "--out", str(out)])
+    if code == 0:
+        indices = json.loads((out / "selection.json").read_text())["indices"]
+        assert len(set(indices)) == len(indices) == sampler["n"]
+        assert all(0 <= i < len(values) for i in indices)
+    else:
+        assert code in (1, 2, 3)
         assert not out.exists()
     shutil.rmtree(out, ignore_errors=True)

@@ -599,7 +599,7 @@ class TestLearningCurve:
 
     def test_methods_share_labeled_sets(self, universe):
         plan = small_plan(train_sizes=(10,))
-        cells = _run_cells(universe, plan)
+        cells = [c for _, group in _run_cells(universe, plan) for c in group]
         by_method = {}
         for c in cells:
             key = (c.method, c.replicate)
@@ -610,7 +610,7 @@ class TestLearningCurve:
 
     def test_backwards_chain_nesting_at_fixed_beta(self, universe):
         plan = small_plan(beta_grid=(0.7,), methods=("FPS", "GGFPS"))
-        cells = _run_cells(universe, plan)
+        cells = [c for _, group in _run_cells(universe, plan) for c in group]
         for method in plan.methods:
             for rep in range(plan.bootstraps):
                 group = {c.train_size: c for c in cells
@@ -620,7 +620,7 @@ class TestLearningCurve:
 
     def test_ggfps_selection_is_the_solo_chain_of_its_chosen_beta(self, universe):
         plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0), methods=("GGFPS",))
-        cells = _run_cells(universe, plan)
+        cells = [c for _, group in _run_cells(universe, plan) for c in group]
         for c in cells:
             labeled_global = np.asarray(experiments.urs(
                 len(universe), c.labeled_size,
@@ -635,7 +635,7 @@ class TestLearningCurve:
 
     def test_bootstrap_aggregation_matches_two_pass_oracle(self, universe):
         plan = small_plan(bootstraps=4, train_sizes=(10,))
-        cells = _run_cells(universe, plan)
+        cells = [c for _, group in _run_cells(universe, plan) for c in group]
         points = learning_curve(universe, plan)
         for p in points:
             maes = [c.mae for c in cells

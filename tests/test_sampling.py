@@ -447,13 +447,21 @@ class TestSelectDispatch:
         )
         assert r_gg.indices == r_fps.indices
 
-    def test_selection_json_schema(self):
+    @pytest.mark.parametrize("method, extra, fields", [
+        ("URS", {}, {"beta": None, "beta_mode": None, "init_mode": None}),
+        ("FPS", {}, {"beta": None, "beta_mode": None, "init_mode": "random_uniform"}),
+        ("GGFPS", {"beta": 0.5}, {"beta": 0.5, "beta_mode": "swept",
+                                  "init_mode": "gradient_weighted"}),
+    ], ids=["URS", "FPS", "GGFPS"])
+    def test_selection_json_schema(self, method, extra, fields):
         labeled = self.make()
-        result = select(labeled, SamplerConfig(method="GGFPS", n=3, beta=0.5, seed=1))
+        result = select(labeled, SamplerConfig(method=method, n=3, seed=1, **extra))
         doc = json.loads(result.to_json())
         assert set(doc) == {"method", "seed", "beta", "beta_mode", "init_mode",
                             "indices", "warnings"}
-        assert doc["method"] == "GGFPS" and len(doc["indices"]) == 3
+        assert doc["method"] == method and doc["seed"] == 1 and len(doc["indices"]) == 3
+        assert {name: doc[name] for name in fields} == fields
+        assert doc["warnings"] == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="method"):
