@@ -18,17 +18,14 @@ import argparse
 import ctypes
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .dataset import (GenerationError, LabeledSet, dumps_17g, synth_boltzmann_set,
                       write_outputs)
 from .experiments import ExperimentPlan, ReplicateError, run_experiment
-from .krr import FactorizationError
+from .krr import FactorizationError, bundled_openblas
 from .sampling import CapacityError, SamplerConfig, select
 from .surfaces import AdversarialToy, StyblinskiTang, uniform_domain_sample
 
@@ -202,8 +199,17 @@ def _resolve_threads(flag_value: int | None) -> int:
     return flag_value or 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that
+    ``main`` returns 1 for them, as for any other invalid configuration;
+    ``--help`` and ``--version`` still exit 0. Subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ggfps-lab",
         description="Training-set selection and kernel-ridge benchmark runs.",
     )
@@ -223,25 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numpy_openblas() -> ctypes.CDLL | None:
-    """ctypes handle on the OpenBLAS that numpy's wheel bundles and ``import
-    numpy`` has loaded, with its thread-count setter and getter declared; None
-    where numpy ships no such library or it lacks them."""
-    found = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*"))
-    if not found:
-        return None
-    try:
-        # RTLD_NOLOAD: numpy's copy of the library, never a second one
-        lib = ctypes.CDLL(str(found[0]), mode=os.RTLD_NOLOAD)
-        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-        lib.scipy_openblas_set_num_threads64_.restype = None
-        lib.scipy_openblas_get_num_threads64_.argtypes = []
-        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-    except (OSError, AttributeError):
-        return None
-    return lib
-
-
 def _pin_numpy_blas() -> None:
     """Run numpy's BLAS products on one thread; a no-op without its OpenBLAS.
 
@@ -255,16 +242,19 @@ def _pin_numpy_blas() -> None:
     scipy's pool is left alone, because its thread count moves the output
     bytes.
     """
-    lib = _numpy_openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
+    setter = getattr(bundled_openblas("numpy", load=False),
+                     "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
 
 
 def main(argv=None) -> int:
     _pin_numpy_blas()
-    args = build_parser().parse_args(argv)
-    command, required, optional = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        command, required, optional = COMMANDS[args.command]
         cfg = load_config(args.config)
         _resolve_threads(args.threads)
         # --out, or the nearest of its parents that exists

@@ -447,8 +447,8 @@ def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[fl
     """Fit on the selection, score on the remainder of the labeled set."""
     test = np.setdiff1d(np.arange(len(L)), sel)
     X_tr = L.descriptors[sel]
-    K = gaussian_gram(X_tr, X_tr, choice.sigma)
-    alpha = fit(K, L.labels[sel], choice.lam)
+    # the training Gram is freed when fit returns, before the test Gram exists
+    alpha = fit(gaussian_gram(X_tr, X_tr, choice.sigma), L.labels[sel], choice.lam)
     K_test = gaussian_gram(X_tr, L.descriptors[test], choice.sigma)
     pred = predict(K_test, alpha)
     mae, rmse, abs_err = _errors(pred, L.labels[test])
@@ -768,9 +768,11 @@ def run_experiment(
     removes what the run wrote (``write_outputs``). A dataset or plan whose
     KDE or heatmap export cannot succeed is rejected before any compute.
 
-    The output bytes depend on the thread count of scipy's OpenBLAS. This
-    function sets no BLAS thread count; the CLI runs numpy's OpenBLAS on one
-    thread, which changes its speed but no output byte."""
+    The output bytes depend on the thread count of scipy's bundled OpenBLAS,
+    whose Cholesky routines ``krr`` calls through ctypes (it loads that
+    library on the first fit, and no ``scipy.linalg`` or ``scipy.spatial``).
+    This function sets no BLAS thread count; the CLI runs numpy's OpenBLAS on
+    one thread, which changes its speed but no output byte."""
     t0 = time.perf_counter()
     _check_exports(universe, plan)
     groups = _run_cells(universe, plan)

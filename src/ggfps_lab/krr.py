@@ -2,10 +2,26 @@
 
 The dual coefficients solve (K + lambda I) alpha = y through a Cholesky
 factorization; predictions contract test-kernel columns against alpha.
+
+Nothing here imports ``scipy.linalg`` or ``scipy.spatial``: for three
+routines, they would add about 30 MiB to the package's 35 MiB of resident
+memory, and about half a second at first use. Squared distances are computed
+in numpy, and the Cholesky routines ``dpotrf`` and ``dpotrs`` are called
+through ctypes in the OpenBLAS that scipy's wheel bundles, the library that
+``scipy.linalg.lapack`` itself calls, loaded on the first fit.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib
+import os
+from pathlib import Path
+
 import numpy as np
+
+# doubles in cdist's temporary: one block of rows
+_CDIST_BLOCK = 1 << 15
 
 
 class FactorizationError(RuntimeError):
@@ -21,16 +37,87 @@ class FactorizationError(RuntimeError):
         self.pivot = pivot
 
 
-def cdist(XA, XB, metric: str, out: np.ndarray | None = None) -> np.ndarray:
-    """``scipy.spatial.distance.cdist``, imported on the first call.
+@functools.cache
+def bundled_openblas(package: str, load: bool = True) -> ctypes.CDLL | None:
+    """ctypes handle on the OpenBLAS that ``package``'s wheel bundles
+    (``<site-packages>/<package>.libs/libscipy_openblas*``), cached; None
+    where there is no such library.
 
-    Importing scipy.spatial also loads scipy.linalg; the two would more than
-    double the package's import time and memory, and ``generate`` and
-    ``sample`` use neither. ``fit_prefixes`` imports its LAPACK routines the
-    same way.
+    With ``load`` the first call loads the library, or finds the copy that
+    the package's own extension modules loaded or will load: the same file,
+    so the same library and thread pool. Without it the handle is only
+    found where the process has loaded the library already (RTLD_NOLOAD),
+    and a second copy is never loaded: numpy's, which ``import numpy``
+    loads. No symbol is declared here; each caller declares what it calls.
     """
-    from scipy.spatial.distance import cdist as scipy_cdist
-    return scipy_cdist(XA, XB, metric=metric, out=out)
+    root = Path(importlib.import_module(package).__file__).parents[1]
+    found = sorted((root / f"{package}.libs").glob("libscipy_openblas*"))
+    if not found:
+        return None
+    try:
+        return ctypes.CDLL(str(found[0]), mode=ctypes.DEFAULT_MODE if load else os.RTLD_NOLOAD)
+    except OSError:
+        return None
+
+
+@functools.cache
+def _lapack():
+    """``dpotrf`` and ``dpotrs`` of scipy's bundled OpenBLAS, declared for
+    ctypes, or None where that library or either symbol is missing. Each
+    takes gfortran's hidden length of its ``uplo`` string last; ctypes
+    releases the GIL while they run."""
+    lib = bundled_openblas("scipy")
+    if lib is None or not (hasattr(lib, "scipy_dpotrf_") and hasattr(lib, "scipy_dpotrs_")):
+        return None
+    int_p = ctypes.POINTER(ctypes.c_int)
+    potrf, potrs = lib.scipy_dpotrf_, lib.scipy_dpotrs_
+    # uplo, n, a, lda, info, len(uplo)
+    potrf.argtypes = [ctypes.c_char_p, int_p, ctypes.c_void_p, int_p, int_p, ctypes.c_size_t]
+    # uplo, n, nrhs, a, lda, b, ldb, info, len(uplo)
+    potrs.argtypes = [ctypes.c_char_p, int_p, int_p, ctypes.c_void_p, int_p, ctypes.c_void_p,
+                      int_p, int_p, ctypes.c_size_t]
+    potrf.restype = potrs.restype = None
+    return potrf, potrs
+
+
+def cdist(XA, XB, metric: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``XA`` and ``XB``,
+    the one metric the protocol uses (``metric="sqeuclidean"``).
+
+    Bitwise ``scipy.spatial.distance.cdist(XA, XB, "sqeuclidean")``: each
+    entry adds the squared coordinate differences in coordinate order, as
+    scipy's loop does, so ``cdist(A, A)`` is bitwise symmetric. A sum that
+    overflows is inf, with no warning. The only temporary covers one block
+    of rows (``_CDIST_BLOCK`` doubles).
+    """
+    if metric != "sqeuclidean":
+        raise ValueError(f"metric {metric!r}: only 'sqeuclidean' is supported")
+    XA = np.asarray(XA, dtype=float)
+    XB = np.asarray(XB, dtype=float)
+    if XA.ndim != 2 or XB.ndim != 2 or XA.shape[1] != XB.shape[1]:
+        raise ValueError(f"XA {XA.shape} and XB {XB.shape} must be matrices of equal width")
+    (na, d), nb = XA.shape, XB.shape[0]
+    if out is None:
+        out = np.empty((na, nb))
+    elif out.shape != (na, nb) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {(na, nb)}")
+    if d == 0:
+        out.fill(0.0)
+        return out
+    cols = XB.T.copy()  # each coordinate of XB contiguous
+    rows = max(1, _CDIST_BLOCK // max(nb, 1))
+    tmp = np.empty((min(rows, na) if d > 1 else 0, nb))
+    with np.errstate(over="ignore"):
+        for start in range(0, na, rows):
+            a, blk = XA[start:start + rows], out[start:start + rows]
+            sq = tmp[:len(blk)]
+            np.subtract(a[:, :1], cols[0], out=blk)
+            np.multiply(blk, blk, out=blk)
+            for k in range(1, d):
+                np.subtract(a[:, k:k + 1], cols[k], out=sq)
+                np.multiply(sq, sq, out=sq)
+                np.add(blk, sq, out=blk)
+    return out
 
 
 def gaussian_gram(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
@@ -66,8 +153,12 @@ def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
 
     Only the lower triangle of ``K_train`` is read, and ``K_train`` is never
     written: each call makes one Fortran-ordered copy of the largest block,
-    which LAPACK factors in place. A Fortran-ordered ``K_train`` makes that
-    a column-by-column copy rather than a transpose.
+    which LAPACK factors in place, and each size is solved on the factor's
+    leading block where it lies, with no copy. A Fortran-ordered ``K_train``
+    makes that a column-by-column copy rather than a transpose. The routines
+    are scipy's OpenBLAS ``dpotrf`` and ``dpotrs`` through ctypes
+    (``_lapack``), which give bitwise what ``scipy.linalg.lapack`` gives; that
+    module is the fallback where the library is missing.
     """
     K_train = np.asarray(K_train, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -81,21 +172,39 @@ def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
     sizes = [int(m) for m in sizes]
     if not sizes or min(sizes) < 1 or max(sizes) > n:
         raise ValueError("sizes must be non-empty and within 1..len(y)")
-    from scipy.linalg.lapack import dpotrf, dpotrs
 
     top = max(sizes)
     # always a copy, never a view of K_train: dpotrf overwrites it
     A = np.array(K_train[:top, :top], order="F")
     A[np.diag_indices(top)] += lam
-    c, pivot = dpotrf(A, lower=1, overwrite_a=1)
+    lapack = _lapack()
+    if lapack is None:
+        from scipy.linalg.lapack import dpotrf, dpotrs
+        # clean=0: the upper triangle is never read, so it is not zeroed
+        A, pivot = dpotrf(A, lower=1, clean=0, overwrite_a=1)
+
+        def solve(m):
+            return dpotrs(A[:m, :m], y[:m], lower=1)
+    else:
+        potrf, potrs = lapack
+        lda, info = ctypes.c_int(top), ctypes.c_int()
+        potrf(b"L", lda, A.ctypes.data, lda, info, 1)
+        pivot = info.value
+
+        def solve(m):
+            alpha = y[:m].copy()
+            # the leading m x m block of A, read in place through lda = top
+            potrs(b"L", ctypes.c_int(m), ctypes.c_int(1), A.ctypes.data, lda,
+                  alpha.ctypes.data, ctypes.c_int(m), info, 1)
+            return alpha, info.value
     alphas: list[np.ndarray | None] = []
     for m in sizes:
         if pivot and m >= pivot:
             alphas.append(None)
             continue
-        alpha, info = dpotrs(c[:m, :m], y[:m], lower=1)
-        if info != 0:  # pragma: no cover - dpotrs only fails on bad arguments
-            raise FactorizationError(int(abs(info)))
+        alpha, status = solve(m)
+        if status != 0:  # pragma: no cover - dpotrs only fails on bad arguments
+            raise FactorizationError(int(abs(status)))
         alphas.append(alpha)
     return alphas, int(pivot)
 

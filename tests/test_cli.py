@@ -17,7 +17,7 @@ from ggfps_lab import cli, experiments
 from ggfps_lab.cli import main
 from ggfps_lab.dataset import GenerationError, LabeledSet, dumps_17g, synth_boltzmann_set
 from ggfps_lab.experiments import DegenerateDistributionError, ReplicateError
-from ggfps_lab.krr import FactorizationError
+from ggfps_lab.krr import FactorizationError, bundled_openblas
 from ggfps_lab.sampling import BETA_MAX, BETA_MODES, INIT_MODES, CapacityError
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
 
@@ -821,11 +821,21 @@ class TestThreads:
 
 
 SCIPY_PROBE = """
-import json, sys
+import ctypes, json, os, sys
+from pathlib import Path
+import scipy
 from ggfps_lab.cli import main
 
+libs = sorted((Path(scipy.__file__).parents[1] / "scipy.libs").glob("libscipy_openblas*"))
+
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.spatial")))
+    names = sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.spatial")))
+    try:  # RTLD_NOLOAD finds the library only where the process has loaded it
+        ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD)
+        blas = True
+    except (IndexError, OSError):
+        blas = False
+    return {"modules": names, "scipy_openblas": blas, "bundled": bool(libs)}
 
 generate, sample, curve, out = sys.argv[1:]
 after = {}
@@ -838,9 +848,12 @@ print(json.dumps(after))
 """
 
 
-def test_scipy_linalg_and_spatial_load_only_for_curve(tmp_path):
-    """The import, generate and sample never call scipy.linalg or
-    scipy.spatial, so a fresh process running them must not load either."""
+def test_no_command_loads_scipy_linalg_or_spatial(tmp_path):
+    """No command loads scipy.linalg or scipy.spatial in a fresh process:
+    ``curve`` computes its distances in numpy and calls LAPACK through
+    ctypes. scipy's OpenBLAS, which ``curve`` loads for its Cholesky
+    factorizations, stays unloaded through the import, ``generate`` and
+    ``sample``."""
     data = tmp_path / "generate" / "dataset.csv"
     configs = [
         write_config(tmp_path, "gen.json", generate_config(n=60, seed=11)),
@@ -854,8 +867,10 @@ def test_scipy_linalg_and_spatial_load_only_for_curve(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     after = json.loads(proc.stdout)
-    assert after["import"] == after["generate"] == after["sample"] == []
-    assert "scipy.linalg" in after["curve"] and "scipy.spatial" in after["curve"]
+    assert all(after[name]["modules"] == [] for name in after)
+    assert not any(after[name]["scipy_openblas"]
+                   for name in ("import", "generate", "sample"))
+    assert after["curve"]["scipy_openblas"] == after["curve"]["bundled"]
 
 
 def test_dumps_17g_round_trips_floats():
@@ -867,8 +882,8 @@ def test_dumps_17g_round_trips_floats():
 @pytest.fixture()
 def numpy_blas():
     """numpy's OpenBLAS handle; its thread count is restored after the test."""
-    lib = cli._numpy_openblas()
-    if lib is None:
+    lib = bundled_openblas("numpy", load=False)
+    if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
         pytest.skip("numpy bundles no OpenBLAS here")
     before = lib.scipy_openblas_get_num_threads64_()
     yield lib
@@ -938,13 +953,51 @@ def test_main_runs_numpy_blas_on_one_thread(tmp_path, dataset_dir, numpy_blas):
 
 @pytest.mark.parametrize("missing", ["library", "setter"])
 def test_main_runs_without_numpy_openblas(tmp_path, dataset_dir, monkeypatch, missing):
+    bundled_openblas.cache_clear()
     if missing == "library":  # numpy installed where no numpy.libs directory is
         monkeypatch.setattr(np, "__file__", str(tmp_path / "site" / "numpy" / "__init__.py"))
     else:  # a library that exports no thread setter
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda *args, **kwargs: object())
-    assert cli._numpy_openblas() is None
-    cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "GGFPS", beta=1.0))
-    run_ok(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    try:
+        lib = bundled_openblas("numpy", load=False)
+        assert not hasattr(lib, "scipy_openblas_set_num_threads64_")
+        assert (lib is None) == (missing == "library")
+        cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "GGFPS", beta=1.0))
+        run_ok(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    finally:  # the next caller opens the real library again
+        bundled_openblas.cache_clear()
+
+
+def test_bundled_openblas_caches_each_handle():
+    assert bundled_openblas("numpy", load=False) is bundled_openblas("numpy", load=False)
+    assert bundled_openblas("scipy") is bundled_openblas("scipy")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["curve", "--config", "c.json"], "ggfps-lab curve: the following arguments are "
+                                      "required: --out"),
+    (["curve", "--config", "c.json", "--out", "o", "--threads", "abc"],
+     "argument --threads: invalid int value: 'abc'"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
+    """argparse's usage errors exit 1, like any other invalid configuration,
+    and print argparse's message; they do not raise SystemExit(2), the exit
+    code of an I/O failure."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ggfps-lab") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["curve", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert "ggfps-lab" in capsys.readouterr().out
 
 
 def bump_config(generator="uniform", **bump):

@@ -30,10 +30,9 @@ from ggfps_lab.experiments import (
     selection_heatmap_2d,
 )
 from ggfps_lab.krr import (
-    FactorizationError, fit, fit_prefixes, gaussian_gram, predict,
+    FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict,
 )
 from ggfps_lab.sampling import SamplerConfig, ggfps, ggfps_chains
-from scipy.spatial.distance import cdist
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
 from oracles import exhaustive_ggfps_cv, exhaustive_plain_cv
 
@@ -276,7 +275,7 @@ class TestFoldCosts:
         chains = np.stack([rng.permutation(800)[:100] for _ in range(20)])
         plan = small_plan(sigma_grid=(0.5, 1.5), lambda_grid=(1e-4,))
         dead = np.zeros((2, 2, 1, 20), dtype=bool)
-        # the first call imports scipy's distance and LAPACK modules
+        # the first call loads scipy's OpenBLAS
         _fold_costs(train, plan, val, chains, [50, 100], dead.copy())
         tracemalloc.start()
         try:

@@ -1,12 +1,18 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.spatial.distance import cdist as scipy_cdist
 
+from ggfps_lab import krr
 from ggfps_lab.krr import (
     FactorizationError,
+    cdist,
     fit,
     fit_prefixes,
     gaussian_gram,
@@ -193,16 +199,69 @@ class TestFitPrefixes:
             assert a.tobytes() == b.tobytes()
 
     def test_factors_one_fortran_copy_in_place(self, monkeypatch):
+        """One dpotrf call factors a copy of the largest block in place, and
+        each size is solved on that factor's leading block through lda, with
+        no copy of the block."""
+        if krr._lapack() is None:
+            pytest.skip("scipy bundles no OpenBLAS here")
+        potrf, potrs = krr._lapack()
         calls = []
 
-        def recording_dpotrf(a, **kwargs):
-            calls.append((a.flags.f_contiguous, kwargs))
-            return dpotrf(a, **kwargs)
+        def recording_potrf(uplo, n, a, lda, info, uplo_len):
+            calls.append(("dpotrf", uplo, n.value, a, lda.value))
+            return potrf(uplo, n, a, lda, info, uplo_len)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording_dpotrf)
+        def recording_potrs(uplo, n, nrhs, a, lda, b, ldb, info, uplo_len):
+            calls.append(("dpotrs", uplo, n.value, a, lda.value))
+            return potrs(uplo, n, nrhs, a, lda, b, ldb, info, uplo_len)
+
+        monkeypatch.setattr(krr, "_lapack", lambda: (recording_potrf, recording_potrs))
         rng = np.random.default_rng(16)
-        fit_prefixes(random_spd(rng, 20), rng.normal(size=20), 1e-4, [5, 12])
-        assert calls == [(True, {"lower": 1, "overwrite_a": 1})]
+        K = random_spd(rng, 20)
+        alphas, pivot = fit_prefixes(K, rng.normal(size=20), 1e-4, [5, 12])
+        assert pivot == 0 and all(a is not None for a in alphas)
+        factor = calls[0][3]
+        assert factor != K.ctypes.data
+        assert calls == [("dpotrf", b"L", 12, factor, 12),
+                         ("dpotrs", b"L", 5, factor, 12), ("dpotrs", b"L", 12, factor, 12)]
+
+    @pytest.mark.parametrize("path", ["ctypes", "fallback"])
+    @pytest.mark.parametrize("kind", ["spd", "near_singular", "indefinite"])
+    def test_bitwise_scipy_lapack(self, monkeypatch, path, kind):
+        """Through the ctypes binding and through the scipy.linalg.lapack
+        fallback, every alpha and the pivot are bitwise what scipy's wrappers
+        give: dpotrf on the largest block, dpotrs on its factor's leading
+        blocks."""
+        if path == "fallback":
+            monkeypatch.setattr(krr, "_lapack", lambda: None)
+        elif krr._lapack() is None:
+            pytest.skip("scipy bundles no OpenBLAS here")
+        rng = np.random.default_rng(17)
+        failed = 0
+        for trial in range(30):
+            n = int(rng.integers(2, 300))
+            X = rng.uniform(-3.0, 3.0, size=(n, 2))
+            if kind == "spd":
+                K, lam = gaussian_gram(X, X, rng.uniform(0.2, 2.0)), 1e-6
+            elif kind == "near_singular":  # fails at a pivot for most n
+                K, lam = gaussian_gram(X, X, 5.0), 1e-300
+            else:
+                M = rng.normal(size=(n, n))
+                K, lam = M + M.T, 1e-3
+            y = rng.normal(size=n)
+            sizes = sorted({int(m) for m in rng.integers(1, n + 1, size=4)})
+            alphas, pivot = fit_prefixes(K, y, lam, sizes)
+            A = np.array(K[:max(sizes), :max(sizes)], order="F")
+            A[np.diag_indices(len(A))] += lam
+            c, expected_pivot = dpotrf(A, lower=1)
+            assert pivot == expected_pivot
+            failed += pivot > 0
+            for m, alpha in zip(sizes, alphas):
+                if pivot and m >= pivot:
+                    assert alpha is None
+                else:
+                    assert alpha.tobytes() == dpotrs(c[:m, :m], y[:m], lower=1)[0].tobytes()
+        assert (failed == 0) if kind == "spd" else failed >= 10
 
     def test_rejects_sizes_outside_the_matrix(self):
         K, y = np.eye(3), np.ones(3)
@@ -233,3 +292,39 @@ class TestPredict:
         with pytest.raises(ValueError, match="mismatch"):
             predict(np.ones((3, 2)), np.ones(4))
 
+
+
+class TestCdist:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 64), st.integers(1, 25), st.integers(1, 25), st.integers(0, 2**32),
+           st.booleans(), st.sampled_from([1, 30, 200, krr._CDIST_BLOCK]))
+    def test_bitwise_scipy_sqeuclidean(self, dim, na, nb, seed, given_out, block):
+        """Bitwise scipy's ``cdist(..., "sqeuclidean")``, with row scales from
+        1e-300 to 1e300 (whose squares underflow to 0 or overflow to inf),
+        duplicate rows, blocks of one row to all rows, and no RuntimeWarning."""
+        rng = np.random.default_rng(seed)
+
+        def rows(n):
+            return rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 301, size=(n, 1))
+
+        A, B = rows(na), rows(nb)
+        A[rng.integers(0, na, size=na // 3)] = A[0]
+        B[0] = A[-1]
+        expected = scipy_cdist(A, B, "sqeuclidean")
+        with warnings.catch_warnings(), mock.patch.object(krr, "_CDIST_BLOCK", block):
+            warnings.simplefilter("error")
+            got = cdist(A, B, "sqeuclidean", out=np.empty((na, nb)) if given_out else None)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_empty_and_zero_width(self):
+        assert cdist(np.zeros((0, 3)), np.ones((4, 3)), "sqeuclidean").shape == (0, 4)
+        assert np.array_equal(cdist(np.zeros((2, 0)), np.zeros((3, 0)), "sqeuclidean"),
+                              np.zeros((2, 3)))
+
+    def test_rejects_other_metrics_and_shapes(self):
+        with pytest.raises(ValueError, match="metric"):
+            cdist(np.ones((2, 2)), np.ones((2, 2)), "euclidean")
+        with pytest.raises(ValueError, match="width"):
+            cdist(np.ones((2, 2)), np.ones((2, 3)), "sqeuclidean")
+        with pytest.raises(ValueError, match="out"):
+            cdist(np.ones((2, 2)), np.ones((3, 2)), "sqeuclidean", out=np.empty((3, 2)))
