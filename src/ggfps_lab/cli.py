@@ -157,9 +157,11 @@ def _load_dataset(cfg: dict, config_path: Path) -> LabeledSet:
     dataset_path = config_path.parent / cfg["dataset"]
     if not dataset_path.exists():
         raise ConfigError(f"dataset: file not found: {dataset_path}")
-    parse = LabeledSet.from_json if dataset_path.suffix == ".json" else LabeledSet.from_csv
     try:
-        return parse(dataset_path.read_text())
+        if dataset_path.suffix == ".json":  # read whole: json has no streaming parser
+            return LabeledSet.from_json(dataset_path.read_text())
+        with dataset_path.open() as lines:  # streamed, CSV_BLOCK_ROWS rows at a time
+            return LabeledSet.from_csv(lines)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"dataset: {dataset_path}: {exc}") from None
 

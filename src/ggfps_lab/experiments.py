@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -693,12 +694,39 @@ def _kde_span(values: np.ndarray) -> tuple[float, float, float]:
         return h, values.min() - 4.0 * h, values.max() + 4.0 * h
 
 
+def _export_bytes(universe: LabeledSet, plan: ExperimentPlan) -> dict[str, int]:
+    """Lower bounds on the bytes that the heatmap and the KDE export each
+    hold at once, by the plan field that sizes them.
+
+    ``heatmap_grid`` (2-D descriptors only): one group's grid x grid int64
+    counts, plus heatmap.csv's grid^2 lines per group, each at least as long
+    as one whose row, column and count are single digits. ``kde_points``:
+    kde.csv's kde_points lines per (quantity, series), each at least as long
+    as one whose x and density are single digits, plus one kde_points x
+    samples float matrix of ``kde_1d`` over the universe or the largest
+    selected series (max train size x bootstraps)."""
+    groups = [(m, ls, ts) for m in plan.methods for ls in plan.labeled_sizes
+              for ts in plan.train_sizes if ts < ls]
+    need = {}
+    if universe.dim == 2:
+        line_bytes = sum(len(f"{m},{ls},{ts},0,0,0\n") for m, ls, ts in groups)
+        need["heatmap_grid"] = plan.heatmap_grid**2 * (8 + line_bytes)
+    line_bytes = sum(len(f"labeled,{q},,,0,0\n")
+                     + sum(len(f"{m},{q},{ls},{ts},0,0\n") for m, ls, ts in groups)
+                     for q, _ in _KDE_QUANTITIES)
+    samples = max(len(universe), max(plan.train_sizes) * plan.bootstraps)
+    need["kde_points"] = plan.kde_points * (line_bytes + 8 * samples)
+    return need
+
+
 def _check_exports(universe: LabeledSet, plan: ExperimentPlan) -> None:
     """Reject, before any compute, a run whose KDE or heatmap export is bound
     to fail: a quantity whose bandwidth or grid over the dataset is not
     finite, or that has zero spread, selected series that hold fewer than 2
-    samples (min(train_sizes) x bootstraps), or a 2-D descriptor column whose
-    range is not finite, which would make every heatmap edge NaN."""
+    samples (min(train_sizes) x bootstraps), a 2-D descriptor column whose
+    range is not finite, which would make every heatmap edge NaN, or a
+    heatmap or KDE grid whose export needs more than the machine's physical
+    memory (``_export_bytes``)."""
     for c, column in enumerate(universe.descriptors.T if universe.dim == 2 else ()):
         lo, hi = float(column.min()), float(column.max())
         if not np.isfinite(hi - lo):  # Python floats overflow to inf silently
@@ -726,6 +754,12 @@ def _check_exports(universe: LabeledSet, plan: ExperimentPlan) -> None:
             f"plan: min(train_sizes) x bootstraps = {min(plan.train_sizes) * plan.bootstraps}; "
             "each selected KDE series needs at least 2 samples"
         )
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for name, need in _export_bytes(universe, plan).items():
+        if need > memory:
+            raise ValueError(f"plan.{name}: {getattr(plan, name)} needs at least "
+                             f"{need / 2**30:.3g} GiB for its export, more than this "
+                             f"machine's {memory / 2**30:.3g} GiB of physical memory")
 
 
 def _kde_csv(groups, universe: LabeledSet, plan: ExperimentPlan) -> str:

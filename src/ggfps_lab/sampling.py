@@ -187,6 +187,13 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     value a full-row ``log`` would give. The BLAS product only decides
     which points get an exact recomputation, so picks do not depend on its
     summation order or thread count.
+
+    **Memory.** Beside ``X``, the kernel holds the (d + 2, N) screen, four
+    (B, N) float arrays (``min_dist``, its log, ``lim`` and a step's
+    buffer), two boolean ones and the (N,) ``floor``. The first rows are
+    built in the buffer, and a step's candidates are recomputed in chunks,
+    so a step adds only their flat indices (at most one (B, N) array) and
+    chunk-sized temporaries, even when most of the pool is a candidate.
     """
     X = np.asarray(X, dtype=float)
     inits = np.asarray(inits, dtype=np.intp)
@@ -195,14 +202,27 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     chains = np.arange(n_chains)
     picks = np.empty((n_chains, n), dtype=np.intp)
     picks[:, 0] = inits
-    min_dist = _distances(X, np.arange(n_pool)[None, :], inits[:, None])
+    # the first rows, one coordinate at a time with _distances' operations
+    # in its order, so bitwise its values without its two (B, N, d) gathers
+    min_dist = np.zeros((n_chains, n_pool))
+    buf = np.empty_like(min_dist)  # squares here, then a step's scores and screen values
+    with np.errstate(over="ignore"):
+        for coord in range(dim):
+            np.subtract(X[:, coord], X[inits, coord][:, None], out=buf)
+            buf *= buf
+            min_dist += buf
+    np.sqrt(min_dist, out=min_dist)
     taken = np.zeros(min_dist.shape, dtype=bool)
     taken[chains, inits] = True
+    # candidates per exact pass: _distances' two (chunk, d) gathers then hold
+    # a quarter of a (B, N) array each, or 2^12 doubles where that is more,
+    # also when most of the pool is a candidate
+    chunk = max(1, max(min_dist.size // 4, 1 << 12) // max(dim, 1))
 
     u, eta = 2.0**-53, 2.0**-1074
     c1 = 1.0 + 2 * (dim + 4) * u
     c2 = 2 * (3 * dim + 7) * u
-    e = int(np.frexp(np.abs(X).max(initial=0.0))[1])  # |x| < 2^e
+    e = int(np.frexp(max(X.max(initial=0.0), -X.min(initial=0.0)))[1])  # |x| < 2^e
     with np.errstate(over="ignore"):
         c3 = float(np.ldexp(2 * dim * eta, -2 * e)) + 8 * (dim + 1) * eta
     # rows of `screen`: x'^T, ones, q; the pick side is [-2 x'_s, (1 - c2) q_s, 1]
@@ -223,7 +243,6 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     with np.errstate(divide="ignore"):
         log_min = np.log(min_dist)
         lim = limit(min_dist, slice(None))
-        buf = np.empty_like(min_dist)  # a step's scores, then its screen values
         near = np.empty(min_dist.shape, dtype=bool)
         side = np.empty((n_chains, dim + 2))
         side[:, dim + 1] = 1.0
@@ -254,14 +273,16 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
             np.less_equal(lim, np.matmul(side, screen, out=buf), out=near)
             # flat indices into the (B, N) arrays: 2-D nonzero and fancy
             # indexing are several times slower
-            flat = np.flatnonzero(np.logical_not(near, out=near))
-            rows, points = np.divmod(flat, n_pool)
-            dist = _distances(X, points, best[rows])
-            closer = dist < min_dist.ravel()[flat]
-            flat, points, dist = flat[closer], points[closer], dist[closer]
-            min_dist.ravel()[flat] = dist
-            log_min.ravel()[flat] = np.log(dist)
-            lim.ravel()[flat] = limit(dist, points)
+            candidates = np.flatnonzero(np.logical_not(near, out=near))
+            for start in range(0, len(candidates), chunk):
+                flat = candidates[start:start + chunk]
+                rows, points = np.divmod(flat, n_pool)
+                dist = _distances(X, points, best[rows])
+                closer = dist < min_dist.ravel()[flat]
+                flat, points, dist = flat[closer], points[closer], dist[closer]
+                min_dist.ravel()[flat] = dist
+                log_min.ravel()[flat] = np.log(dist)
+                lim.ravel()[flat] = limit(dist, points)
     return picks
 
 

@@ -700,6 +700,23 @@ class TestDegenerateKdePolicy:
         assert capsys.readouterr().err.startswith(f"error: x{column}: the heatmap grid")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("heatmap_grid", 10**7), ("kde_points", 10**12)])
+    def test_export_past_physical_memory_rejected_before_compute(self, tmp_path, monkeypatch,
+                                                                  capsys, field, value):
+        # "heatmap_grid": 200000 ran every replicate, then died in an uncaught
+        # _ArrayMemoryError traceback from np.zeros((grid, grid))
+        monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
+        cfg = kde_config(tmp_path, random_rows(40, lambda i: 1.0 + i), {
+            "labeled_sizes": [30], "train_sizes": [10], "bootstraps": 1, "methods": ["URS"],
+            field: value,
+        })
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: plan.{field}: {value} needs at least")
+        assert "physical memory" in err
+        assert not out.exists()
+
     def test_too_few_selected_samples_rejected_before_compute(self, tmp_path, monkeypatch,
                                                                capsys):
         monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
@@ -1110,6 +1127,19 @@ class TestDatasetFile:
         assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "dataset" in err and expected in err
+        assert not out.exists()
+
+    def test_undecodable_byte_exits_1_naming_it(self, tmp_path, capsys):
+        # the CSV is decoded while it is streamed, after its first rows parsed
+        (tmp_path / "bad.csv").write_bytes(b"id,label,grad_norm,x0\na,1,1,1\nb,1,1,\xff\n")
+        cfg = write_config(tmp_path, "s.json", {
+            "schema_version": 1, "dataset": "bad.csv",
+            "sampler": {"method": "URS", "n": 1, "seed": 1},
+        })
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset: ") and "can't decode byte 0xff" in err
         assert not out.exists()
 
 

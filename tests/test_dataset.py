@@ -1,9 +1,11 @@
 import json
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -124,17 +126,25 @@ FLOAT_FIELDS = st.one_of(
 @st.composite
 def csv_documents(draw):
     """A labeled-set CSV, mostly well formed: valid, odd and invalid floats,
-    whitespace, blank lines and the odd row with a wrong field count."""
+    whitespace, blank lines, the odd row with a wrong field count, and the
+    odd row broken by a character that ``str.splitlines`` splits at but
+    iterating a file does not (form feed, NEL, line separator). Lines end in
+    one of \\n, \\r\\n and \\r; the last may have no line end."""
     dim = draw(st.integers(0, 3))
     lines = ["id,label,grad_norm" + "".join(f",x{j}" for j in range(dim))]
     for r in range(draw(st.integers(0, 12))):
         fields = [f"r{r}"] + [draw(FLOAT_FIELDS) for _ in range(2 + dim)]
         if draw(st.integers(0, 9)) == 0:
             fields = fields[:-1] if draw(st.booleans()) and len(fields) > 1 else fields + ["1"]
-        lines.append(",".join(fields))
+        row = ",".join(fields)
+        if draw(st.integers(0, 7)) == 0:
+            cut = draw(st.integers(0, len(row)))
+            row = row[:cut] + draw(st.sampled_from(["\x0c", "\x85", "\u2028"])) + row[cut:]
+        lines.append(row)
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 def parse_outcome(parse, text):
@@ -164,13 +174,25 @@ class TestFromJson:
             LabeledSet.from_json(json.dumps(doc))
 
 
+def from_file(path):
+    """``LabeledSet.from_csv`` streamed over the lines of the file at ``path``."""
+    with path.open(encoding="utf-8") as lines:
+        return LabeledSet.from_csv(lines)
+
+
 class TestFromCsvMatchesRowByRowParser:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(csv_documents(), st.sampled_from([1, 2, 5, dataset.CSV_BLOCK_ROWS]))
-    def test_same_arrays_or_same_error(self, text, block_rows):
+    def test_same_arrays_or_same_error(self, tmp_path, text, block_rows):
+        """The same outcome from the text and streamed from a file that
+        holds it, whose lines end only at \\n, \\r\\n and \\r."""
         expected = parse_outcome(lambda t: LabeledSet(*labeled_arrays_from_csv(t)), text)
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
         with mock.patch.object(dataset, "CSV_BLOCK_ROWS", block_rows):
             assert parse_outcome(LabeledSet.from_csv, text) == expected
+            assert parse_outcome(from_file, path) == expected
 
     def test_first_error_in_row_order_wins(self):
         header = "id,label,grad_norm,x0"
@@ -181,15 +203,41 @@ class TestFromCsvMatchesRowByRowParser:
         with pytest.raises(ValueError, match="row has 3 fields, expected 4"):
             LabeledSet.from_csv(bad_count_first)
 
-    def test_many_blocks(self):
+    def test_many_blocks(self, tmp_path):
         labeled = uniform_domain_sample(StyblinskiTang(dim=3), 2 * dataset.CSV_BLOCK_ROWS + 7,
                                         seed=5)
-        back = LabeledSet.from_csv(labeled.to_csv())
+        path = tmp_path / "data.csv"
+        path.write_text(labeled.to_csv())
+        for back in (LabeledSet.from_csv(labeled.to_csv()), from_file(path)):
+            assert back.descriptors.tobytes() == labeled.descriptors.tobytes()
+            assert back.labels.tobytes() == labeled.labels.tobytes()
+            assert back.gradient_norms.tobytes() == labeled.gradient_norms.tobytes()
+            assert back.ids == labeled.ids
+            assert back.descriptors.flags.c_contiguous
+
+    def test_streamed_load_peaks_below_three_times_its_result(self, tmp_path):
+        """A streamed 20,000 x 8 CSV holds one block's text and field strings
+        beside the values parsed so far: the traced peak stays below 3x the
+        bytes of the result's arrays and ids. Parsing the whole text held it,
+        its list of lines and a full values matrix beside the result's
+        copies, about 6.9x."""
+        rng = np.random.default_rng(8)
+        n = 20_000
+        labeled = LabeledSet(rng.uniform(-4.0, 4.0, size=(n, 8)), rng.normal(size=n),
+                             rng.uniform(0.0, 5.0, size=n), tuple(f"u{i:05d}" for i in range(n)))
+        path = tmp_path / "large.csv"
+        path.write_text(labeled.to_csv())
+        LabeledSet.from_csv(["id,label,grad_norm,x0", "a,1,1,1"])  # first-call allocations
+        tracemalloc.start()
+        try:
+            back = from_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert back.descriptors.tobytes() == labeled.descriptors.tobytes()
-        assert back.labels.tobytes() == labeled.labels.tobytes()
-        assert back.gradient_norms.tobytes() == labeled.gradient_norms.tobytes()
-        assert back.ids == labeled.ids
-        assert back.descriptors.flags.c_contiguous
+        result = (back.descriptors.nbytes + back.labels.nbytes + back.gradient_norms.nbytes
+                  + sys.getsizeof(back.ids) + sum(sys.getsizeof(i) for i in back.ids))
+        assert peak < 3 * result
 
 
 class TestWriteOutputs:

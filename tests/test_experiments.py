@@ -297,6 +297,22 @@ class TestFoldCosts:
         assert len(visits) > len(calls)
 
 
+def test_export_bytes_bound_the_exports_from_below(universe):
+    """The sizes that ``_check_exports`` compares with physical memory do
+    not exceed what the exports hold: heatmap.csv with its grid^2 counts,
+    and kde.csv with its kde_points x samples matrix."""
+    plan = small_plan(methods=("URS", "FPS"), labeled_sizes=(40, 60), heatmap_grid=12,
+                      kde_points=11)
+    groups = _run_cells(universe, plan)
+    need = experiments._export_bytes(universe, plan)
+    heatmap = experiments._heatmap_csv(groups, universe, plan)
+    kde = experiments._kde_csv(groups, universe, plan)
+    assert need["heatmap_grid"] <= 8 * 12**2 + len(heatmap)
+    samples = max(len(universe), max(plan.train_sizes) * plan.bootstraps)
+    assert need["kde_points"] <= len(kde) + 8 * 11 * samples
+    assert set(need) == {"heatmap_grid", "kde_points"}
+
+
 def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
     """Run ``_GgfpsCv.evaluate`` on ``universe`` and record its chain
     selections as (fold, betas, seeds, pool-relative chains) and its fold

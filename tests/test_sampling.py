@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,6 +425,29 @@ class TestGreedyKernel:
         got = _distances(X, np.arange(500)[None, :], idx[:, None])
         for r, i in enumerate(idx):
             assert got[r] == pytest.approx(np.linalg.norm(X - X[i], axis=1), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("beta, init_mode", [(0.0, "random_uniform"),
+                                             (1.0, "gradient_weighted")])
+def test_one_chain_peaks_at_the_screen_plus_a_few_rows(beta, init_mode):
+    """One chain over a 20,000 x 8 pool holds the (d + 2, N) screen and a few
+    length-N arrays: the kernel's four float rows and floor, the log
+    gradients, and a step's candidate indices and chunks. The first row from
+    two (1, N, d) gathers, and a step's exact distances from two (M, d)
+    gathers over most of the pool, took the peak to about 21-22 rows here."""
+    rng = np.random.default_rng(12)
+    n, d = 20_000, 8
+    X = rng.uniform(-4.0, 4.0, size=(n, d))
+    g = rng.uniform(0.0, 5.0, size=n)
+    ggfps_chains(X, g, [beta], [3], 200, init_mode=init_mode)  # first-call allocations
+    tracemalloc.start()
+    try:
+        ggfps_chains(X, g, [beta], [3], 200, init_mode=init_mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = 8 * n
+    assert peak < (d + 2) * row + 9 * row
 
 
 class TestSelectDispatch:
