@@ -96,21 +96,21 @@ def dumps_17g(obj, indent: int | None = None) -> str:
 
 
 def write_outputs(out_dir: Path | str, texts: dict[str, str]) -> dict[str, Path]:
-    """Write each text to ``out_dir / name``, creating ``out_dir`` if needed,
-    and return the paths by name.
+    """Write each text to ``out_dir / name``, creating ``out_dir`` and its
+    missing parents if needed, and return the paths by name.
 
-    A write that fails with an OSError removes the files this call wrote, and
-    ``out_dir`` if this call created it, then re-raises: a run that cannot
-    write all of its outputs leaves none of them.
+    A write that fails with an OSError removes the files this call wrote and
+    every directory it created, then re-raises: a run that cannot write all
+    of its outputs leaves none of them.
     """
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True)
-        created = True
-    except FileExistsError:
-        created = False
+    missing = list(itertools.takewhile(lambda p: not p.exists(), (out_dir, *out_dir.parents)))
+    created: list[Path] = []
     written: dict[str, Path] = {}
     try:
+        for directory in reversed(missing):
+            directory.mkdir()
+            created.append(directory)
         for name, text in texts.items():
             path = out_dir / name
             with path.open("w") as fh:
@@ -119,8 +119,8 @@ def write_outputs(out_dir: Path | str, texts: dict[str, str]) -> dict[str, Path]
     except OSError:
         for path in written.values():
             path.unlink(missing_ok=True)
-        if created:
-            out_dir.rmdir()
+        for directory in reversed(created):
+            directory.rmdir()
         raise
     return written
 

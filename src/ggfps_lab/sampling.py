@@ -12,9 +12,9 @@ FPS *is* GGFPS at beta = 0 with a uniform first pick: ``fps`` is one
 of GGFPS cross-validation. ``ggfps_chains`` runs the one greedy kernel
 (``_greedy``), which advances B chains over one pool in lockstep, keeping
 (B, N) arrays of minimum distances and their logs. Each step screens the
-whole pool against the B new picks with one BLAS product and recomputes
-the exact distance only where the screen cannot prove that the minimum
-stays as it is; no pairwise matrix is built.
+whole pool against the B new picks with one float32 BLAS product and
+recomputes the exact float64 distance only where the screen cannot prove
+that the minimum stays as it is; no pairwise matrix is built.
 """
 from __future__ import annotations
 
@@ -112,15 +112,67 @@ def _distances(X: np.ndarray, points, centers) -> np.ndarray:
     ``np.linalg.norm(X - x, axis=1)`` sums, so the distances are bitwise
     identical to it; for d >= 8 numpy sums pairwise and a distance may
     differ in the last ulp. A distance past the largest double is inf,
-    which ``_greedy`` handles exactly.
+    which ``_greedy`` handles exactly; the caller decides whether numpy
+    warns about that overflow (``_greedy`` silences it).
     """
-    with np.errstate(over="ignore"):
-        squares = X.take(points, axis=0) - X.take(centers, axis=0)
-        squares *= squares
-        out = np.zeros(squares.shape[:-1])
-        for coord in range(X.shape[1]):
-            out += squares[..., coord]
+    squares = X.take(points, axis=0) - X.take(centers, axis=0)
+    squares *= squares
+    out = np.zeros(squares.shape[:-1])
+    for coord in range(X.shape[1]):
+        out += squares[..., coord]
     return np.sqrt(out, out=out)
+
+
+# float64 and float32 unit roundoffs, the smallest float64 subnormal and the
+# smallest normal float32, the constants of ``_greedy``'s screen bound
+U64, U32, ETA64, TINY32 = 2.0**-53, 2.0**-24, 2.0**-1074, 2.0**-126
+# fl32(ROUND_UP * y) >= y for every double y >= TINY32 (round to nearest)
+ROUND_UP = 1.0 + 2.0**-23
+
+
+class _Screen:
+    """The float32 screen of ``_greedy`` over the rows of ``X`` (see there
+    for the bound): the (d + 2, N) rows x''^T, ones and q, the exponent e
+    and the constants c1, c2 and c3."""
+
+    def __init__(self, X: np.ndarray):
+        n_pool, dim = X.shape
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        mid = 0.5 * lo + 0.5 * hi  # halves first: no overflow
+        # fl(x - mid) lies between fl(lo - mid) and fl(hi - mid), so |x - mid| < 2^e
+        self.e = e = int(np.frexp(np.maximum(hi - mid, mid - lo).max(initial=0.0))[1])
+        self.c1 = 1.0 + 2 * U32 + 2 * (dim + 8) * U64
+        self.c2 = 2 * (3 * dim + 7) * U32
+        with np.errstate(over="ignore"):
+            self.c3 = float(np.ldexp(2 * dim * ETA64, -2 * e)) + (28 * dim + 10) * TINY32
+        # one coordinate at a time, so no float64 copy of X - mid is made
+        self.rows = rows = np.empty((dim + 2, n_pool), dtype=np.float32)
+        col = np.empty(n_pool)
+        for coord in range(dim):
+            np.subtract(X[:, coord], mid[coord], out=col)
+            rows[coord] = np.ldexp(col, -e, out=col)  # rounds to nearest float32
+        rows[dim] = 1.0
+        self.q = np.einsum("ij,ij->j", rows[:dim], rows[:dim], out=rows[dim + 1])
+        self.floor = np.multiply(self.q, self.c2, dtype=float)  # c2 q + c3 in float64
+        self.floor += self.c3
+
+    def values(self, picks, out: np.ndarray) -> np.ndarray:
+        """F of every point of the pool (columns) against each pick (rows)."""
+        dim = len(self.rows) - 2
+        side = np.empty((len(picks), dim + 2), dtype=np.float32)
+        np.multiply(self.rows[:dim, picks].T, -2.0, out=side[:, :dim])
+        side[:, dim] = np.multiply(self.q[picks], 1.0 - self.c2, dtype=float)
+        side[:, dim + 1] = 1.0
+        return np.matmul(side, self.rows, out=out)
+
+    def limits(self, dist, points) -> np.ndarray:
+        """The float32 limits of ``points`` at minimum distances ``dist``."""
+        lim = np.ldexp(dist, -self.e)
+        lim *= lim
+        lim *= self.c1
+        lim += self.floor[points]
+        # rounded up, as lim >= c3 > TINY32
+        return np.multiply(lim, ROUND_UP, out=np.empty(lim.shape, dtype=np.float32))
 
 
 def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> np.ndarray:
@@ -135,64 +187,96 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     index is taken. Column 0 of ``exponents`` belongs to the initial point;
     returns the (B, n) picks with n = ``exponents.shape[1]``.
 
+    A selected point's ``min_dist`` is exactly 0, its distance to itself,
+    which the screen below never skips while m > 0. So it scores 0 where the
+    exponent is 0 and -inf elsewhere, and no unselected point scores less.
+    A chain whose top score is no higher than that has only selected points
+    and their duplicates left, and takes its smallest unselected index.
+
     **Screened updates.** A new pick s can only lower ``min_dist[b, j]`` where
     its exact distance D is below m = ``min_dist[b, j]``, and after a few
     picks that is a small share of the pool. So each step first screens
-    every point with one BLAS product, and computes D only for the points
-    the screen cannot rule out; every other point keeps m, the value
-    ``np.minimum(m, D)`` would have kept. The screen runs on x' = 2^-e x,
-    with e chosen so that |x'| < 1 in every coordinate (an exact scaling
-    unless x' is subnormal), and reads
+    every point with one float32 BLAS product (``_Screen``), and computes D
+    only for the points the screen cannot rule out; for these it writes
+    ``np.minimum(m, D)``, and every other point keeps m, the value that
+    would have given. The screen runs on centred, scaled float32 coordinates
+    x'' = fl32(x'), x' = 2^-e fl(x - mid), where mid is each coordinate's
+    bounding-box midpoint 0.5 lo + 0.5 hi and e makes |x - mid| < 2^e in
+    every coordinate, so |x''| <= 1. It reads
 
-        F = -2 x'_s . x'_j + fl((1 - c2) q_s) + q_j,    q = fl(|x'|^2),
+        F = -2 x''_s . x''_j + fl32((1 - c2) q_s) + q_j,    q = fl32(|x''|^2),
 
-    one dot product of length d + 2. The point is a candidate unless
-    ``lim[b, j] <= F``, where
+    one float32 dot product of length d + 2. The point is a candidate where
+    F < ``lim[b, j]``, which holds, rounded up to float32, the float64 value
 
-        lim = fl(m'^2) c1 + c2 q_j + c3,    m' = 2^-e m,
-        c1 = 1 + 2 (d + 4) u,   c2 = 2 (3 d + 7) u,
-        c3 = 2^-2e 2 d eta + 8 (d + 1) eta,
+        m''^2 c1 + c2 q_j + c3,    m'' = 2^-e m,
+        c1 = 1 + 2 u32 + 2 (d + 8) u,   c2 = 2 (3 d + 7) u32,
+        c3 = 2^-2e 2 d eta + (28 d + 10) t,
 
-    with u = 2^-53 and eta = 2^-1074, the smallest subnormal. A NaN or inf
-    on either side makes the point a candidate.
+    with u = 2^-53 and u32 = 2^-24 the float64 and float32 unit roundoffs,
+    eta = 2^-1074 the smallest float64 subnormal and t = 2^-126 the smallest
+    normal float32.
 
-    Why nothing closer is skipped. Write S for the squared distance in real
-    arithmetic, N = |x'_j|^2 + |x'_s|^2, and gamma_k = k u / (1 - k u).
-    (1) D is fl(sqrt(fl-sum of d fl-squares of fl-differences)); rounding is
-    monotone and m is a double, so D < m forces the computed sum below m^2.
-    That sum is at least S (1 - (d + 2) u) - d eta: d + 2 relative roundings
-    per term, and at most eta/2 lost per square that underflows. Hence
-    S < M / 2^-2e with M = 2^-2e (m^2 + d eta) / (1 - (d + 2) u).
-    (2) Scaling moves each coordinate by at most eta/2, so the scaled
-    distance is below sqrt(M) + sqrt(d) eta, and the real value S'' of
-    |x'_j - x'_s|^2 below M (1 + u) + 2 sqrt(d) eta + d eta^2.
-    (3) A dot product of length d + 2, summed in any order with or without
-    FMA, errs by at most gamma_{d+2} times the sum of the absolute terms
-    (here 2 N (1 + gamma_d + u)) plus eta/2 per product that underflows; q
-    errs by gamma_d |x'|^2 + d eta / 2, and the coefficient of q_s by u. So
-    |F - (S'' - c2 q_s)| <= (3 d + 7) u N + 4 d eta, two u N to spare.
-    Adding up, D < m implies F < M (1 + u) + (3 d + 7) u N - c2 q_s
-    + (4 d + 2 sqrt(d) + 1) eta. With c2 twice the factor on N, the q_s
-    terms cancel and c2 q_j covers the rest; c1 covers (1 + u) /
-    (1 - (d + 2) u) and c3 the absolute terms, each with a factor of about
-    two to spare for the few roundings in evaluating ``lim`` itself and in
-    m' when it is subnormal. |x'| < 1 keeps every term of F below 4 d, so
-    the screen neither overflows nor returns NaN; an exact distance that
-    overflowed (m = inf) gives ``lim = inf``, a permanent candidate. A
-    scale so small that 2^-2e d eta overflows makes every point a candidate,
-    which is slow but exact.
+    Why nothing closer is skipped. Write r = 2^-e (x - mid) in real
+    arithmetic, P = |r_j - r_s|^2 (2^-2e times the real squared distance S
+    of x_j and x_s), N = |x''_j|^2 + |x''_s|^2 and gamma_k = k u32 /
+    (1 - k u32). Every float32 bound below also holds where the BLAS
+    flushes subnormal inputs and results to zero, at a cost of at most t per
+    flush. Terms smaller than the ones kept by a factor of (d + 2) u32 or
+    less are left to the factor of two that every constant keeps to spare.
+    (1) Exact side. D is fl(sqrt(fl-sum of d fl-squares of fl-differences))
+    on the original ``X``; rounding is monotone and m is a double, so D < m
+    forces the computed sum below m^2. That sum is at least
+    S (1 - (d + 2) u) - d eta: d + 2 relative roundings per term, and at most
+    eta/2 lost per square that underflows. Hence
+    P < M = 2^-2e (m^2 + d eta) / (1 - (d + 2) u).
+    (2) Coordinates. Centring errs by at most u |x - mid|, the scaling is
+    exact unless it lands below the float64 normals (eta/2), the float32
+    conversion errs by at most u32 |x'| + 2^-150, and a flushed input by at
+    most t. So |x''_c - r_c| <= rho |r_c| + alpha, with rho = u32 + 2 u and
+    alpha = t + 2^-149, in every coordinate c of either point. Expanding
+    |x''_j - x''_s|^2 = |(r_j - r_s) + err|^2, bounding the cross term
+    2 sqrt(P) rho (|r_j| + |r_s|) by rho (P + 2 |r_j|^2 + 2 |r_s|^2) and using
+    |r| < sqrt(d): |x''_j - x''_s|^2 <= P (1 + rho) + 2 u32 N + 8 d t.
+    (3) Screen side. q errs by at most gamma_d |x''|^2 + 2 d t; the pick's
+    coefficient fl32((1 - c2) q_s) by a further u + u32 relative and t. The
+    dot product, in any order and with or without FMA, errs by at most
+    gamma_{d+2} times the sum of its absolute terms (at most 2 N (1 +
+    gamma_d)) plus t per product or sum that underflows, (2 d + 3) t. With
+    -2 x''_s . x''_j = |x''_j - x''_s|^2 - N, that gives
+    F <= |x''_j - x''_s|^2 + (3 d + 4) u32 N + u32 |x''_s|^2 - c2 q_s
+    + (6 d + 4) t.
+    (4) Adding up, D < m implies F < M (1 + rho) + (3 d + 6) u32 N
+    + u32 |x''_s|^2 - c2 q_s + (14 d + 4) t. As q >= (1 - gamma_d) |x''|^2
+    - 2 d t, c2 q_s cancels the |x''_s|^2 terms and c2 q_j covers the
+    |x''_j|^2 term, each twice over; c1 covers (1 + rho) / (1 - (d + 2) u)
+    and the float64 roundings in evaluating ``lim``, and c3 the absolute
+    terms, 2^-2e d eta and (14 d + 5) t, each with a factor of two to
+    spare. As lim >= c3 > t, fl32(lim (1 + 2^-23)) >= lim, which rounds
+    it up. So F < lim in float32 too.
+    |x''| <= 1 keeps |F| within about 4 d, so the screen neither overflows
+    nor returns NaN. mid - lo and hi - mid are at most (hi - lo)/2 plus
+    mid's rounding, so centring does not overflow either. An exact distance
+    that overflowed (m = inf) gives ``lim = inf``, a permanent candidate;
+    a scale so small that 2^-2e d eta overflows makes every point
+    a candidate, which is slow but exact. Centring keeps the slack c2 q_j
+    relative to the pool's own spread: on coordinates that were not
+    centred, a pool offset by about 10^3 times its spread would make every
+    point a candidate.
 
-    ``log(min_dist)`` is kept alongside and recomputed only where
-    ``min_dist`` changed; ``np.log`` works elementwise, so it is bitwise the
-    value a full-row ``log`` would give. The BLAS product only decides
-    which points get an exact recomputation, so picks do not depend on its
-    summation order or thread count.
+    ``log(min_dist)`` is kept alongside and recomputed only for candidates;
+    ``np.log`` works elementwise, so it is bitwise the value a full-row
+    ``log`` would give, and an unchanged m is rewritten with its own bits.
+    The BLAS product only decides which points get an exact recomputation,
+    so picks do not depend on its summation order or thread count.
 
-    **Memory.** Beside ``X``, the kernel holds the (d + 2, N) screen, four
-    (B, N) float arrays (``min_dist``, its log, ``lim`` and a step's
-    buffer), two boolean ones and the (N,) ``floor``. The first rows are
-    built in the buffer, and a step's candidates are recomputed in chunks,
-    so a step adds only their flat indices (at most one (B, N) array) and
+    **Memory.** Beside ``X``, the kernel holds the (d + 2, N) float32 screen,
+    the (N,) float64 ``c2 q + c3`` and (B, N) arrays: three float64 ones
+    (``min_dist``, its log and a buffer for the first rows and the scores),
+    two float32 ones (``lim`` and a step's screen values) and one boolean
+    one. The screen is built one coordinate at a time, with one (N,)
+    float64 column, and a step's candidates are recomputed in chunks, so a
+    step adds only their flat indices (at most one (B, N) array) and
     chunk-sized temporaries, even when most of the pool is a candidate.
     """
     X = np.asarray(X, dtype=float)
@@ -202,50 +286,27 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     chains = np.arange(n_chains)
     picks = np.empty((n_chains, n), dtype=np.intp)
     picks[:, 0] = inits
-    # the first rows, one coordinate at a time with _distances' operations
-    # in its order, so bitwise its values without its two (B, N, d) gathers
-    min_dist = np.zeros((n_chains, n_pool))
-    buf = np.empty_like(min_dist)  # squares here, then a step's scores and screen values
-    with np.errstate(over="ignore"):
+    screen = _Screen(X)
+    selected = np.where(exponents == 0.0, 0.0, -np.inf)  # a selected point's score
+    # candidates per exact pass: _distances' two (chunk, d) gathers then hold
+    # a quarter of a (B, N) array each, or 2^12 doubles where that is more,
+    # also when most of the pool is a candidate
+    chunk = max(1, max(n_chains * n_pool // 4, 1 << 12) // max(dim, 1))
+    # min_dist, log_min and lim are C-contiguous, so ravel() gives views
+    with np.errstate(divide="ignore", over="ignore"):
+        # the first rows, one coordinate at a time with _distances' operations
+        # in its order, so bitwise its values without its two (B, N, d) gathers
+        min_dist = np.zeros((n_chains, n_pool))
+        buf = np.empty_like(min_dist)  # squares here, then a step's scores
         for coord in range(dim):
             np.subtract(X[:, coord], X[inits, coord][:, None], out=buf)
             buf *= buf
             min_dist += buf
-    np.sqrt(min_dist, out=min_dist)
-    taken = np.zeros(min_dist.shape, dtype=bool)
-    taken[chains, inits] = True
-    # candidates per exact pass: _distances' two (chunk, d) gathers then hold
-    # a quarter of a (B, N) array each, or 2^12 doubles where that is more,
-    # also when most of the pool is a candidate
-    chunk = max(1, max(min_dist.size // 4, 1 << 12) // max(dim, 1))
-
-    u, eta = 2.0**-53, 2.0**-1074
-    c1 = 1.0 + 2 * (dim + 4) * u
-    c2 = 2 * (3 * dim + 7) * u
-    e = int(np.frexp(max(X.max(initial=0.0), -X.min(initial=0.0)))[1])  # |x| < 2^e
-    with np.errstate(over="ignore"):
-        c3 = float(np.ldexp(2 * dim * eta, -2 * e)) + 8 * (dim + 1) * eta
-    # rows of `screen`: x'^T, ones, q; the pick side is [-2 x'_s, (1 - c2) q_s, 1]
-    screen = np.empty((dim + 2, n_pool))
-    np.ldexp(X.T, -e, out=screen[:dim])
-    screen[dim] = 1.0
-    np.einsum("ij,ij->j", screen[:dim], screen[:dim], out=screen[dim + 1])
-    floor = c2 * screen[dim + 1] + c3
-
-    def limit(dist, points):
-        lim = np.ldexp(dist, -e)
-        lim *= lim
-        lim *= c1
-        lim += floor[points]
-        return lim
-
-    # min_dist, log_min and lim are C-contiguous, so ravel() gives views
-    with np.errstate(divide="ignore"):
+        np.sqrt(min_dist, out=min_dist)
         log_min = np.log(min_dist)
-        lim = limit(min_dist, slice(None))
+        lim = screen.limits(min_dist, slice(None))
+        values = np.empty_like(lim)
         near = np.empty(min_dist.shape, dtype=bool)
-        side = np.empty((n_chains, dim + 2))
-        side[:, dim + 1] = 1.0
         for k in range(1, n):
             beta = exponents[:, k]
             zero = beta == 0.0
@@ -257,32 +318,26 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
                 if zero.any():
                     score[zero] = min_dist[zero]
             best = score.argmax(axis=1)
-            if taken[chains, best].any():
-                # a selected point tied the top score (0 or -inf) or scored NaN
-                score = np.where(taken, -np.inf, score)
-                best = score.argmax(axis=1)
-            stuck = score[chains, best] == -np.inf
-            if stuck.any():
-                best[stuck] = taken[stuck].argmin(axis=1)
+            stuck = score[chains, best] <= selected[:, k]
+            if stuck.any():  # only selected points and their duplicates remain
+                for b in np.flatnonzero(stuck):
+                    free = np.ones(n_pool, dtype=bool)
+                    free[picks[b, :k]] = False
+                    best[b] = free.argmax()
             picks[:, k] = best
-            taken[chains, best] = True
             if k + 1 == n:
                 break
-            np.multiply(screen[:dim, best].T, -2.0, out=side[:, :dim])
-            np.multiply(screen[dim + 1, best], 1.0 - c2, out=side[:, dim])
-            np.less_equal(lim, np.matmul(side, screen, out=buf), out=near)
+            np.less(screen.values(best, out=values), lim, out=near)
             # flat indices into the (B, N) arrays: 2-D nonzero and fancy
             # indexing are several times slower
-            candidates = np.flatnonzero(np.logical_not(near, out=near))
+            candidates = np.flatnonzero(near)
             for start in range(0, len(candidates), chunk):
                 flat = candidates[start:start + chunk]
                 rows, points = np.divmod(flat, n_pool)
-                dist = _distances(X, points, best[rows])
-                closer = dist < min_dist.ravel()[flat]
-                flat, points, dist = flat[closer], points[closer], dist[closer]
+                dist = np.minimum(_distances(X, points, best[rows]), min_dist.ravel()[flat])
                 min_dist.ravel()[flat] = dist
                 log_min.ravel()[flat] = np.log(dist)
-                lim.ravel()[flat] = limit(dist, points)
+                lim.ravel()[flat] = screen.limits(dist, points)
     return picks
 
 

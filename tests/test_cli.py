@@ -383,6 +383,15 @@ class TestCurve:
         assert main(["curve", "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_failed_write_removes_the_parents_it_created(self, tmp_path, dataset_dir,
+                                                         monkeypatch):
+        # the run removed --out but left the empty a/ and a/b/ it had made
+        config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        fail_opening(monkeypatch, "kde.csv")
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["curve", "--config", str(config), "--out", str(out)]) == 2
+        assert not (tmp_path / "a").exists()
+
     def test_used_out_directory_rejected_before_compute(self, tmp_path, dataset_dir,
                                                         monkeypatch, capsys):
         # a 3-D run into a 2-D run's directory left the old heatmap.csv beside
@@ -450,6 +459,26 @@ def test_out_that_is_not_a_directory_rejected_before_compute(
     assert main([command, "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: --out: {occupied} exists and is not a directory\n"
     assert occupied.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "curve"])
+def test_dataset_that_is_a_directory_rejected_before_compute(tmp_path, dataset_dir,
+                                                             monkeypatch, capsys, command):
+    # both exited 2 with a bare "[Errno 21] Is a directory", naming no field
+    folder = tmp_path / "data.csv"
+    folder.mkdir()
+    if command == "sample":
+        cfg = sample_config(dataset_dir, "FPS")
+        monkeypatch.setattr(cli, "select", refuse_compute)
+    else:
+        cfg = curve_config(dataset_dir)
+        monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
+    cfg["dataset"] = str(folder)
+    config = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dataset: not a regular file: {folder}\n"
+    assert not out.exists()
 
 
 BAD_NUMBERS = [

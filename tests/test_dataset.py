@@ -254,6 +254,12 @@ class TestWriteOutputs:
             write_outputs(out, {"a.csv": "1\n", "missing/b.csv": "2\n"})
         assert not out.exists()
 
+    def test_failed_write_removes_every_directory_it_created(self, tmp_path):
+        out = tmp_path / "a" / "b" / "out"
+        with pytest.raises(FileNotFoundError):
+            write_outputs(out, {"a.csv": "1\n", "missing/b.csv": "2\n"})
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_write_keeps_a_directory_it_did_not_create(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

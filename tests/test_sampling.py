@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ggfps_lab import sampling
 from ggfps_lab.dataset import LabeledSet, synth_boltzmann_set
 from ggfps_lab.sampling import (
     BETA_MAX,
@@ -21,6 +22,7 @@ from ggfps_lab.sampling import (
     _distances,
     _greedy,
     _log_gradients,
+    _Screen,
 )
 from ggfps_lab.surfaces import StyblinskiTang
 from oracles import (
@@ -427,14 +429,64 @@ class TestGreedyKernel:
             assert got[r] == pytest.approx(np.linalg.norm(X - X[i], axis=1), rel=1e-12, abs=0)
 
 
+class TestScreen:
+    """The float32 screen never rules out a point whose exact distance to the
+    new pick is below its minimum distance m, even one ulp below."""
+
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    @pytest.mark.parametrize("offset, scale, spread", [
+        (0.0, 1.0, 1.0),  # centred coordinates |x'| near 1
+        (1e8, 1.0, 1.0),  # a pool far from the origin
+        (0.0, 1e300, 1.0),
+        (0.0, 1e-300, 1.0),
+        (0.0, 1.0, 2.0**-72),  # products and squares below the float32 normals
+        (0.0, 1.0, 2.0**-130),  # coordinates below the float32 normals
+    ], ids=["unit", "offset-1e8", "scale-1e300", "scale-1e-300", "subnormal-products",
+            "subnormal-coordinates"])
+    def test_a_point_one_ulp_closer_is_a_candidate(self, dim, offset, scale, spread):
+        rng = np.random.default_rng(dim)
+        k = 300
+        # corners just inside +-1 make e = 0, so the largest |x'| are near 1
+        corners = np.array([[-1.0] * dim, [1.0] * dim]) * (1 - 2.0**-20)
+        picks = spread * rng.choice([-1.0, 1.0], size=(k, dim)) * rng.uniform(0.5, 1.0, (k, dim))
+        points = picks * (1 + 1e-9 * rng.normal(size=picks.shape))
+        X = np.vstack([corners, picks, points]) * scale + offset
+        s, j = np.arange(2, 2 + k), np.arange(2 + k, 2 + 2 * k)
+        # as in _greedy: at scale 1e300 these distances overflow to inf, and
+        # at 1e-300 the limits pass the largest float32
+        with np.errstate(over="ignore"):
+            m = np.nextafter(_distances(X, j, s), np.inf)  # one ulp above it
+            screen = _Screen(X)
+            F = screen.values(s, out=np.empty((k, len(X)), dtype=np.float32))
+            assert (F[np.arange(k), j] < screen.limits(m, j)).all()
+
+    def test_an_offset_pool_has_as_few_candidates(self, monkeypatch):
+        # screened on uncentred coordinates, every point of the shifted pool
+        # was a candidate at every step: 396,000 recomputations against 9,631
+        recomputed = []
+        exact = sampling._distances
+
+        def counting(X, points, centers):
+            recomputed[-1] += np.size(points)
+            return exact(X, points, centers)
+
+        monkeypatch.setattr(sampling, "_distances", counting)
+        X = np.random.default_rng(13).uniform(-1.0, 1.0, size=(2000, 8))
+        for offset in (0.0, 1e3):
+            recomputed.append(0)
+            fps(X + offset, 200, init=0)
+        assert recomputed[1] <= 1.5 * recomputed[0]
+
+
 @pytest.mark.parametrize("beta, init_mode", [(0.0, "random_uniform"),
                                              (1.0, "gradient_weighted")])
 def test_one_chain_peaks_at_the_screen_plus_a_few_rows(beta, init_mode):
-    """One chain over a 20,000 x 8 pool holds the (d + 2, N) screen and a few
-    length-N arrays: the kernel's four float rows and floor, the log
-    gradients, and a step's candidate indices and chunks. The first row from
-    two (1, N, d) gathers, and a step's exact distances from two (M, d)
-    gathers over most of the pool, took the peak to about 21-22 rows here."""
+    """One chain over a 20,000 x 8 pool holds the (d + 2, N) float32 screen
+    and a few length-N arrays: the kernel's rows, the log gradients, and a
+    step's candidate indices and chunks. The float64 screen and its first
+    rows took the peak to about 17.5 float64 rows here, and before that two
+    (1, N, d) gathers and two (M, d) gathers over most of the pool to about
+    21-22."""
     rng = np.random.default_rng(12)
     n, d = 20_000, 8
     X = rng.uniform(-4.0, 4.0, size=(n, d))
@@ -447,7 +499,7 @@ def test_one_chain_peaks_at_the_screen_plus_a_few_rows(beta, init_mode):
     finally:
         tracemalloc.stop()
     row = 8 * n
-    assert peak < (d + 2) * row + 9 * row
+    assert peak < (d + 2) * n * 4 + 9 * row
 
 
 class TestSelectDispatch:
