@@ -155,9 +155,10 @@ def _load_dataset(cfg: dict, config_path: Path) -> LabeledSet:
         raise ConfigError("dataset: must be a file path")
     # relative to the config's directory; joining an absolute path keeps it
     dataset_path = config_path.parent / cfg["dataset"]
-    if not dataset_path.is_file():
-        problem = "not a regular file" if dataset_path.exists() else "file not found"
-        raise ConfigError(f"dataset: {problem}: {dataset_path}")
+    if not dataset_path.exists():
+        raise ConfigError(f"dataset: file not found: {dataset_path}")
+    if dataset_path.is_dir():  # pipes and devices stream like files
+        raise ConfigError(f"dataset: is a directory: {dataset_path}")
     try:
         if dataset_path.suffix == ".json":  # read whole: json has no streaming parser
             return LabeledSet.from_json(dataset_path.read_text())
@@ -237,8 +238,9 @@ def _pin_numpy_blas() -> None:
 
     numpy and scipy each bundle an OpenBLAS with its own thread pool. numpy's
     products gain nothing from a second thread and their bytes do not depend
-    on it: ``krr.predict``'s, and the selection screen's float32 ``sgemm``,
-    which only decides which distances to recompute exactly. But OpenBLAS
+    on it: ``krr.predict``'s, and the selection screen's float32 ``sgemm``
+    (``dgemm`` on pools where float32 rules out too few points), which only
+    decides which distances to recompute exactly. But OpenBLAS
     workers poll for a while after each call before they sleep, so an idle numpy
     worker most likely takes a core that scipy's two-thread Cholesky needs:
     on 2 cores, pinning it took the benchmark's ``plain-cv`` from 2.98 to

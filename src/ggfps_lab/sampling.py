@@ -12,9 +12,10 @@ FPS *is* GGFPS at beta = 0 with a uniform first pick: ``fps`` is one
 of GGFPS cross-validation. ``ggfps_chains`` runs the one greedy kernel
 (``_greedy``), which advances B chains over one pool in lockstep, keeping
 (B, N) arrays of minimum distances and their logs. Each step screens the
-whole pool against the B new picks with one float32 BLAS product and
-recomputes the exact float64 distance only where the screen cannot prove
-that the minimum stays as it is; no pairwise matrix is built.
+whole pool against the B new picks with one float32 BLAS product (float64
+where float32 rules out too few points) and recomputes the exact float64
+distance only where the screen cannot prove that the minimum stays as it
+is; no pairwise matrix is built.
 """
 from __future__ import annotations
 
@@ -123,34 +124,42 @@ def _distances(X: np.ndarray, points, centers) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-# float64 and float32 unit roundoffs, the smallest float64 subnormal and the
-# smallest normal float32, the constants of ``_greedy``'s screen bound
-U64, U32, ETA64, TINY32 = 2.0**-53, 2.0**-24, 2.0**-1074, 2.0**-126
-# fl32(ROUND_UP * y) >= y for every double y >= TINY32 (round to nearest)
+# the float64 unit roundoff and smallest subnormal, constants of ``_greedy``'s
+# screen bound
+U64, ETA64 = 2.0**-53, 2.0**-1074
+# fl32(ROUND_UP * y) >= y for every double y >= 2^-126 (round to nearest)
 ROUND_UP = 1.0 + 2.0**-23
+# ``_greedy`` moves to a float64 screen once the candidates that kept their
+# minimum pass one pool's worth plus one pool point in WASTE_SHARE per chain
+# and step
+WASTE_SHARE = 32
 
 
 class _Screen:
-    """The float32 screen of ``_greedy`` over the rows of ``X`` (see there
-    for the bound): the (d + 2, N) rows x''^T, ones and q, the exponent e
-    and the constants c1, c2 and c3."""
+    """The screen of ``_greedy`` over the rows of ``X`` in float32 or float64
+    (see there for the bound): the (d + 2, N) rows x''^T, ones and q, the
+    exponent e and the constants c1, c2 and c3."""
 
-    def __init__(self, X: np.ndarray):
+    def __init__(self, X: np.ndarray, dtype=np.float32):
         n_pool, dim = X.shape
+        info = np.finfo(dtype)
+        v, tiny = float(info.eps) / 2, float(info.tiny)  # the screen's u32 or u, and t
         lo, hi = X.min(axis=0), X.max(axis=0)
         mid = 0.5 * lo + 0.5 * hi  # halves first: no overflow
         # fl(x - mid) lies between fl(lo - mid) and fl(hi - mid), so |x - mid| < 2^e
         self.e = e = int(np.frexp(np.maximum(hi - mid, mid - lo).max(initial=0.0))[1])
-        self.c1 = 1.0 + 2 * U32 + 2 * (dim + 8) * U64
-        self.c2 = 2 * (3 * dim + 7) * U32
+        self.dtype = np.dtype(dtype)
+        self.exact = self.dtype == np.float64  # lim needs no rounding to dtype
+        self.c1 = 1.0 + 2 * v + 2 * (dim + 8) * U64
+        self.c2 = 2 * ((3 * dim + 7) * v + 5 * U64)
         with np.errstate(over="ignore"):
-            self.c3 = float(np.ldexp(2 * dim * ETA64, -2 * e)) + (28 * dim + 10) * TINY32
+            self.c3 = float(np.ldexp(2 * dim * ETA64, -2 * e)) + (28 * dim + 10) * tiny
         # one coordinate at a time, so no float64 copy of X - mid is made
-        self.rows = rows = np.empty((dim + 2, n_pool), dtype=np.float32)
+        self.rows = rows = np.empty((dim + 2, n_pool), dtype=dtype)
         col = np.empty(n_pool)
         for coord in range(dim):
             np.subtract(X[:, coord], mid[coord], out=col)
-            rows[coord] = np.ldexp(col, -e, out=col)  # rounds to nearest float32
+            rows[coord] = np.ldexp(col, -e, out=col)  # rounds to nearest in dtype
         rows[dim] = 1.0
         self.q = np.einsum("ij,ij->j", rows[:dim], rows[:dim], out=rows[dim + 1])
         self.floor = np.multiply(self.q, self.c2, dtype=float)  # c2 q + c3 in float64
@@ -159,19 +168,22 @@ class _Screen:
     def values(self, picks, out: np.ndarray) -> np.ndarray:
         """F of every point of the pool (columns) against each pick (rows)."""
         dim = len(self.rows) - 2
-        side = np.empty((len(picks), dim + 2), dtype=np.float32)
+        side = np.empty((len(picks), dim + 2), dtype=self.dtype)
         np.multiply(self.rows[:dim, picks].T, -2.0, out=side[:, :dim])
         side[:, dim] = np.multiply(self.q[picks], 1.0 - self.c2, dtype=float)
         side[:, dim + 1] = 1.0
         return np.matmul(side, self.rows, out=out)
 
     def limits(self, dist, points) -> np.ndarray:
-        """The float32 limits of ``points`` at minimum distances ``dist``."""
+        """The limits of ``points`` at minimum distances ``dist``, in the
+        screen's precision."""
         lim = np.ldexp(dist, -self.e)
         lim *= lim
         lim *= self.c1
         lim += self.floor[points]
-        # rounded up, as lim >= c3 > TINY32
+        if self.exact:
+            return lim
+        # rounded up, as lim >= c3 > 2^-126
         return np.multiply(lim, ROUND_UP, out=np.empty(lim.shape, dtype=np.float32))
 
 
@@ -196,34 +208,36 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     **Screened updates.** A new pick s can only lower ``min_dist[b, j]`` where
     its exact distance D is below m = ``min_dist[b, j]``, and after a few
     picks that is a small share of the pool. So each step first screens
-    every point with one float32 BLAS product (``_Screen``), and computes D
-    only for the points the screen cannot rule out; for these it writes
+    every point with one BLAS product (``_Screen``), and computes D only for
+    the points the screen cannot rule out; for these it writes
     ``np.minimum(m, D)``, and every other point keeps m, the value that
-    would have given. The screen runs on centred, scaled float32 coordinates
-    x'' = fl32(x'), x' = 2^-e fl(x - mid), where mid is each coordinate's
-    bounding-box midpoint 0.5 lo + 0.5 hi and e makes |x - mid| < 2^e in
-    every coordinate, so |x''| <= 1. It reads
+    would have given. The screen runs in float32 or float64 (see
+    **Precision**) on centred, scaled coordinates x'' = fl_v(x'),
+    x' = 2^-e fl(x - mid), where mid is each coordinate's bounding-box
+    midpoint 0.5 lo + 0.5 hi and e makes |x - mid| < 2^e in every
+    coordinate, so |x''| <= 1. It reads
 
-        F = -2 x''_s . x''_j + fl32((1 - c2) q_s) + q_j,    q = fl32(|x''|^2),
+        F = -2 x''_s . x''_j + fl_v((1 - c2) q_s) + q_j,    q = fl_v(|x''|^2),
 
-    one float32 dot product of length d + 2. The point is a candidate where
-    F < ``lim[b, j]``, which holds, rounded up to float32, the float64 value
+    one dot product of length d + 2 in the screen's precision. The point is
+    a candidate where F < ``lim[b, j]``, which holds the float64 value
 
         m''^2 c1 + c2 q_j + c3,    m'' = 2^-e m,
-        c1 = 1 + 2 u32 + 2 (d + 8) u,   c2 = 2 (3 d + 7) u32,
+        c1 = 1 + 2 v + 2 (d + 8) u,   c2 = 2 ((3 d + 7) v + 5 u),
         c3 = 2^-2e 2 d eta + (28 d + 10) t,
 
-    with u = 2^-53 and u32 = 2^-24 the float64 and float32 unit roundoffs,
-    eta = 2^-1074 the smallest float64 subnormal and t = 2^-126 the smallest
-    normal float32.
+    rounded up to float32 for a float32 screen. u = 2^-53 is the float64
+    unit roundoff and eta = 2^-1074 the smallest float64 subnormal; v and t
+    are the screen's unit roundoff and smallest normal number, fl_v its
+    rounding: u32 = 2^-24 and 2^-126 in float32, u and 2^-1022 in float64.
 
     Why nothing closer is skipped. Write r = 2^-e (x - mid) in real
     arithmetic, P = |r_j - r_s|^2 (2^-2e times the real squared distance S
-    of x_j and x_s), N = |x''_j|^2 + |x''_s|^2 and gamma_k = k u32 /
-    (1 - k u32). Every float32 bound below also holds where the BLAS
-    flushes subnormal inputs and results to zero, at a cost of at most t per
-    flush. Terms smaller than the ones kept by a factor of (d + 2) u32 or
-    less are left to the factor of two that every constant keeps to spare.
+    of x_j and x_s), N = |x''_j|^2 + |x''_s|^2 and gamma_k = k v /
+    (1 - k v). Every bound below also holds where the BLAS flushes
+    subnormal inputs and results to zero, at a cost of at most t per flush.
+    Terms smaller than the ones kept by a factor of (d + 2) v or less are
+    left to the factor of two that every constant keeps to spare.
     (1) Exact side. D is fl(sqrt(fl-sum of d fl-squares of fl-differences))
     on the original ``X``; rounding is monotone and m is a double, so D < m
     forces the computed sum below m^2. That sum is at least
@@ -231,29 +245,30 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     eta/2 lost per square that underflows. Hence
     P < M = 2^-2e (m^2 + d eta) / (1 - (d + 2) u).
     (2) Coordinates. Centring errs by at most u |x - mid|, the scaling is
-    exact unless it lands below the float64 normals (eta/2), the float32
-    conversion errs by at most u32 |x'| + 2^-150, and a flushed input by at
-    most t. So |x''_c - r_c| <= rho |r_c| + alpha, with rho = u32 + 2 u and
-    alpha = t + 2^-149, in every coordinate c of either point. Expanding
+    exact unless it lands below the float64 normals (eta/2), the conversion
+    to float32 errs by at most u32 |x'| + 2^-150, and a flushed input by at
+    most t. So |x''_c - r_c| <= rho |r_c| + alpha, with rho = v + 2 u and
+    alpha = t + 2 v t (t + 2^-149 in float32, t + eta in float64), in every
+    coordinate c of either point. Expanding
     |x''_j - x''_s|^2 = |(r_j - r_s) + err|^2, bounding the cross term
     2 sqrt(P) rho (|r_j| + |r_s|) by rho (P + 2 |r_j|^2 + 2 |r_s|^2) and using
-    |r| < sqrt(d): |x''_j - x''_s|^2 <= P (1 + rho) + 2 u32 N + 8 d t.
+    |r| < sqrt(d): |x''_j - x''_s|^2 <= P (1 + rho) + 2 rho N + 8 d t.
     (3) Screen side. q errs by at most gamma_d |x''|^2 + 2 d t; the pick's
-    coefficient fl32((1 - c2) q_s) by a further u + u32 relative and t. The
+    coefficient fl_v((1 - c2) q_s) by a further u + v relative and t. The
     dot product, in any order and with or without FMA, errs by at most
     gamma_{d+2} times the sum of its absolute terms (at most 2 N (1 +
     gamma_d)) plus t per product or sum that underflows, (2 d + 3) t. With
     -2 x''_s . x''_j = |x''_j - x''_s|^2 - N, that gives
-    F <= |x''_j - x''_s|^2 + (3 d + 4) u32 N + u32 |x''_s|^2 - c2 q_s
+    F <= |x''_j - x''_s|^2 + (3 d + 4) v N + (u + v) |x''_s|^2 - c2 q_s
     + (6 d + 4) t.
-    (4) Adding up, D < m implies F < M (1 + rho) + (3 d + 6) u32 N
-    + u32 |x''_s|^2 - c2 q_s + (14 d + 4) t. As q >= (1 - gamma_d) |x''|^2
-    - 2 d t, c2 q_s cancels the |x''_s|^2 terms and c2 q_j covers the
-    |x''_j|^2 term, each twice over; c1 covers (1 + rho) / (1 - (d + 2) u)
-    and the float64 roundings in evaluating ``lim``, and c3 the absolute
-    terms, 2^-2e d eta and (14 d + 5) t, each with a factor of two to
-    spare. As lim >= c3 > t, fl32(lim (1 + 2^-23)) >= lim, which rounds
-    it up. So F < lim in float32 too.
+    (4) Adding up, D < m implies F < M (1 + rho) + ((3 d + 6) v + 4 u) N
+    + (u + v) |x''_s|^2 - c2 q_s + (14 d + 4) t. As q >= (1 - gamma_d)
+    |x''|^2 - 2 d t, c2 q_s cancels the |x''_s|^2 terms and c2 q_j covers
+    the |x''_j|^2 term, each twice over; c1 covers (1 + rho) /
+    (1 - (d + 2) u) and the float64 roundings in evaluating ``lim``, and c3
+    the absolute terms, 2^-2e d eta and (14 d + 5) t, each with a factor of
+    two to spare. In float32, as lim >= c3 > t, fl32(lim (1 + 2^-23)) >= lim,
+    which rounds it up. So F < lim in the screen's precision too.
     |x''| <= 1 keeps |F| within about 4 d, so the screen neither overflows
     nor returns NaN. mid - lo and hi - mid are at most (hi - lo)/2 plus
     mid's rounding, so centring does not overflow either. An exact distance
@@ -261,23 +276,40 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     a scale so small that 2^-2e d eta overflows makes every point
     a candidate, which is slow but exact. Centring keeps the slack c2 q_j
     relative to the pool's own spread: on coordinates that were not
-    centred, a pool offset by about 10^3 times its spread would make every
-    point a candidate.
+    centred, a float32 screen of a pool offset by about 10^3 times its
+    spread would make every point a candidate.
+
+    **Precision.** The float32 product takes about half the time of the
+    float64 one, but its slack c2 q_j is 2^29 times as large: about
+    2^-19 d of the squared half-width of the bounding box. Where picks come
+    much closer together than that, as when a few far outliers set the box
+    (one row 10^3 spreads from the pool's bulk) or the pool splits into
+    far-apart clusters, most points are float32 candidates at every step
+    although float64 would rule them out. So the kernel starts in float32,
+    counts the candidates whose exact distance left m as it was, and once
+    that count passes B N (1 + k / ``WASTE_SHARE``) at step k (one pool's
+    worth, plus one point in ``WASTE_SHARE`` per chain and step) it
+    rebuilds the screen and ``lim`` in float64 for the rest of the run.
+    Both screens skip no point whose distance drops below m, so the switch
+    changes no pick.
 
     ``log(min_dist)`` is kept alongside and recomputed only for candidates;
     ``np.log`` works elementwise, so it is bitwise the value a full-row
     ``log`` would give, and an unchanged m is rewritten with its own bits.
     The BLAS product only decides which points get an exact recomputation,
-    so picks do not depend on its summation order or thread count.
+    so picks do not depend on its precision, summation order or thread
+    count.
 
     **Memory.** Beside ``X``, the kernel holds the (d + 2, N) float32 screen,
     the (N,) float64 ``c2 q + c3`` and (B, N) arrays: three float64 ones
     (``min_dist``, its log and a buffer for the first rows and the scores),
     two float32 ones (``lim`` and a step's screen values) and one boolean
-    one. The screen is built one coordinate at a time, with one (N,)
-    float64 column, and a step's candidates are recomputed in chunks, so a
-    step adds only their flat indices (at most one (B, N) array) and
-    chunk-sized temporaries, even when most of the pool is a candidate.
+    one. After a switch to float64 the screen, ``lim`` and the screen values
+    take twice the bytes. The screen is built one coordinate at a time, with
+    one (N,) float64 column, and a step's candidates are recomputed in
+    chunks, so a step adds only their flat indices (at most one (B, N)
+    array) and chunk-sized temporaries, even when most of the pool is a
+    candidate.
     """
     X = np.asarray(X, dtype=float)
     inits = np.asarray(inits, dtype=np.intp)
@@ -307,6 +339,7 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
         lim = screen.limits(min_dist, slice(None))
         values = np.empty_like(lim)
         near = np.empty(min_dist.shape, dtype=bool)
+        unmoved = 0  # candidates so far whose exact distance left m as it was
         for k in range(1, n):
             beta = exponents[:, k]
             zero = beta == 0.0
@@ -334,10 +367,18 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
             for start in range(0, len(candidates), chunk):
                 flat = candidates[start:start + chunk]
                 rows, points = np.divmod(flat, n_pool)
-                dist = np.minimum(_distances(X, points, best[rows]), min_dist.ravel()[flat])
+                dist = _distances(X, points, best[rows])
+                m = min_dist.ravel()[flat]
+                unmoved += np.count_nonzero(dist >= m)
+                np.minimum(dist, m, out=dist)
                 min_dist.ravel()[flat] = dist
                 log_min.ravel()[flat] = np.log(dist)
                 lim.ravel()[flat] = screen.limits(dist, points)
+            wasted = unmoved * WASTE_SHARE > (WASTE_SHARE + k) * n_chains * n_pool
+            if wasted and not screen.exact:  # see **Precision**
+                screen = _Screen(X, np.float64)
+                lim = screen.limits(min_dist, slice(None))
+                values = np.empty_like(lim)
     return picks
 
 

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -477,8 +478,27 @@ def test_dataset_that_is_a_directory_rejected_before_compute(tmp_path, dataset_d
     config = write_config(tmp_path, "c.json", cfg)
     out = tmp_path / "o"
     assert main([command, "--config", str(config), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: dataset: not a regular file: {folder}\n"
+    assert capsys.readouterr().err == f"error: dataset: is a directory: {folder}\n"
     assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_dataset_read_from_a_named_pipe(tmp_path, dataset_dir):
+    csv = (dataset_dir / "dataset.csv").read_text()
+    pipe = tmp_path / "piped.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(csv,), daemon=True)
+    writer.start()  # blocks in open() until the command opens the pipe to read
+    cfg = sample_config(dataset_dir, "FPS")
+    cfg["dataset"] = str(pipe)
+    run_ok(["sample", "--config", str(write_config(tmp_path, "c.json", cfg)),
+            "--out", str(tmp_path / "piped")])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    config = write_config(tmp_path, "c.json", sample_config(dataset_dir, "FPS"))
+    run_ok(["sample", "--config", str(config), "--out", str(tmp_path / "read")])
+    assert ((tmp_path / "piped" / "selection.json").read_bytes()
+            == (tmp_path / "read" / "selection.json").read_bytes())
 
 
 BAD_NUMBERS = [

@@ -430,9 +430,11 @@ class TestGreedyKernel:
 
 
 class TestScreen:
-    """The float32 screen never rules out a point whose exact distance to the
-    new pick is below its minimum distance m, even one ulp below."""
+    """Neither the float32 nor the float64 screen rules out a point whose
+    exact distance to the new pick is below its minimum distance m, even one
+    ulp below."""
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dim", [2, 8, 64])
     @pytest.mark.parametrize("offset, scale, spread", [
         (0.0, 1.0, 1.0),  # centred coordinates |x'| near 1
@@ -441,9 +443,11 @@ class TestScreen:
         (0.0, 1e-300, 1.0),
         (0.0, 1.0, 2.0**-72),  # products and squares below the float32 normals
         (0.0, 1.0, 2.0**-130),  # coordinates below the float32 normals
-    ], ids=["unit", "offset-1e8", "scale-1e300", "scale-1e-300", "subnormal-products",
-            "subnormal-coordinates"])
-    def test_a_point_one_ulp_closer_is_a_candidate(self, dim, offset, scale, spread):
+        (0.0, 1.0, 2.0**-520),  # products and squares below the float64 normals
+        (0.0, 1.0, 2.0**-1030),  # coordinates below the float64 normals
+    ], ids=["unit", "offset-1e8", "scale-1e300", "scale-1e-300", "subnormal32-products",
+            "subnormal32-coordinates", "subnormal64-products", "subnormal64-coordinates"])
+    def test_a_point_one_ulp_closer_is_a_candidate(self, dim, offset, scale, spread, dtype):
         rng = np.random.default_rng(dim)
         k = 300
         # corners just inside +-1 make e = 0, so the largest |x'| are near 1
@@ -456,13 +460,16 @@ class TestScreen:
         # at 1e-300 the limits pass the largest float32
         with np.errstate(over="ignore"):
             m = np.nextafter(_distances(X, j, s), np.inf)  # one ulp above it
-            screen = _Screen(X)
-            F = screen.values(s, out=np.empty((k, len(X)), dtype=np.float32))
+            screen = _Screen(X, dtype)
+            F = screen.values(s, out=np.empty((k, len(X)), dtype=dtype))
             assert (F[np.arange(k), j] < screen.limits(m, j)).all()
 
-    def test_an_offset_pool_has_as_few_candidates(self, monkeypatch):
-        # screened on uncentred coordinates, every point of the shifted pool
-        # was a candidate at every step: 396,000 recomputations against 9,631
+    @pytest.mark.parametrize("shape", ["offset", "outlier", "clusters"])
+    def test_an_uneven_pool_has_as_few_candidates(self, monkeypatch, shape):
+        # screened in float32 on uncentred coordinates, every point of the
+        # offset pool was a candidate at every step: 396,000 recomputations
+        # against 9,631; centred, but in float32 throughout, the pool with
+        # one outlier recomputed 393,829 and the two clusters 197,916
         recomputed = []
         exact = sampling._distances
 
@@ -472,10 +479,27 @@ class TestScreen:
 
         monkeypatch.setattr(sampling, "_distances", counting)
         X = np.random.default_rng(13).uniform(-1.0, 1.0, size=(2000, 8))
-        for offset in (0.0, 1e3):
+        if shape == "offset":
+            uneven = X + 1e3
+        elif shape == "outlier":  # the bounding box is 10^3 times the bulk's
+            uneven = np.vstack([X, np.full((1, 8), 1e3)])
+        else:
+            uneven = np.vstack([X[:1000], X[1000:] + 1e3])
+        for pool in (X, uneven):
             recomputed.append(0)
-            fps(X + offset, 200, init=0)
+            fps(pool, 200, init=0)
         assert recomputed[1] <= 1.5 * recomputed[0]
+
+    @pytest.mark.parametrize("outlier", [1e2, 1e4, 1e8])
+    def test_a_switch_to_float64_selects_as_the_reference(self, outlier):
+        # at 1e2 the run stays in float32; at 1e4 and 1e8 it moves to float64
+        rng = np.random.default_rng(int(np.log10(outlier)))
+        X = np.vstack([rng.normal(size=(400, 4)), np.full((1, 4), outlier)])
+        exponents = np.stack([np.zeros(120), beta_schedule(1.0, 120), beta_schedule(2.0, 120)])
+        log_g = _log_gradients(rng.uniform(0.0, 5.0, size=401))
+        inits = [0, 400, 7]
+        assert np.array_equal(_greedy(X, inits, exponents, log_g),
+                              greedy_rows(X, inits, exponents, log_g))
 
 
 @pytest.mark.parametrize("beta, init_mode", [(0.0, "random_uniform"),
