@@ -27,6 +27,7 @@ import scipy
 from . import __version__ as _tool_version
 from .dataset import (LabeledSet, check_int, check_number, check_width, dumps_17g, format_float,
                       write_outputs)
+# fit is not called here; bench/worker.py's tracer wraps it by the name experiments.fit
 from .krr import (FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, gaussian_kernel,
                   predict)
 from .sampling import METHODS, check_beta, fps, ggfps_chains, urs
@@ -228,9 +229,10 @@ def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
 
     The training set of size m is the first m rows of ``d2_train`` (squared
     distances among the largest training set), ``d2_val`` (to the validation
-    points) and ``y_train``. Per sigma one ``exp`` covers the largest block;
-    per lambda one Cholesky factor solves every size through its leading
-    block (``fit_prefixes``).
+    points) and ``y_train``. Per sigma one ``exp`` covers the validation
+    kernel; per lambda one ``exp`` writes the training kernel's largest
+    block into one Fortran-ordered buffer, whose Cholesky factor, made in
+    place, solves every size through its leading block (``fit_prefixes``).
 
     Two masks of shape (len(sizes), sigmas, lambdas) say what to score.
     ``dead`` marks candidates that can never win: sizes at or beyond a
@@ -241,18 +243,16 @@ def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
     size not in ``dead``, skipped or not, because the factor of a smaller
     block differs in its last bits from the leading block of a larger
     factor. So every cost computed is bitwise the cost of a call without
-    ``skip``. Returns the costs, 0 where dead or skipped. The kernels take
-    the layout of the distances, so a Fortran-ordered ``d2_train`` spares
-    ``fit_prefixes`` a transposing copy.
+    ``skip``. Returns the costs, 0 where dead or skipped. A Fortran-ordered
+    ``d2_train`` makes each training ``exp`` a column-by-column write.
     """
     costs = np.zeros(dead.shape)
     todo = ~dead if skip is None else ~(dead | skip)
-    K = np.empty_like(d2_train)
+    A = np.empty(d2_train.shape, order="F")
     K_val = np.empty_like(d2_val)
     for si, sigma in enumerate(plan.sigma_grid):
         if not todo[:, si].any():
             continue
-        gaussian_kernel(d2_train, sigma, out=K)
         gaussian_kernel(d2_val, sigma, out=K_val)
         for li, lam in enumerate(plan.lambda_grid):
             wanted = np.flatnonzero(todo[:, si, li])
@@ -262,7 +262,8 @@ def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
             top = max(m for m, gone in zip(sizes, dead[:, si, li]) if not gone)
             if top > max(solve):
                 solve.append(top)  # sets the factor's size; its alpha goes unused
-            alphas, pivot = fit_prefixes(K, y_train, lam, solve)
+            block = gaussian_kernel(d2_train[:top, :top], sigma, out=A[:top, :top])
+            alphas, pivot = fit_prefixes(block, y_train[:top], lam, solve)
             if pivot:
                 dead[:, si, li] |= np.asarray(sizes) >= pivot
             for i, alpha in zip(wanted, alphas):
@@ -287,11 +288,11 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     ``chains`` (B, n) holds rows of ``train``; chain b's training set of size
     m is its first m rows, scored on the rows ``val``. Chain by chain, cdist
     fills two buffers over its first c = max(sizes) rows, against themselves
-    and the v validation rows, so a visit holds at most 3 c^2 + 2 c v doubles:
-    the distances, kernel and factored copy (c x c), and the validation
-    distances and kernel (c x v). ``dead`` and ``skip``, of the result's
-    shape, are as for ``_grid_costs``; ``dead`` is updated in place. A chain
-    with every candidate dead or skipped gets no cdist and costs 0.
+    and the v validation rows, so a visit holds at most 2 c^2 + 2 c v doubles:
+    the distances and the buffer of each kernel and its factor (c x c), and
+    the validation distances and kernel (c x v). ``dead`` and ``skip``, of
+    the result's shape, are as for ``_grid_costs``; ``dead`` is updated in
+    place. A chain with every candidate dead or skipped gets no cdist and costs 0.
     """
     X, y = train.descriptors, train.labels
     top = max(sizes)
@@ -448,8 +449,11 @@ def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[fl
     """Fit on the selection, score on the remainder of the labeled set."""
     test = np.setdiff1d(np.arange(len(L)), sel)
     X_tr = L.descriptors[sel]
-    # the training Gram is freed when fit returns, before the test Gram exists
-    alpha = fit(gaussian_gram(X_tr, X_tr, choice.sigma), L.labels[sel], choice.lam)
+    # the Gram is bitwise symmetric, so .T is its Fortran block: factored in place, freed here
+    (alpha,), pivot = fit_prefixes(gaussian_gram(X_tr, X_tr, choice.sigma).T, L.labels[sel],
+                                   choice.lam, [len(sel)])
+    if pivot:
+        raise FactorizationError(pivot)
     K_test = gaussian_gram(X_tr, L.descriptors[test], choice.sigma)
     pred = predict(K_test, alpha)
     mae, rmse, abs_err = _errors(pred, L.labels[test])
@@ -598,14 +602,22 @@ def bin_errors_by_force_norm(test_errors) -> list[ForceNormBin]:
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """0.9 * min(std, IQR / 1.34) * n^(-1/5); falls back to the std when the
-    IQR collapses to zero on heavily tied data."""
+    IQR collapses to zero on heavily tied data.
+
+    The std is taken of the samples scaled by 2^-e, with 2^e the power of two
+    just above max |x|, and scaled back by 2^e, so it neither underflows
+    (samples spread about 1e-300) nor overflows (about 1e308) where the std
+    itself is a normal float. Scaling by a power of two is exact for normal
+    results, so where the plain std neither underflows nor overflows, h is
+    bitwise the same."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
-    # a std that overflows is inf, and min() below then takes the IQR's scale
+    e = int(np.frexp(max(samples.max(), -samples.min()))[1]) if n else 0
+    # a std or IQR beyond the float range is inf, and min() takes the other's scale
     with np.errstate(over="ignore"):
-        std = float(np.std(samples, ddof=1))
-    q1, q3 = np.percentile(samples, [25.0, 75.0])
-    iqr = float(q3 - q1)
+        std = float(np.ldexp(np.std(np.ldexp(samples, -e), ddof=1), e))
+        q1, q3 = np.percentile(samples, [25.0, 75.0])
+        iqr = float(q3 - q1)
     scale = min(std, iqr / 1.34) if iqr > 0 else std
     return 0.9 * scale * n ** (-0.2)
 
@@ -621,10 +633,11 @@ def kde_1d(samples, eval_grid) -> np.ndarray:
     h = silverman_bandwidth(samples)
     if not h > 0:
         raise DegenerateDistributionError("samples have zero spread")
-    # a z or z**2 that overflows gives exp(-inf) = 0, the correctly rounded value
+    # each step in place; one that overflows gives exp(-inf) = 0, correctly rounded
     with np.errstate(over="ignore"):
-        z2 = ((grid[:, None] - samples[None, :]) / h) ** 2
-    return np.exp(-0.5 * z2).sum(axis=1) / (len(samples) * h * np.sqrt(2.0 * np.pi))
+        z = np.subtract(grid[:, None], samples[None, :])
+        np.exp(np.multiply(np.square(np.divide(z, h, out=z), out=z), -0.5, out=z), out=z)
+    return z.sum(axis=1) / (len(samples) * h * np.sqrt(2.0 * np.pi))
 
 
 def selection_heatmap_2d(selections, labeled: LabeledSet, grid: int) -> np.ndarray:
@@ -702,9 +715,9 @@ def _export_bytes(universe: LabeledSet, plan: ExperimentPlan) -> dict[str, int]:
     counts, plus heatmap.csv's grid^2 lines per group, each at least as long
     as one whose row, column and count are single digits. ``kde_points``:
     kde.csv's kde_points lines per (quantity, series), each at least as long
-    as one whose x and density are single digits, plus one kde_points x
-    samples float matrix of ``kde_1d`` over the universe or the largest
-    selected series (max train size x bootstraps)."""
+    as one whose x and density are single digits, plus the one kde_points x
+    samples float matrix that ``kde_1d`` holds, exactly, over the universe or
+    the largest selected series (max train size x bootstraps)."""
     groups = [(m, ls, ts) for m in plan.methods for ls in plan.labeled_sizes
               for ts in plan.train_sizes if ts < ls]
     need = {}
@@ -749,6 +762,9 @@ def _check_exports(universe: LabeledSet, plan: ExperimentPlan) -> None:
                 f"{quantity}: zero spread over all {len(values)} dataset points, "
                 "so its KDE is undefined"
             )
+        if h * np.sqrt(2.0 * np.pi) < 1.0 / np.finfo(float).max:  # a peak above the float range
+            raise ValueError(f"{quantity}: the KDE density over all {len(values)} dataset "
+                             "points is not finite (values too close together)")
     if min(plan.train_sizes) * plan.bootstraps < 2:
         raise ValueError(
             f"plan: min(train_sizes) x bootstraps = {min(plan.train_sizes) * plan.bootstraps}; "

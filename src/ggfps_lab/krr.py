@@ -142,7 +142,7 @@ def gaussian_kernel(d2: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray
 def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
                  sizes) -> tuple[list[np.ndarray | None], int]:
     """Solve (K[:m, :m] + lambda I) alpha = y[:m] for every m in ``sizes``
-    from one Cholesky factorization of the largest such block.
+    from one Cholesky factorization of the largest such block, made in place.
 
     The Cholesky factor of a leading block is the leading block of the
     factor (Golub & Van Loan, section 4.2), so each size costs one pair of
@@ -151,19 +151,18 @@ def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
     leading minor of order p is not positive definite, so every size m >= p
     gets None while smaller sizes are still solved.
 
-    Only the lower triangle of ``K_train`` is read, and ``K_train`` is never
-    written: each call makes one Fortran-ordered copy of the largest block,
-    which LAPACK factors in place, and each size is solved on the factor's
-    leading block where it lies, with no copy. A Fortran-ordered ``K_train``
-    makes that a column-by-column copy rather than a transpose. The routines
-    are scipy's OpenBLAS ``dpotrf`` and ``dpotrs`` through ctypes
-    (``_lapack``), which give bitwise what ``scipy.linalg.lapack`` gives; that
-    module is the fallback where the library is missing.
+    ``K_train`` is factored in place: a float64 matrix with unit-stride rows
+    (Fortran-ordered, or a leading block of such a buffer; else ValueError).
+    Its largest block gets lambda on the diagonal and the factor in its lower
+    triangle, through its own leading dimension, and each size is solved on
+    the factor's leading block; the upper triangle is never read or written.
+    The routines are scipy's OpenBLAS ``dpotrf`` and ``dpotrs`` through
+    ctypes (``_lapack``), which give bitwise what ``scipy.linalg.lapack``
+    gives; that module is the fallback where the library is missing.
     """
-    K_train = np.asarray(K_train, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = K_train.shape[0]
-    if K_train.shape != (n, n):
+    n = np.shape(K_train)[0]
+    if np.shape(K_train) != (n, n):
         raise ValueError("K_train must be square")
     if y.shape != (n,):
         raise ValueError("y length must match K_train")
@@ -172,28 +171,32 @@ def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
     sizes = [int(m) for m in sizes]
     if not sizes or min(sizes) < 1 or max(sizes) > n:
         raise ValueError("sizes must be non-empty and within 1..len(y)")
+    if (not isinstance(K_train, np.ndarray) or K_train.dtype != np.float64
+            or K_train.strides[0] != 8 or K_train.strides[1] % 8 or K_train.strides[1] < 8 * n):
+        raise ValueError("K_train must be a float64 matrix with unit-stride rows (Fortran)")
 
     top = max(sizes)
-    # always a copy, never a view of K_train: dpotrf overwrites it
-    A = np.array(K_train[:top, :top], order="F")
+    A = K_train[:top, :top]
     A[np.diag_indices(top)] += lam
     lapack = _lapack()
     if lapack is None:
         from scipy.linalg.lapack import dpotrf, dpotrs
         # clean=0: the upper triangle is never read, so it is not zeroed
-        A, pivot = dpotrf(A, lower=1, clean=0, overwrite_a=1)
+        c, pivot = dpotrf(A, lower=1, clean=0, overwrite_a=1)
+        if not np.may_share_memory(c, A):  # f2py copies a block with lda > top
+            A[np.tril_indices(top)] = c[np.tril_indices(top)]
 
         def solve(m):
             return dpotrs(A[:m, :m], y[:m], lower=1)
     else:
         potrf, potrs = lapack
-        lda, info = ctypes.c_int(top), ctypes.c_int()
-        potrf(b"L", lda, A.ctypes.data, lda, info, 1)
+        lda, info = ctypes.c_int(A.strides[1] // 8), ctypes.c_int()
+        potrf(b"L", ctypes.c_int(top), A.ctypes.data, lda, info, 1)
         pivot = info.value
 
         def solve(m):
             alpha = y[:m].copy()
-            # the leading m x m block of A, read in place through lda = top
+            # the leading m x m block of A, read in place through lda
             potrs(b"L", ctypes.c_int(m), ctypes.c_int(1), A.ctypes.data, lda,
                   alpha.ctypes.data, ctypes.c_int(m), info, 1)
             return alpha, info.value
@@ -210,8 +213,9 @@ def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
 
 
 def fit(K_train: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (K + lambda I) alpha = y by Cholesky factorization."""
-    K_train = np.asarray(K_train, dtype=float)
+    """Solve (K + lambda I) alpha = y by Cholesky factorization of a
+    Fortran-ordered copy of ``K_train``, which is never written."""
+    K_train = np.array(K_train, dtype=float, order="F")
     (alpha,), pivot = fit_prefixes(K_train, y, lam, [K_train.shape[0]])
     if pivot:
         raise FactorizationError(pivot)

@@ -10,7 +10,9 @@ faster versions must match bit for bit. ``exhaustive_plain_cv`` and
 ``exhaustive_ggfps_cv`` keep the former fold loops, which score every
 candidate on every fold through the package's own fold routine: the
 pruned search must return the same choice and, wherever it reports a
-finite cost, the same bits.
+finite cost, the same bits. ``kde_expression`` and ``plain_silverman``
+keep the former KDE expression, with its whole-matrix temporaries, and
+the former bandwidth, with the std of the samples as given.
 """
 import numpy as np
 
@@ -233,3 +235,25 @@ def exhaustive_ggfps_cv(cv, target_sizes):
         sizes = [_mirror_size(ts, plan.folds, chain_len) for ts in target_sizes]
         sums += _fold_costs(train, plan, val, pool[chains], sizes, dead)
     return _fold_means(sums, dead, len(cv.val_folds))
+
+
+def kde_expression(samples, grid, h):
+    """Gaussian KDE of ``samples`` on ``grid`` with bandwidth ``h``, as one
+    numpy expression over (len(grid), len(samples)) temporaries."""
+    samples = np.asarray(samples, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    with np.errstate(over="ignore"):
+        z2 = ((grid[:, None] - samples[None, :]) / h) ** 2
+    return np.exp(-0.5 * z2).sum(axis=1) / (len(samples) * h * np.sqrt(2.0 * np.pi))
+
+
+def plain_silverman(samples):
+    """0.9 * min(std, IQR / 1.34) * n^(-1/5), the std taken of the samples
+    as given (so it underflows to 0 on samples spread about 1e-300)."""
+    samples = np.asarray(samples, dtype=float)
+    with np.errstate(over="ignore"):
+        std = float(np.std(samples, ddof=1))
+    q1, q3 = np.percentile(samples, [25.0, 75.0])
+    iqr = float(q3 - q1)
+    scale = min(std, iqr / 1.34) if iqr > 0 else std
+    return 0.9 * scale * len(samples) ** (-0.2)

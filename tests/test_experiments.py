@@ -20,6 +20,7 @@ from ggfps_lab.experiments import (
     _fold_costs,
     _grid_costs,
     _mirror_size,
+    _check_exports,
     _run_cells,
     bin_errors_by_force_norm,
     choose_from_costs,
@@ -28,13 +29,14 @@ from ggfps_lab.experiments import (
     kde_1d,
     learning_curve,
     selection_heatmap_2d,
+    silverman_bandwidth,
 )
 from ggfps_lab.krr import (
     FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict,
 )
 from ggfps_lab.sampling import SamplerConfig, ggfps, ggfps_chains
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
-from oracles import exhaustive_ggfps_cv, exhaustive_plain_cv
+from oracles import exhaustive_ggfps_cv, exhaustive_plain_cv, kde_expression, plain_silverman
 
 SMALL_GRIDS = dict(sigma_grid=(0.5, 1.5), lambda_grid=(1e-6,), beta_grid=(0.0, 1.0))
 
@@ -284,6 +286,29 @@ class TestFoldCosts:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_visit_holds_two_square_blocks(self):
+        """A visit at c = 400 training and v = 200 validation rows holds the
+        distances and the factor buffer (c x c each) and the validation
+        distances and kernel (c x v each): 2 c^2 + 2 c v doubles, plus
+        c^2 / 2 doubles of slack for cdist's row block and small arrays. A
+        separate kernel matrix or factor copy would add c^2 doubles."""
+        c, v = 400, 200
+        rng = np.random.default_rng(4)
+        train = uniform_domain_sample(StyblinskiTang(), 700, seed=4)
+        val = np.arange(500, 700)
+        chains = rng.permutation(500)[None, :c]
+        plan = small_plan(sigma_grid=(0.5, 1.5), lambda_grid=(1e-8, 1e-4))
+        dead = np.zeros((1, 2, 2, 1), dtype=bool)
+        _fold_costs(train, plan, val, chains, [c], dead.copy())
+        tracemalloc.start()
+        try:
+            _fold_costs(train, plan, val, chains, [c], dead)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not dead.any()
+        assert peak < (2 * c * c + 2 * c * v) * 8 + c * c * 4
 
     def test_ggfps_cv_selects_each_fold_chain_once(self, universe, monkeypatch):
         """Each fold's chains are selected before the search, in one lockstep
@@ -763,6 +788,104 @@ class TestKde:
         samples = np.array([5.0] * 40 + [0.0, 10.0])
         density = kde_1d(samples, np.linspace(-5, 15, 101))
         assert np.all(np.isfinite(density)) and density.max() > 0
+
+    @pytest.mark.parametrize("case", ["normal", "near_float_max", "subnormal_h", "wide_grid"])
+    def test_bitwise_the_whole_matrix_expression(self, case):
+        """The in-place KDE is bitwise the expression over whole-matrix
+        temporaries, also where a difference or a quotient overflows."""
+        rng = np.random.default_rng(67)
+        if case == "normal":
+            samples = rng.standard_normal(700) * 3.0 + 1.0
+            grid = np.linspace(-12.0, 14.0, 301)
+        elif case == "near_float_max":  # x - s overflows to +-inf
+            samples = np.concatenate([rng.uniform(-1.0, 1.0, 60) * 1.7e308, [1.79e308, -1.79e308]])
+            grid = np.linspace(-1.0, 1.0, 101) * 1.79e308
+        elif case == "subnormal_h":  # (x - s) / h overflows
+            samples = rng.integers(0, 400, 50) * 5e-324
+            grid = np.concatenate([np.linspace(-1e-321, 3e-321, 50), [-1.0, 1e-300, 1.0]])
+        else:
+            samples = rng.standard_normal(50)
+            grid = np.array([-1e308, -1e200, -1.0, 0.0, 1e-320, 1.0, 1e154, 1e200, 1e308])
+        h = silverman_bandwidth(samples)
+        assert h > 0 and (case != "subnormal_h" or h < 2.0**-1022)
+        with np.errstate(over="ignore"):  # a density near a subnormal-h sample overflows
+            got, expected = kde_1d(samples, grid), kde_expression(samples, grid, h)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=40),
+           st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+    def test_bitwise_the_whole_matrix_expression_on_any_floats(self, samples, grid):
+        samples, grid = np.array(samples), np.array(grid)
+        with np.errstate(all="ignore"):
+            h = silverman_bandwidth(samples)
+            if not (h > 0 and np.isfinite(h)):
+                return
+            got, expected = kde_1d(samples, grid), kde_expression(samples, grid, h)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_peaks_at_one_matrix(self):
+        """One kde_points x N matrix, plus slack of 16 float vectors of each
+        length: the whole-matrix expression held three such matrices."""
+        rng = np.random.default_rng(68)
+        points, n = 300, 4000
+        samples, grid = rng.standard_normal(n), np.linspace(-5.0, 5.0, points)
+        kde_1d(samples, grid)
+        tracemalloc.start()
+        try:
+            kde_1d(samples, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * points * n + 16 * 8 * (points + n)
+
+
+class TestSilvermanBandwidth:
+    def test_spread_about_1e_300_is_not_zero(self):
+        """np.std of [0, 1, 2, 3] * 1e-300 underflows to 0; the bandwidth
+        takes it from the samples scaled by a power of two, so the KDE and
+        the export check accept them."""
+        samples = np.array([0.0, 1.0, 2.0, 3.0]) * 1e-300
+        assert plain_silverman(samples) == 0.0
+        std = math.sqrt(5.0 / 3.0) * 1e-300
+        h = silverman_bandwidth(samples)
+        assert h == pytest.approx(0.9 * min(std, 1.5e-300 / 1.34) * 4 ** -0.2, rel=1e-14)
+        density = kde_1d(samples, np.linspace(-1e-300, 4e-300, 11))
+        assert np.isfinite(density).all() and density.max() > 0
+        tiny = uniform_domain_sample(StyblinskiTang(), 60, seed=5)
+        tiny = LabeledSet(descriptors=tiny.descriptors, labels=tiny.labels * 1e-300,
+                          gradient_norms=tiny.gradient_norms, ids=tiny.ids)
+        _check_exports(tiny, small_plan())
+
+    def test_density_beyond_the_float_range_rejected_before_compute(self):
+        """Labels spread about 1e-310 now have a bandwidth (a subnormal one),
+        but a KDE peak of about 1 / h overflows: the export check rejects
+        them, naming the quantity, as it rejected them for zero spread."""
+        base = uniform_domain_sample(StyblinskiTang(), 60, seed=5)
+        tiny = LabeledSet(descriptors=base.descriptors, labels=base.labels / 100.0 * 1e-310,
+                          gradient_norms=base.gradient_norms, ids=base.ids)
+        assert silverman_bandwidth(tiny.labels) > 0
+        with pytest.raises(ValueError, match="^label: the KDE density .* not finite"):
+            _check_exports(tiny, small_plan())
+
+    def test_overflowing_std_is_the_std_of_the_scaled_samples(self):
+        """A std whose squares overflow was inf, so the IQR set h; it is
+        now sqrt(4/3) a for [-a, -a, a, a], below the IQR's 2a / 1.34."""
+        for a in (1e307, 1e308):
+            samples = np.array([-a, -a, a, a])
+            with np.errstate(over="ignore"):
+                assert math.isinf(np.std(samples, ddof=1))
+            h = silverman_bandwidth(samples)
+            assert h == pytest.approx(0.9 * math.sqrt(4.0 / 3.0) * a * 4 ** -0.2, rel=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)),
+                    min_size=2, max_size=50))
+    def test_bitwise_unchanged_on_normal_range_samples(self, samples):
+        """Where the plain std neither underflows nor overflows, scaling by a
+        power of two is exact and h is bitwise the former bandwidth."""
+        samples = np.array(samples)
+        assert silverman_bandwidth(samples) == plain_silverman(samples)
 
 
 class TestSelectionHeatmap:

@@ -144,7 +144,7 @@ class TestFitPrefixes:
         K = gaussian_gram(X, X, 0.7)
         y = rng.normal(size=120)
         sizes = [64, 1, 7, 50, 65, 7, 119]
-        alphas, pivot = fit_prefixes(K, y, 1e-6, sizes)
+        alphas, pivot = fit_prefixes(np.asfortranarray(K), y, 1e-6, sizes)
         assert pivot == 0
         for m, alpha in zip(sizes, alphas):
             direct = fit(K[:m, :m], y[:m], 1e-6)
@@ -162,7 +162,7 @@ class TestFitPrefixes:
         K[p - 1, p - 1] = v @ np.linalg.solve(K[: p - 1, : p - 1], v) - 1.0
         y = rng.normal(size=n)
         sizes = [1, p - 1, p, n, 3]
-        alphas, pivot = fit_prefixes(K, y, 1e-12, sizes)
+        alphas, pivot = fit_prefixes(np.asfortranarray(K), y, 1e-12, sizes)
         with pytest.raises(FactorizationError) as err:
             fit(K, y, 1e-12)
         assert pivot == err.value.pivot == p
@@ -173,18 +173,37 @@ class TestFitPrefixes:
                 assert np.linalg.norm(alpha - direct) <= 1e-8 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_leaves_k_train_unchanged(self, order):
-        # dpotrf factors its argument in place: the F-ordered case is a block
-        # of exactly top x top, which a non-copying asfortranarray would hand over
+    def test_factors_k_train_in_place_or_rejects_its_layout(self, order):
+        """``fit_prefixes`` overwrites the lower triangle of its argument's
+        largest block with the factor, and nothing else; an argument whose
+        rows are not unit-stride is rejected untouched. ``fit`` works on a
+        copy and leaves either layout as it was."""
         rng = np.random.default_rng(14)
         K = np.array(random_spd(rng, 30), order=order)
-        before = K.copy(order=order)
-        alphas, pivot = fit_prefixes(K, rng.normal(size=30), 1e-4, [10, 30])
-        assert pivot == 0 and all(a is not None for a in alphas)
+        y = rng.normal(size=30)
+        before = K.copy(order="A")
+        alpha = fit(K, y, 1e-4)
         assert np.array_equal(K, before)
+        if order == "C":
+            for bad in (K, np.asfortranarray(K)[::2, ::2], np.asfortranarray(K)[::-1, ::-1]):
+                with pytest.raises(ValueError, match="unit-stride rows"):
+                    fit_prefixes(bad, y[:len(bad)], 1e-4, [len(bad)])
+            assert np.array_equal(K, before)
+            return
+        alphas, pivot = fit_prefixes(K, y, 1e-4, [10, 20])
+        assert pivot == 0 and all(a is not None for a in alphas)
+        A = before[:20, :20] + 1e-4 * np.eye(20)
+        c, _ = dpotrf(np.asfortranarray(A), lower=1, clean=0)
+        assert np.tril(K[:20, :20]).tobytes() == np.tril(c).tobytes()
+        changed = np.zeros(K.shape, dtype=bool)
+        changed[:20, :20] = np.tri(20, dtype=bool)
+        assert np.array_equal(K[~changed], before[~changed])
+        # the factor is fit's own, bitwise, at the full size
+        assert fit_prefixes(np.array(before, order="F"), y, 1e-4, [30])[0][0].tobytes() \
+            == alpha.tobytes()
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_reads_only_the_lower_triangle(self, order):
+    @pytest.mark.parametrize("layout", ["F", "block"])
+    def test_reads_only_the_lower_triangle(self, layout):
         rng = np.random.default_rng(15)
         n = 25
         K = random_spd(rng, n)
@@ -192,16 +211,25 @@ class TestFitPrefixes:
         symmetric = np.tril(K) + np.tril(K, -1).T
         y = rng.normal(size=n)
         sizes = [3, 17, n]
-        got, pivot = fit_prefixes(np.array(K, order=order), y, 1e-6, sizes)
-        expected, _ = fit_prefixes(symmetric, y, 1e-6, sizes)
+        if layout == "F":
+            arg = np.array(K, order="F")
+        else:  # the leading block of a larger buffer, NaN around it
+            buffer = np.full((n + 7, n + 2), np.nan, order="F")
+            buffer[:n, :n] = K
+            arg = buffer[:n, :n]
+        got, pivot = fit_prefixes(arg, y, 1e-6, sizes)
+        expected, _ = fit_prefixes(np.asfortranarray(symmetric), y, 1e-6, sizes)
         assert pivot == 0
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
+        assert np.isnan(arg[np.triu_indices(n, 1)]).all()
 
-    def test_factors_one_fortran_copy_in_place(self, monkeypatch):
-        """One dpotrf call factors a copy of the largest block in place, and
-        each size is solved on that factor's leading block through lda, with
-        no copy of the block."""
+    def test_factors_its_argument_in_place(self, monkeypatch):
+        """One dpotrf call factors the largest block where it lies in the
+        argument, through the argument's own leading dimension, and each size
+        is solved on that factor's leading block, with no copy of any block;
+        a leading block of a larger buffer keeps the buffer's leading
+        dimension."""
         if krr._lapack() is None:
             pytest.skip("scipy bundles no OpenBLAS here")
         potrf, potrs = krr._lapack()
@@ -217,13 +245,18 @@ class TestFitPrefixes:
 
         monkeypatch.setattr(krr, "_lapack", lambda: (recording_potrf, recording_potrs))
         rng = np.random.default_rng(16)
-        K = random_spd(rng, 20)
-        alphas, pivot = fit_prefixes(K, rng.normal(size=20), 1e-4, [5, 12])
-        assert pivot == 0 and all(a is not None for a in alphas)
-        factor = calls[0][3]
-        assert factor != K.ctypes.data
-        assert calls == [("dpotrf", b"L", 12, factor, 12),
-                         ("dpotrs", b"L", 5, factor, 12), ("dpotrs", b"L", 12, factor, 12)]
+        spd = random_spd(rng, 20)
+        y = rng.normal(size=20)
+        for n in (20, 16):
+            buffer = np.asfortranarray(spd)  # a fresh copy for each call
+            K, lda = buffer[:n, :n], 20
+            calls.clear()
+            alphas, pivot = fit_prefixes(K, y[:len(K)], 1e-4, [5, 12])
+            assert pivot == 0 and all(a is not None for a in alphas)
+            factor = K.ctypes.data
+            assert factor == buffer.ctypes.data
+            assert calls == [("dpotrf", b"L", 12, factor, lda),
+                             ("dpotrs", b"L", 5, factor, lda), ("dpotrs", b"L", 12, factor, lda)]
 
     @pytest.mark.parametrize("path", ["ctypes", "fallback"])
     @pytest.mark.parametrize("kind", ["spd", "near_singular", "indefinite"])
@@ -250,7 +283,7 @@ class TestFitPrefixes:
                 K, lam = M + M.T, 1e-3
             y = rng.normal(size=n)
             sizes = sorted({int(m) for m in rng.integers(1, n + 1, size=4)})
-            alphas, pivot = fit_prefixes(K, y, lam, sizes)
+            alphas, pivot = fit_prefixes(np.asfortranarray(K), y, lam, sizes)
             A = np.array(K[:max(sizes), :max(sizes)], order="F")
             A[np.diag_indices(len(A))] += lam
             c, expected_pivot = dpotrf(A, lower=1)
@@ -261,6 +294,45 @@ class TestFitPrefixes:
                     assert alpha is None
                 else:
                     assert alpha.tobytes() == dpotrs(c[:m, :m], y[:m], lower=1)[0].tobytes()
+        assert (failed == 0) if kind == "spd" else failed >= 10
+
+    @pytest.mark.parametrize("path", ["ctypes", "fallback"])
+    @pytest.mark.parametrize("kind", ["spd", "near_singular", "indefinite"])
+    def test_leading_block_of_a_larger_buffer_is_bitwise_a_compact_factor(
+            self, monkeypatch, path, kind):
+        """A leading-block view of a larger Fortran buffer (leading dimension
+        above the block's size, as the cross-validation grid passes once its
+        larger sizes die) gives bitwise the alphas, pivot and factor of a
+        compact Fortran copy, and leaves the rest of the buffer alone."""
+        if path == "fallback":
+            monkeypatch.setattr(krr, "_lapack", lambda: None)
+        elif krr._lapack() is None:
+            pytest.skip("scipy bundles no OpenBLAS here")
+        rng = np.random.default_rng(18)
+        failed = 0
+        for trial in range(30):
+            n = int(rng.integers(1, 300))
+            X = rng.uniform(-3.0, 3.0, size=(n, 2))
+            if kind == "spd":
+                K, lam = gaussian_gram(X, X, rng.uniform(0.2, 2.0)), 1e-6
+            elif kind == "near_singular":
+                K, lam = gaussian_gram(X, X, 5.0), 1e-300
+            else:
+                M = rng.normal(size=(n, n))
+                K, lam = M + M.T, 1e-3
+            y = rng.normal(size=n)
+            sizes = sorted({int(m) for m in rng.integers(1, n + 1, size=4)})
+            buffer = np.full((n + int(rng.integers(1, 70)), n + 1), np.nan, order="F")
+            buffer[:n, :n] = K
+            compact = np.asfortranarray(K)
+            got, pivot = fit_prefixes(buffer[:n, :n], y, lam, sizes)
+            expected, expected_pivot = fit_prefixes(compact, y, lam, sizes)
+            assert pivot == expected_pivot
+            failed += pivot > 0
+            for a, b in zip(got, expected):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+            assert buffer[:n, :n].tobytes(order="F") == compact.tobytes(order="F")
+            assert np.isnan(buffer[n:]).all() and np.isnan(buffer[:, n:]).all()
         assert (failed == 0) if kind == "spd" else failed >= 10
 
     def test_rejects_sizes_outside_the_matrix(self):

@@ -1,9 +1,11 @@
 """The README's Library example runs as written, so it cannot name an export
-the package no longer has."""
+the package no longer has, and CI runs the tier-1 command that ROADMAP.md
+names."""
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_library_example_runs():
@@ -12,3 +14,12 @@ def test_library_example_runs():
     namespace: dict = {}
     exec(compile(code, "README.md", "exec"), namespace)
     assert len(namespace["result"].indices) == 100
+
+
+def test_ci_runs_the_roadmap_tier1_command_verbatim():
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", (ROOT / "ROADMAP.md").read_text())
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    runs = re.findall(r"^ +run: (.*)$", workflow, re.M)
+    assert tier1 and runs[-1] == tier1.group(1)
+    assert 'python-version: "3.11"' in workflow
+    assert "pip install numpy scipy pytest hypothesis" in runs[0]
