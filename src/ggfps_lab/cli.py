@@ -35,11 +35,11 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
 SURFACES = {"styblinski_tang": StyblinskiTang, "adversarial_toy": AdversarialToy}
-# generator kind -> (function, required fields, optional fields)
+# generator kind -> (function, required fields, optional fields, dataset.csv id prefix)
 GENERATORS = {
-    "uniform": (uniform_domain_sample, ("n", "seed"), ()),
+    "uniform": (uniform_domain_sample, ("n", "seed"), (), "u"),
     "boltzmann": (synth_boltzmann_set, ("n", "seed", "temperature", "step"),
-                  ("burn_in", "thinning")),
+                  ("burn_in", "thinning"), "b"),
 }
 BUMP_FIELDS = tuple(f.name for f in dataclasses.fields(AdversarialToy)
                     if f.name.startswith("bump_"))
@@ -133,7 +133,7 @@ def _surface(cfg: dict):
 def cmd_generate(cfg: dict, config_path: Path, out_dir: Path) -> None:
     surface = _surface(cfg)
     gen = _section(cfg["generator"], "generator", ("kind",))
-    (generate, required, optional), fields = _kind(GENERATORS, gen, "generator")
+    (generate, required, optional, id_prefix), fields = _kind(GENERATORS, gen, "generator")
     _section(gen, "generator", ("kind",) + required, optional)
     labeled = _build("generator", generate, surface, **fields)
     manifest = {
@@ -144,8 +144,7 @@ def cmd_generate(cfg: dict, config_path: Path, out_dir: Path) -> None:
         "rows": len(labeled),
     }
     write_outputs(out_dir, {
-        "dataset.csv": labeled.to_csv(),
-        "dataset.json": labeled.to_json(indent=2),
+        "dataset.csv": labeled.to_csv(id_prefix),
         "manifest.json": dumps_17g(manifest, indent=2) + "\n",
     })
 
@@ -160,8 +159,6 @@ def _load_dataset(cfg: dict, config_path: Path) -> LabeledSet:
     if dataset_path.is_dir():  # pipes and devices stream like files
         raise ConfigError(f"dataset: is a directory: {dataset_path}")
     try:
-        if dataset_path.suffix == ".json":  # read whole: json has no streaming parser
-            return LabeledSet.from_json(dataset_path.read_text())
         with dataset_path.open() as lines:  # streamed, CSV_BLOCK_ROWS rows at a time
             return LabeledSet.from_csv(lines)
     except (TypeError, ValueError) as exc:
@@ -195,9 +192,12 @@ COMMANDS = {
 
 def _resolve_threads(flag_value: int | None) -> int:
     """Worker count from --threads; 0 or unset means auto, which is 1. The
-    value is validated but changes nothing: replicates always run serially,
-    because replicate threads contend for the GIL and ran slower than one
-    worker in every measured curve workload."""
+    value is validated but changes nothing: replicates always run serially.
+    The GIL is not what stops a thread pool, since the ctypes ``dpotrf`` and
+    ``dpotrs`` calls release it. The program does not yet set the thread
+    count of scipy's OpenBLAS, on which the output bytes depend, and no
+    replicate pool has been measured to speed a run up (ROADMAP items 3
+    and 4)."""
     if flag_value is not None and flag_value < 0:
         raise ConfigError("--threads: must be >= 0")
     return flag_value or 1

@@ -1,9 +1,9 @@
 """Data model for labeled samples with gradient information.
 
 Holds the flat labeled set (descriptor matrix + labels + gradient norms)
-that all samplers operate on, with its CSV and JSON forms; the field checks
-shared by the config types; the writer of every command's output files; and
-a Metropolis generator for synthetic Boltzmann-distributed datasets.
+that all samplers operate on, with its CSV form; the field checks shared by
+the config types; the writer of every command's output files; and a
+Metropolis generator for synthetic Boltzmann-distributed datasets.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 # large enough to amortize the call, small enough that a block's text and
 # field strings (about 1 MiB at 1024 rows of 11 fields) stay below the parsed
 # arrays of a large dataset. On a 20,000 x 8 CSV, 1024 rows load as fast as
-# 4096 with a traced peak of 5.3 MiB instead of 9.7 MiB.
+# 4096 with a traced peak of 3.8 MiB instead of 9.0 MiB.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -131,23 +131,23 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """The universe samplers select from: descriptors, labels, gradient norms, ids."""
+    """The universe samplers select from: descriptors, labels and gradient
+    norms, as three read-only float arrays. A point is its row index; no
+    output names a point otherwise."""
 
     descriptors: np.ndarray      # (N, d)
     labels: np.ndarray           # (N,)
     gradient_norms: np.ndarray   # (N,) nonnegative
-    ids: tuple[str, ...]
 
     def __post_init__(self):
         X = np.asarray(self.descriptors, dtype=float)
         y = np.asarray(self.labels, dtype=float)
         g = np.asarray(self.gradient_norms, dtype=float)
-        ids = tuple(str(i) for i in self.ids)
         if X.ndim != 2:
             raise ValueError("descriptors must be an (N, d) matrix")
         n = X.shape[0]
-        if y.shape != (n,) or g.shape != (n,) or len(ids) != n:
-            raise ValueError("descriptors, labels, gradient_norms and ids must agree in length")
+        if y.shape != (n,) or g.shape != (n,):
+            raise ValueError("descriptors, labels and gradient_norms must agree in length")
         if not (np.isfinite(X).all() and np.isfinite(y).all() and np.isfinite(g).all()):
             raise ValueError("all entries must be finite")
         if np.any(g < 0):
@@ -155,7 +155,6 @@ class LabeledSet:
         for name, arr in (("descriptors", X), ("labels", y), ("gradient_norms", g)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "ids", ids)
 
     def __len__(self) -> int:
         return self.descriptors.shape[0]
@@ -170,14 +169,16 @@ class LabeledSet:
             descriptors=self.descriptors[idx],
             labels=self.labels[idx],
             gradient_norms=self.gradient_norms[idx],
-            ids=tuple(self.ids[i] for i in idx),
         )
 
-    def to_csv(self) -> str:
+    def to_csv(self, id_prefix: str = "") -> str:
+        """The CSV text ``from_csv`` reads; row i's id is ``id_prefix``
+        followed by i, zero-padded to five digits."""
         header = "id,label,grad_norm," + ",".join(f"x{j}" for j in range(self.dim))
         lines = [header]
         for i in range(len(self)):
-            row = [self.ids[i], format_float(self.labels[i]), format_float(self.gradient_norms[i])]
+            row = [f"{id_prefix}{i:05d}", format_float(self.labels[i]),
+                   format_float(self.gradient_norms[i])]
             row.extend(format_float(v) for v in self.descriptors[i])
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
@@ -185,7 +186,8 @@ class LabeledSet:
     @classmethod
     def from_csv(cls, source: str | Iterable[str]) -> "LabeledSet":
         """Parse ``to_csv`` output from a string or from an iterable of lines,
-        such as an open text file; blank lines are skipped.
+        such as an open text file; blank lines are skipped. The ``id`` column
+        must be present, and is skipped.
 
         An iterable is read ``CSV_BLOCK_ROWS`` rows at a time, so the whole
         text is never held. Each line it yields (a string is one line) is
@@ -208,7 +210,6 @@ class LabeledSet:
         if header[:3] != ["id", "label", "grad_norm"]:
             raise ValueError("CSV header must start with id,label,grad_norm")
         width = len(header)
-        ids: list[str] = []
         # each block's parsed values, after an empty one: a header alone gives N = 0
         blocks = [np.empty((0, width - 1))]
         while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
@@ -216,7 +217,6 @@ class LabeledSet:
             good = block if bad is None else block[:bad]
             if good:
                 fields = ",".join(good).split(",")
-                ids.extend(fields[::width])
                 del fields[::width]
                 blocks.append(np.array(fields, dtype=float).reshape(-1, width - 1))
             if bad is not None:
@@ -225,33 +225,6 @@ class LabeledSet:
             descriptors=np.concatenate([b[:, 2:] for b in blocks]),
             labels=np.concatenate([b[:, 0] for b in blocks]),
             gradient_norms=np.concatenate([b[:, 1] for b in blocks]),
-            ids=tuple(ids),
-        )
-
-    def to_json(self, indent: int | None = None) -> str:
-        doc = {
-            "schema_version": 1,
-            "ids": list(self.ids),
-            "labels": self.labels,
-            "gradient_norms": self.gradient_norms,
-            "descriptors": self.descriptors,
-        }
-        return dumps_17g(doc, indent=indent) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "LabeledSet":
-        """Parse ``to_json`` output; ValueError for a malformed document."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("a JSON dataset must be an object")
-        for key in ("descriptors", "labels", "gradient_norms", "ids"):
-            if key not in doc:
-                raise ValueError(f"{key}: required key is missing")
-        return cls(
-            descriptors=np.asarray(doc["descriptors"], dtype=float),
-            labels=np.asarray(doc["labels"], dtype=float),
-            gradient_norms=np.asarray(doc["gradient_norms"], dtype=float),
-            ids=tuple(doc["ids"]),
         )
 
 
@@ -310,5 +283,4 @@ def synth_boltzmann_set(
         descriptors=points,
         labels=values,
         gradient_norms=np.linalg.norm(grads, axis=1),
-        ids=tuple(f"b{i:05d}" for i in range(n)),
     )

@@ -633,6 +633,8 @@ def kde_1d(samples, eval_grid) -> np.ndarray:
     h = silverman_bandwidth(samples)
     if not h > 0:
         raise DegenerateDistributionError("samples have zero spread")
+    if h * np.sqrt(2.0 * np.pi) < 1.0 / np.finfo(float).max:  # a peak above the float range
+        raise DegenerateDistributionError("samples have too little spread for a finite density")
     # each step in place; one that overflows gives exp(-inf) = 0, correctly rounded
     with np.errstate(over="ignore"):
         z = np.subtract(grid[:, None], samples[None, :])

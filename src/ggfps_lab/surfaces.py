@@ -205,5 +205,4 @@ def uniform_domain_sample(surface, n: int, seed: int) -> LabeledSet:
     gnorms = np.linalg.norm(grads, axis=1)
     if not (values.any() or gnorms.any()):
         raise ValueError("surface.domain: too wide: every drawn label and gradient norm is 0")
-    ids = [f"u{i:05d}" for i in range(n)]
-    return LabeledSet(descriptors=pts, labels=values, gradient_norms=gnorms, ids=ids)
+    return LabeledSet(descriptors=pts, labels=values, gradient_norms=gnorms)

@@ -34,7 +34,6 @@ MIN_POINT = np.array([-2.903534, -2.903534])
 def labeled_from(X, g):
     return LabeledSet(
         descriptors=X, labels=np.zeros(len(X)), gradient_norms=g,
-        ids=tuple(str(i) for i in range(len(X))),
     )
 
 
@@ -289,7 +288,7 @@ def test_c10_end_to_end_determinism(tmp_path):
     run_a = _run_pipeline(tmp_path, "a")
     run_b = _run_pipeline(tmp_path, "b")
     data_files = [
-        "gen/dataset.csv", "gen/dataset.json", "gen/manifest.json",
+        "gen/dataset.csv", "gen/manifest.json",
         "sel/selection.json",
         "curve/curves.csv", "curve/bins.csv", "curve/kde.csv", "curve/heatmap.csv",
     ]

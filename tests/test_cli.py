@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import json
 import os
@@ -62,10 +63,26 @@ class TestGenerate:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_ok(["generate", "--config", str(config), "--out", str(out_a)])
         run_ok(["generate", "--config", str(config), "--out", str(out_b)])
-        for name in ("dataset.csv", "dataset.json", "manifest.json"):
+        assert sorted(p.name for p in out_a.iterdir()) == ["dataset.csv", "manifest.json"]
+        for name in ("dataset.csv", "manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         rows = (out_a / "dataset.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 100
+
+    @pytest.mark.parametrize("generator, extra, digest", [
+        ("uniform", {}, "53ae4d5a2df176311578819b941197b27da8b3d45d7192160564f376464481d6"),
+        ("boltzmann", {"n": 50, "seed": 3, "temperature": 5.0, "step": 0.5, "burn_in": 100,
+                       "thinning": 2},
+         "c36aafe0ae182da554e7ceb2db9812facfc2224c719440a4b54d1d9376ed46c2"),
+    ])
+    def test_dataset_csv_bytes_are_pinned(self, tmp_path, generator, extra, digest):
+        """Each generator writes the ids u00000... or b00000... from the row
+        index, and the same bytes as when ``LabeledSet`` held the ids."""
+        config = write_config(tmp_path, "gen.json",
+                              generate_config(generator=generator, generator_extra=extra))
+        run_ok(["generate", "--config", str(config), "--out", str(tmp_path / "o")])
+        data = (tmp_path / "o" / "dataset.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_invalid_dim_names_field(self, tmp_path, capsys):
         cfg = generate_config()
@@ -165,12 +182,12 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith(f"error: --out: {blocker} exists and is not")
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        # the write of dataset.json fails after dataset.csv's; dataset.csv used
-        # to stay behind. The empty --out existed before, so it stays.
+        # the write of manifest.json fails after dataset.csv's; dataset.csv
+        # used to stay behind. The empty --out existed before, so it stays.
         config = write_config(tmp_path, "gen.json", generate_config(n=5))
         out = tmp_path / "o"
         out.mkdir()
-        fail_opening(monkeypatch, "dataset.json")
+        fail_opening(monkeypatch, "manifest.json")
         assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
         assert not any(out.iterdir())
 
@@ -977,10 +994,9 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, numpy_blas, monkey
     which OpenBLAS threads the product."""
     rng = np.random.default_rng(8)
     labeled = LabeledSet(descriptors=rng.uniform(-4.0, 4.0, size=(3000, 4)),
-                         labels=np.zeros(3000), gradient_norms=rng.uniform(0.1, 10.0, size=3000),
-                         ids=tuple(f"p{i}" for i in range(3000)))
+                         labels=np.zeros(3000), gradient_norms=rng.uniform(0.1, 10.0, size=3000))
     data = tmp_path / "pool.csv"
-    data.write_text(labeled.to_csv())
+    data.write_text(labeled.to_csv("p"))
     cfg = write_config(tmp_path, "s.json", {
         "schema_version": 1, "dataset": str(data),
         "sampler": {"method": "GGFPS", "n": 150, "beta": 1.0, "seed": 5},
@@ -1159,14 +1175,14 @@ class TestFieldPaths:
 
 class TestDatasetFile:
     @pytest.mark.parametrize("name, text, expected", [
-        ("list.json", "[1, 2]", "must be an object"),
+        ("list.json", "[1, 2]", "CSV header must start with id,label,grad_norm"),
         ("partial.json", json.dumps({"labels": [1.0], "gradient_norms": [1.0], "ids": ["a"]}),
-         "descriptors: required key is missing"),
+         "CSV header must start with id,label,grad_norm"),
         ("bad.csv", "id,label,grad_norm,x0\na,1,1,oops\n", "could not convert"),
     ])
     def test_malformed_dataset_exits_1_naming_it(self, tmp_path, capsys, name, text,
                                                  expected):
-        # the JSON files used to raise a TypeError or KeyError traceback
+        # a JSON dataset, a format no longer read, fails the CSV header check
         (tmp_path / name).write_text(text)
         cfg = write_config(tmp_path, "s.json", {
             "schema_version": 1, "dataset": name,
@@ -1235,9 +1251,8 @@ def fuzz_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(3)
     (root / "dataset.csv").write_text(
-        LabeledSet(descriptors=rng.uniform(-4.0, 4.0, size=(40, 2)),
-                   labels=rng.normal(size=40), gradient_norms=rng.uniform(0.1, 5.0, size=40),
-                   ids=tuple(f"p{i}" for i in range(40))).to_csv())
+        LabeledSet(descriptors=rng.uniform(-4.0, 4.0, size=(40, 2)), labels=rng.normal(size=40),
+                   gradient_norms=rng.uniform(0.1, 5.0, size=40)).to_csv("p"))
     return root
 
 

@@ -1,5 +1,3 @@
-import json
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -81,37 +79,36 @@ class TestLabeledSetSerialization:
 
     def test_csv_round_trip(self):
         labeled = self.make_set()
-        text = labeled.to_csv()
-        header = text.splitlines()[0]
-        assert header == "id,label,grad_norm,x0,x1"
+        text = labeled.to_csv("u")
+        lines = text.splitlines()
+        assert lines[0] == "id,label,grad_norm,x0,x1"
+        assert [ln.partition(",")[0] for ln in lines[1:4]] == ["u00000", "u00001", "u00002"]
         back = LabeledSet.from_csv(text)
         assert np.array_equal(back.descriptors, labeled.descriptors)
         assert np.array_equal(back.labels, labeled.labels)
         assert np.array_equal(back.gradient_norms, labeled.gradient_norms)
-        assert back.ids == labeled.ids
 
-    def test_json_round_trip(self):
-        labeled = self.make_set()
-        back = LabeledSet.from_json(labeled.to_json())
-        assert np.array_equal(back.descriptors, labeled.descriptors)
-        assert back.ids == labeled.ids
+    def test_any_id_is_read_and_skipped(self):
+        back = LabeledSet.from_csv("id,label,grad_norm,x0\nfirst,1,2,3\n,4,5,6\n")
+        assert back.descriptors.tolist() == [[3.0], [6.0]]
+        assert back.labels.tolist() == [1.0, 4.0]
 
     def test_subset_keeps_alignment(self):
         labeled = self.make_set()
         sub = labeled.subset([3, 1, 4])
-        assert sub.ids == (labeled.ids[3], labeled.ids[1], labeled.ids[4])
-        assert np.array_equal(sub.descriptors[0], labeled.descriptors[3])
+        for name in ("descriptors", "labels", "gradient_norms"):
+            assert np.array_equal(getattr(sub, name), getattr(labeled, name)[[3, 1, 4]])
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LabeledSet(
                 descriptors=np.zeros((2, 2)), labels=np.zeros(3),
-                gradient_norms=np.zeros(2), ids=("a", "b"),
+                gradient_norms=np.zeros(2),
             )
         with pytest.raises(ValueError, match="nonnegative"):
             LabeledSet(
                 descriptors=np.zeros((1, 2)), labels=np.zeros(1),
-                gradient_norms=np.array([-1.0]), ids=("a",),
+                gradient_norms=np.array([-1.0]),
             )
 
 
@@ -153,25 +150,7 @@ def parse_outcome(parse, text):
     except ValueError as exc:
         return type(exc), str(exc)
     return tuple((a.shape, a.tobytes()) for a in (labeled.descriptors, labeled.labels,
-                                                  labeled.gradient_norms)) + (labeled.ids,)
-
-
-class TestFromJson:
-    def test_round_trip(self):
-        labeled = LabeledSet(descriptors=np.eye(2), labels=[1.0, 2.0],
-                             gradient_norms=[0.5, 0.0], ids=("a", "b"))
-        back = LabeledSet.from_json(labeled.to_json())
-        assert np.array_equal(back.descriptors, labeled.descriptors) and back.ids == ("a", "b")
-
-    @pytest.mark.parametrize("doc, message", [
-        ([1, 2], "must be an object"),
-        ({"labels": [], "gradient_norms": [], "ids": []}, "descriptors: required key"),
-        ({"descriptors": [], "labels": [], "gradient_norms": []}, "ids: required key"),
-    ])
-    def test_malformed_document_raises_value_error(self, doc, message):
-        # a list raised TypeError and a missing key KeyError
-        with pytest.raises(ValueError, match=message):
-            LabeledSet.from_json(json.dumps(doc))
+                                                  labeled.gradient_norms))
 
 
 def from_file(path):
@@ -187,7 +166,7 @@ class TestFromCsvMatchesRowByRowParser:
     def test_same_arrays_or_same_error(self, tmp_path, text, block_rows):
         """The same outcome from the text and streamed from a file that
         holds it, whose lines end only at \\n, \\r\\n and \\r."""
-        expected = parse_outcome(lambda t: LabeledSet(*labeled_arrays_from_csv(t)), text)
+        expected = parse_outcome(lambda t: LabeledSet(*labeled_arrays_from_csv(t)[:3]), text)
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
         with mock.patch.object(dataset, "CSV_BLOCK_ROWS", block_rows):
@@ -207,26 +186,26 @@ class TestFromCsvMatchesRowByRowParser:
         labeled = uniform_domain_sample(StyblinskiTang(dim=3), 2 * dataset.CSV_BLOCK_ROWS + 7,
                                         seed=5)
         path = tmp_path / "data.csv"
-        path.write_text(labeled.to_csv())
-        for back in (LabeledSet.from_csv(labeled.to_csv()), from_file(path)):
+        text = labeled.to_csv("u")
+        path.write_text(text)
+        for back in (LabeledSet.from_csv(text), from_file(path)):
             assert back.descriptors.tobytes() == labeled.descriptors.tobytes()
             assert back.labels.tobytes() == labeled.labels.tobytes()
             assert back.gradient_norms.tobytes() == labeled.gradient_norms.tobytes()
-            assert back.ids == labeled.ids
             assert back.descriptors.flags.c_contiguous
 
     def test_streamed_load_peaks_below_three_times_its_result(self, tmp_path):
         """A streamed 20,000 x 8 CSV holds one block's text and field strings
         beside the values parsed so far: the traced peak stays below 3x the
-        bytes of the result's arrays and ids. Parsing the whole text held it,
+        bytes of the result's three arrays. Parsing the whole text held it,
         its list of lines and a full values matrix beside the result's
-        copies, about 6.9x."""
+        copies, about 6.9x the arrays and ids that the result then held."""
         rng = np.random.default_rng(8)
         n = 20_000
         labeled = LabeledSet(rng.uniform(-4.0, 4.0, size=(n, 8)), rng.normal(size=n),
-                             rng.uniform(0.0, 5.0, size=n), tuple(f"u{i:05d}" for i in range(n)))
+                             rng.uniform(0.0, 5.0, size=n))
         path = tmp_path / "large.csv"
-        path.write_text(labeled.to_csv())
+        path.write_text(labeled.to_csv("u"))
         LabeledSet.from_csv(["id,label,grad_norm,x0", "a,1,1,1"])  # first-call allocations
         tracemalloc.start()
         try:
@@ -235,8 +214,7 @@ class TestFromCsvMatchesRowByRowParser:
         finally:
             tracemalloc.stop()
         assert back.descriptors.tobytes() == labeled.descriptors.tobytes()
-        result = (back.descriptors.nbytes + back.labels.nbytes + back.gradient_norms.nbytes
-                  + sys.getsizeof(back.ids) + sum(sys.getsizeof(i) for i in back.ids))
+        result = back.descriptors.nbytes + back.labels.nbytes + back.gradient_norms.nbytes
         assert peak < 3 * result
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -119,7 +120,6 @@ class TestCrossValidate:
         y = K @ rng.normal(size=80)
         train = LabeledSet(
             descriptors=X, labels=y, gradient_norms=np.ones(80),
-            ids=tuple(str(i) for i in range(80)),
         )
         plan = small_plan(
             labeled_sizes=(80,), train_sizes=(40,),
@@ -414,7 +414,7 @@ def constant_gradients(labeled):
     FPS chain from its initial point, so a chain selected for a smaller
     target size is a prefix of the one selected for a larger size."""
     return LabeledSet(descriptors=labeled.descriptors, labels=labeled.labels,
-                      gradient_norms=np.ones(len(labeled)), ids=labeled.ids)
+                      gradient_norms=np.ones(len(labeled)))
 
 
 @st.composite
@@ -429,8 +429,7 @@ def lattice_set(draw):
                                min_size=n, max_size=n)))
     y = np.array(draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
     g = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
-    labeled = LabeledSet(descriptors=X, labels=y, gradient_norms=np.full(n, g),
-                         ids=tuple(str(i) for i in range(n)))
+    labeled = LabeledSet(descriptors=X, labels=y, gradient_norms=np.full(n, g))
     sizes = draw(st.lists(st.integers(1, n), max_size=3)) + [1, 2 * n]
     return labeled, folds, sizes
 
@@ -568,8 +567,7 @@ def cv_case(draw):
     y = np.array(draw(st.lists(st.sampled_from([-1.0, 2.5]) | st.floats(-5, 5),
                                min_size=n, max_size=n)))
     g = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 3.0]), min_size=n, max_size=n)))
-    labeled = LabeledSet(descriptors=X, labels=y, gradient_norms=g,
-                         ids=tuple(str(i) for i in range(n)))
+    labeled = LabeledSet(descriptors=X, labels=y, gradient_norms=g)
     plan = small_plan(folds=folds, sigma_grid=(0.3, 2.0, 1e12, 1e13),
                       lambda_grid=(1e-300, 1e-6, 1e-2), beta_grid=(0.0, 0.7, 2.0),
                       cv_cost=draw(st.sampled_from(CV_COSTS)))
@@ -692,7 +690,7 @@ class TestLearningCurve:
     def test_replicate_error_identifies_cell(self):
         degenerate = LabeledSet(
             descriptors=np.zeros((30, 2)), labels=np.zeros(30),
-            gradient_norms=np.ones(30), ids=tuple(str(i) for i in range(30)),
+            gradient_norms=np.ones(30),
         )
         plan = small_plan(
             labeled_sizes=(20,), train_sizes=(10,), bootstraps=1,
@@ -784,6 +782,29 @@ class TestKde:
         with pytest.raises(DegenerateDistributionError):
             kde_1d([2.0, 2.0, 2.0], np.linspace(0, 4, 10))
 
+    def test_density_beyond_the_float_range_rejected(self):
+        """Samples spread about 1e-310 have a subnormal bandwidth whose peak
+        density 1 / (h sqrt(2 pi)) overflows: rejected as for zero spread,
+        where the final division overflowed and returned inf."""
+        samples = np.array([0.0, 1.0, 2.0, 3.0]) * 1e-310
+        assert silverman_bandwidth(samples) > 0
+        with pytest.raises(DegenerateDistributionError, match="too little spread"):
+            kde_1d(samples, np.linspace(-1e-309, 4e-309, 11))
+
+    def test_kde_csv_rejects_a_selected_series_with_too_little_spread(self):
+        """The dataset's labels spread widely and pass the export check; a
+        selected series of labels spread about 1e-310 is rejected at export,
+        where kde.csv held inf densities."""
+        labels = np.concatenate([np.arange(4.0) * 1e-310, np.linspace(-5.0, 5.0, 36)])
+        universe = LabeledSet(descriptors=np.arange(80.0).reshape(40, 2), labels=labels,
+                              gradient_norms=np.linspace(1.0, 2.0, 40))
+        plan = small_plan(labeled_sizes=(20,), train_sizes=(4,), bootstraps=1, folds=2,
+                          kde_points=11)
+        _check_exports(universe, plan)
+        cell = types.SimpleNamespace(sel_global=np.arange(4))
+        with pytest.raises(DegenerateDistributionError, match="too little spread"):
+            experiments._kde_csv([(("URS", 20, 4), [cell])], universe, plan)
+
     def test_tied_quartiles_fall_back_to_std(self):
         samples = np.array([5.0] * 40 + [0.0, 10.0])
         density = kde_1d(samples, np.linspace(-5, 15, 101))
@@ -800,16 +821,15 @@ class TestKde:
         elif case == "near_float_max":  # x - s overflows to +-inf
             samples = np.concatenate([rng.uniform(-1.0, 1.0, 60) * 1.7e308, [1.79e308, -1.79e308]])
             grid = np.linspace(-1.0, 1.0, 101) * 1.79e308
-        elif case == "subnormal_h":  # (x - s) / h overflows
-            samples = rng.integers(0, 400, 50) * 5e-324
-            grid = np.concatenate([np.linspace(-1e-321, 3e-321, 50), [-1.0, 1e-300, 1.0]])
+        elif case == "subnormal_h":  # (x - s) / h overflows; the densities do not
+            samples = rng.integers(0, 400, 50) * 1e-310
+            grid = np.concatenate([np.linspace(-1e-308, 5e-308, 50), [-1.0, 1e-300, 1.0]])
         else:
             samples = rng.standard_normal(50)
             grid = np.array([-1e308, -1e200, -1.0, 0.0, 1e-320, 1.0, 1e154, 1e200, 1e308])
         h = silverman_bandwidth(samples)
         assert h > 0 and (case != "subnormal_h" or h < 2.0**-1022)
-        with np.errstate(over="ignore"):  # a density near a subnormal-h sample overflows
-            got, expected = kde_1d(samples, grid), kde_expression(samples, grid, h)
+        got, expected = kde_1d(samples, grid), kde_expression(samples, grid, h)
         assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -820,6 +840,10 @@ class TestKde:
         with np.errstate(all="ignore"):
             h = silverman_bandwidth(samples)
             if not (h > 0 and np.isfinite(h)):
+                return
+            if h * np.sqrt(2.0 * np.pi) < 1.0 / np.finfo(float).max:
+                with pytest.raises(DegenerateDistributionError, match="too little spread"):
+                    kde_1d(samples, grid)
                 return
             got, expected = kde_1d(samples, grid), kde_expression(samples, grid, h)
         assert got.tobytes() == expected.tobytes()
@@ -854,7 +878,7 @@ class TestSilvermanBandwidth:
         assert np.isfinite(density).all() and density.max() > 0
         tiny = uniform_domain_sample(StyblinskiTang(), 60, seed=5)
         tiny = LabeledSet(descriptors=tiny.descriptors, labels=tiny.labels * 1e-300,
-                          gradient_norms=tiny.gradient_norms, ids=tiny.ids)
+                          gradient_norms=tiny.gradient_norms)
         _check_exports(tiny, small_plan())
 
     def test_density_beyond_the_float_range_rejected_before_compute(self):
@@ -863,7 +887,7 @@ class TestSilvermanBandwidth:
         them, naming the quantity, as it rejected them for zero spread."""
         base = uniform_domain_sample(StyblinskiTang(), 60, seed=5)
         tiny = LabeledSet(descriptors=base.descriptors, labels=base.labels / 100.0 * 1e-310,
-                          gradient_norms=base.gradient_norms, ids=base.ids)
+                          gradient_norms=base.gradient_norms)
         assert silverman_bandwidth(tiny.labels) > 0
         with pytest.raises(ValueError, match="^label: the KDE density .* not finite"):
             _check_exports(tiny, small_plan())
@@ -894,7 +918,7 @@ class TestSelectionHeatmap:
         pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
         return LabeledSet(
             descriptors=pts, labels=np.zeros(len(pts)),
-            gradient_norms=np.zeros(len(pts)), ids=tuple(str(i) for i in range(len(pts))),
+            gradient_norms=np.zeros(len(pts)),
         )
 
     def test_single_point_single_cell(self):
@@ -919,7 +943,7 @@ class TestSelectionHeatmap:
     def test_rejects_non_2d(self):
         labeled = LabeledSet(
             descriptors=np.zeros((4, 3)), labels=np.zeros(4),
-            gradient_norms=np.zeros(4), ids=("a", "b", "c", "d"),
+            gradient_norms=np.zeros(4),
         )
         with pytest.raises(ValueError, match="2-D"):
             selection_heatmap_2d([[0]], labeled, grid=3)

@@ -42,7 +42,6 @@ def make_labeled(X, g):
     g = np.asarray(g, dtype=float)
     return LabeledSet(
         descriptors=X, labels=np.zeros(len(X)), gradient_norms=g,
-        ids=tuple(str(i) for i in range(len(X))),
     )
 
 

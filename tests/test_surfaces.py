@@ -154,7 +154,6 @@ class TestUniformDomainSample:
         b = uniform_domain_sample(StyblinskiTang(), 100, seed=9)
         assert np.array_equal(a.descriptors, b.descriptors)
         assert np.array_equal(a.labels, b.labels)
-        assert a.ids == b.ids
 
     def test_sample_mean_near_zero(self):
         labeled = uniform_domain_sample(StyblinskiTang(), 10000, seed=3)
