@@ -102,18 +102,18 @@ def _build(path: str, fn, *args, **kwargs):
 
 def load_config(path: Path) -> dict:
     try:
-        text = path.read_text()
+        cfg = json.loads(path.read_text(encoding="utf-8"))  # JSON text is UTF-8 (RFC 8259)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}") from None
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except IsADirectoryError:
+        raise ConfigError(f"config: is a directory: {path}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config: not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be an object")
     version = cfg.get("schema_version")
-    if version != 1:
-        raise ConfigError("schema_version: must be 1")
+    if type(version) is not int or version != 1:  # not true, nor 1.0
+        raise ConfigError("schema_version: must be the integer 1")
     return cfg
 
 

@@ -143,8 +143,9 @@ class LabeledSet:
         X = np.asarray(self.descriptors, dtype=float)
         y = np.asarray(self.labels, dtype=float)
         g = np.asarray(self.gradient_norms, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("descriptors must be an (N, d) matrix")
+        if X.ndim != 2 or 0 in X.shape:
+            raise ValueError(f"descriptors must be an (N, d) matrix with N, d >= 1 (a data row "
+                             f"and an x column), got shape {X.shape}")
         n = X.shape[0]
         if y.shape != (n,) or g.shape != (n,):
             raise ValueError("descriptors, labels and gradient_norms must agree in length")

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__ as _tool_version
 from .dataset import (LabeledSet, check_int, check_number, check_width, dumps_17g, format_float,
@@ -303,8 +302,8 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     idle = (dead if skip is None else dead | skip).all(axis=(0, 1, 2))
     for b in np.flatnonzero(~idle):
         chain = chains[b, :top]
-        cdist(X[chain], X[chain], metric="sqeuclidean", out=d2_chain)
-        cdist(X[chain], X[val], metric="sqeuclidean", out=d2_val)
+        cdist(X[chain], X[chain], out=d2_chain)
+        cdist(X[chain], X[val], out=d2_val)
         # cdist's squared distances are bitwise symmetric: .T is the Fortran block
         costs[..., b] = _grid_costs(d2_chain.T, d2_val, y[chain], y[val], sizes, plan,
                                     dead[..., b], None if skip is None else skip[..., b])
@@ -455,7 +454,10 @@ def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[fl
     if pivot:
         raise FactorizationError(pivot)
     K_test = gaussian_gram(X_tr, L.descriptors[test], choice.sigma)
-    pred = predict(K_test, alpha)
+    with _finite("test predictions"):
+        pred = predict(K_test, alpha)
+        if not np.isfinite(pred).all():  # from coefficients past the float range
+            raise FloatingPointError("not finite")
     mae, rmse, abs_err = _errors(pred, L.labels[test])
     return mae, rmse, test, abs_err
 
@@ -635,11 +637,12 @@ def kde_1d(samples, eval_grid) -> np.ndarray:
         raise DegenerateDistributionError("samples have zero spread")
     if h * np.sqrt(2.0 * np.pi) < 1.0 / np.finfo(float).max:  # a peak above the float range
         raise DegenerateDistributionError("samples have too little spread for a finite density")
-    # each step in place; one that overflows gives exp(-inf) = 0, correctly rounded
+    # each step in place; one that overflows gives exp(-inf) = 0, correctly rounded, and
+    # a normalizer past the float range gives 0, within n / 1.8e308 of the true density
     with np.errstate(over="ignore"):
         z = np.subtract(grid[:, None], samples[None, :])
         np.exp(np.multiply(np.square(np.divide(z, h, out=z), out=z), -0.5, out=z), out=z)
-    return z.sum(axis=1) / (len(samples) * h * np.sqrt(2.0 * np.pi))
+        return z.sum(axis=1) / (len(samples) * h * np.sqrt(2.0 * np.pi))
 
 
 def selection_heatmap_2d(selections, labeled: LabeledSet, grid: int) -> np.ndarray:
@@ -825,6 +828,7 @@ def run_experiment(
     library on the first fit, and no ``scipy.linalg`` or ``scipy.spatial``).
     This function sets no BLAS thread count; the CLI runs numpy's OpenBLAS on
     one thread, which changes its speed but no output byte."""
+    import scipy  # for its version only: ``import ggfps_lab`` does not load it
     t0 = time.perf_counter()
     _check_exports(universe, plan)
     groups = _run_cells(universe, plan)

@@ -80,9 +80,9 @@ def _lapack():
     return potrf, potrs
 
 
-def cdist(XA, XB, metric: str, out: np.ndarray | None = None) -> np.ndarray:
+def cdist(XA, XB, out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``XA`` and ``XB``,
-    the one metric the protocol uses (``metric="sqeuclidean"``).
+    matrices of at least one column.
 
     Bitwise ``scipy.spatial.distance.cdist(XA, XB, "sqeuclidean")``: each
     entry adds the squared coordinate differences in coordinate order, as
@@ -90,20 +90,15 @@ def cdist(XA, XB, metric: str, out: np.ndarray | None = None) -> np.ndarray:
     overflows is inf, with no warning. The only temporary covers one block
     of rows (``_CDIST_BLOCK`` doubles).
     """
-    if metric != "sqeuclidean":
-        raise ValueError(f"metric {metric!r}: only 'sqeuclidean' is supported")
     XA = np.asarray(XA, dtype=float)
     XB = np.asarray(XB, dtype=float)
-    if XA.ndim != 2 or XB.ndim != 2 or XA.shape[1] != XB.shape[1]:
-        raise ValueError(f"XA {XA.shape} and XB {XB.shape} must be matrices of equal width")
+    if XA.ndim != 2 or XB.ndim != 2 or XA.shape[1] != XB.shape[1] or XA.shape[1] < 1:
+        raise ValueError(f"XA {XA.shape} and XB {XB.shape} must be matrices of equal width >= 1")
     (na, d), nb = XA.shape, XB.shape[0]
     if out is None:
         out = np.empty((na, nb))
     elif out.shape != (na, nb) or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {(na, nb)}")
-    if d == 0:
-        out.fill(0.0)
-        return out
     cols = XB.T.copy()  # each coordinate of XB contiguous
     rows = max(1, _CDIST_BLOCK // max(nb, 1))
     tmp = np.empty((min(rows, na) if d > 1 else 0, nb))
@@ -122,11 +117,7 @@ def cdist(XA, XB, metric: str, out: np.ndarray | None = None) -> np.ndarray:
 
 def gaussian_gram(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
     """Dense Gaussian kernel matrix between two descriptor stacks."""
-    rows = np.asarray(rows, dtype=float)
-    cols = np.asarray(cols, dtype=float)
-    if rows.size == 0 or cols.size == 0:
-        return np.zeros((rows.shape[0], cols.shape[0]))
-    d2 = cdist(rows, cols, metric="sqeuclidean")
+    d2 = cdist(rows, cols)
     return gaussian_kernel(d2, sigma, out=d2)
 
 

@@ -147,7 +147,7 @@ class _Screen:
         lo, hi = X.min(axis=0), X.max(axis=0)
         mid = 0.5 * lo + 0.5 * hi  # halves first: no overflow
         # fl(x - mid) lies between fl(lo - mid) and fl(hi - mid), so |x - mid| < 2^e
-        self.e = e = int(np.frexp(np.maximum(hi - mid, mid - lo).max(initial=0.0))[1])
+        self.e = e = int(np.frexp(np.maximum(hi - mid, mid - lo).max())[1])
         self.dtype = np.dtype(dtype)
         self.exact = self.dtype == np.float64  # lim needs no rounding to dtype
         self.c1 = 1.0 + 2 * v + 2 * (dim + 8) * U64
@@ -323,7 +323,7 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     # candidates per exact pass: _distances' two (chunk, d) gathers then hold
     # a quarter of a (B, N) array each, or 2^12 doubles where that is more,
     # also when most of the pool is a candidate
-    chunk = max(1, max(n_chains * n_pool // 4, 1 << 12) // max(dim, 1))
+    chunk = max(1, max(n_chains * n_pool // 4, 1 << 12) // dim)
     # min_dist, log_min and lim are C-contiguous, so ravel() gives views
     with np.errstate(divide="ignore", over="ignore"):
         # the first rows, one coordinate at a time with _distances' operations
@@ -449,8 +449,8 @@ def ggfps_chains(
     ``inits``, when given, overrides the configured initial points.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("descriptor matrix must be 2-D")
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError("descriptor matrix must be 2-D with at least one column")
     if not np.isfinite(X).all():
         raise ValueError("descriptor matrix must be finite")
     n_total = X.shape[0]

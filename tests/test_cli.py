@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import itertools
 import json
@@ -499,6 +500,34 @@ def test_dataset_that_is_a_directory_rejected_before_compute(tmp_path, dataset_d
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", [0, 60], ids=["header-only", "no-x-column"])
+@pytest.mark.parametrize("command, method", [("sample", "URS"), ("sample", "FPS"),
+                                             ("sample", "GGFPS"), ("curve", None)])
+def test_dataset_with_no_rows_or_no_x_column_rejected_before_compute(
+        tmp_path, monkeypatch, capsys, rows, command, method):
+    """A dataset needs a data row and an x column. With no x column, FPS
+    returned its random first pick and then indices 0, 1, 2, ..., and
+    ``curve`` exited 0 with a test MAE of mean |y|; a header alone made
+    ``curve`` exit 1 with numpy's bare zero-size reduction message."""
+    rng = np.random.default_rng(5)
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(["id,label,grad_norm" + (",x0,x1" if rows == 0 else "")]
+                              + [f"r{i},{rng.normal():.17g},{rng.uniform(0.1, 2):.17g}"
+                                 for i in range(rows)]) + "\n")
+    if command == "sample":
+        cfg = sample_config(tmp_path, method, n=1)
+        monkeypatch.setattr(cli, "select", refuse_compute)
+    else:
+        cfg = curve_config(tmp_path)
+        monkeypatch.setattr(experiments, "_run_cells", refuse_compute)
+    cfg["dataset"] = str(data)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(write_config(tmp_path, "c.json", cfg)),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: dataset: {data}: descriptors must")
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_dataset_read_from_a_named_pipe(tmp_path, dataset_dir):
     csv = (dataset_dir / "dataset.csv").read_text()
@@ -871,6 +900,50 @@ def test_float_range_edges_give_finite_outputs_or_a_clean_exit(tmp_path, capsys,
         assert not out.exists()
 
 
+def test_gradient_norms_whose_kde_normalizer_overflows_give_finite_outputs(tmp_path):
+    """Gradient norms spread evenly to 2e307 pass the export check, but the
+    labeled force-norm KDE's normalizer n h sqrt(2 pi) overflows: numpy
+    warned in ``kde_1d``, which under the tests' warning filter escaped
+    ``main``. Found by ``test_fuzzed_dataset_gives_curves_or_a_clean_exit``."""
+    rng = np.random.default_rng(3)
+    rows = [f"r{i},{rng.normal()!r},{norm!r},{rng.normal()!r}"
+            for i, norm in enumerate(np.linspace(0.0, 2e307, 40).tolist())]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(["id,label,grad_norm,x0"] + rows) + "\n")
+    cfg = write_config(tmp_path, "c.json", {"schema_version": 1, "dataset": str(data), "plan": {
+        "labeled_sizes": [20], "train_sizes": [6], "bootstraps": 2, "folds": 2,
+        "sigma_grid": [1.0], "lambda_grid": [1e-6], "beta_grid": [0.0, 1.0],
+        "master_seed": 1, "kde_points": 5}})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 0
+    for path in out.iterdir():
+        assert not NOT_FINITE.search(path.read_text()), path.name
+    kde = (out / "kde.csv").read_text().splitlines()
+    assert all(row.endswith(",0") for row in kde if row.startswith("labeled,force_norm,"))
+
+
+def test_fit_whose_coefficients_overflow_exits_3_naming_test_predictions(tmp_path, capsys):
+    """Two selected points with one descriptor and labels 1e300 and 0 make
+    coefficients of about 1e300 / lambda, past the float range; with the MAE
+    as CV cost, the 1-point CV fits stay finite. numpy warned in ``predict``,
+    and ``curve`` exited 0 with NaN test errors in curves.csv. Found by
+    ``test_fuzzed_dataset_gives_curves_or_a_clean_exit``."""
+    data = tmp_path / "data.csv"
+    data.write_text("id,label,grad_norm,x0\na,1e300,1,0\nb,0,2,0\nc,0,3,0\nd,0,4,0\n")
+    cfg = write_config(tmp_path, "c.json", {"schema_version": 1, "dataset": str(data), "plan": {
+        "labeled_sizes": [4], "train_sizes": [2], "bootstraps": 2, "folds": 2,
+        "sigma_grid": [1.0], "lambda_grid": [1e-10], "methods": ["URS"], "cv_cost": "MAE",
+        "master_seed": 0, "kde_points": 5}})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "replicate=0: test predictions: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestThreads:
     def test_retired_env_variable_is_ignored(self, tmp_path, dataset_dir, monkeypatch):
         # the package no longer reads a worker-count environment variable,
@@ -954,6 +1027,31 @@ def test_no_command_loads_scipy_linalg_or_spatial(tmp_path):
     assert not any(after[name]["scipy_openblas"]
                    for name in ("import", "generate", "sample"))
     assert after["curve"]["scipy_openblas"] == after["curve"]["bundled"]
+
+
+SCIPY_IMPORT_PROBE = """
+import sys
+import ggfps_lab
+from ggfps_lab.cli import main
+after_import = "scipy" in sys.modules
+assert main(["sample", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(after_import, "scipy" in sys.modules)
+"""
+
+
+def test_import_and_sample_do_not_import_scipy(tmp_path):
+    """``import ggfps_lab`` and a ``sample`` run leave scipy unimported; only
+    ``curve`` needs it, for its LAPACK and its version in the manifest."""
+    data = tmp_path / "dataset.csv"
+    data.write_text(uniform_domain_sample(StyblinskiTang(), 60, seed=11).to_csv("u"))
+    config = write_config(tmp_path, "s.json", sample_config(tmp_path, "GGFPS", beta=1.0))
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_IMPORT_PROBE, str(config), str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_dumps_17g_round_trips_floats():
@@ -1208,6 +1306,39 @@ class TestDatasetFile:
         assert not out.exists()
 
 
+class TestConfigFile:
+    def test_directory_exits_1_naming_config(self, tmp_path, capsys):
+        # exited 2 with a bare "[Errno 21] Is a directory: 'cfgdir'"
+        folder = tmp_path / "cfgdir"
+        folder.mkdir()
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(folder), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config: is a directory: {folder}\n"
+        assert not out.exists()
+
+    def test_undecodable_byte_exits_1_naming_config(self, tmp_path, capsys):
+        # exited 1 with the codec's message alone, naming no field
+        config = tmp_path / "c.json"
+        config.write_bytes(json.dumps(generate_config(n=5)).encode()[:-1] + b', "x": "\xff"}')
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: not valid JSON: ")
+        assert "can't decode byte 0xff" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+    def test_schema_version_must_be_the_integer_1(self, tmp_path, capsys, version):
+        # true and 1.0 compared equal to 1 and were accepted
+        cfg = generate_config(n=5)
+        cfg["schema_version"] = version
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(write_config(tmp_path, "c.json", cfg)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: schema_version: must be the integer 1\n"
+        assert not out.exists()
+
+
 EXIT_CODES = [
     (ValueError("v"), 1), (cli.ConfigError("c"), 1), (CapacityError("c"), 1),
     (DegenerateDistributionError("d"), 1),
@@ -1357,6 +1488,98 @@ def test_fuzzed_dataset_gives_a_selection_or_a_clean_exit(fuzz_root, case):
         indices = json.loads((out / "selection.json").read_text())["indices"]
         assert len(set(indices)) == len(indices) == sampler["n"]
         assert all(0 <= i < len(values) for i in indices)
+    else:
+        assert code in (1, 2, 3)
+        assert not out.exists()
+    shutil.rmtree(out, ignore_errors=True)
+
+
+@st.composite
+def fuzzed_curves(draw):
+    """Rows of a dataset of 6-40 points and 0-3 descriptor columns, each
+    column of one magnitude from FUZZ_MAGNITUDES or, one time in four, of
+    one per value (labels and descriptors signed), with duplicated rows and maybe a constant
+    column; and a tiny ``plan`` for it: 2 folds, 1-2 sigmas, 1 lambda, 2
+    betas, 2 bootstraps. d = 0 is rejected as it is loaded."""
+    n_rows, dim = draw(st.integers(6, 40)), draw(st.integers(0, 3))
+    magnitude = st.sampled_from(FUZZ_MAGNITUDES)
+    columns = []
+    for c in range(dim + 2):  # label, grad_norm, x0, ...
+        scales = magnitude if draw(st.integers(0, 3)) == 0 else st.just(draw(magnitude))
+        factors = st.floats(0.0 if c == 1 else -1.0, 1.0)
+        columns.append([scale * f for scale, f in draw(st.lists(
+            st.tuples(scales, factors), min_size=n_rows, max_size=n_rows))])
+    values = np.array(columns).T
+    rows = st.integers(0, n_rows - 1)
+    for src, dst in draw(st.lists(st.tuples(rows, rows), max_size=n_rows // 2)):
+        values[dst] = values[src]
+    constant = draw(st.sampled_from([None, *range(dim + 2)]))
+    if constant is not None:
+        values[:, constant] = values[0, constant]
+    labeled = draw(st.integers(4, n_rows))
+    widths = st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150])
+    plan = {
+        "labeled_sizes": [labeled], "train_sizes": [draw(st.integers(2, labeled - 1))],
+        "bootstraps": 2, "folds": 2,
+        "sigma_grid": draw(st.lists(widths, min_size=1, max_size=2, unique=True)),
+        "lambda_grid": [draw(st.sampled_from([1e-10, 1e-4, 1.0]))],
+        "beta_grid": draw(st.lists(st.sampled_from([0.0, 0.5, 2.0, BETA_MAX]),
+                                   min_size=2, max_size=2, unique=True)),
+        "cv_cost": draw(st.sampled_from(["RMSE", "MAE"])),
+        "master_seed": draw(st.integers(0, 1000)), "heatmap_grid": 3, "kde_points": 5,
+    }
+    return values, plan
+
+
+def assert_finite_numbers(value, where):
+    """Every number in a parsed JSON value is finite."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            assert_finite_numbers(item, where)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        assert np.isfinite(value), where
+
+
+def no_constants(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=fuzzed_curves())
+def test_fuzzed_dataset_gives_curves_or_a_clean_exit(fuzz_root, case):
+    """``curve`` on any dataset of these magnitudes exits 0 with outputs
+    that parse and hold only finite numbers, or exits 1, 2 or 3 and leaves
+    no output directory; no exception and no numpy RuntimeWarning escapes
+    ``main``."""
+    values, plan = case
+    header = ",".join(["id", "label", "grad_norm"] + [f"x{j}" for j in range(values.shape[1] - 2)])
+    data = fuzz_root / "fuzzed.csv"
+    data.write_text("\n".join([header] + [f"r{i}," + ",".join(map(repr, map(float, row)))
+                                          for i, row in enumerate(values)]) + "\n")
+    config = fuzz_root / "c.json"
+    config.write_text(json.dumps({"schema_version": 1, "dataset": str(data), "plan": plan}))
+    out = fuzz_root / f"out{next(_fuzz_runs)}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["curve", "--config", str(config), "--out", str(out)])
+    if code == 0:
+        assert_finite_numbers(json.loads((out / "manifest.json").read_text(),
+                                         parse_constant=no_constants), "manifest.json")
+        for path in out.glob("*.csv"):
+            table = list(csv.reader(path.read_text().splitlines()))
+            assert len(table) > 1 and all(len(row) == len(table[0]) for row in table)
+            for cell in itertools.chain.from_iterable(table[1:]):
+                if cell.startswith("["):
+                    assert_finite_numbers(json.loads(cell, parse_constant=no_constants),
+                                          path.name)
+                else:
+                    try:
+                        number = float(cell)
+                    except ValueError:
+                        continue
+                    assert np.isfinite(number), (path.name, cell)
     else:
         assert code in (1, 2, 3)
         assert not out.exists()

@@ -111,6 +111,12 @@ class TestLabeledSetSerialization:
                 gradient_norms=np.array([-1.0]),
             )
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0, 0)])
+    def test_no_rows_or_no_columns_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"N, d >= 1 .*got shape"):
+            LabeledSet(descriptors=np.zeros(shape), labels=np.zeros(shape[0]),
+                       gradient_norms=np.zeros(shape[0]))
+
 
 FLOAT_FIELDS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),

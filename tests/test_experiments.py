@@ -179,8 +179,8 @@ class TestFoldCosts:
         for b, chain in enumerate(chains):
             sub = chain[:15]
             dead_b = np.zeros((3, 2, 2), dtype=bool)
-            direct = _grid_costs(cdist(X[sub], X[sub], metric="sqeuclidean"),
-                                 cdist(X[sub], X[val], metric="sqeuclidean"),
+            direct = _grid_costs(cdist(X[sub], X[sub]),
+                                 cdist(X[sub], X[val]),
                                  y[sub], y[val], sizes, plan, dead_b)
             assert np.array_equal(costs[..., b], direct)
             assert np.array_equal(dead[..., b], dead_b)
@@ -262,7 +262,7 @@ class TestFoldCosts:
         # a few repeated rows and a wide spread of scales
         A = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
         A[rng.integers(0, n, size=n // 3)] = A[0]
-        d2 = cdist(A, A, metric="sqeuclidean")
+        d2 = cdist(A, A)
         assert d2.T.flags.f_contiguous
         assert d2.T.tobytes(order="A") == d2.tobytes(order="A")
 
@@ -494,8 +494,8 @@ class TestGridCosts:
         sums = np.zeros((2, 2))
         for val in cv.val_folds:
             tr = np.setdiff1d(np.arange(40), val)
-            fold = direct_costs(cdist(X[tr], X[tr], metric="sqeuclidean"),
-                                cdist(X[tr], X[val], metric="sqeuclidean"),
+            fold = direct_costs(cdist(X[tr], X[tr]),
+                                cdist(X[tr], X[val]),
                                 y[tr], y[val], [len(tr)], plan)[0]
             sums += np.nan_to_num(fold, nan=np.inf)
         expected = np.where(np.isinf(sums), np.inf, sums / len(cv.val_folds))
@@ -510,8 +510,8 @@ class TestGridCosts:
         # labels near 1e160: the squared errors overflow, silently
         y = 1e160 * (1 + universe.labels / 1e3)
         dead = np.zeros((2, 2, 2), dtype=bool)
-        costs = _grid_costs(cdist(X[tr], X[tr], metric="sqeuclidean"),
-                            cdist(X[tr], X[val], metric="sqeuclidean"),
+        costs = _grid_costs(cdist(X[tr], X[tr]),
+                            cdist(X[tr], X[val]),
                             y[tr], y[val], [5, 20], plan, dead)
         assert dead.all()
         assert np.isnan(costs[:, 0]).all() and np.isnan(costs[0, 1, 1])
@@ -521,8 +521,8 @@ class TestGridCosts:
         plan = small_plan(**DEAD_GRIDS)
         X, y = universe.descriptors, universe.labels
         tr, val = np.arange(40), np.arange(100, 120)
-        d2_train = cdist(X[tr], X[tr], metric="sqeuclidean")
-        d2_val = cdist(X[tr], X[val], metric="sqeuclidean")
+        d2_train = cdist(X[tr], X[tr])
+        d2_val = cdist(X[tr], X[val])
         sizes = [5, 20, 40]
         results = []
         for d2 in (d2_train, np.asfortranarray(d2_train)):
@@ -538,8 +538,8 @@ class TestGridCosts:
     @given(grid_fold())
     def test_multi_size_routine_matches_direct_fits(self, fold):
         X_tr, X_val, y_tr, y_val, sizes = fold
-        d2_train = cdist(X_tr, X_tr, metric="sqeuclidean")
-        d2_val = cdist(X_tr, X_val, metric="sqeuclidean")
+        d2_train = cdist(X_tr, X_tr)
+        d2_val = cdist(X_tr, X_val)
         # every candidate is decisive: lambda >= 1e-3, or an exact all-ones kernel
         for grids in (dict(sigma_grid=(0.3, 2.0), lambda_grid=(1e-3, 1e-1)),
                       dict(sigma_grid=(1e12,), lambda_grid=(1e-300, 1e-3))):
@@ -790,6 +790,15 @@ class TestKde:
         assert silverman_bandwidth(samples) > 0
         with pytest.raises(DegenerateDistributionError, match="too little spread"):
             kde_1d(samples, np.linspace(-1e-309, 4e-309, 11))
+
+    def test_normalizer_past_the_float_range_gives_zero_densities_without_warning(self):
+        """40 samples spread to 2e307: n h is finite, n h sqrt(2 pi) is not,
+        and numpy warned of the overflow in that scalar product."""
+        samples = np.linspace(0.0, 2e307, 40)
+        h = silverman_bandwidth(samples)
+        assert math.isfinite(len(samples) * h) and math.isinf(len(samples) * h * 2.5066)
+        density = kde_1d(samples, np.linspace(0.0, 2e307, 5))
+        assert density.tobytes() == np.zeros(5).tobytes()
 
     def test_kde_csv_rejects_a_selected_series_with_too_little_spread(self):
         """The dataset's labels spread widely and pass the export check; a

@@ -324,7 +324,7 @@ def greedy_cases(draw):
     1e-300 to 1e300, optionally far from the origin, with duplicated rows,
     zero gradients, and swept or constant betas."""
     n_chains = draw(st.integers(1, 4))
-    dim = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 9, 16, 64]))
+    dim = draw(st.sampled_from([1, 2, 3, 5, 8, 9, 16, 64]))  # ggfps_chains rejects d = 0
     n_pts = draw(st.integers(2, 300))
     n_sel = draw(st.integers(1, min(n_pts, 60)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -408,6 +408,14 @@ class TestGreedyKernel:
         assert len(warnings) == 1 and "random_uniform" in warnings[0]
         assert picks[:, 0].tolist() == [int(np.random.default_rng(s).integers(12))
                                          for s in (1, 2)]
+
+    def test_ggfps_chains_reject_descriptors_with_no_column(self):
+        # with no coordinate every distance is 0: FPS took its random first
+        # pick, then indices 0, 1, 2, ...
+        with pytest.raises(ValueError, match="at least one column"):
+            ggfps_chains(np.zeros((5, 0)), np.ones(5), [0.0], [1], 3)
+        with pytest.raises(ValueError, match="at least one column"):
+            fps(np.zeros((5, 0)), 3)
 
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_rows_bitwise_equal_numpy_norm_below_eight_dims(self, dim):
