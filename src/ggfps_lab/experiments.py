@@ -26,9 +26,7 @@ import numpy as np
 from . import __version__ as _tool_version
 from .dataset import (LabeledSet, check_int, check_number, check_width, dumps_17g, format_float,
                       write_outputs)
-# fit is not called here; bench/worker.py's tracer wraps it by the name experiments.fit
-from .krr import (FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, gaussian_kernel,
-                  predict)
+from .krr import FactorizationError, cdist, fit_prefixes, gaussian_gram, gaussian_kernel, predict
 from .sampling import METHODS, check_beta, fps, ggfps_chains, urs
 
 CV_COSTS = ("RMSE", "MAE")
@@ -36,7 +34,7 @@ BIN_CAPACITY = 30  # test errors per force-norm bin
 
 
 class DegenerateDistributionError(ValueError):
-    """KDE requested for samples with zero spread."""
+    """KDE requested for samples with too little spread (``_kde_bandwidth``)."""
 
 
 class ReplicateError(RuntimeError):
@@ -624,6 +622,17 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 0.9 * scale * n ** (-0.2)
 
 
+def _kde_bandwidth(samples: np.ndarray) -> float:
+    """Silverman bandwidth h of ``samples``; DegenerateDistributionError where
+    they have zero spread, or so little that the peak 1 / (h sqrt(2 pi)) overflows."""
+    h = silverman_bandwidth(samples)
+    if not h > 0:
+        raise DegenerateDistributionError("samples have zero spread")
+    if h * np.sqrt(2.0 * np.pi) < 1.0 / np.finfo(float).max:
+        raise DegenerateDistributionError("samples have too little spread for a finite density")
+    return h
+
+
 def kde_1d(samples, eval_grid) -> np.ndarray:
     """Gaussian kernel density estimate with the Silverman bandwidth."""
     samples = np.asarray(samples, dtype=float)
@@ -632,11 +641,7 @@ def kde_1d(samples, eval_grid) -> np.ndarray:
         raise ValueError("need at least 2 samples")
     if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
-    h = silverman_bandwidth(samples)
-    if not h > 0:
-        raise DegenerateDistributionError("samples have zero spread")
-    if h * np.sqrt(2.0 * np.pi) < 1.0 / np.finfo(float).max:  # a peak above the float range
-        raise DegenerateDistributionError("samples have too little spread for a finite density")
+    h = _kde_bandwidth(samples)
     # each step in place; one that overflows gives exp(-inf) = 0, correctly rounded, and
     # a normalizer past the float range gives 0, within n / 1.8e308 of the true density
     with np.errstate(over="ignore"):
@@ -703,13 +708,13 @@ def _bins_csv(groups, universe: LabeledSet) -> str:
 _KDE_QUANTITIES = (("force_norm", "gradient_norms"), ("label", "labels"))
 
 
-def _kde_span(values: np.ndarray) -> tuple[float, float, float]:
-    """Silverman bandwidth h of ``values`` and the ends of their KDE grid,
-    4h beyond the extremes. Where a sum overflows, any of the three may be
-    inf or nan."""
+def _kde_span(values: np.ndarray) -> tuple[float, float]:
+    """The ends of the KDE grid of ``values``, 4h beyond the extremes, with h
+    from ``_kde_bandwidth`` (which raises). Where a sum overflows, either may
+    be inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
-        h = silverman_bandwidth(values)
-        return h, values.min() - 4.0 * h, values.max() + 4.0 * h
+        h = _kde_bandwidth(values)
+        return values.min() - 4.0 * h, values.max() + 4.0 * h
 
 
 def _export_bytes(universe: LabeledSet, plan: ExperimentPlan) -> dict[str, int]:
@@ -740,11 +745,11 @@ def _export_bytes(universe: LabeledSet, plan: ExperimentPlan) -> dict[str, int]:
 def _check_exports(universe: LabeledSet, plan: ExperimentPlan) -> None:
     """Reject, before any compute, a run whose KDE or heatmap export is bound
     to fail: a quantity whose bandwidth or grid over the dataset is not
-    finite, or that has zero spread, selected series that hold fewer than 2
-    samples (min(train_sizes) x bootstraps), a 2-D descriptor column whose
-    range is not finite, which would make every heatmap edge NaN, or a
-    heatmap or KDE grid whose export needs more than the machine's physical
-    memory (``_export_bytes``)."""
+    finite, or whose spread is too small (``_kde_bandwidth``), selected
+    series that hold fewer than 2 samples (min(train_sizes) x bootstraps), a
+    2-D descriptor column whose range is not finite, which would make every
+    heatmap edge NaN, or a heatmap or KDE grid whose export needs more than
+    the machine's physical memory (``_export_bytes``)."""
     for c, column in enumerate(universe.descriptors.T if universe.dim == 2 else ()):
         lo, hi = float(column.min()), float(column.max())
         if not np.isfinite(hi - lo):  # Python floats overflow to inf silently
@@ -754,7 +759,11 @@ def _check_exports(universe: LabeledSet, plan: ExperimentPlan) -> None:
         values = getattr(universe, attr)
         if len(values) < 2:
             continue
-        h, lo, hi = _kde_span(values)
+        try:
+            lo, hi = _kde_span(values)
+        except DegenerateDistributionError as exc:
+            raise DegenerateDistributionError(
+                f"{quantity}: over all {len(values)} dataset points: {exc}") from None
         with np.errstate(over="ignore", invalid="ignore"):
             width = hi - lo
         if not np.isfinite(width):
@@ -762,14 +771,6 @@ def _check_exports(universe: LabeledSet, plan: ExperimentPlan) -> None:
                 f"{quantity}: the KDE bandwidth or grid over all {len(values)} dataset "
                 "points is not finite (values too large)"
             )
-        if not h > 0:
-            raise DegenerateDistributionError(
-                f"{quantity}: zero spread over all {len(values)} dataset points, "
-                "so its KDE is undefined"
-            )
-        if h * np.sqrt(2.0 * np.pi) < 1.0 / np.finfo(float).max:  # a peak above the float range
-            raise ValueError(f"{quantity}: the KDE density over all {len(values)} dataset "
-                             "points is not finite (values too close together)")
     if min(plan.train_sizes) * plan.bootstraps < 2:
         raise ValueError(
             f"plan: min(train_sizes) x bootstraps = {min(plan.train_sizes) * plan.bootstraps}; "
@@ -788,13 +789,18 @@ def _kde_csv(groups, universe: LabeledSet, plan: ExperimentPlan) -> str:
     out.write("series,quantity,labeled_size,train_size,x,density\n")
     for quantity, attr in _KDE_QUANTITIES:
         base = getattr(universe, attr)
-        _, lo, hi = _kde_span(base)
+        lo, hi = _kde_span(base)
         grid = np.linspace(lo, hi, plan.kde_points)
         for x, d in zip(grid, kde_1d(base, grid)):
             out.write(f"labeled,{quantity},,,{format_float(x)},{format_float(d)}\n")
         for (method, ls, ts), group in groups:
             samples = np.concatenate([base[c.sel_global] for c in group])
-            for x, d in zip(grid, kde_1d(samples, grid)):
+            try:
+                density = kde_1d(samples, grid)
+            except DegenerateDistributionError as exc:
+                raise DegenerateDistributionError(f"{quantity}: method={method}, labeled_size="
+                                                  f"{ls}, train_size={ts}: {exc}") from None
+            for x, d in zip(grid, density):
                 out.write(f"{method},{quantity},{ls},{ts},{format_float(x)},{format_float(d)}\n")
     return out.getvalue()
 

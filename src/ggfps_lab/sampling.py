@@ -207,12 +207,13 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
 
     **Screened updates.** A new pick s can only lower ``min_dist[b, j]`` where
     its exact distance D is below m = ``min_dist[b, j]``, and after a few
-    picks that is a small share of the pool. So each step first screens
-    every point with one BLAS product (``_Screen``), and computes D only for
-    the points the screen cannot rule out; for these it writes
-    ``np.minimum(m, D)``, and every other point keeps m, the value that
-    would have given. The screen runs in float32 or float64 (see
-    **Precision**) on centred, scaled coordinates x'' = fl_v(x'),
+    picks that is a small share of the pool. So step k first updates each
+    chain with its pick k - 1: it screens every point with one BLAS product
+    (``_Screen``), and computes D only for the points the screen cannot rule
+    out; for these it writes ``np.minimum(m, D)``, and every other point
+    keeps m, the value that would have given. m and ``lim`` start at inf,
+    so the first update rules out no point. The screen runs in float32 or
+    float64 (see **Precision**) on centred, scaled coordinates x'' = fl_v(x'),
     x' = 2^-e fl(x - mid), where mid is each coordinate's bounding-box
     midpoint 0.5 lo + 0.5 hi and e makes |x - mid| < 2^e in every
     coordinate, so |x''| <= 1. It reads
@@ -270,14 +271,14 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     two to spare. In float32, as lim >= c3 > t, fl32(lim (1 + 2^-23)) >= lim,
     which rounds it up. So F < lim in the screen's precision too.
     |x''| <= 1 keeps |F| within about 4 d, so the screen neither overflows
-    nor returns NaN. mid - lo and hi - mid are at most (hi - lo)/2 plus
-    mid's rounding, so centring does not overflow either. An exact distance
-    that overflowed (m = inf) gives ``lim = inf``, a permanent candidate;
-    a scale so small that 2^-2e d eta overflows makes every point
-    a candidate, which is slow but exact. Centring keeps the slack c2 q_j
-    relative to the pool's own spread: on coordinates that were not
-    centred, a float32 screen of a pool offset by about 10^3 times its
-    spread would make every point a candidate.
+    nor returns NaN, and F < inf = lim in the first update. mid - lo and
+    hi - mid are at most (hi - lo)/2 plus mid's rounding, so centring does
+    not overflow either. An exact distance that overflowed (m = inf) keeps
+    ``lim = inf``, a permanent candidate; a scale so small that 2^-2e d eta
+    overflows makes every point a candidate, which is slow but exact.
+    Centring keeps the slack c2 q_j relative to the pool's own spread: on
+    coordinates that were not centred, a float32 screen of a pool offset by
+    about 10^3 times its spread would make every point a candidate.
 
     **Precision.** The float32 product takes about half the time of the
     float64 one, but its slack c2 q_j is 2^29 times as large: about
@@ -287,11 +288,11 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     far-apart clusters, most points are float32 candidates at every step
     although float64 would rule them out. So the kernel starts in float32,
     counts the candidates whose exact distance left m as it was, and once
-    that count passes B N (1 + k / ``WASTE_SHARE``) at step k (one pool's
-    worth, plus one point in ``WASTE_SHARE`` per chain and step) it
-    rebuilds the screen and ``lim`` in float64 for the rest of the run.
-    Both screens skip no point whose distance drops below m, so the switch
-    changes no pick.
+    that count passes B N (1 + k / ``WASTE_SHARE``) after the update with
+    pick k (one pool's worth, plus one point in ``WASTE_SHARE`` per chain
+    and step) it rebuilds the screen and ``lim`` in float64 for the rest of
+    the run. Both screens skip no point whose distance drops below m, so the
+    switch changes no pick.
 
     ``log(min_dist)`` is kept alongside and recomputed only for candidates;
     ``np.log`` works elementwise, so it is bitwise the value a full-row
@@ -301,65 +302,38 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     count.
 
     **Memory.** Beside ``X``, the kernel holds the (d + 2, N) float32 screen,
-    the (N,) float64 ``c2 q + c3`` and (B, N) arrays: three float64 ones
-    (``min_dist``, its log and a buffer for the first rows and the scores),
-    two float32 ones (``lim`` and a step's screen values) and one boolean
-    one. After a switch to float64 the screen, ``lim`` and the screen values
-    take twice the bytes. The screen is built one coordinate at a time, with
-    one (N,) float64 column, and a step's candidates are recomputed in
-    chunks, so a step adds only their flat indices (at most one (B, N)
-    array) and chunk-sized temporaries, even when most of the pool is a
-    candidate.
+    the (N,) float64 ``c2 q + c3`` and (B, N) arrays: two float64 ones
+    (``min_dist`` and its log), a third for the scores unless every exponent
+    is 0, two float32 ones (``lim`` and a step's screen values) and one
+    boolean one. After a switch to float64 the screen, ``lim`` and the
+    screen values take twice the bytes. The screen is built one coordinate
+    at a time, with one (N,) float64 column, and an update's candidates are
+    recomputed in chunks, so it adds only their flat indices (one (B, N)
+    array in the first update, freed before the scores are made) and one
+    chunk's temporaries.
     """
     X = np.asarray(X, dtype=float)
-    inits = np.asarray(inits, dtype=np.intp)
+    best = np.asarray(inits, dtype=np.intp)  # each chain's last pick
     n_chains, n = exponents.shape
     n_pool, dim = X.shape
     chains = np.arange(n_chains)
     picks = np.empty((n_chains, n), dtype=np.intp)
-    picks[:, 0] = inits
+    picks[:, 0] = best
     screen = _Screen(X)
     selected = np.where(exponents == 0.0, 0.0, -np.inf)  # a selected point's score
-    # candidates per exact pass: _distances' two (chunk, d) gathers then hold
-    # a quarter of a (B, N) array each, or 2^12 doubles where that is more,
-    # also when most of the pool is a candidate
+    # candidates per exact pass: _distances' two (chunk, d) gathers then hold a
+    # quarter of a (B, N) array each, at least 2^12 doubles, even if all are candidates
     chunk = max(1, max(n_chains * n_pool // 4, 1 << 12) // dim)
     # min_dist, log_min and lim are C-contiguous, so ravel() gives views
+    min_dist = np.full((n_chains, n_pool), np.inf)
+    log_min = np.full_like(min_dist, np.inf)
+    lim = np.full(min_dist.shape, np.inf, dtype=screen.dtype)
+    values = np.empty_like(lim)
+    near = np.empty(min_dist.shape, dtype=bool)
+    buf = None  # the scores, made on first use, after the first update's candidates are freed
+    unmoved = 0  # candidates so far whose exact distance left m as it was
     with np.errstate(divide="ignore", over="ignore"):
-        # the first rows, one coordinate at a time with _distances' operations
-        # in its order, so bitwise its values without its two (B, N, d) gathers
-        min_dist = np.zeros((n_chains, n_pool))
-        buf = np.empty_like(min_dist)  # squares here, then a step's scores
-        for coord in range(dim):
-            np.subtract(X[:, coord], X[inits, coord][:, None], out=buf)
-            buf *= buf
-            min_dist += buf
-        np.sqrt(min_dist, out=min_dist)
-        log_min = np.log(min_dist)
-        lim = screen.limits(min_dist, slice(None))
-        values = np.empty_like(lim)
-        near = np.empty(min_dist.shape, dtype=bool)
-        unmoved = 0  # candidates so far whose exact distance left m as it was
         for k in range(1, n):
-            beta = exponents[:, k]
-            zero = beta == 0.0
-            if zero.all():
-                score = min_dist
-            else:
-                score = np.multiply(beta[:, None], log_g, out=buf)
-                score += log_min
-                if zero.any():
-                    score[zero] = min_dist[zero]
-            best = score.argmax(axis=1)
-            stuck = score[chains, best] <= selected[:, k]
-            if stuck.any():  # only selected points and their duplicates remain
-                for b in np.flatnonzero(stuck):
-                    free = np.ones(n_pool, dtype=bool)
-                    free[picks[b, :k]] = False
-                    best[b] = free.argmax()
-            picks[:, k] = best
-            if k + 1 == n:
-                break
             np.less(screen.values(best, out=values), lim, out=near)
             # flat indices into the (B, N) arrays: 2-D nonzero and fancy
             # indexing are several times slower
@@ -374,11 +348,30 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
                 min_dist.ravel()[flat] = dist
                 log_min.ravel()[flat] = np.log(dist)
                 lim.ravel()[flat] = screen.limits(dist, points)
-            wasted = unmoved * WASTE_SHARE > (WASTE_SHARE + k) * n_chains * n_pool
+                del flat, rows, points, dist, m  # before the next gathers or scores
+            del candidates
+            wasted = unmoved * WASTE_SHARE > (WASTE_SHARE + k - 1) * n_chains * n_pool
             if wasted and not screen.exact:  # see **Precision**
                 screen = _Screen(X, np.float64)
                 lim = screen.limits(min_dist, slice(None))
                 values = np.empty_like(lim)
+            beta = exponents[:, k]
+            zero = beta == 0.0
+            if zero.all():
+                score = min_dist
+            else:
+                score = buf = np.multiply(beta[:, None], log_g, out=buf)
+                score += log_min
+                if zero.any():
+                    score[zero] = min_dist[zero]
+            best = score.argmax(axis=1)
+            stuck = score[chains, best] <= selected[:, k]
+            if stuck.any():  # only selected points and their duplicates remain
+                for b in np.flatnonzero(stuck):
+                    free = np.ones(n_pool, dtype=bool)
+                    free[picks[b, :k]] = False
+                    best[b] = free.argmax()
+            picks[:, k] = best
     return picks
 
 

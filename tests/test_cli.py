@@ -752,8 +752,8 @@ class TestDegenerateKdePolicy:
         })
         out = tmp_path / "o"
         assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "force_norm" in err and "zero spread" in err
+        assert capsys.readouterr().err == ("error: force_norm: over all 40 dataset points: "
+                                           "samples have zero spread\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("quantity", ["force_norm", "label"])
@@ -841,7 +841,9 @@ class TestDegenerateKdePolicy:
         })
         out = tmp_path / "o"
         assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 1
-        assert calls and "zero spread" in capsys.readouterr().err
+        assert calls and capsys.readouterr().err == (
+            "error: force_norm: method=URS, labeled_size=30, train_size=10: "
+            "samples have zero spread\n")
         assert not out.exists()
 
 

@@ -811,7 +811,8 @@ class TestKde:
                           kde_points=11)
         _check_exports(universe, plan)
         cell = types.SimpleNamespace(sel_global=np.arange(4))
-        with pytest.raises(DegenerateDistributionError, match="too little spread"):
+        with pytest.raises(DegenerateDistributionError, match="^label: method=URS, labeled_size="
+                           "20, train_size=4: samples have too little spread"):
             experiments._kde_csv([(("URS", 20, 4), [cell])], universe, plan)
 
     def test_tied_quartiles_fall_back_to_std(self):
@@ -893,12 +894,13 @@ class TestSilvermanBandwidth:
     def test_density_beyond_the_float_range_rejected_before_compute(self):
         """Labels spread about 1e-310 now have a bandwidth (a subnormal one),
         but a KDE peak of about 1 / h overflows: the export check rejects
-        them, naming the quantity, as it rejected them for zero spread."""
+        them, naming the quantity, with the error it gives for zero spread."""
         base = uniform_domain_sample(StyblinskiTang(), 60, seed=5)
         tiny = LabeledSet(descriptors=base.descriptors, labels=base.labels / 100.0 * 1e-310,
                           gradient_norms=base.gradient_norms)
         assert silverman_bandwidth(tiny.labels) > 0
-        with pytest.raises(ValueError, match="^label: the KDE density .* not finite"):
+        with pytest.raises(DegenerateDistributionError, match="^label: over all 60 dataset "
+                           "points: samples have too little spread for a finite density$"):
             _check_exports(tiny, small_plan())
 
     def test_overflowing_std_is_the_std_of_the_scaled_samples(self):

@@ -471,6 +471,33 @@ class TestScreen:
             F = screen.values(s, out=np.empty((k, len(X)), dtype=dtype))
             assert (F[np.arange(k), j] < screen.limits(m, j)).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", ["max", "offset-1e300", "spread-1e-310", "outlier", "d1",
+                                      "d64", "constant"])
+    def test_values_are_finite(self, dtype, pool):
+        """_greedy's first update rules out no point because every F is below
+        lim = inf: |x''| <= 1 keeps |F| within about 4 d, at either end of the
+        float range too."""
+        rng = np.random.default_rng(len(pool))
+        X = rng.uniform(-1.0, 1.0, size=(120, 4))
+        if pool == "max":
+            X[:2] = [[1.0] * 4, [-1.0] * 4]
+            X *= 1.7e308
+        elif pool == "offset-1e300":
+            X = 1e300 + 1e285 * X
+        elif pool == "spread-1e-310":
+            X *= 1e-310
+        elif pool == "outlier":
+            X[0] = 1e3
+        elif pool in ("d1", "d64"):
+            X = rng.uniform(-1.0, 1.0, size=(120, int(pool[1:])))
+        else:
+            X = np.full((120, 4), 2.5)
+        screen = _Screen(X, dtype)
+        F = screen.values(np.arange(len(X)), out=np.empty((len(X), len(X)), dtype=dtype))
+        assert np.isfinite(F).all()
+        assert np.abs(F).max() <= 4.01 * X.shape[1]
+
     @pytest.mark.parametrize("shape", ["offset", "outlier", "clusters"])
     def test_an_uneven_pool_has_as_few_candidates(self, monkeypatch, shape):
         # screened in float32 on uncentred coordinates, every point of the
