@@ -165,7 +165,11 @@ class LabeledSet:
         return self.descriptors.shape[1]
 
     def subset(self, indices) -> "LabeledSet":
-        idx = np.asarray(indices, dtype=int)
+        """The rows at integer ``indices``, in their order; ValueError for a
+        boolean mask or non-integer values, which would read other rows."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, not {idx.dtype}")
         return LabeledSet(
             descriptors=self.descriptors[idx],
             labels=self.labels[idx],

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import os
 import sys
 import time
@@ -26,7 +27,8 @@ import numpy as np
 from . import __version__ as _tool_version
 from .dataset import (LabeledSet, check_int, check_number, check_width, dumps_17g, format_float,
                       write_outputs)
-from .krr import FactorizationError, cdist, fit_prefixes, gaussian_gram, gaussian_kernel, predict
+from .krr import (_CDIST_BLOCK, FactorizationError, cdist, fit_prefixes, gaussian_gram,
+                  gaussian_kernel, predict)
 from .sampling import METHODS, check_beta, fps, ggfps_chains, urs
 
 CV_COSTS = ("RMSE", "MAE")
@@ -442,8 +444,30 @@ def cross_validate(train: LabeledSet, plan: ExperimentPlan, seed: int = 0) -> Cv
     return choose_from_costs(_PlainCv(train, plan, seed).evaluate(), plan, with_beta=False)
 
 
+def _test_blocks(train_size: int, test_size: int) -> list[tuple[int, int]]:
+    """(start, stop) of the blocks of test columns that the final fit scores
+    at a time: B columns each, B the largest multiple of 64 whose train_size x
+    B kernel fits ``cdist``'s budget of doubles (at least 64), and the
+    remainder folded into the last block, which so holds B to 2B - 1 columns
+    (a test set under 2B is one block).
+
+    Every block starts at a multiple of 64 and holds at least 64 columns, and
+    the last ends where the whole kernel does. OpenBLAS's matrix-vector
+    product then gives each prediction bitwise as on the whole train x test
+    kernel (the tests check its Haswell and Sandybridge kernels); a last block
+    shorter than B, of 1 to 3 columns, changed the last bit of some."""
+    b = max(64, _CDIST_BLOCK // train_size // 64 * 64)
+    starts = range(0, max(test_size // b, 1) * b, b)
+    return list(zip(starts, [*starts[1:], test_size]))
+
+
 def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Fit on the selection, score on the remainder of the labeled set."""
+    """Fit on the selection, score on the remainder of the labeled set.
+
+    It holds the train Gram matrix (ts^2 doubles), factored in place and
+    freed after the solve, then one train x test kernel block of B to 2B - 1
+    columns at a time (``_test_blocks``): never the whole train x test kernel.
+    """
     test = np.setdiff1d(np.arange(len(L)), sel)
     X_tr = L.descriptors[sel]
     # the Gram is bitwise symmetric, so .T is its Fortran block: factored in place, freed here
@@ -451,9 +475,11 @@ def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[fl
                                    choice.lam, [len(sel)])
     if pivot:
         raise FactorizationError(pivot)
-    K_test = gaussian_gram(X_tr, L.descriptors[test], choice.sigma)
+    pred = np.empty(len(test))
     with _finite("test predictions"):
-        pred = predict(K_test, alpha)
+        for start, stop in _test_blocks(len(sel), len(test)):
+            K_test = gaussian_gram(X_tr, L.descriptors[test[start:stop]], choice.sigma)
+            pred[start:stop] = predict(K_test, alpha)
         if not np.isfinite(pred).all():  # from coefficients past the float range
             raise FloatingPointError("not finite")
     mae, rmse, abs_err = _errors(pred, L.labels[test])
@@ -622,13 +648,16 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 0.9 * scale * n ** (-0.2)
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
 def _kde_bandwidth(samples: np.ndarray) -> float:
     """Silverman bandwidth h of ``samples``; DegenerateDistributionError where
     they have zero spread, or so little that the peak 1 / (h sqrt(2 pi)) overflows."""
     h = silverman_bandwidth(samples)
     if not h > 0:
         raise DegenerateDistributionError("samples have zero spread")
-    if h * np.sqrt(2.0 * np.pi) < 1.0 / np.finfo(float).max:
+    if h * _SQRT_2PI < 1.0 / np.finfo(float).max:  # Python floats overflow to inf silently
         raise DegenerateDistributionError("samples have too little spread for a finite density")
     return h
 
@@ -647,7 +676,7 @@ def kde_1d(samples, eval_grid) -> np.ndarray:
     with np.errstate(over="ignore"):
         z = np.subtract(grid[:, None], samples[None, :])
         np.exp(np.multiply(np.square(np.divide(z, h, out=z), out=z), -0.5, out=z), out=z)
-        return z.sum(axis=1) / (len(samples) * h * np.sqrt(2.0 * np.pi))
+        return z.sum(axis=1) / (len(samples) * h * _SQRT_2PI)
 
 
 def selection_heatmap_2d(selections, labeled: LabeledSet, grid: int) -> np.ndarray:
@@ -828,6 +857,11 @@ def run_experiment(
     in export, creates no directory and writes no file, and a failed write
     removes what the run wrote (``write_outputs``). A dataset or plan whose
     KDE or heatmap export cannot succeed is rejected before any compute.
+
+    The largest matrices held at once are a cross-validation visit's
+    2c^2 + 2cv doubles (c training and v validation rows) or a final fit's
+    ts^2 Gram and then one ts x (B to 2B - 1) block of test kernel
+    (``_fit_and_score``): no matrix spans the test set.
 
     The output bytes depend on the thread count of scipy's bundled OpenBLAS,
     whose Cholesky routines ``krr`` calls through ctypes (it loads that

@@ -1110,8 +1110,11 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, numpy_blas, monkey
 def test_curve_bytes_do_not_depend_on_numpy_blas_threads(tmp_path, numpy_blas, monkeypatch):
     """numpy's products in ``curve`` (``predict``, the selection screen) give
     the same bytes with numpy's OpenBLAS on one and two threads. The final
-    fits predict 150 x 150 = 22,500 entries, above the 9,216 at which
-    OpenBLAS threads a matrix-vector product."""
+    fits predict their test sets in blocks of test columns, and at these sizes
+    each is one block: 100 x 200 and 150 x 150 kernel entries, both above the
+    9,216 at which OpenBLAS threads a matrix-vector product."""
+    assert [[ts * (stop - start) for start, stop in experiments._test_blocks(ts, 300 - ts)]
+            for ts in (100, 150)] == [[20_000], [22_500]]
     data = tmp_path / "pool.csv"
     data.write_text(uniform_domain_sample(StyblinskiTang(dim=2), 300, 12).to_csv())
     cfg = write_config(tmp_path, "c.json", {

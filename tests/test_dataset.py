@@ -99,6 +99,20 @@ class TestLabeledSetSerialization:
         for name in ("descriptors", "labels", "gradient_norms"):
             assert np.array_equal(getattr(sub, name), getattr(labeled, name)[[3, 1, 4]])
 
+    @pytest.mark.parametrize("indices", [[True, False, True], np.array([0.7, 2.2]), [1.0]])
+    def test_subset_rejects_masks_and_non_integers(self, indices):
+        """A cast to int read the mask [True, False, True] as rows 1, 0, 1
+        and [0.7, 2.2] as rows 0 and 2."""
+        with pytest.raises(ValueError, match="indices must be integers"):
+            self.make_set().subset(indices)
+
+    @pytest.mark.parametrize("indices", [np.array([4, 0], dtype=np.int32),
+                                         np.array([2], dtype=np.uint64), range(1, 3)])
+    def test_subset_takes_integer_indices(self, indices):
+        labeled = self.make_set()
+        rows = [int(i) for i in indices]
+        assert labeled.subset(indices).labels.tolist() == labeled.labels[rows].tolist()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LabeledSet(

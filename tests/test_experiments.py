@@ -1,6 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +38,7 @@ from ggfps_lab.experiments import (
     silverman_bandwidth,
 )
 from ggfps_lab.krr import (
-    FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict,
+    _CDIST_BLOCK, FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict,
 )
 from ggfps_lab.sampling import SamplerConfig, ggfps, ggfps_chains
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
@@ -703,6 +708,104 @@ class TestLearningCurve:
         assert "replicate=0" in str(err.value)
 
 
+BLOCK_PROBE = """
+import ctypes, json, sys
+import numpy as np
+from ggfps_lab import experiments
+from ggfps_lab.experiments import CvChoice, _fit_and_score
+from ggfps_lab.krr import bundled_openblas, gaussian_gram, predict
+from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
+
+corename = bundled_openblas("numpy", load=False).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+blocks = []
+def recording(K_test, alpha):
+    blocks.append((K_test.shape[1], alpha, predict(K_test, alpha)))
+    return blocks[-1][2]
+experiments.predict = recording
+pool = uniform_domain_sample(StyblinskiTang(), 2400, seed=9)
+rng = np.random.default_rng(9)
+cases = json.loads(sys.argv[1])
+choice = CvChoice(sigma=1.5, lam=1e-8, beta=None)
+result = {"core": corename().decode(), "differ": [], "widths": []}
+for ts, n in cases:
+    L = pool.subset(rng.permutation(len(pool))[:ts + n])
+    sel = rng.permutation(ts + n)[:ts]
+    blocks.clear()
+    _, _, test, _ = _fit_and_score(L, sel, choice)
+    alpha = blocks[0][1]
+    whole = alpha @ gaussian_gram(L.descriptors[sel], L.descriptors[test], choice.sigma)
+    if np.concatenate([p for _, _, p in blocks]).tobytes() != whole.tobytes():
+        result["differ"].append([ts, n])
+    result["widths"].append([w for w, _, _ in blocks])
+print(json.dumps(result))
+"""
+
+
+class TestFinalFit:
+    @pytest.mark.parametrize("ts, b", [(1, 32768), (7, 4672), (100, 320), (200, 128),
+                                       (400, 64), (2000, 64)])
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 1.5, 2.0, 3.7, 20.0])
+    def test_blocks_fold_the_remainder(self, ts, b, factor):
+        """Blocks of B columns, B a multiple of 64 from cdist's budget of
+        doubles, the remainder folded into the last: B to 2B - 1 columns
+        each, and a test set under 2B is one block."""
+        n = max(1, int(factor * b) - 1)
+        blocks = experiments._test_blocks(ts, n)
+        starts, stops = zip(*blocks)
+        assert starts == tuple(range(0, len(blocks) * b, b))
+        assert stops == (*starts[1:], n)
+        assert len(blocks) == max(1, n // b)
+        assert n < b or all(b <= stop - start < 2 * b for start, stop in blocks)
+
+    @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+    def test_blocked_predictions_are_bitwise_the_whole_product(self, core):
+        """Under numpy's OpenBLAS kernels for ``core`` (read at load from
+        OPENBLAS_CORETYPE), the final fit's blocked predictions equal the
+        whole train x test product alpha @ K bitwise: at B = 64 for every test
+        size under 2B and every remainder of two and three blocks, and at
+        B = 128 for every remainder of two blocks. A last block shorter than
+        B changed the last bit of some. Both OpenBLAS pools run one thread,
+        as ``curve`` runs numpy's."""
+        cases = ([(400, n) for n in range(1, 4 * 64)] + [(400, 1200)]
+                 + [(200, n) for n in range(2 * 128, 3 * 128)] + [(200, 1799)])
+        src = Path(experiments.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", BLOCK_PROBE, json.dumps(cases)], capture_output=True,
+            text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_CORETYPE": core,
+                 "OPENBLAS_NUM_THREADS": "1"},
+        )
+        if proc.returncode and "scipy_openblas_get_corename64_" in proc.stderr:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        if result["core"] != core:
+            pytest.skip(f"this CPU cannot run OpenBLAS's {core} kernels")
+        assert result["differ"] == []
+        for (ts, n), widths in zip(cases, result["widths"]):
+            b = 64 if ts == 400 else 128
+            assert sum(widths) == n and (widths == [n] if n < 2 * b else min(widths) == b)
+
+    def test_peak_holds_the_gram_and_one_block(self):
+        """ts = 200 train and 4,000 test points: the Gram (ts^2 doubles), then
+        one block of B = 128 to 255 columns (under ts x 2B doubles), plus
+        cdist's row block and 8 float vectors of the test set's length. The
+        whole train x test kernel was ts x 4,000 doubles, 6.4 MB."""
+        ts, n = 200, 4000
+        labeled = uniform_domain_sample(StyblinskiTang(), ts + n, seed=10)
+        sel = np.random.default_rng(10).permutation(ts + n)[:ts]
+        choice = CvChoice(sigma=1.5, lam=1e-8, beta=None)
+        experiments._fit_and_score(labeled, sel, choice)  # loads scipy's OpenBLAS
+        tracemalloc.start()
+        try:
+            experiments._fit_and_score(labeled, sel, choice)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (ts * ts + ts * 2 * 128 + _CDIST_BLOCK + 8 * n) * 8
+
+
 class TestMetricIdentities:
     def test_zero_error_and_rmse_dominates(self):
         from ggfps_lab.experiments import _errors
@@ -791,14 +894,20 @@ class TestKde:
         with pytest.raises(DegenerateDistributionError, match="too little spread"):
             kde_1d(samples, np.linspace(-1e-309, 4e-309, 11))
 
-    def test_normalizer_past_the_float_range_gives_zero_densities_without_warning(self):
+    @pytest.mark.parametrize("samples, grid", [
+        (np.linspace(0.0, 2e307, 40), np.linspace(0.0, 2e307, 5)),
+        (np.array([-1e308, 1e308, -0.9e308, 0.9e308]), np.array([-1e308, 0.0, 1e308])),
+    ])
+    def test_normalizer_past_the_float_range_gives_zero_densities_without_warning(
+            self, samples, grid):
         """40 samples spread to 2e307: n h is finite, n h sqrt(2 pi) is not,
-        and numpy warned of the overflow in that scalar product."""
-        samples = np.linspace(0.0, 2e307, 40)
+        and numpy warned of the overflow in that scalar product. 4 samples
+        spread to 2e308: h sqrt(2 pi) is not finite either, and numpy warned
+        of it in the bandwidth's too-little-spread check."""
         h = silverman_bandwidth(samples)
-        assert math.isfinite(len(samples) * h) and math.isinf(len(samples) * h * 2.5066)
-        density = kde_1d(samples, np.linspace(0.0, 2e307, 5))
-        assert density.tobytes() == np.zeros(5).tobytes()
+        assert math.isfinite(h) and math.isinf(len(samples) * h * 2.5066)
+        density = kde_1d(samples, grid)
+        assert density.tobytes() == np.zeros(len(grid)).tobytes()
 
     def test_kde_csv_rejects_a_selected_series_with_too_little_spread(self):
         """The dataset's labels spread widely and pass the export check; a
