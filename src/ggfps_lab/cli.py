@@ -159,7 +159,9 @@ def _load_dataset(cfg: dict, config_path: Path) -> LabeledSet:
     if dataset_path.is_dir():  # pipes and devices stream like files
         raise ConfigError(f"dataset: is a directory: {dataset_path}")
     try:
-        with dataset_path.open() as lines:  # streamed, CSV_BLOCK_ROWS rows at a time
+        # streamed, CSV_BLOCK_ROWS rows at a time; utf-8-sig drops the byte-order
+        # mark that spreadsheets' "CSV UTF-8" export writes first
+        with dataset_path.open(encoding="utf-8-sig") as lines:
             return LabeledSet.from_csv(lines)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"dataset: {dataset_path}: {exc}") from None

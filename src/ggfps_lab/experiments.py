@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
 import sys
@@ -221,17 +222,86 @@ def _mirror_size(size: int, folds: int, cap: int) -> int:
     return max(1, min(cap, round(size * (folds - 1) / folds)))
 
 
-def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
+# widest column block of a chain's stored distances (``_ChainDistances``)
+_COLUMN_BLOCK = 64
+
+
+def _column_blocks(c: int) -> list[tuple[int, int]]:
+    """(start, stop) of the column blocks that split c columns: as few blocks
+    as widths of at most ``_COLUMN_BLOCK`` allow, with symmetric widths
+    (block k and block n - 1 - k are equally wide, so an odd c takes an odd
+    count, with one middle block) that differ by at most one."""
+    n = -(-c // _COLUMN_BLOCK)
+    if n % 2 == 0 and c % 2:  # symmetric widths over an even count sum to an even c
+        n += 1
+    q, r = divmod(c, n)
+    # the r wider blocks pair off from both ends; an odd r's last is the middle one
+    wide = [k < r // 2 or k >= n - r // 2 or (r % 2 == 1 and k == n // 2) for k in range(n)]
+    edges = list(itertools.accumulate((q + w for w in wide), initial=0))
+    return list(zip(edges[:-1], edges[1:]))
+
+
+class _ChainDistances:
+    """A chain's squared distances, kept in the triangle of its kernels'
+    factor buffer that the factorization never touches.
+
+    The buffer is Fortran-ordered, (W + c) x c for c rows, W the widest of
+    the ``_column_blocks(c)``; its bottom c x c block (``A``) takes each
+    kernel and its Cholesky factor, and ``dpotrf('L')`` never reads or writes
+    that block's strict upper triangle. Block k of the columns, j0:j1 of
+    width w, stores its distances d2[j0:c, j0:j1] as they are in the rows
+    directly above diagonal block n - 1 - k, which spans columns c - j1:c - j0
+    (widths are symmetric): buffer rows W - w:W + c - j1. Those rows lie in
+    the W pad rows and A's strict upper triangle, no two blocks' regions
+    overlap, and a kernel written into A[j0:, j0:j1] stays clear of all of
+    them. So one buffer of c^2 + cW doubles holds what took two c x c
+    matrices, and a chain computes at most c (c + W) / 2 distances instead
+    of c^2.
+    """
+
+    def __init__(self, c: int):
+        self.blocks = _column_blocks(c)
+        W = max(j1 - j0 for j0, j1 in self.blocks)
+        buf = np.empty((W + c, c), order="F")
+        self.A = buf[W:]
+        self.stored = [buf[W - (j1 - j0):W + c - j1, c - j1:c - j0] for j0, j1 in self.blocks]
+
+    def store(self, Xc: np.ndarray) -> None:
+        """Squared distances among the rows of ``Xc`` (c rows), each entry
+        (i, j), i >= j, bitwise ``cdist(Xc, Xc)[j, i]``: one ``cdist`` per
+        column block, over that block's rows against every row from its
+        first on."""
+        for (j0, j1), d2 in zip(self.blocks, self.stored):
+            cdist(Xc[j0:j1], Xc[j0:], out=d2.T)
+
+    def kernel(self, top: int, sigma: float) -> np.ndarray:
+        """The Gaussian kernel of the first ``top`` rows written into A's
+        leading block, lower triangle (and each diagonal block whole) bitwise
+        ``gaussian_kernel`` of the stored distances; returns that block, for
+        ``fit_prefixes`` to factor in place."""
+        for (j0, j1), d2 in zip(self.blocks, self.stored):
+            if j0 >= top:
+                break
+            j1 = min(j1, top)
+            gaussian_kernel(d2[:top - j0, :j1 - j0], sigma, out=self.A[j0:top, j0:j1])
+        return self.A[:top, :top]
+
+
+def _grid_costs(d2_train: _ChainDistances, d2_val: np.ndarray, y_train: np.ndarray,
                 y_val: np.ndarray, sizes: list[int], plan: ExperimentPlan,
                 dead: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
     """Validation cost of every (train size, sigma, lambda) candidate on one fold.
 
-    The training set of size m is the first m rows of ``d2_train`` (squared
-    distances among the largest training set), ``d2_val`` (to the validation
-    points) and ``y_train``. Per sigma one ``exp`` covers the validation
-    kernel; per lambda one ``exp`` writes the training kernel's largest
-    block into one Fortran-ordered buffer, whose Cholesky factor, made in
-    place, solves every size through its leading block (``fit_prefixes``).
+    The training set of size m is the first m rows of the chain whose
+    squared distances ``d2_train`` holds, of ``d2_val`` (to the validation
+    points) and of ``y_train``. Per sigma one ``exp`` covers the validation
+    kernel; per (sigma, lambda) ``d2_train.kernel`` writes the
+    training kernel's largest block into the buffer that holds the
+    distances, and its Cholesky factor, made in place, solves every size
+    through its leading block (``fit_prefixes``). The stored distances are
+    never written. With c training rows and v validation rows a call holds
+    c^2 + cW + 2cv doubles: ``d2_train``'s buffer, ``d2_val`` and the
+    validation kernel.
 
     Two masks of shape (len(sizes), sigmas, lambdas) say what to score.
     ``dead`` marks candidates that can never win: sizes at or beyond a
@@ -242,12 +312,10 @@ def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
     size not in ``dead``, skipped or not, because the factor of a smaller
     block differs in its last bits from the leading block of a larger
     factor. So every cost computed is bitwise the cost of a call without
-    ``skip``. Returns the costs, 0 where dead or skipped. A Fortran-ordered
-    ``d2_train`` makes each training ``exp`` a column-by-column write.
+    ``skip``. Returns the costs, 0 where dead or skipped.
     """
     costs = np.zeros(dead.shape)
     todo = ~dead if skip is None else ~(dead | skip)
-    A = np.empty(d2_train.shape, order="F")
     K_val = np.empty_like(d2_val)
     for si, sigma in enumerate(plan.sigma_grid):
         if not todo[:, si].any():
@@ -261,8 +329,7 @@ def _grid_costs(d2_train: np.ndarray, d2_val: np.ndarray, y_train: np.ndarray,
             top = max(m for m, gone in zip(sizes, dead[:, si, li]) if not gone)
             if top > max(solve):
                 solve.append(top)  # sets the factor's size; its alpha goes unused
-            block = gaussian_kernel(d2_train[:top, :top], sigma, out=A[:top, :top])
-            alphas, pivot = fit_prefixes(block, y_train[:top], lam, solve)
+            alphas, pivot = fit_prefixes(d2_train.kernel(top, sigma), y_train[:top], lam, solve)
             if pivot:
                 dead[:, si, li] |= np.asarray(sizes) >= pivot
             for i, alpha in zip(wanted, alphas):
@@ -287,25 +354,26 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     ``chains`` (B, n) holds rows of ``train``; chain b's training set of size
     m is its first m rows, scored on the rows ``val``. Chain by chain, cdist
     fills two buffers over its first c = max(sizes) rows, against themselves
-    and the v validation rows, so a visit holds at most 2 c^2 + 2 c v doubles:
-    the distances and the buffer of each kernel and its factor (c x c), and
-    the validation distances and kernel (c x v). ``dead`` and ``skip``, of
-    the result's shape, are as for ``_grid_costs``; ``dead`` is updated in
-    place. A chain with every candidate dead or skipped gets no cdist and costs 0.
+    (``_ChainDistances``) and the v validation rows, so a visit holds at most
+    c^2 + cW + 2cv doubles, W <= 64: the distances with each kernel and its
+    factor in one (W + c) x c buffer, and the validation distances and
+    kernel (c x v). ``dead`` and ``skip``, of the result's shape, are as for
+    ``_grid_costs``; ``dead`` is updated in place. A chain with every
+    candidate dead or skipped gets no cdist and costs 0.
     """
     X, y = train.descriptors, train.labels
     top = max(sizes)
     # one pair of buffers for all chains: blocks freed per chain let malloc
     # return their pages, and each chain faulted them in again (~4x the faults)
-    d2_chain, d2_val = np.empty((top, top)), np.empty((top, len(val)))
+    d2_chain, d2_val = _ChainDistances(top), np.empty((top, len(val)))
     costs = np.zeros(dead.shape)
     idle = (dead if skip is None else dead | skip).all(axis=(0, 1, 2))
     for b in np.flatnonzero(~idle):
         chain = chains[b, :top]
-        cdist(X[chain], X[chain], out=d2_chain)
-        cdist(X[chain], X[val], out=d2_val)
-        # cdist's squared distances are bitwise symmetric: .T is the Fortran block
-        costs[..., b] = _grid_costs(d2_chain.T, d2_val, y[chain], y[val], sizes, plan,
+        Xc = X[chain]
+        d2_chain.store(Xc)
+        cdist(Xc, X[val], out=d2_val)
+        costs[..., b] = _grid_costs(d2_chain, d2_val, y[chain], y[val], sizes, plan,
                                     dead[..., b], None if skip is None else skip[..., b])
     return costs
 
@@ -859,9 +927,10 @@ def run_experiment(
     KDE or heatmap export cannot succeed is rejected before any compute.
 
     The largest matrices held at once are a cross-validation visit's
-    2c^2 + 2cv doubles (c training and v validation rows) or a final fit's
-    ts^2 Gram and then one ts x (B to 2B - 1) block of test kernel
-    (``_fit_and_score``): no matrix spans the test set.
+    c^2 + cW + 2cv doubles (c training and v validation rows, W <= 64 the
+    widest column block of ``_ChainDistances``) or a final fit's ts^2 Gram
+    and then one ts x (B to 2B - 1) block of test kernel (``_fit_and_score``):
+    no matrix spans the test set.
 
     The output bytes depend on the thread count of scipy's bundled OpenBLAS,
     whose Cholesky routines ``krr`` calls through ctypes (it loads that

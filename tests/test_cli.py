@@ -1311,6 +1311,21 @@ class TestDatasetFile:
         assert not out.exists()
 
 
+    def test_utf8_byte_order_mark_selects_as_without_it(self, tmp_path, dataset_dir):
+        # a spreadsheet's "CSV UTF-8" export starts the file with U+FEFF
+        plain = (dataset_dir / "dataset.csv").read_bytes()
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + plain)
+        outs = []
+        for path in (dataset_dir / "dataset.csv", tmp_path / "bom.csv"):
+            cfg = sample_config(dataset_dir, "GGFPS", beta=0.8)
+            cfg["dataset"] = str(path)
+            out = tmp_path / f"out-{path.stem}"
+            run_ok(["sample", "--config", str(write_config(tmp_path, f"{path.stem}.json", cfg)),
+                    "--out", str(out)])
+            outs.append((out / "selection.json").read_bytes())
+        assert outs[0] == outs[1]
+
+
 class TestConfigFile:
     def test_directory_exits_1_naming_config(self, tmp_path, capsys):
         # exited 2 with a bare "[Errno 21] Is a directory: 'cfgdir'"

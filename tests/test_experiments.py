@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggfps_lab import experiments
+from ggfps_lab import experiments, krr
 from ggfps_lab.dataset import LabeledSet
 from ggfps_lab.experiments import (
     CV_COSTS,
@@ -20,6 +20,7 @@ from ggfps_lab.experiments import (
     DegenerateDistributionError,
     ExperimentPlan,
     ReplicateError,
+    _ChainDistances,
     _GgfpsCv,
     _PlainCv,
     _cost,
@@ -27,6 +28,7 @@ from ggfps_lab.experiments import (
     _grid_costs,
     _mirror_size,
     _check_exports,
+    _column_blocks,
     _run_cells,
     bin_errors_by_force_norm,
     choose_from_costs,
@@ -38,7 +40,8 @@ from ggfps_lab.experiments import (
     silverman_bandwidth,
 )
 from ggfps_lab.krr import (
-    _CDIST_BLOCK, FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, predict,
+    _CDIST_BLOCK, FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, gaussian_kernel,
+    predict,
 )
 from ggfps_lab.sampling import SamplerConfig, ggfps, ggfps_chains
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
@@ -184,7 +187,7 @@ class TestFoldCosts:
         for b, chain in enumerate(chains):
             sub = chain[:15]
             dead_b = np.zeros((3, 2, 2), dtype=bool)
-            direct = _grid_costs(cdist(X[sub], X[sub]),
+            direct = _grid_costs(chain_distances(X[sub]),
                                  cdist(X[sub], X[val]),
                                  y[sub], y[val], sizes, plan, dead_b)
             assert np.array_equal(costs[..., b], direct)
@@ -222,21 +225,22 @@ class TestFoldCosts:
         assert np.array_equal(costs[..., [0, 2]], full[..., [0, 2]])
         assert np.array_equal(dead[..., [0, 2]], full_dead[..., [0, 2]])
 
-    def test_ggfps_cv_runs_two_cdist_calls_per_chain_never_over_the_pool(self, universe,
-                                                                         monkeypatch):
-        """Each chain of a fold visit that has a candidate to score gets two
-        cdist calls, over its first max(sizes) rows against themselves and
-        against the fold's validation rows, and none covers the pool; a chain
-        whose candidates are all dead or skipped gets none. Each chain is a
-        chain selected for that fold, bitwise the solo ``ggfps`` chain of its
-        beta with the derived seed."""
+    def test_ggfps_cv_cdist_calls_cover_each_chain_never_the_pool(self, universe, monkeypatch):
+        """Each chain of a fold visit that has a candidate to score gets one
+        cdist call per column block of its first c = max(sizes) rows, that
+        block's rows against every row from the block's first on, then one
+        over the c rows against the fold's validation rows; none covers the
+        pool, and a chain whose candidates are all dead or skipped gets none.
+        The chains here span two blocks. Each chain is a chain selected for
+        that fold, bitwise the solo ``ggfps`` chain of its beta with the
+        derived seed."""
         plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
-        ctx, pools, calls, visits = record_ggfps_cv(universe, plan, monkeypatch, [5, 10])
+        ctx, pools, calls, visits = record_ggfps_cv(universe, plan, monkeypatch, [5, 100])
         assert len(visits) >= plan.folds
         X = universe.descriptors
         selected = {}
         for fi, betas, seeds, chains in calls:
-            chain_len = _mirror_size(10, plan.folds, len(pools[fi]))
+            chain_len = _mirror_size(100, plan.folds, len(pools[fi]))
             # pool >> chain: the matrices must not grow with the pool
             assert chain_len < len(pools[fi])
             pool = universe.subset(pools[fi])
@@ -249,20 +253,26 @@ class TestFoldCosts:
         for fi, chains, top, idle, cdist_calls in visits:
             assert all(any(np.array_equal(chain, kept) for kept in selected[fi])
                        for chain in chains)
-            assert len(cdist_calls) == 2 * (~idle).sum()
-            for chain, (train_XA, train_XB), (val_XA, val_XB) in zip(
-                    chains[~idle], cdist_calls[::2], cdist_calls[1::2]):
-                assert np.array_equal(train_XA, X[chain[:top]]) and train_XB == train_XA.shape
+            blocks = _column_blocks(top)
+            assert len(blocks) == 2
+            per_chain = len(blocks) + 1
+            assert len(cdist_calls) == per_chain * (~idle).sum()
+            for k, chain in enumerate(chains[~idle]):
+                *train_calls, (val_XA, val_XB) = cdist_calls[k * per_chain:(k + 1) * per_chain]
+                for (j0, j1), (XA, XB) in zip(blocks, train_calls):
+                    assert np.array_equal(XA, X[chain[j0:j1]])
+                    assert np.array_equal(XB, X[chain[j0:top]])
                 assert np.array_equal(val_XA, X[chain[:top]])
-                assert val_XB == (len(ctx.val_folds[fi]), 2)
+                assert np.array_equal(val_XB, X[ctx.val_folds[fi]])
         # the later visits leave some chains unscored
         assert any(idle.any() for _, _, _, idle, _ in visits)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 64), st.integers(1, 30), st.integers(0, 2**32))
     def test_cdist_transpose_is_bitwise_its_fortran_block(self, dim, n, seed):
-        # _fold_costs hands cdist(A, A).T to the factorization as the
-        # Fortran-ordered training block, which relies on this symmetry
+        # _fit_and_score hands the transpose of its Gram, gaussian_gram(X, X),
+        # to the factorization as its Fortran-ordered form, which relies on this
+        # symmetry
         rng = np.random.default_rng(seed)
         # a few repeated rows and a wide spread of scales
         A = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
@@ -292,12 +302,15 @@ class TestFoldCosts:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_visit_holds_two_square_blocks(self):
-        """A visit at c = 400 training and v = 200 validation rows holds the
-        distances and the factor buffer (c x c each) and the validation
-        distances and kernel (c x v each): 2 c^2 + 2 c v doubles, plus
-        c^2 / 2 doubles of slack for cdist's row block and small arrays. A
-        separate kernel matrix or factor copy would add c^2 doubles."""
+    def test_visit_holds_one_square_block(self):
+        """A visit at c = 400 training and v = 200 validation rows holds one
+        (W + c) x c buffer for the distances, each kernel and its factor
+        (W <= 64), and the validation distances and kernel (c x v each):
+        c^2 + 64 c + 2 c v doubles at most, plus one row block of cdist
+        (``_CDIST_BLOCK`` doubles) of slack, which also covers numpy's
+        iterator buffers on the strided kernel blocks (128 KiB) and small
+        arrays. A separate c x c distance matrix, kernel or factor copy
+        would add c^2 doubles."""
         c, v = 400, 200
         rng = np.random.default_rng(4)
         train = uniform_domain_sample(StyblinskiTang(), 700, seed=4)
@@ -313,7 +326,7 @@ class TestFoldCosts:
         finally:
             tracemalloc.stop()
         assert not dead.any()
-        assert peak < (2 * c * c + 2 * c * v) * 8 + c * c * 4
+        assert peak < (c * c + 64 * c + 2 * c * v + _CDIST_BLOCK) * 8
 
     def test_ggfps_cv_selects_each_fold_chain_once(self, universe, monkeypatch):
         """Each fold's chains are selected before the search, in one lockstep
@@ -347,7 +360,7 @@ def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
     """Run ``_GgfpsCv.evaluate`` on ``universe`` and record its chain
     selections as (fold, betas, seeds, pool-relative chains) and its fold
     visits as (fold, train-row chains, max(sizes), per chain whether every
-    candidate was dead or skipped, [(cdist XA, XB shape), ...])."""
+    candidate was dead or skipped, [(cdist XA, XB), ...])."""
     ctx = _GgfpsCv(universe, plan, seed=5)
     pools = {fi: np.setdiff1d(np.arange(len(universe)), val)
              for fi, val in enumerate(ctx.val_folds)}
@@ -367,7 +380,7 @@ def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
         return _fold_costs(train, plan, val, chains, sizes, dead, skip)
 
     def recording_cdist(XA, XB, **kwargs):
-        visits[-1][4].append((XA.copy(), XB.shape))
+        visits[-1][4].append((XA.copy(), XB.copy()))
         return cdist(XA, XB, **kwargs)
 
     monkeypatch.setattr(experiments, "ggfps_chains", recording_chains)
@@ -380,6 +393,26 @@ def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
 # sigma = 1e12 makes every kernel entry exactly 1.0, so lambda = 1e-300 fails
 # at pivot 2 for every size >= 2: dead candidates that no rounding can revive
 DEAD_GRIDS = dict(sigma_grid=(0.5, 1e12), lambda_grid=(1e-300, 1e-4))
+
+
+def chain_distances(Xc):
+    """The squared distances among the rows of ``Xc``, stored as
+    ``_fold_costs`` stores a chain's."""
+    stored = _ChainDistances(len(Xc))
+    stored.store(Xc)
+    return stored
+
+
+class SquareKernels:
+    """``_grid_costs``' kernels written from a plain c x c distance matrix
+    into a c x c Fortran buffer of their own: the layout that
+    ``_ChainDistances`` replaced, kept as the reference it must match."""
+
+    def __init__(self, d2):
+        self.d2, self.A = d2, np.empty(d2.shape, order="F")
+
+    def kernel(self, top, sigma):
+        return gaussian_kernel(self.d2[:top, :top], sigma, out=self.A[:top, :top])
 
 
 def direct_costs(d2_train, d2_val, y_train, y_val, sizes, plan):
@@ -515,29 +548,38 @@ class TestGridCosts:
         # labels near 1e160: the squared errors overflow, silently
         y = 1e160 * (1 + universe.labels / 1e3)
         dead = np.zeros((2, 2, 2), dtype=bool)
-        costs = _grid_costs(cdist(X[tr], X[tr]),
+        costs = _grid_costs(chain_distances(X[tr]),
                             cdist(X[tr], X[val]),
                             y[tr], y[val], [5, 20], plan, dead)
         assert dead.all()
         assert np.isnan(costs[:, 0]).all() and np.isnan(costs[0, 1, 1])
         assert (costs[1:, 1, 0] == 0).all()
 
-    def test_layout_of_d2_train_changes_no_bit_and_no_input(self, universe):
+    def test_layout_changes_no_bit_and_a_grid_pass_keeps_the_distances(self, universe):
+        """Costs and dead candidates are bitwise those of kernels written from
+        a plain distance matrix, C- or Fortran-ordered, into a buffer of their
+        own; a full grid pass writes neither the stored distances nor the
+        validation distances. The chain spans two column blocks."""
         plan = small_plan(**DEAD_GRIDS)
         X, y = universe.descriptors, universe.labels
-        tr, val = np.arange(40), np.arange(100, 120)
+        tr, val = np.arange(100), np.arange(100, 120)
         d2_train = cdist(X[tr], X[tr])
         d2_val = cdist(X[tr], X[val])
-        sizes = [5, 20, 40]
+        sizes = [5, 20, 70, 100]
+        stored = chain_distances(X[tr])
+        assert len(stored.blocks) == 2
+        kept = [d2.copy() for d2 in stored.stored]
+        kept_val = d2_val.copy()
         results = []
-        for d2 in (d2_train, np.asfortranarray(d2_train)):
-            kept, kept_val = d2.copy(), d2_val.copy()
+        for kernels in (stored, SquareKernels(d2_train),
+                        SquareKernels(np.asfortranarray(d2_train))):
             dead = np.zeros((len(sizes), 2, 2), dtype=bool)
-            costs = _grid_costs(d2, d2_val, y[tr], y[val], sizes, plan, dead)
-            assert np.array_equal(d2, kept) and np.array_equal(d2_val, kept_val)
+            costs = _grid_costs(kernels, d2_val, y[tr], y[val], sizes, plan, dead)
             results.append((costs.tobytes(), dead.tobytes()))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
         assert np.frombuffer(results[0][1], dtype=bool).any()
+        assert all(np.array_equal(d2, k) for d2, k in zip(stored.stored, kept))
+        assert np.array_equal(d2_val, kept_val)
 
     @settings(max_examples=60, deadline=None)
     @given(grid_fold())
@@ -550,11 +592,95 @@ class TestGridCosts:
                       dict(sigma_grid=(1e12,), lambda_grid=(1e-300, 1e-3))):
             plan = small_plan(**grids)
             dead = np.zeros((len(sizes), len(plan.sigma_grid), len(plan.lambda_grid)), dtype=bool)
-            costs = _grid_costs(d2_train, d2_val, y_tr, y_val, sizes, plan, dead)
+            costs = _grid_costs(chain_distances(X_tr), d2_val, y_tr, y_val, sizes, plan, dead)
             expected = direct_costs(d2_train, d2_val, y_tr, y_val, sizes, plan)
             assert np.array_equal(dead, np.isnan(expected))
             assert (costs[dead] == 0).all()
             assert costs[~dead] == pytest.approx(expected[~dead], rel=1e-8, abs=1e-12)
+
+
+LAYOUT_SIZES = (1, 2, 63, 64, 65, 130, 400, 641)
+
+
+def layout_tops(stored, c):
+    """Sizes 1 and c, and each column block's edge and its neighbours."""
+    edges = {j for block in stored.blocks for j in block}
+    return sorted(m for m in {1, c} | {e + k for e in edges for k in (-1, 0, 1)} if 1 <= m <= c)
+
+
+class TestChainDistances:
+    def test_blocks_are_few_symmetric_and_at_most_64_wide(self):
+        for c in range(1, 700):
+            blocks = _column_blocks(c)
+            widths = [j1 - j0 for j0, j1 in blocks]
+            assert blocks[0][0] == 0 and blocks[-1][1] == c
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert widths == widths[::-1] and max(widths) - min(widths) <= 1
+            assert max(widths) <= 64
+            # ceil(c / 64) blocks, one more where an odd c needs a middle block
+            fewest = -(-c // 64)
+            assert len(blocks) == fewest + (fewest % 2 == 0 and c % 2 == 1)
+
+    @pytest.mark.parametrize("c", LAYOUT_SIZES)
+    def test_stored_regions_avoid_the_lower_triangle_and_each_other(self, c):
+        """Each block's distances sit in the pad rows or the strict upper
+        triangle of the factor's block, never on its lower triangle, and no
+        two blocks share an entry; together they hold at most c (c + W) / 2
+        entries."""
+        stored = _ChainDistances(c)
+        buf = stored.A.base
+        W = buf.shape[0] - c
+        assert buf.shape == (W + c, c) and buf.flags.f_contiguous
+        assert W == max(j1 - j0 for j0, j1 in stored.blocks)
+        owner = np.full(buf.shape, -1)
+        for k, d2 in enumerate(stored.stored):
+            assert d2.strides == buf.strides
+            col, row = divmod((d2.ctypes.data - buf.ctypes.data) // 8, W + c)
+            spot = owner[row:row + d2.shape[0], col:col + d2.shape[1]]
+            assert spot.shape == d2.shape and (spot == -1).all()
+            spot[...] = k
+        assert (owner >= 0).sum() == sum((j1 - j0) * (c - j0) for j0, j1 in stored.blocks)
+        assert (owner >= 0).sum() <= c * (c + W) // 2
+        assert (owner[W:][np.tril_indices(c)] == -1).all()
+
+    @pytest.mark.parametrize("path", ["ctypes", "fallback"])
+    @pytest.mark.parametrize("c", LAYOUT_SIZES)
+    def test_kernel_and_fit_are_bitwise_the_square_layout(self, monkeypatch, path, c):
+        """At every size top (1, c and each block edge +-1) the kernel's lower
+        triangle is bitwise ``gaussian_kernel`` of cdist(X, X).T's leading
+        block, and the alphas and pivot of ``fit_prefixes`` on it are bitwise
+        those of that kernel in a compact Fortran buffer. After the fit, the
+        stored distances are unchanged and the next kernel, at another sigma,
+        is again the fresh one: through the ctypes binding and through the
+        ``scipy.linalg.lapack`` fallback."""
+        if path == "fallback":
+            monkeypatch.setattr(krr, "_lapack", lambda: None)
+        elif krr._lapack() is None:
+            pytest.skip("scipy bundles no OpenBLAS here")
+        rng = np.random.default_rng(c)
+        X = rng.uniform(-2.0, 2.0, size=(c, 3))
+        y = rng.normal(size=c)
+        stored = chain_distances(X)
+        kept = [d2.copy() for d2 in stored.stored]
+        square = cdist(X, X).T
+        low = 0
+        for top in layout_tops(stored, c):
+            tril = np.tril_indices(top)
+            sizes = sorted({1, (top + 1) // 2, top})
+            for sigma, lam in ((20.0, 1e-300), (0.3, 1e-4)):
+                expected = gaussian_kernel(square[:top, :top], sigma,
+                                           out=np.empty((top, top), order="F"))
+                got = stored.kernel(top, sigma)
+                assert got[tril].tobytes() == expected[tril].tobytes()
+                alphas, pivot = fit_prefixes(got, y[:top], lam, sizes)
+                want, want_pivot = fit_prefixes(expected, y[:top], lam, sizes)
+                assert pivot == want_pivot
+                low += pivot > 0
+                for a, b in zip(alphas, want):
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes()
+                assert all(np.array_equal(d2, k) for d2, k in zip(stored.stored, kept))
+        # the wide sigma fails at a pivot near 50, which sizes past it reach
+        assert low > 0 or c < 63
 
 
 @st.composite

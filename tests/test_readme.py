@@ -22,5 +22,6 @@ def test_ci_runs_the_roadmap_tier1_command_verbatim():
     runs = re.findall(r"^ +run: (.*)$", workflow, re.M)
     assert tier1 and runs[-1] == tier1.group(1)
     assert 'python-version: "3.11"' in workflow
+    assert "cancel-in-progress: true" in workflow
     assert ("pip install numpy==2.4.6 scipy==1.17.1 pytest==9.0.3 hypothesis==6.155.2"
             in runs[0])
