@@ -10,7 +10,7 @@ Each config field is checked once, by the library type or function that
 takes it; this module only walks the config's objects, rejects missing and
 unknown fields, and puts the section's path in front of a library error.
 
-Exit codes: 0 success, 1 config/validation, 2 I/O, 3 numerical failure.
+Exit codes: 0 success, 1 config/validation, 2 I/O, 3 numerical failure, 130 SIGINT.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it ends
 
 SURFACES = {"styblinski_tang": StyblinskiTang, "adversarial_toy": AdversarialToy}
 # generator kind -> (function, required fields, optional fields, dataset.csv id prefix)
@@ -102,7 +103,7 @@ def _build(path: str, fn, *args, **kwargs):
 
 def load_config(path: Path) -> dict:
     try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))  # JSON text is UTF-8 (RFC 8259)
+        cfg = json.loads(path.read_text(encoding="utf-8-sig"))  # UTF-8, BOM ignored: RFC 8259
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}") from None
     except IsADirectoryError:
@@ -143,10 +144,8 @@ def cmd_generate(cfg: dict, config_path: Path, out_dir: Path) -> None:
         "config": cfg,
         "rows": len(labeled),
     }
-    write_outputs(out_dir, {
-        "dataset.csv": labeled.to_csv(id_prefix),
-        "manifest.json": dumps_17g(manifest, indent=2) + "\n",
-    })
+    write_outputs(out_dir, [("dataset.csv", labeled.to_csv(id_prefix)),
+                            ("manifest.json", dumps_17g(manifest, indent=2) + "\n")])
 
 
 def _load_dataset(cfg: dict, config_path: Path) -> LabeledSet:
@@ -174,7 +173,7 @@ def cmd_sample(cfg: dict, config_path: Path, out_dir: Path) -> None:
         result = select(_load_dataset(cfg, config_path), config)
     except CapacityError as exc:
         raise ConfigError(f"sampler.{exc}") from None
-    write_outputs(out_dir, {"selection.json": result.to_json(indent=2)})
+    write_outputs(out_dir, [("selection.json", result.to_json(indent=2))])
 
 
 def cmd_curve(cfg: dict, config_path: Path, out_dir: Path) -> None:
@@ -274,6 +273,9 @@ def main(argv=None) -> int:
                               "or empty directory, so no earlier run's files mix with it")
         _section(cfg, "config", required, ("schema_version",) + optional)
         command(cfg, args.config, args.out)
+    except KeyboardInterrupt:  # write_outputs has published nothing
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as exc:  # noqa: BLE001 - classified, re-raised when unexpected
         code = _exit_code(exc)
         if code is None:

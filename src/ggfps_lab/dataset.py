@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import shutil
 import sys
+import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +24,7 @@ import numpy as np
 # arrays of a large dataset. On a 20,000 x 8 CSV, 1024 rows load as fast as
 # 4096 with a traced peak of 3.8 MiB instead of 9.0 MiB.
 CSV_BLOCK_ROWS = 1024
+WRITE_CHUNK = 1 << 20  # characters per write; a whole text would be encoded in one copy
 
 
 def check_int(name: str, value, minimum: int | None = None) -> int:
@@ -95,34 +98,32 @@ def dumps_17g(obj, indent: int | None = None) -> str:
     return render(obj, 0)
 
 
-def write_outputs(out_dir: Path | str, texts: dict[str, str]) -> dict[str, Path]:
-    """Write each text to ``out_dir / name``, creating ``out_dir`` and its
-    missing parents if needed, and return the paths by name.
+def write_outputs(out_dir: Path | str, texts: Iterable[tuple[str, str]]) -> None:
+    """Write each ``(name, text)`` of ``texts`` as ``out_dir / name``, one at a
+    time (a generator's texts are held one at a time), then publish them all.
 
-    A write that fails with an OSError removes the files this call wrote and
-    every directory it created, then re-raises: a run that cannot write all
-    of its outputs leaves none of them.
+    The outermost directory the call creates, ``top`` (``out_dir`` or its
+    highest missing parent), is built in a hidden ``.<top's name>.*`` beside
+    it and published by one rename, which also replaces an empty ``out_dir``
+    and fails (ENOTEMPTY or EEXIST) on one that holds an entry. Any exception,
+    KeyboardInterrupt included, leaves ``out_dir`` and its parents as they were.
     """
-    out_dir = Path(out_dir)
-    missing = list(itertools.takewhile(lambda p: not p.exists(), (out_dir, *out_dir.parents)))
-    created: list[Path] = []
-    written: dict[str, Path] = {}
+    out_dir = Path(out_dir).resolve()  # the rename replaces a real directory, not "." or a link
+    top = out_dir
+    while not top.parent.exists():
+        top = top.parent
+    stage = Path(tempfile.mkdtemp(prefix=f".{top.name}.", dir=top.parent))
     try:
-        for directory in reversed(missing):
-            directory.mkdir()
-            created.append(directory)
-        for name, text in texts.items():
-            path = out_dir / name
-            with path.open("w") as fh:
-                written[name] = path
-                fh.write(text)
-    except OSError:
-        for path in written.values():
-            path.unlink(missing_ok=True)
-        for directory in reversed(created):
-            directory.rmdir()
-        raise
-    return written
+        staged_out = stage / top.name / out_dir.relative_to(top)
+        staged_out.mkdir(parents=True)  # Path.mkdir's mode, not mkdtemp's 0700
+        for name, text in texts:
+            with (staged_out / name).open("w") as fh:
+                for start in range(0, len(text), WRITE_CHUNK):
+                    fh.write(text[start:start + WRITE_CHUNK])
+            del text  # before ``texts`` builds the next one
+        (stage / top.name).rename(top)
+    finally:
+        shutil.rmtree(stage)
 
 
 class GenerationError(RuntimeError):

@@ -816,7 +816,7 @@ def _kde_span(values: np.ndarray) -> tuple[float, float]:
 
 def _export_bytes(universe: LabeledSet, plan: ExperimentPlan) -> dict[str, int]:
     """Lower bounds on the bytes that the heatmap and the KDE export each
-    hold at once, by the plan field that sizes them.
+    hold at once, by the plan field that sizes them; one is held at a time.
 
     ``heatmap_grid`` (2-D descriptors only): one group's grid x grid int64
     counts, plus heatmap.csv's grid^2 lines per group, each at least as long
@@ -917,14 +917,14 @@ def run_experiment(
     universe: LabeledSet,
     plan: ExperimentPlan,
     out_dir: Path | str,
-) -> dict[str, Path]:
+) -> None:
     """Run the full protocol and write curves.csv, bins.csv, kde.csv,
     heatmap.csv (2-D descriptors only) and manifest.json into ``out_dir``.
 
-    Every output is built in memory first: a run that fails, in compute or
-    in export, creates no directory and writes no file, and a failed write
-    removes what the run wrote (``write_outputs``). A dataset or plan whose
-    KDE or heatmap export cannot succeed is rejected before any compute.
+    After compute, each output is built, written and dropped in turn, and
+    ``write_outputs`` publishes them with one rename: a run that fails or is
+    interrupted leaves ``out_dir`` and its parents as they were. A dataset or
+    plan whose KDE or heatmap export cannot succeed is rejected before compute.
 
     The largest matrices held at once are a cross-validation visit's
     c^2 + cW + 2cv doubles (c training and v validation rows, W <= 64 the
@@ -941,24 +941,20 @@ def run_experiment(
     t0 = time.perf_counter()
     _check_exports(universe, plan)
     groups = _run_cells(universe, plan)
-    texts = {
-        "curves.csv": _curves_csv(_aggregate(groups)),
-        "bins.csv": _bins_csv(groups, universe),
-        "kde.csv": _kde_csv(groups, universe, plan),
-    }
-    if universe.dim == 2:
-        texts["heatmap.csv"] = _heatmap_csv(groups, universe, plan)
-    manifest = {
-        "schema_version": 1,
-        "tool": {"name": "ggfps-lab", "version": _tool_version},
-        "versions": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-        "plan": asdict(plan),
-        "universe": {"size": len(universe), "dim": universe.dim},
-        "wall_clock_seconds": time.perf_counter() - t0,
-    }
-    texts["manifest.json"] = dumps_17g(manifest, indent=2) + "\n"
-    return write_outputs(out_dir, texts)
+
+    def outputs():
+        yield "curves.csv", _curves_csv(_aggregate(groups))
+        yield "bins.csv", _bins_csv(groups, universe)
+        yield "kde.csv", _kde_csv(groups, universe, plan)
+        if universe.dim == 2:
+            yield "heatmap.csv", _heatmap_csv(groups, universe, plan)
+        manifest = {
+            "schema_version": 1, "tool": {"name": "ggfps-lab", "version": _tool_version},
+            "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
+                         "scipy": scipy.__version__},
+            "plan": asdict(plan), "universe": {"size": len(universe), "dim": universe.dim},
+            "wall_clock_seconds": time.perf_counter() - t0,
+        }
+        yield "manifest.json", dumps_17g(manifest, indent=2) + "\n"
+
+    write_outputs(out_dir, outputs())

@@ -1327,6 +1327,18 @@ class TestDatasetFile:
 
 
 class TestConfigFile:
+    def test_utf8_byte_order_mark_selects_as_without_it(self, tmp_path, dataset_dir):
+        # exited 1 with "config: not valid JSON: Unexpected UTF-8 BOM"
+        plain = write_config(tmp_path, "plain.json", sample_config(dataset_dir, "GGFPS", beta=0.8))
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = []
+        for config in (plain, bom):
+            out = tmp_path / f"out-{config.stem}"
+            run_ok(["sample", "--config", str(config), "--out", str(out)])
+            outs.append((out / "selection.json").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_directory_exits_1_naming_config(self, tmp_path, capsys):
         # exited 2 with a bare "[Errno 21] Is a directory: 'cfgdir'"
         folder = tmp_path / "cfgdir"
@@ -1391,6 +1403,24 @@ class TestExitCodes:
             monkeypatch.setattr(cli, "run_experiment", fail)
             with pytest.raises(type(raised)):
                 main(argv)
+
+    def test_interrupt_in_export_exits_130_and_publishes_nothing(self, tmp_path, dataset_dir,
+                                                                 monkeypatch, capsys):
+        # the KeyboardInterrupt escaped main with a traceback and no exit code
+        def interrupt(groups, universe, plan):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "_kde_csv", interrupt)
+        config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        out = tmp_path / "a" / "o"
+        try:
+            code = main(["curve", "--config", str(config), "--out", str(out)])
+        except KeyboardInterrupt:  # would end the test session
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 FUZZ_VALUES = [None, True, "x", [], {}, -1, 0, 2.5, float("nan"), float("inf"),

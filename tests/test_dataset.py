@@ -1,4 +1,8 @@
+import errno
+import os
+import stat
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -238,24 +242,43 @@ class TestFromCsvMatchesRowByRowParser:
         assert peak < 3 * result
 
 
+def second_text_fails(exc):
+    """Texts whose second raises ``exc`` while it is built."""
+    yield "a.csv", "1\n"
+    raise exc
+
+
+def second_write_fails(exc, monkeypatch):
+    """Texts whose second raises ``exc`` while it is written."""
+    real_open = Path.open
+
+    def failing_open(self, *args, **kwargs):
+        if self.name == "b.csv":
+            raise exc
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    return iter([("a.csv", "1\n"), ("b.csv", "2\n")])
+
+
 class TestWriteOutputs:
-    def test_writes_every_text_and_returns_the_paths(self, tmp_path):
+    def test_writes_every_text_under_new_parents(self, tmp_path):
         out = tmp_path / "new" / "out"
-        written = write_outputs(out, {"a.csv": "1\n", "b.json": "{}\n"})
-        assert written == {"a.csv": out / "a.csv", "b.json": out / "b.json"}
+        assert write_outputs(out, [("a.csv", "1\n"), ("b.json", "{}\n")]) is None
         assert (out / "a.csv").read_text() == "1\n"
         assert (out / "b.json").read_text() == "{}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new"]
 
     def test_failed_write_removes_the_written_files_and_the_new_directory(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(FileNotFoundError):
-            write_outputs(out, {"a.csv": "1\n", "missing/b.csv": "2\n"})
+            write_outputs(out, [("a.csv", "1\n"), ("missing/b.csv", "2\n")])
         assert not out.exists()
 
     def test_failed_write_removes_every_directory_it_created(self, tmp_path):
         out = tmp_path / "a" / "b" / "out"
         with pytest.raises(FileNotFoundError):
-            write_outputs(out, {"a.csv": "1\n", "missing/b.csv": "2\n"})
+            write_outputs(out, [("a.csv", "1\n"), ("missing/b.csv", "2\n")])
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_a_directory_it_did_not_create(self, tmp_path):
@@ -263,5 +286,52 @@ class TestWriteOutputs:
         out.mkdir()
         (out / "old.txt").write_text("kept")
         with pytest.raises(FileNotFoundError):
-            write_outputs(out, {"a.csv": "1\n", "missing/b.csv": "2\n"})
+            write_outputs(out, [("a.csv", "1\n"), ("missing/b.csv", "2\n")])
         assert [p.name for p in out.iterdir()] == ["old.txt"]
+
+    @pytest.mark.parametrize("exc", [ValueError("export"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    @pytest.mark.parametrize("fails", ["build", "write"])
+    def test_second_output_failing_leaves_nothing(self, tmp_path, monkeypatch, exc, fails):
+        # only OSError rolled back: a failed export or an interrupt left
+        # a/out/a.csv in a directory that looked like a result
+        texts = (second_text_fails(exc) if fails == "build"
+                 else second_write_fails(exc, monkeypatch))
+        with pytest.raises(type(exc)):
+            write_outputs(tmp_path / "a" / "out", texts)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_receives_the_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        write_outputs(out, [("a.csv", "1\n")])
+        assert [p.name for p in out.iterdir()] == ["a.csv"]
+        assert list(tmp_path.iterdir()) == [out]  # no staging directory left
+
+    def test_out_filled_before_the_rename_keeps_its_entries(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+
+        def texts():
+            yield "a.csv", "1\n"
+            (out / "late.txt").write_text("kept")
+            yield "b.csv", "2\n"
+
+        with pytest.raises(OSError) as info:
+            write_outputs(out, texts())
+        assert info.value.errno in (errno.ENOTEMPTY, errno.EEXIST)
+        assert [p.name for p in out.iterdir()] == ["late.txt"]
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_published_directories_get_mkdirs_mode(self, tmp_path):
+        # mkdtemp makes its directory 0700; a published one is made as mkdir makes it
+        umask = os.umask(0o022)
+        try:
+            (tmp_path / "reference").mkdir()
+            write_outputs(tmp_path / "a" / "out", [("a.csv", "1\n")])
+        finally:
+            os.umask(umask)
+        mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+        assert mode == 0o755
+        for directory in (tmp_path / "a", tmp_path / "a" / "out"):
+            assert stat.S_IMODE(directory.stat().st_mode) == mode

@@ -356,6 +356,27 @@ def test_export_bytes_bound_the_exports_from_below(universe):
     assert set(need) == {"heatmap_grid", "kde_points"}
 
 
+def test_export_phase_holds_one_export_at_a_time(universe, tmp_path, monkeypatch):
+    """With kde.csv and heatmap.csv each about 8 MB, the export phase peaks
+    below 1.5 times one of them: each is dropped once written, and written in
+    slices, never encoded whole. Building every text first held both, plus
+    the encoded copy of the one being written (24 MB)."""
+    size = 8_000_000
+    plan = small_plan(methods=("URS",))
+    groups = _run_cells(universe, plan)
+    monkeypatch.setattr(experiments, "_run_cells", lambda universe, plan: groups)
+    for name in ("_kde_csv", "_heatmap_csv"):
+        monkeypatch.setattr(experiments, name, lambda groups, universe, plan: "0" * size)
+    tracemalloc.start()
+    try:
+        experiments.run_experiment(universe, plan, tmp_path / "out")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "heatmap.csv").stat().st_size == size
+    assert peak < 1.5 * size
+
+
 def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
     """Run ``_GgfpsCv.evaluate`` on ``universe`` and record its chain
     selections as (fold, betas, seeds, pool-relative chains) and its fold
