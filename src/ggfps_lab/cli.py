@@ -10,22 +10,24 @@ Each config field is checked once, by the library type or function that
 takes it; this module only walks the config's objects, rejects missing and
 unknown fields, and puts the section's path in front of a library error.
 
-Exit codes: 0 success, 1 config/validation, 2 I/O, 3 numerical failure, 130 SIGINT.
+Exit codes: 0 success, 1 config/validation (an allocation numpy refuses
+too), 2 I/O, 3 numerical failure, 130 SIGINT, 143 SIGTERM.
 """
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import __version__
 from .dataset import (GenerationError, LabeledSet, dumps_17g, synth_boltzmann_set,
                       write_outputs)
 from .experiments import ExperimentPlan, ReplicateError, run_experiment
-from .krr import FactorizationError, bundled_openblas
+from .krr import FactorizationError, pin_numpy_blas
 from .sampling import CapacityError, SamplerConfig, select
 from .surfaces import AdversarialToy, StyblinskiTang, uniform_domain_sample
 
@@ -34,6 +36,7 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it ends
+EXIT_TERMINATED = 143  # 128 + SIGTERM
 
 SURFACES = {"styblinski_tang": StyblinskiTang, "adversarial_toy": AdversarialToy}
 # generator kind -> (function, required fields, optional fields, dataset.csv id prefix)
@@ -50,6 +53,14 @@ PLAN_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentPlan))
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field path."""
+
+
+class Terminated(BaseException):
+    """A SIGTERM arrived; raised in the main thread, so every ``finally`` runs."""
+
+
+def _terminate(signum, frame):
+    raise Terminated
 
 
 def _require(cfg: dict, key: str, path: str):
@@ -85,9 +96,9 @@ def _build(path: str, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, whose errors name the argument at fault first
     ("n: must be >= 1"), with a TypeError or ValueError turned into a
     ConfigError on that field of section ``path``. A message that names the
-    ``surface`` argument's box (``surface.domain``) is already a config path.
-    An overflow that names one of the keyword arguments ("step: ...") gets
-    the section's path and stays a FloatingPointError."""
+    ``surface`` argument's box (``surface.domain``) is already a config path,
+    an overflow's too. An overflow that names one of the keyword arguments
+    ("step: ...") gets the section's path and stays a FloatingPointError."""
     try:
         return fn(*args, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -195,10 +206,9 @@ def _resolve_threads(flag_value: int | None) -> int:
     """Worker count from --threads; 0 or unset means auto, which is 1. The
     value is validated but changes nothing: replicates always run serially.
     The GIL is not what stops a thread pool, since the ctypes ``dpotrf`` and
-    ``dpotrs`` calls release it. The program does not yet set the thread
-    count of scipy's OpenBLAS, on which the output bytes depend, and no
-    replicate pool has been measured to speed a run up (ROADMAP items 3
-    and 4)."""
+    ``dpotrs`` calls release it. The output bytes depend on scipy's BLAS
+    pool, which the program does not set (see ``krr``), and no replicate
+    pool has been measured to speed a run up (ROADMAP items 3 and 4)."""
     if flag_value is not None and flag_value < 0:
         raise ConfigError("--threads: must be >= 0")
     return flag_value or 1
@@ -234,31 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pin_numpy_blas() -> None:
-    """Run numpy's BLAS products on one thread; a no-op without its OpenBLAS.
-
-    numpy and scipy each bundle an OpenBLAS with its own thread pool. numpy's
-    products gain nothing from a second thread and their bytes do not depend
-    on it: ``krr.predict``'s, and the selection screen's float32 ``sgemm``
-    (``dgemm`` on pools where float32 rules out too few points), which only
-    decides which distances to recompute exactly. But OpenBLAS
-    workers poll for a while after each call before they sleep, so an idle numpy
-    worker most likely takes a core that scipy's two-thread Cholesky needs:
-    on 2 cores, pinning it took the benchmark's ``plain-cv`` from 2.98 to
-    2.44 s (medians of 10 runs each).
-    scipy's pool is left alone, because its thread count moves the output
-    bytes.
-    """
-    setter = getattr(bundled_openblas("numpy", load=False),
-                     "scipy_openblas_set_num_threads64_", None)
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
-
-
 def main(argv=None) -> int:
-    _pin_numpy_blas()
+    pin_numpy_blas()
+    # only the main thread may set a handler; callers in process get theirs back
+    in_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if in_main else None
     try:
         args = build_parser().parse_args(argv)
         command, required, optional = COMMANDS[args.command]
@@ -276,25 +266,33 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:  # write_outputs has published nothing
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Terminated:
+        print("error: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
     except Exception as exc:  # noqa: BLE001 - classified, re-raised when unexpected
         code = _exit_code(exc)
         if code is None:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return code
+    finally:
+        if in_main:  # None: the handler was not set from Python
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
     return EXIT_OK
 
 
 def _exit_code(exc: BaseException) -> int | None:
     """Exit code for an exception that ended a run; a ReplicateError takes
-    its cause's. None for an exception of no known kind, which is a bug."""
+    its cause's. An allocation numpy refuses is an input too large for the
+    machine, as in ``experiments._check_exports``. None for an exception of
+    no known kind, which is a bug."""
     if isinstance(exc, ReplicateError):
         exc = exc.cause
     if isinstance(exc, (FactorizationError, GenerationError, ArithmeticError)):
         return EXIT_NUMERICAL
     if isinstance(exc, OSError):
         return EXIT_IO
-    return EXIT_CONFIG if isinstance(exc, ValueError) else None
+    return EXIT_CONFIG if isinstance(exc, (ValueError, MemoryError)) else None
 
 
 if __name__ == "__main__":

@@ -249,8 +249,9 @@ def synth_boltzmann_set(
     Gaussian proposals with standard deviation ``step``; proposals leaving the
     box are rejected. After ``burn_in`` steps the current position is recorded
     every ``thinning`` steps until n samples exist. Deterministic per seed.
-    An overflow in numpy raises FloatingPointError instead of a warning; when
-    a proposal overflows, its message names ``step``.
+    An overflow in numpy raises FloatingPointError instead of a warning; its
+    message names ``step`` when a proposal overflows, and ``surface.domain``
+    when the walk or the final labelling evaluates the surface.
     """
     n = check_int("n", n, 1)
     seed = check_int("seed", seed, 0)
@@ -262,31 +263,38 @@ def synth_boltzmann_set(
     dim = surface.dim
     rng = np.random.default_rng(seed)
     x = np.full(dim, 0.5 * (lo + hi))
-    fx = float(surface.value(x))
-    if not np.isfinite(fx):
-        raise GenerationError("non-finite surface value at the walk start")
     points = np.empty((n, dim))
-    recorded = 0
-    total_steps = burn_in + n * thinning
-    for it in range(1, total_steps + 1):
-        try:
-            prop = x + step * rng.standard_normal(dim)
-        except FloatingPointError:
-            raise FloatingPointError(f"step: a proposal of step {step:g} overflows") from None
-        if np.all(prop >= lo) and np.all(prop <= hi):
-            fp = float(surface.value(prop))
-            if not np.isfinite(fp):
-                raise GenerationError(f"non-finite surface value at {prop.tolist()}")
-            if np.log(rng.random()) < -(fp - fx) / temperature:
-                x, fx = prop, fp
-        if it > burn_in and (it - burn_in) % thinning == 0:
-            points[recorded] = x
-            recorded += 1
-    values, grads = surface.value_and_gradient(points)
-    if not (np.isfinite(values).all() and np.isfinite(grads).all()):
-        raise GenerationError("non-finite surface evaluation on recorded samples")
+    try:
+        fx = float(surface.value(x))
+        if not np.isfinite(fx):
+            raise GenerationError("non-finite surface value at the walk start")
+        recorded = 0
+        total_steps = burn_in + n * thinning
+        for it in range(1, total_steps + 1):
+            try:
+                prop = x + step * rng.standard_normal(dim)
+            except FloatingPointError:
+                raise FloatingPointError(f"step: a proposal of step {step:g} overflows") from None
+            if np.all(prop >= lo) and np.all(prop <= hi):
+                fp = float(surface.value(prop))
+                if not np.isfinite(fp):
+                    raise GenerationError(f"non-finite surface value at {prop.tolist()}")
+                if np.log(rng.random()) < -(fp - fx) / temperature:
+                    x, fx = prop, fp
+            if it > burn_in and (it - burn_in) % thinning == 0:
+                points[recorded] = x
+                recorded += 1
+        values, grads = surface.value_and_gradient(points)
+        if not (np.isfinite(values).all() and np.isfinite(grads).all()):
+            raise GenerationError("non-finite surface evaluation on recorded samples")
+        gradient_norms = np.linalg.norm(grads, axis=1)
+    except FloatingPointError as exc:
+        if str(exc).startswith("step:"):
+            raise
+        raise FloatingPointError(f"surface.domain: the surface overflows inside the box "
+                                 f"({exc})") from None
     return LabeledSet(
         descriptors=points,
         labels=values,
-        gradient_norms=np.linalg.norm(grads, axis=1),
+        gradient_norms=gradient_norms,
     )

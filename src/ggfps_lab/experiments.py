@@ -932,11 +932,8 @@ def run_experiment(
     and then one ts x (B to 2B - 1) block of test kernel (``_fit_and_score``):
     no matrix spans the test set.
 
-    The output bytes depend on the thread count of scipy's bundled OpenBLAS,
-    whose Cholesky routines ``krr`` calls through ctypes (it loads that
-    library on the first fit, and no ``scipy.linalg`` or ``scipy.spatial``).
-    This function sets no BLAS thread count; the CLI runs numpy's OpenBLAS on
-    one thread, which changes its speed but no output byte."""
+    This function sets no BLAS thread count; ``krr``'s docstring says which
+    pool the CLI sets, and on which the output bytes depend."""
     import scipy  # for its version only: ``import ggfps_lab`` does not load it
     t0 = time.perf_counter()
     _check_exports(universe, plan)

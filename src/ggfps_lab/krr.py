@@ -9,13 +9,19 @@ memory, and about half a second at first use. Squared distances are computed
 in numpy, and the Cholesky routines ``dpotrf`` and ``dpotrs`` are called
 through ctypes in the OpenBLAS that scipy's wheel bundles, the library that
 ``scipy.linalg.lapack`` itself calls, loaded on the first fit.
+
+This is the one module that opens, declares or configures the OpenBLAS
+copies that numpy and scipy bundle, each with its own thread pool. The
+program sets numpy's pool to one thread (``pin_numpy_blas``, which the CLI
+calls first) and leaves scipy's at its default, on which ``curve``'s output
+bytes depend: OpenBLAS splits a factorization's sums differently per thread
+count.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import importlib
-import os
 from pathlib import Path
 
 import numpy as np
@@ -38,24 +44,23 @@ class FactorizationError(RuntimeError):
 
 
 @functools.cache
-def bundled_openblas(package: str, load: bool = True) -> ctypes.CDLL | None:
+def bundled_openblas(package: str) -> ctypes.CDLL | None:
     """ctypes handle on the OpenBLAS that ``package``'s wheel bundles
     (``<site-packages>/<package>.libs/libscipy_openblas*``), cached; None
     where there is no such library.
 
-    With ``load`` the first call loads the library, or finds the copy that
-    the package's own extension modules loaded or will load: the same file,
-    so the same library and thread pool. Without it the handle is only
-    found where the process has loaded the library already (RTLD_NOLOAD),
-    and a second copy is never loaded: numpy's, which ``import numpy``
-    loads. No symbol is declared here; each caller declares what it calls.
+    The first call loads the library, or finds the copy that the package's
+    own extension modules loaded or will load: the same file, so the same
+    library and thread pool (numpy's, which ``import numpy`` loads, maps no
+    second time). No symbol is declared here; each caller declares what it
+    calls.
     """
     root = Path(importlib.import_module(package).__file__).parents[1]
     found = sorted((root / f"{package}.libs").glob("libscipy_openblas*"))
     if not found:
         return None
     try:
-        return ctypes.CDLL(str(found[0]), mode=ctypes.DEFAULT_MODE if load else os.RTLD_NOLOAD)
+        return ctypes.CDLL(str(found[0]))
     except OSError:
         return None
 
@@ -78,6 +83,24 @@ def _lapack():
                       int_p, int_p, ctypes.c_size_t]
     potrf.restype = potrs.restype = None
     return potrf, potrs
+
+
+def pin_numpy_blas() -> None:
+    """Run numpy's BLAS products on one thread; a no-op without its OpenBLAS.
+
+    numpy's products give the same bytes on any thread count: ``predict``'s,
+    and the selection screen's float32 ``sgemm`` (``dgemm`` on pools where
+    float32 rules out too few points), which only decides which distances to
+    recompute exactly. But OpenBLAS workers poll for a while after each call
+    before they sleep, so an idle numpy worker most likely takes a core that
+    scipy's two-thread Cholesky needs: on 2 cores, pinning it took the
+    benchmark's ``plain-cv`` from 2.98 to 2.44 s (medians of 10 runs each).
+    """
+    setter = getattr(bundled_openblas("numpy"), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
 
 
 def cdist(XA, XB, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import copy
 import csv
 import hashlib
@@ -6,6 +7,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggfps_lab import cli, experiments
+from ggfps_lab import cli, experiments, krr
 from ggfps_lab.cli import main
 from ggfps_lab.dataset import GenerationError, LabeledSet, dumps_17g, synth_boltzmann_set
 from ggfps_lab.experiments import DegenerateDistributionError, ReplicateError
@@ -698,6 +700,24 @@ class TestNumericalExit:
         assert "generator.step: a proposal of step 1e+308 overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("domain, temperature, step", [
+        (1e100, 5.0, 1e90),  # the walk: a proposal's x**4 overflows
+        (1e60, 1e300, 1e59),  # the final labelling: a gradient norm overflows
+    ], ids=["walk", "labelling"])
+    def test_walk_whose_surface_overflows_names_the_domain(self, tmp_path, capsys,
+                                                           domain, temperature, step):
+        # exit 3 with only "overflow encountered in power" (or "in multiply")
+        cfg = generate_config(n=5, generator="boltzmann",
+                              generator_extra={"temperature": temperature, "step": step})
+        cfg["surface"]["domain"] = [-domain, domain]
+        config = write_config(tmp_path, "gen.json", cfg)
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: surface.domain: the surface overflows inside the box (")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestNoPartialOutput:
     def test_zero_gradient_dataset_writes_nothing(self, tmp_path, capsys):
@@ -1065,7 +1085,7 @@ def test_dumps_17g_round_trips_floats():
 @pytest.fixture()
 def numpy_blas():
     """numpy's OpenBLAS handle; its thread count is restored after the test."""
-    lib = bundled_openblas("numpy", load=False)
+    lib = bundled_openblas("numpy")
     if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
         pytest.skip("numpy bundles no OpenBLAS here")
     before = lib.scipy_openblas_get_num_threads64_()
@@ -1076,7 +1096,7 @@ def numpy_blas():
 def outputs_by_numpy_threads(lib, monkeypatch, argv, out_root, names):
     """The bytes of ``names`` after ``main(argv + --out)`` with numpy's pool
     at 1 and at 2 threads; main's own pin is switched off for the runs."""
-    monkeypatch.setattr(cli, "_pin_numpy_blas", lambda: None)
+    monkeypatch.setattr(cli, "pin_numpy_blas", lambda: None)
     outputs = []
     for threads in (1, 2):
         lib.scipy_openblas_set_num_threads64_(threads)
@@ -1142,9 +1162,9 @@ def test_main_runs_without_numpy_openblas(tmp_path, dataset_dir, monkeypatch, mi
     if missing == "library":  # numpy installed where no numpy.libs directory is
         monkeypatch.setattr(np, "__file__", str(tmp_path / "site" / "numpy" / "__init__.py"))
     else:  # a library that exports no thread setter
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda *args, **kwargs: object())
+        monkeypatch.setattr(krr.ctypes, "CDLL", lambda *args, **kwargs: object())
     try:
-        lib = bundled_openblas("numpy", load=False)
+        lib = bundled_openblas("numpy")
         assert not hasattr(lib, "scipy_openblas_set_num_threads64_")
         assert (lib is None) == (missing == "library")
         cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "GGFPS", beta=1.0))
@@ -1154,8 +1174,57 @@ def test_main_runs_without_numpy_openblas(tmp_path, dataset_dir, monkeypatch, mi
 
 
 def test_bundled_openblas_caches_each_handle():
-    assert bundled_openblas("numpy", load=False) is bundled_openblas("numpy", load=False)
+    assert bundled_openblas("numpy") is bundled_openblas("numpy")
     assert bundled_openblas("scipy") is bundled_openblas("scipy")
+
+
+def test_main_pins_numpy_blas_without_rtld_noload(tmp_path, dataset_dir, numpy_blas,
+                                                  monkeypatch):
+    """os.RTLD_NOLOAD exists only on Unix. The pin opened numpy's library
+    with it, so every command died with an AttributeError where it is
+    missing; the default mode finds the copy that numpy loaded."""
+    monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
+    numpy_blas.scipy_openblas_set_num_threads64_(2)
+    bundled_openblas.cache_clear()
+    try:
+        cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "URS"))
+        run_ok(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert numpy_blas.scipy_openblas_get_num_threads64_() == 1
+    finally:
+        bundled_openblas.cache_clear()
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs Linux /proc")
+def test_main_maps_numpy_blas_no_second_time(tmp_path, dataset_dir, numpy_blas):
+    """Opening numpy's OpenBLAS in the default mode maps no second copy."""
+    libs = (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")
+    path = str(sorted(libs)[0].resolve())
+
+    def mappings():
+        return sum(line.rstrip().endswith(path)
+                   for line in Path("/proc/self/maps").read_text().splitlines())
+
+    bundled_openblas.cache_clear()
+    before = mappings()
+    try:
+        cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "URS"))
+        run_ok(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert before > 0 and mappings() == before
+    finally:
+        bundled_openblas.cache_clear()
+
+
+def test_only_krr_imports_ctypes():
+    """``krr`` is the one module that opens, declares or configures a
+    bundled OpenBLAS."""
+    importers = []
+    for module in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.partition(".")[0] == "ctypes" for name in names):
+                importers.append(module.name)
+    assert sorted(set(importers)) == ["krr.py"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1376,7 +1445,7 @@ EXIT_CODES = [
     (DegenerateDistributionError("d"), 1),
     (OSError("o"), 2), (PermissionError("p"), 2),
     (FactorizationError(0), 3), (GenerationError("g"), 3), (FloatingPointError("f"), 3),
-    (ZeroDivisionError("z"), 3), (OverflowError("o"), 3),
+    (ZeroDivisionError("z"), 3), (OverflowError("o"), 3), (MemoryError("m"), 1),
 ]
 
 
@@ -1421,6 +1490,73 @@ class TestExitCodes:
         assert code == 130
         assert capsys.readouterr().err == "error: interrupted\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("generator", ["uniform", "boltzmann"])
+    def test_refused_allocation_exits_1(self, tmp_path, capsys, generator):
+        # numpy's _ArrayMemoryError ended the run in a traceback. 10**14 points
+        # of 2 doubles exceed the 128 TiB x86-64 user address space under any
+        # overcommit setting.
+        extra = {"temperature": 5.0, "step": 0.5} if generator == "boltzmann" else {}
+        config = write_config(tmp_path, "gen.json", generate_config(
+            n=10**14, generator=generator, generator_extra=extra))
+        out = tmp_path / "a" / "o"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX signals")
+    def test_sigterm_in_export_exits_143_and_publishes_nothing(self, tmp_path, dataset_dir):
+        # the process died of the signal (return code -15) and left the hidden
+        # .a.* staging directory beside --out's highest missing parent
+        config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        out = tmp_path / "a" / "o"
+        src = Path(cli.__file__).resolve().parents[1]
+        with subprocess.Popen(
+            [sys.executable, "-c", SIGTERM_PROBE, "curve", "--config", str(config),
+             "--out", str(out)],
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ) as proc:
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (143, "error: terminated\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        with pytest.raises(ProcessLookupError):  # its session holds no process
+            os.killpg(proc.pid, 0)
+
+    def test_main_restores_the_sigterm_handler_and_runs_off_the_main_thread(
+            self, tmp_path, dataset_dir):
+        """Tests and the benchmark worker call ``main`` in process: it hands
+        back the caller's handler, and sets none where it cannot (a thread
+        other than the main one)."""
+        cfg = write_config(tmp_path, "s.json", sample_config(dataset_dir, "URS"))
+        previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        try:
+            run_ok(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(
+            main(["sample", "--config", str(cfg), "--out", str(tmp_path / "t")])))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and codes == [0]
+
+
+SIGTERM_PROBE = """
+import os, signal, sys
+from ggfps_lab import experiments
+from ggfps_lab.cli import main
+
+def kde_csv(groups, universe, plan):  # curves.csv and bins.csv are written by now
+    os.kill(os.getpid(), signal.SIGTERM)
+    return ""
+
+experiments._kde_csv = kde_csv
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 FUZZ_VALUES = [None, True, "x", [], {}, -1, 0, 2.5, float("nan"), float("inf"),

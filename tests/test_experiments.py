@@ -863,7 +863,7 @@ from ggfps_lab.experiments import CvChoice, _fit_and_score
 from ggfps_lab.krr import bundled_openblas, gaussian_gram, predict
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
 
-corename = bundled_openblas("numpy", load=False).scipy_openblas_get_corename64_
+corename = bundled_openblas("numpy").scipy_openblas_get_corename64_
 corename.restype = ctypes.c_char_p
 blocks = []
 def recording(K_test, alpha):
