@@ -9,7 +9,6 @@ from .dataset import (  # noqa: F401
     synth_boltzmann_set,
 )
 from .experiments import (  # noqa: F401
-    CurvePoint,
     DegenerateDistributionError,
     ExperimentPlan,
     ForceNormBin,
@@ -17,13 +16,11 @@ from .experiments import (  # noqa: F401
     bin_errors_by_force_norm,
     cross_validate,
     kde_1d,
-    learning_curve,
     run_experiment,
     selection_heatmap_2d,
 )
 from .krr import (  # noqa: F401
     FactorizationError,
-    fit,
     fit_prefixes,
     predict,
 )

@@ -129,20 +129,6 @@ class ExperimentPlan:
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    method: str
-    labeled_size: int
-    train_size: int
-    mae_mean: float
-    mae_var: float
-    rmse_mean: float
-    rmse_var: float
-    chosen_beta: tuple
-    chosen_sigma: tuple
-    chosen_lambda: tuple
-
-
-@dataclass(frozen=True)
 class ForceNormBin:
     bin_lo: float
     bin_hi: float
@@ -643,31 +629,6 @@ def _run_cells(universe: LabeledSet, plan: ExperimentPlan):
     return list(groups.items())
 
 
-def _aggregate(groups) -> list[CurvePoint]:
-    points = []
-    for (method, ls, ts), group in groups:
-        cell = f"method={method}, labeled_size={ls}, train_size={ts}"
-        mae_mean, mae_var = _mean_var(np.array([c.mae for c in group]),
-                                      f"{cell}: MAE mean and variance")
-        rmse_mean, rmse_var = _mean_var(np.array([c.rmse for c in group]),
-                                        f"{cell}: RMSE mean and variance")
-        points.append(
-            CurvePoint(
-                method=method, labeled_size=ls, train_size=ts,
-                mae_mean=mae_mean, mae_var=mae_var, rmse_mean=rmse_mean, rmse_var=rmse_var,
-                chosen_beta=tuple(c.beta for c in group),
-                chosen_sigma=tuple(c.sigma for c in group),
-                chosen_lambda=tuple(c.lam for c in group),
-            )
-        )
-    return points
-
-
-def learning_curve(labeled: LabeledSet, plan: ExperimentPlan) -> list[CurvePoint]:
-    """Bootstrapped learning curves for every method and size combination."""
-    return _aggregate(_run_cells(labeled, plan))
-
-
 def bin_errors_by_force_norm(test_errors) -> list[ForceNormBin]:
     """Sort (force_norm, abs_err) pairs by force norm and fill bins of
     ``BIN_CAPACITY`` pairs.
@@ -676,7 +637,9 @@ def bin_errors_by_force_norm(test_errors) -> list[ForceNormBin]:
     each bin; the error statistics are per-bin mean and population variance.
     A statistic that overflows raises FloatingPointError naming its bin.
     """
-    arr = np.asarray(list(test_errors), dtype=float)
+    # an array is read in place; only an input with no length is listed first
+    arr = np.asarray(test_errors if hasattr(test_errors, "__len__") else list(test_errors),
+                     dtype=float)
     if arr.size == 0:
         raise ValueError("empty input: nothing to bin")
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -768,21 +731,25 @@ def selection_heatmap_2d(selections, labeled: LabeledSet, grid: int) -> np.ndarr
     return counts
 
 
-def _curves_csv(points: list[CurvePoint]) -> str:
+def _curves_csv(groups) -> str:
+    """One row per group: the mean and population variance of its
+    replicates' test MAE and RMSE, and each replicate's chosen beta, sigma
+    and lambda."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([
         "method", "labeled_size", "train_size", "mae_mean", "mae_var",
         "rmse_mean", "rmse_var", "chosen_beta", "chosen_sigma", "chosen_lambda",
     ])
-    for p in points:
+    for (method, ls, ts), group in groups:
+        cell = f"method={method}, labeled_size={ls}, train_size={ts}"
+        mae = _mean_var(np.array([c.mae for c in group]), f"{cell}: MAE mean and variance")
+        rmse = _mean_var(np.array([c.rmse for c in group]), f"{cell}: RMSE mean and variance")
         writer.writerow([
-            p.method, p.labeled_size, p.train_size,
-            format_float(p.mae_mean), format_float(p.mae_var),
-            format_float(p.rmse_mean), format_float(p.rmse_var),
-            dumps_17g(list(p.chosen_beta)),
-            dumps_17g(list(p.chosen_sigma)),
-            dumps_17g(list(p.chosen_lambda)),
+            method, ls, ts, *(format_float(v) for v in mae + rmse),
+            dumps_17g([c.beta for c in group]),
+            dumps_17g([c.sigma for c in group]),
+            dumps_17g([c.lam for c in group]),
         ])
     return out.getvalue()
 
@@ -940,7 +907,7 @@ def run_experiment(
     groups = _run_cells(universe, plan)
 
     def outputs():
-        yield "curves.csv", _curves_csv(_aggregate(groups))
+        yield "curves.csv", _curves_csv(groups)
         yield "bins.csv", _bins_csv(groups, universe)
         yield "kde.csv", _kde_csv(groups, universe, plan)
         if universe.dim == 2:

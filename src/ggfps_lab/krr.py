@@ -13,9 +13,13 @@ through ctypes in the OpenBLAS that scipy's wheel bundles, the library that
 This is the one module that opens, declares or configures the OpenBLAS
 copies that numpy and scipy bundle, each with its own thread pool. The
 program sets numpy's pool to one thread (``pin_numpy_blas``, which the CLI
-calls first) and leaves scipy's at its default, on which ``curve``'s output
-bytes depend: OpenBLAS splits a factorization's sums differently per thread
-count.
+calls first) and leaves scipy's at its default. Beyond the versions,
+``curve``'s output bytes depend on three things: scipy's thread count
+(OpenBLAS splits a factorization's sums per thread), the kernel family that
+OpenBLAS picks for the CPU, and numpy's SIMD dispatch, by which ``exp`` and
+``log`` round. The tests pin all three: ``OPENBLAS_CORETYPE=Nehalem``,
+``OPENBLAS_NUM_THREADS=1``, and ``NPY_DISABLE_CPU_FEATURES`` naming every
+target in numpy's ``__cpu_dispatch__``.
 """
 from __future__ import annotations
 
@@ -224,16 +228,6 @@ def fit_prefixes(K_train: np.ndarray, y: np.ndarray, lam: float,
             raise FactorizationError(int(abs(status)))
         alphas.append(alpha)
     return alphas, int(pivot)
-
-
-def fit(K_train: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (K + lambda I) alpha = y by Cholesky factorization of a
-    Fortran-ordered copy of ``K_train``, which is never written."""
-    K_train = np.array(K_train, dtype=float, order="F")
-    (alpha,), pivot = fit_prefixes(K_train, y, lam, [K_train.shape[0]])
-    if pivot:
-        raise FactorizationError(pivot)
-    return alpha
 
 
 def predict(K_test: np.ndarray, alpha: np.ndarray) -> np.ndarray:

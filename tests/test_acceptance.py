@@ -2,6 +2,8 @@
 tolerance and runtime bound. The conftest terminal summary prints one
 PASS/FAIL line per criterion number.
 """
+import csv
+import io
 import json
 import math
 import time
@@ -14,11 +16,12 @@ from ggfps_lab.cli import main as cli_main
 from ggfps_lab.dataset import LabeledSet, synth_boltzmann_set
 from ggfps_lab.experiments import (
     ExperimentPlan,
+    _curves_csv,
+    _run_cells,
     bin_errors_by_force_norm,
     kde_1d,
-    learning_curve,
 )
-from ggfps_lab.krr import fit, gaussian_gram, predict
+from ggfps_lab.krr import fit_prefixes, gaussian_gram, predict
 from ggfps_lab.sampling import SamplerConfig, beta_schedule, fps, ggfps, urs
 from ggfps_lab.surfaces import AdversarialToy, StyblinskiTang, st_gradient, st_value, uniform_domain_sample
 from oracles import (
@@ -147,16 +150,24 @@ def test_c05_krr_correctness():
         K = Q @ np.diag(rng.uniform(1.0, 20.0, size=8)) @ Q.T
         y = rng.normal(size=8)
         lam = 1e-4
-        alpha = fit(K, y, lam)
+        (alpha,), pivot = fit_prefixes(np.array(K, order="F"), y, lam, [8])
+        assert pivot == 0
         oracle = np.linalg.inv(K + lam * np.eye(8)) @ y
         assert np.linalg.norm(alpha - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     train = uniform_domain_sample(StyblinskiTang(), 50, seed=10055)
     K = gaussian_gram(train.descriptors, train.descriptors, 1.5)
-    alpha = fit(K, train.labels, lam=1e-12)
+    (alpha,), pivot = fit_prefixes(np.array(K, order="F"), train.labels, 1e-12, [len(train)])
+    assert pivot == 0
     pred = predict(K, alpha)
     assert np.linalg.norm(pred - train.labels) <= 1e-6 * np.linalg.norm(train.labels)
     assert time.perf_counter() - t0 < 5.0
+
+
+def curve_rows(groups):
+    """curves.csv's rows for the grouped cells ``groups`` (``_run_cells``),
+    read back as dicts of strings."""
+    return list(csv.DictReader(io.StringIO(_curves_csv(groups))))
 
 
 ST_CURVE_PLAN = ExperimentPlan(
@@ -175,8 +186,8 @@ def test_c06_st_learning_curve_ordering():
     """GGFPS beats FPS and URS at N in {100, 250}; FPS beats URS at {250, 500}."""
     t0 = time.perf_counter()
     universe = uniform_domain_sample(StyblinskiTang(), 2000, seed=424242)
-    points = learning_curve(universe, ST_CURVE_PLAN)
-    mae = {(p.method, p.train_size): p.mae_mean for p in points}
+    mae = {(r["method"], int(r["train_size"])): float(r["mae_mean"])
+           for r in curve_rows(_run_cells(universe, ST_CURVE_PLAN))}
     for n in (100, 250):
         assert mae[("GGFPS", n)] < mae[("FPS", n)]
         assert mae[("GGFPS", n)] < mae[("URS", n)]
@@ -212,8 +223,7 @@ def test_c08_ggfps_variance_reduction():
         sigma_grid=(0.25, 0.5, 1.0, 2.0, 4.0), lambda_grid=(1e-8, 1e-4),
         folds=5, cv_cost="RMSE", methods=("URS", "GGFPS"), master_seed=20240002,
     )
-    points = learning_curve(data, plan)
-    var = {p.method: p.mae_var for p in points}
+    var = {r["method"]: float(r["mae_var"]) for r in curve_rows(_run_cells(data, plan))}
     assert var["GGFPS"] <= var["URS"]
     assert time.perf_counter() - t0 < 600.0
 
@@ -312,7 +322,6 @@ def test_c11_adversarial_surface_ordering():
         sigma_grid=(0.125, 0.25, 0.5, 1.0, 2.0), lambda_grid=(1e-8, 1e-4),
         folds=5, cv_cost="RMSE", methods=("FPS", "GGFPS"), master_seed=20240003,
     )
-    points = learning_curve(universe, plan)
-    mae = {p.method: p.mae_mean for p in points}
+    mae = {r["method"]: float(r["mae_mean"]) for r in curve_rows(_run_cells(universe, plan))}
     assert mae["GGFPS"] < mae["FPS"]
     assert time.perf_counter() - t0 < 300.0

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -29,18 +31,18 @@ from ggfps_lab.experiments import (
     _mirror_size,
     _check_exports,
     _column_blocks,
+    _curves_csv,
     _run_cells,
     bin_errors_by_force_norm,
     choose_from_costs,
     cross_validate,
     derive_seed,
     kde_1d,
-    learning_curve,
     selection_heatmap_2d,
     silverman_bandwidth,
 )
 from ggfps_lab.krr import (
-    _CDIST_BLOCK, FactorizationError, cdist, fit, fit_prefixes, gaussian_gram, gaussian_kernel,
+    _CDIST_BLOCK, FactorizationError, cdist, fit_prefixes, gaussian_gram, gaussian_kernel,
     predict,
 )
 from ggfps_lab.sampling import SamplerConfig, ggfps, ggfps_chains
@@ -437,7 +439,8 @@ class SquareKernels:
 
 
 def direct_costs(d2_train, d2_val, y_train, y_val, sizes, plan):
-    """Per-candidate oracle: one fit + predict per (size, sigma, lambda);
+    """Per-candidate oracle: one solve (``fit_prefixes`` at one size, on a
+    compact copy) + predict per (size, sigma, lambda);
     NaN marks a candidate whose factorization fails."""
     out = np.full((len(sizes), len(plan.sigma_grid), len(plan.lambda_grid)), np.nan)
     for i, m in enumerate(sizes):
@@ -445,11 +448,9 @@ def direct_costs(d2_train, d2_val, y_train, y_val, sizes, plan):
             K = np.exp(-d2_train[:m, :m] / (2.0 * sigma * sigma))
             K_val = np.exp(-d2_val[:m] / (2.0 * sigma * sigma))
             for li, lam in enumerate(plan.lambda_grid):
-                try:
-                    alpha = fit(K, y_train[:m], lam)
-                except FactorizationError:
-                    continue
-                out[i, si, li] = _cost(predict(K_val, alpha), y_val, plan.cv_cost)
+                (alpha,), pivot = fit_prefixes(np.array(K, order="F"), y_train[:m], lam, [m])
+                if not pivot:
+                    out[i, si, li] = _cost(predict(K_val, alpha), y_val, plan.cv_cost)
     return out
 
 
@@ -767,25 +768,31 @@ class TestPrunedSearch:
         assert counts[3] == plan.folds * 5 * 2 * 4 and counts[2] < counts[3]
 
 
+def curve_rows(groups):
+    """curves.csv's rows for the grouped cells ``groups`` (``_run_cells``),
+    read back as dicts of strings."""
+    return list(csv.DictReader(io.StringIO(_curves_csv(groups))))
+
+
 class TestLearningCurve:
     def test_determinism_and_metric_identity(self, universe):
         plan = small_plan()
-        points_a = learning_curve(universe, plan)
-        points_b = learning_curve(universe, plan)
-        assert points_a == points_b
-        assert len(points_a) == 3 * 2  # methods x train sizes
-        for p in points_a:
-            assert p.rmse_mean >= p.mae_mean - 1e-12
-            assert p.mae_var >= 0 and p.rmse_var >= 0
-            assert len(p.chosen_sigma) == plan.bootstraps
+        rows_a = curve_rows(_run_cells(universe, plan))
+        rows_b = curve_rows(_run_cells(universe, plan))
+        assert rows_a == rows_b
+        assert len(rows_a) == 3 * 2  # methods x train sizes
+        for r in rows_a:
+            assert float(r["rmse_mean"]) >= float(r["mae_mean"]) - 1e-12
+            assert float(r["mae_var"]) >= 0 and float(r["rmse_var"]) >= 0
+            assert len(json.loads(r["chosen_sigma"])) == plan.bootstraps
 
     def test_single_test_point_collapses_metrics(self, universe):
         plan = small_plan(
             labeled_sizes=(12,), train_sizes=(11,), bootstraps=1, methods=("URS",),
         )
-        (point,) = learning_curve(universe, plan)
-        assert point.mae_mean == pytest.approx(point.rmse_mean, rel=1e-12)
-        assert point.mae_var == 0.0
+        (row,) = curve_rows(_run_cells(universe, plan))
+        assert float(row["mae_mean"]) == pytest.approx(float(row["rmse_mean"]), rel=1e-12)
+        assert float(row["mae_var"]) == 0.0
 
     def test_methods_share_labeled_sets(self, universe):
         plan = small_plan(train_sizes=(10,))
@@ -825,15 +832,15 @@ class TestLearningCurve:
 
     def test_bootstrap_aggregation_matches_two_pass_oracle(self, universe):
         plan = small_plan(bootstraps=4, train_sizes=(10,))
-        cells = [c for _, group in _run_cells(universe, plan) for c in group]
-        points = learning_curve(universe, plan)
-        for p in points:
+        groups = _run_cells(universe, plan)
+        cells = [c for _, group in groups for c in group]
+        for r in curve_rows(groups):
             maes = [c.mae for c in cells
-                    if c.method == p.method and c.train_size == p.train_size]
+                    if c.method == r["method"] and c.train_size == int(r["train_size"])]
             mean = math.fsum(maes) / len(maes)
             var = math.fsum((m - mean) ** 2 for m in maes) / len(maes)
-            assert p.mae_mean == pytest.approx(mean, abs=1e-12)
-            assert p.mae_var == pytest.approx(var, abs=1e-12)
+            assert float(r["mae_mean"]) == pytest.approx(mean, abs=1e-12)
+            assert float(r["mae_var"]) == pytest.approx(var, abs=1e-12)
 
     def test_no_valid_train_size_rejected(self):
         with pytest.raises(ValueError, match="remain"):
@@ -849,7 +856,7 @@ class TestLearningCurve:
             methods=("FPS",), lambda_grid=(1e-300,),
         )
         with pytest.raises(ReplicateError) as err:
-            learning_curve(degenerate, plan)
+            curve_rows(_run_cells(degenerate, plan))
         assert err.value.method == "FPS"
         assert err.value.labeled_size == 20 and err.value.train_size == 10
         assert "replicate=0" in str(err.value)
@@ -1005,6 +1012,22 @@ class TestBinErrors:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             bin_errors_by_force_norm([])
+
+    def test_reads_an_array_in_place(self):
+        """An (n, 2) array, as ``_bins_csv`` passes, is binned with no copy
+        through a list of n row views, which took the traced peak to 10.5x
+        the array (64 MiB at 400,000 pairs); an iterator, which has no
+        length, is still listed first and gives the same bins."""
+        pairs = np.random.default_rng(61).uniform(0, 50, size=(30_000, 2))
+        assert (bin_errors_by_force_norm(iter(pairs[:90].tolist()))
+                == bin_errors_by_force_norm(pairs[:90]))
+        tracemalloc.start()
+        try:
+            bin_errors_by_force_norm(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * pairs.nbytes
 
 
 class TestKde:

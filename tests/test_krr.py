@@ -13,12 +13,20 @@ from ggfps_lab import krr
 from ggfps_lab.krr import (
     FactorizationError,
     cdist,
-    fit,
     fit_prefixes,
     gaussian_gram,
     predict,
 )
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
+
+
+def solve(K, y, lam):
+    """(K + lambda I)^-1 y by ``fit_prefixes`` at the full size, on a
+    Fortran-ordered copy of K; FactorizationError where it fails."""
+    (alpha,), pivot = fit_prefixes(np.array(K, dtype=float, order="F"), y, lam, [len(y)])
+    if pivot:
+        raise FactorizationError(pivot)
+    return alpha
 
 
 def random_spd(rng, n, cond=10.0):
@@ -74,13 +82,15 @@ class TestAssembleKernel:
 
 
 class TestFit:
+    """The full-size ridge solve: ``fit_prefixes`` with one size."""
+
     def test_scalar_solve(self):
-        alpha = fit(np.array([[1.0]]), np.array([2.0]), lam=1.0)
+        alpha = solve(np.array([[1.0]]), np.array([2.0]), lam=1.0)
         assert alpha == pytest.approx([1.0], rel=1e-15)
 
     def test_diagonal_solve(self):
         y = np.array([3.0, -1.5, 0.25])
-        alpha = fit(np.eye(3), y, lam=0.5)
+        alpha = solve(np.eye(3), y, lam=0.5)
         assert alpha == pytest.approx(y / 1.5, rel=1e-14)
 
     def test_matches_dense_inverse_oracle(self):
@@ -89,7 +99,7 @@ class TestFit:
             K = random_spd(rng, 8)
             y = rng.normal(size=8)
             lam = 1e-3
-            alpha = fit(K, y, lam)
+            alpha = solve(K, y, lam)
             oracle = np.linalg.inv(K + lam * np.eye(8)) @ y
             assert np.linalg.norm(alpha - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
@@ -98,22 +108,20 @@ class TestFit:
         for lam in (1e-2, 1e-4, 1e-6):
             K = random_spd(rng, 40, cond=1e4)
             y = rng.normal(size=40)
-            alpha = fit(K, y, lam)
+            alpha = solve(K, y, lam)
             residual = np.linalg.norm((K + lam * np.eye(40)) @ alpha - y)
             assert residual <= 1e-8 * np.linalg.norm(y)
 
     def test_not_positive_definite_reports_pivot(self):
-        K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-        with pytest.raises(FactorizationError) as err:
-            fit(K, np.ones(2), lam=1e-12)
-        assert err.value.pivot == 2
+        K = np.array([[1.0, 2.0], [2.0, 1.0]], order="F")  # eigenvalues 3 and -1
+        assert fit_prefixes(K, np.ones(2), 1e-12, [2]) == ([None], 2)
 
     def test_ridge_shrinkage(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             K = random_spd(rng, 12, cond=50)
             y = rng.normal(size=12)
-            norms = [np.linalg.norm(fit(K, y, lam)) for lam in (1e-4, 1e-2, 1.0, 10.0)]
+            norms = [np.linalg.norm(solve(K, y, lam)) for lam in (1e-4, 1e-2, 1.0, 10.0)]
             assert all(a >= b for a, b in zip(norms, norms[1:]))
 
     def test_training_residual_decreases_with_lambda(self):
@@ -123,7 +131,7 @@ class TestFit:
         K = gaussian_gram(X, X, 0.5)
         residuals = []
         for lam in (1e-2, 1e-6, 1e-10):
-            alpha = fit(K, y, lam)
+            alpha = solve(K, y, lam)
             residuals.append(np.linalg.norm(K @ alpha - y))
         assert residuals[0] > residuals[1] > residuals[2]
 
@@ -136,7 +144,7 @@ class TestFitPrefixes:
         c, info = dpotrf(K + 1e-4 * np.eye(30), lower=1)
         expected, _ = dpotrs(c, y, lower=1)
         assert info == 0
-        assert np.array_equal(fit(K, y, 1e-4), expected)
+        assert np.array_equal(solve(K, y, 1e-4), expected)
 
     def test_prefixes_match_direct_fit(self):
         rng = np.random.default_rng(11)
@@ -147,10 +155,10 @@ class TestFitPrefixes:
         alphas, pivot = fit_prefixes(np.asfortranarray(K), y, 1e-6, sizes)
         assert pivot == 0
         for m, alpha in zip(sizes, alphas):
-            direct = fit(K[:m, :m], y[:m], 1e-6)
+            direct = solve(K[:m, :m], y[:m], 1e-6)
             assert np.linalg.norm(alpha - direct) <= 1e-8 * np.linalg.norm(direct)
-        # the largest size is factored directly, so it is bitwise a plain fit
-        assert np.array_equal(alphas[-1], fit(K[:119, :119], y[:119], 1e-6))
+        # the largest size is factored directly, so it is bitwise a one-size solve
+        assert np.array_equal(alphas[-1], solve(K[:119, :119], y[:119], 1e-6))
 
     def test_sizes_from_failing_pivot_are_dead(self):
         rng = np.random.default_rng(13)
@@ -164,26 +172,23 @@ class TestFitPrefixes:
         sizes = [1, p - 1, p, n, 3]
         alphas, pivot = fit_prefixes(np.asfortranarray(K), y, 1e-12, sizes)
         with pytest.raises(FactorizationError) as err:
-            fit(K, y, 1e-12)
+            solve(K, y, 1e-12)
         assert pivot == err.value.pivot == p
         assert alphas[2] is None and alphas[3] is None
         for m, alpha in zip(sizes, alphas):
             if m < p:
-                direct = fit(K[:m, :m], y[:m], 1e-12)
+                direct = solve(K[:m, :m], y[:m], 1e-12)
                 assert np.linalg.norm(alpha - direct) <= 1e-8 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_factors_k_train_in_place_or_rejects_its_layout(self, order):
         """``fit_prefixes`` overwrites the lower triangle of its argument's
         largest block with the factor, and nothing else; an argument whose
-        rows are not unit-stride is rejected untouched. ``fit`` works on a
-        copy and leaves either layout as it was."""
+        rows are not unit-stride is rejected untouched."""
         rng = np.random.default_rng(14)
         K = np.array(random_spd(rng, 30), order=order)
         y = rng.normal(size=30)
         before = K.copy(order="A")
-        alpha = fit(K, y, 1e-4)
-        assert np.array_equal(K, before)
         if order == "C":
             for bad in (K, np.asfortranarray(K)[::2, ::2], np.asfortranarray(K)[::-1, ::-1]):
                 with pytest.raises(ValueError, match="unit-stride rows"):
@@ -198,9 +203,6 @@ class TestFitPrefixes:
         changed = np.zeros(K.shape, dtype=bool)
         changed[:20, :20] = np.tri(20, dtype=bool)
         assert np.array_equal(K[~changed], before[~changed])
-        # the factor is fit's own, bitwise, at the full size
-        assert fit_prefixes(np.array(before, order="F"), y, 1e-4, [30])[0][0].tobytes() \
-            == alpha.tobytes()
 
     @pytest.mark.parametrize("layout", ["F", "block"])
     def test_reads_only_the_lower_triangle(self, layout):
@@ -355,7 +357,7 @@ class TestPredict:
     def test_interpolation_at_vanishing_lambda(self):
         labeled = uniform_domain_sample(StyblinskiTang(), 40, seed=14)
         K = gaussian_gram(labeled.descriptors, labeled.descriptors, 1.5)
-        alpha = fit(K, labeled.labels, lam=1e-12)
+        alpha = solve(K, labeled.labels, lam=1e-12)
         pred = predict(K, alpha)
         rel = np.abs(pred - labeled.labels) / np.maximum(np.abs(labeled.labels), 1.0)
         assert np.max(rel) < 1e-6
