@@ -11,7 +11,6 @@ from .dataset import (  # noqa: F401
 from .experiments import (  # noqa: F401
     DegenerateDistributionError,
     ExperimentPlan,
-    ForceNormBin,
     ReplicateError,
     bin_errors_by_force_norm,
     cross_validate,
@@ -38,8 +37,5 @@ from .sampling import (  # noqa: F401
 from .surfaces import (  # noqa: F401
     AdversarialToy,
     StyblinskiTang,
-    adversarial_value_and_gradient,
-    st_gradient,
-    st_value,
     uniform_domain_sample,
 )

@@ -385,7 +385,7 @@ def urs(n_total: int, n: int, seed: int) -> list[int]:
     if n > n_total:
         raise CapacityError(f"n: cannot draw {n} from {n_total} samples")
     perm = np.random.default_rng(seed).permutation(n_total)
-    return [int(i) for i in perm[:n]]
+    return perm[:n].tolist()
 
 
 def beta_schedule(beta: float, n: int, mode: str = "swept") -> np.ndarray:
@@ -410,17 +410,15 @@ def beta_schedule(beta: float, n: int, mode: str = "swept") -> np.ndarray:
     return values
 
 
-def fps(X: np.ndarray, n: int, init: int | None = None, seed: int = 0) -> list[int]:
+def fps(X: np.ndarray, n: int, seed: int = 0) -> list[int]:
     """Furthest point sampling over descriptor rows: the ``ggfps_chains``
     chain at beta = 0 with a uniform first pick.
 
-    Starts from ``init`` (or a uniform-random index per ``seed``), then
-    repeatedly selects the remaining index with the largest minimum distance
-    to the selected set, ties broken by smallest index.
+    Starts from a uniform-random index per ``seed``, then repeatedly selects
+    the remaining index with the largest minimum distance to the selected
+    set, ties broken by smallest index.
     """
-    picks, _ = ggfps_chains(X, np.zeros(len(X)), [0.0], [seed], n,
-                            init_mode="random_uniform",
-                            inits=None if init is None else [int(init)])
+    picks, _ = ggfps_chains(X, np.zeros(len(X)), [0.0], [seed], n, init_mode="random_uniform")
     return picks[0].tolist()
 
 
@@ -433,13 +431,11 @@ def ggfps_chains(
     *,
     beta_mode: str = "swept",
     init_mode: str = "gradient_weighted",
-    inits=None,
 ) -> tuple[np.ndarray, list[str]]:
     """GGFPS chains for several (beta, seed) pairs over one pool, in lockstep.
 
     Chain b is exactly ``ggfps`` with beta ``betas[b]`` and seed ``seeds[b]``
-    (see there for the rule). Returns the (B, n) picks and the warnings;
-    ``inits``, when given, overrides the configured initial points.
+    (see there for the rule). Returns the (B, n) picks and the warnings.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -453,20 +449,14 @@ def ggfps_chains(
     exponents = np.stack([beta_schedule(b, n, beta_mode) for b in betas])
 
     warnings: list[str] = []
-    if inits is None:
-        if init_mode == "gradient_weighted" and not np.any(g > 0):
-            warnings.append("all gradient norms are zero; fell back to random_uniform init")
-            init_mode = "random_uniform"
-        inits = [_initial_index(g, init_mode, seed) for seed in seeds]
-    log_g = _log_gradients(g)
-    return _greedy(X, inits, exponents, log_g), warnings
+    if init_mode == "gradient_weighted" and not np.any(g > 0):
+        warnings.append("all gradient norms are zero; fell back to random_uniform init")
+        init_mode = "random_uniform"
+    inits = [_initial_index(g, init_mode, seed) for seed in seeds]
+    return _greedy(X, inits, exponents, _log_gradients(g)), warnings
 
 
-def ggfps(
-    labeled: LabeledSet,
-    config: SamplerConfig,
-    init: int | None = None,
-) -> "SelectionResult":
+def ggfps(labeled: LabeledSet, config: SamplerConfig) -> "SelectionResult":
     """Gradient-guided furthest point sampling.
 
     The initial point follows ``config.init_mode``: drawn with probability
@@ -478,15 +468,12 @@ def ggfps(
     log domain, where |beta| <= ``BETA_MAX`` keeps every score finite (see
     there). Once every remaining point duplicates a selected one (all scores
     -inf), the smallest remaining index is taken.
-
-    An explicit ``init`` index overrides the configured initialization.
     """
     if config.method != "GGFPS":
         raise ValueError("config.method must be GGFPS")
     picks, warnings = ggfps_chains(
         labeled.descriptors, labeled.gradient_norms, [config.beta], [config.seed], config.n,
         beta_mode=config.beta_mode, init_mode=config.init_mode,
-        inits=None if init is None else [int(init)],
     )
     return SelectionResult(
         method="GGFPS",

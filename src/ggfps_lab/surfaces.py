@@ -48,48 +48,6 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def st_value(x):
-    """Styblinski-Tang value: half the sum over coordinates of x^4 - 16 x^2 + 5 x."""
-    pts, single = _as_points(x)
-    vals = 0.5 * np.sum(pts**4 - 16.0 * pts**2 + 5.0 * pts, axis=1)
-    return float(vals[0]) if single else vals
-
-
-def st_gradient(x):
-    """Componentwise derivative (4 x^3 - 32 x + 5) / 2 of the Styblinski-Tang value."""
-    pts, single = _as_points(x)
-    grad = 0.5 * (4.0 * pts**3 - 32.0 * pts + 5.0)
-    return grad[0] if single else grad
-
-
-def adversarial_value_and_gradient(x, bump_center, bump_radius, bump_amp, bump_freq):
-    """Gaussian-windowed sine product: amp * exp(-||x-c||^2 / (2 r^2)) * sin(w x0) * sin(w x1).
-
-    Returns (value, gradient). Away from the bump center both decay like the
-    Gaussian window, so labels and gradients are negligible outside a few
-    radii; all the label variance lives near ``bump_center``.
-    """
-    pts, single = _as_points(x)
-    if pts.shape[1] != 2:
-        raise ValueError("the bump surface is defined for 2-D points only")
-    c = np.asarray(bump_center, dtype=float)
-    r = float(bump_radius)
-    w = float(bump_freq)
-    diff = pts - c
-    window = np.exp(-np.sum(diff**2, axis=1) / (2.0 * r * r))
-    s0 = np.sin(w * pts[:, 0])
-    s1 = np.sin(w * pts[:, 1])
-    value = bump_amp * window * s0 * s1
-
-    # d/dx0 = window' * sin sin + window * w cos(w x0) sin(w x1), and symmetric in x1
-    g0 = bump_amp * window * (-diff[:, 0] / (r * r) * s0 * s1 + w * np.cos(w * pts[:, 0]) * s1)
-    g1 = bump_amp * window * (-diff[:, 1] / (r * r) * s0 * s1 + w * np.cos(w * pts[:, 1]) * s0)
-    grad = np.stack([g0, g1], axis=1)
-    if single:
-        return float(value[0]), grad[0]
-    return value, grad
-
-
 @dataclass(frozen=True)
 class StyblinskiTang:
     """Callable Styblinski-Tang surface bound to a box domain."""
@@ -102,13 +60,16 @@ class StyblinskiTang:
         object.__setattr__(self, "domain", _check_box(self.domain))
 
     def value(self, x):
-        return st_value(x)
-
-    def gradient(self, x):
-        return st_gradient(x)
+        """Half the sum over coordinates of x^4 - 16 x^2 + 5 x."""
+        pts, single = _as_points(x)
+        vals = 0.5 * np.sum(pts**4 - 16.0 * pts**2 + 5.0 * pts, axis=1)
+        return float(vals[0]) if single else vals
 
     def value_and_gradient(self, x):
-        return st_value(x), st_gradient(x)
+        """The value and its componentwise derivative (4 x^3 - 32 x + 5) / 2."""
+        pts, single = _as_points(x)
+        grad = 0.5 * (4.0 * pts**3 - 32.0 * pts + 5.0)
+        return self.value(x), grad[0] if single else grad
 
 
 @dataclass(frozen=True)
@@ -146,13 +107,31 @@ class AdversarialToy:
     def value(self, x):
         return self.value_and_gradient(x)[0]
 
-    def gradient(self, x):
-        return self.value_and_gradient(x)[1]
-
     def value_and_gradient(self, x):
-        return adversarial_value_and_gradient(
-            x, self.bump_center, self.bump_radius, self.bump_amp, self.bump_freq
-        )
+        """Gaussian-windowed sine product amp * exp(-||x-c||^2 / (2 r^2)) *
+        sin(w x0) * sin(w x1) and its gradient.
+
+        Away from the bump center both decay like the Gaussian window, so
+        labels and gradients are negligible outside a few radii; all the
+        label variance lives near ``bump_center``.
+        """
+        pts, single = _as_points(x)
+        if pts.shape[1] != 2:
+            raise ValueError("the bump surface is defined for 2-D points only")
+        amp, r, w = self.bump_amp, self.bump_radius, self.bump_freq
+        diff = pts - np.asarray(self.bump_center)
+        window = np.exp(-np.sum(diff**2, axis=1) / (2.0 * r * r))
+        s0 = np.sin(w * pts[:, 0])
+        s1 = np.sin(w * pts[:, 1])
+        value = amp * window * s0 * s1
+
+        # d/dx0 = window' * sin sin + window * w cos(w x0) sin(w x1), and symmetric in x1
+        g0 = amp * window * (-diff[:, 0] / (r * r) * s0 * s1 + w * np.cos(w * pts[:, 0]) * s1)
+        g1 = amp * window * (-diff[:, 1] / (r * r) * s0 * s1 + w * np.cos(w * pts[:, 1]) * s0)
+        grad = np.stack([g0, g1], axis=1)
+        if single:
+            return float(value[0]), grad[0]
+        return value, grad
 
 
 def _check_domain(surface) -> None:

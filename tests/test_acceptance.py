@@ -23,7 +23,7 @@ from ggfps_lab.experiments import (
 )
 from ggfps_lab.krr import fit_prefixes, gaussian_gram, predict
 from ggfps_lab.sampling import SamplerConfig, beta_schedule, fps, ggfps, urs
-from ggfps_lab.surfaces import AdversarialToy, StyblinskiTang, st_gradient, st_value, uniform_domain_sample
+from ggfps_lab.surfaces import AdversarialToy, StyblinskiTang, uniform_domain_sample
 from oracles import (
     central_difference_gradient,
     greedy_fps_fast,
@@ -55,8 +55,10 @@ def test_c01_sampler_oracle_equivalence():
     rng = np.random.default_rng(10001)
     for _ in range(200):
         X, g, n_sel = random_instance(rng)
-        init = int(rng.integers(len(X)))
-        assert fps(X, n_sel, init=init) == greedy_fps_fast(X, n_sel, init)
+        seed = int(rng.integers(2**32))
+        got = fps(X, n_sel, seed=seed)
+        assert got[0] == np.random.default_rng(seed).integers(len(X))
+        assert got == greedy_fps_fast(X, n_sel, got[0])
 
         beta = float(rng.uniform(0.0, 2.0))
         mode = "swept" if rng.random() < 0.5 else "constant"
@@ -76,10 +78,11 @@ def test_c02_beta_zero_identity():
     rng = np.random.default_rng(10002)
     for _ in range(50):
         X, g, n_sel = random_instance(rng)
-        init = int(rng.integers(len(X)))
-        config = SamplerConfig(method="GGFPS", n=n_sel, beta=0.0, beta_mode="swept")
-        got = ggfps(labeled_from(X, g), config, init=init)
-        assert got.indices == fps(X, n_sel, init=init)
+        seed = int(rng.integers(2**32))
+        config = SamplerConfig(method="GGFPS", n=n_sel, beta=0.0, beta_mode="swept",
+                               init_mode="random_uniform", seed=seed)
+        got = ggfps(labeled_from(X, g), config)
+        assert got.indices == fps(X, n_sel, seed=seed)
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -107,7 +110,7 @@ def test_c04_st_anchor_value():
     """Value at the global minimum matches the definition, at 1e-4.
 
     The expected value is derived here from the definition, not from
-    ``st_value``: Newton's method on the per-coordinate derivative
+    ``StyblinskiTang.value``: Newton's method on the per-coordinate derivative
     (4 x^3 - 32 x + 5) / 2 gives the minimizer x* = -2.9035340277..., which
     ``MIN_POINT`` must equal to 6 decimals, and half of x^4 - 16 x^2 + 5 x
     there is -39.1661657 per coordinate, so the 2-D minimum is -78.3323314.
@@ -123,7 +126,7 @@ def test_c04_st_anchor_value():
     assert expected == pytest.approx(-78.3323314, abs=1e-7)
 
     t0 = time.perf_counter()
-    value = st_value(MIN_POINT)
+    value = StyblinskiTang().value(MIN_POINT)
     assert time.perf_counter() - t0 < 1.0
     assert value == pytest.approx(expected, abs=1e-4)
 
@@ -133,9 +136,10 @@ def test_c04_st_gradient_finite_differences():
     t0 = time.perf_counter()
     rng = np.random.default_rng(10004)
     pts = rng.uniform(-4, 4, size=(1000, 2))
+    surface = StyblinskiTang()
     for x in pts:
-        fd = central_difference_gradient(lambda p: st_value(p), x, h=1e-5)
-        g = st_gradient(x)
+        fd = central_difference_gradient(surface.value, x, h=1e-5)
+        _, g = surface.value_and_gradient(x)
         assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(g)
     assert time.perf_counter() - t0 < 1.0
 
@@ -234,15 +238,15 @@ def test_c09_binning_and_kde_oracles():
     rng = np.random.default_rng(10009)
     fn = rng.uniform(0, 80, size=1234)
     err = rng.uniform(0, 3, size=1234)
-    bins = bin_errors_by_force_norm(np.stack([fn, err], axis=1))
+    _, _, counts, means, variances = bin_errors_by_force_norm(np.stack([fn, err], axis=1))
     order = np.argsort(fn, kind="stable")
-    for i, b in enumerate(bins):
+    for i, (count, b_mean, b_var) in enumerate(zip(counts, means, variances)):
         chunk = order[i * 30 : (i + 1) * 30]
         mean = math.fsum(err[chunk]) / len(chunk)
         var = math.fsum((err[j] - mean) ** 2 for j in chunk) / len(chunk)
-        assert abs(b.abs_err_mean - mean) <= 1e-12
-        assert abs(b.abs_err_var - var) <= 1e-12
-        assert b.count == len(chunk)
+        assert abs(b_mean - mean) <= 1e-12
+        assert abs(b_var - var) <= 1e-12
+        assert count == len(chunk)
 
     samples = rng.standard_normal(10000)
     grid = np.linspace(-6 * samples.std(), 6 * samples.std(), 4001)

@@ -11,6 +11,7 @@ from ggfps_lab.dataset import LabeledSet, synth_boltzmann_set
 from ggfps_lab.sampling import (
     BETA_MAX,
     BETA_MODES,
+    INIT_MODES,
     CapacityError,
     SamplerConfig,
     beta_schedule,
@@ -21,6 +22,7 @@ from ggfps_lab.sampling import (
     urs,
     _distances,
     _greedy,
+    _initial_index,
     _log_gradients,
     _Screen,
 )
@@ -49,6 +51,11 @@ def ggfps_config(n, beta=0.0, mode="swept", init_mode=None, seed=0):
     return SamplerConfig(
         method="GGFPS", n=n, beta=beta, beta_mode=mode, init_mode=init_mode, seed=seed
     )
+
+
+def fps_from(X, n, init):
+    """FPS started at index ``init``: the kernel that ``fps`` runs, at beta = 0."""
+    return _greedy(X, [init], np.zeros((1, n)), np.zeros(len(X)))[0].tolist()
 
 
 class TestUrs:
@@ -135,11 +142,11 @@ class TestBetaSchedule:
 class TestFps:
     def test_1d_hand_case(self):
         X = np.array([[0.0], [1.0], [10.0]])
-        assert fps(X, 3, init=0) == [0, 2, 1]
+        assert fps_from(X, 3, 0) == [0, 2, 1]
 
     def test_single_point(self):
         X = np.random.default_rng(0).normal(size=(5, 2))
-        assert fps(X, 1, init=3) == [3]
+        assert fps_from(X, 1, 3) == [3]
 
     def test_matches_greedy_oracle(self):
         rng = np.random.default_rng(10)
@@ -147,13 +154,13 @@ class TestFps:
             n_pts = int(rng.integers(5, 31))
             X = rng.normal(size=(n_pts, 3))
             init = int(rng.integers(n_pts))
-            assert fps(X, n_pts, init=init) == greedy_fps(X, n_pts, init)
+            assert fps_from(X, n_pts, init) == greedy_fps(X, n_pts, init)
 
     def test_capacity_and_finite_checks(self):
         with pytest.raises(CapacityError):
-            fps(np.zeros((3, 2)), 4, init=0)
+            fps(np.zeros((3, 2)), 4)
         with pytest.raises(ValueError, match="finite"):
-            fps(np.array([[np.inf, 0.0]]), 1, init=0)
+            fps(np.array([[np.inf, 0.0]]), 1)
 
     def test_seeded_init_deterministic(self):
         X = np.random.default_rng(1).normal(size=(40, 2))
@@ -166,7 +173,7 @@ class TestFps:
     def test_tie_break_smallest_index(self):
         # equidistant candidates from the init
         X = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        assert fps(X, 2, init=0) == [0, 1]
+        assert fps_from(X, 2, 0) == [0, 1]
 
 
 class TestGgfps:
@@ -176,9 +183,10 @@ class TestGgfps:
             n_pts = int(rng.integers(5, 40))
             X = rng.normal(size=(n_pts, 3))
             g = rng.uniform(0.1, 10, size=n_pts)
-            init = int(rng.integers(n_pts))
-            got = ggfps(make_labeled(X, g), ggfps_config(n_pts, beta=0.0), init=init)
-            assert got.indices == fps(X, n_pts, init=init)
+            seed = int(rng.integers(2**32))
+            config = ggfps_config(n_pts, beta=0.0, init_mode="random_uniform", seed=seed)
+            got = ggfps(make_labeled(X, g), config)
+            assert got.indices == fps(X, n_pts, seed=seed)
 
     def test_hand_case_constant_beta(self):
         labeled = make_labeled([0.0, 0.5, 1.0], [1.0, 100.0, 1.0])
@@ -376,19 +384,22 @@ class TestGreedyKernel:
             n_sel = int(rng.integers(2, n_pts + 1))
             X, g = _random_instance(rng, n_pts, int(rng.integers(1, 6)))
             labeled = make_labeled(X, g)
-            configs = [ggfps_config(n_sel, beta=0.0, seed=1)]
-            configs += [ggfps_config(n_sel, beta=float(rng.uniform(0, 2)),
-                                     mode=mode, seed=int(rng.integers(100)))
-                        for mode in ("swept", "constant", "swept", "constant")]
-            inits = [int(rng.integers(n_pts)) for _ in configs]
+            configs = [ggfps_config(n_sel, beta=0.0, init_mode="random_uniform", seed=1)]
+            configs += [ggfps_config(n_sel, beta=float(rng.uniform(0, 2)), mode=mode,
+                                     init_mode=init_mode, seed=int(rng.integers(100)))
+                        for mode, init_mode in (("swept", "gradient_weighted"),
+                                                ("constant", "gradient_argmax"),
+                                                ("swept", "random_uniform"),
+                                                ("constant", "gradient_weighted"))]
+            inits = [_initial_index(g, c.init_mode, c.seed) for c in configs]
             exponents = np.stack([beta_schedule(c.beta, n_sel, c.beta_mode)
                                   for c in configs])
             log_g = np.log(np.maximum(g, 1e-12 * g.max()))
             picks = _greedy(X, inits, exponents, log_g)
-            for row, config, init in zip(picks, configs, inits):
-                assert row.tolist() == ggfps(labeled, config, init=init).indices
+            for row, config in zip(picks, configs):
+                assert row.tolist() == ggfps(labeled, config).indices
             # the beta=0 row is FPS
-            assert picks[0].tolist() == fps(X, n_sel, init=inits[0])
+            assert picks[0].tolist() == fps(X, n_sel, seed=1)
 
     def test_ggfps_chains_match_independent_ggfps(self):
         rng = np.random.default_rng(42)
@@ -408,6 +419,26 @@ class TestGreedyKernel:
         assert len(warnings) == 1 and "random_uniform" in warnings[0]
         assert picks[:, 0].tolist() == [int(np.random.default_rng(s).integers(12))
                                          for s in (1, 2)]
+
+    @pytest.mark.parametrize("init_mode", INIT_MODES)
+    def test_first_pick_follows_init_mode_and_the_rest_the_reference(self, init_mode):
+        # the first pick is the one ``_initial_index`` draws for the seed, and
+        # the chain from it is the full-row reference's
+        rng = np.random.default_rng(45)
+        X, g = _random_instance(rng, 80, 3)
+        labeled = make_labeled(X, g)
+        for seed in range(8):
+            first = _initial_index(g, init_mode, seed)
+            if init_mode == "random_uniform":
+                picks = fps(X, 30, seed=seed)
+                assert picks[0] == first
+                assert picks == greedy_rows(X, [first], np.zeros((1, 30)))[0].tolist()
+            for beta, mode in ((0.0, "swept"), (1.0, "swept"), (2.0, "constant")):
+                config = ggfps_config(30, beta=beta, mode=mode, init_mode=init_mode, seed=seed)
+                picks = ggfps(labeled, config).indices
+                assert picks[0] == first
+                exponents = beta_schedule(beta, 30, mode)[None]
+                assert picks == greedy_rows(X, [first], exponents, _log_gradients(g))[0].tolist()
 
     def test_ggfps_chains_reject_descriptors_with_no_column(self):
         # with no coordinate every distance is 0: FPS took its random first
@@ -521,7 +552,7 @@ class TestScreen:
             uneven = np.vstack([X[:1000], X[1000:] + 1e3])
         for pool in (X, uneven):
             recomputed.append(0)
-            fps(pool, 200, init=0)
+            fps_from(pool, 200, 0)
         assert recomputed[1] <= 1.5 * recomputed[0]
 
     @pytest.mark.parametrize("outlier", [1e2, 1e4, 1e8])
