@@ -620,17 +620,14 @@ def _run_cells(universe: LabeledSet, plan: ExperimentPlan):
     return list(groups.items())
 
 
-def bin_errors_by_force_norm(test_errors) -> tuple[np.ndarray, ...]:
-    """Sort (force_norm, abs_err) pairs stably by force norm and fill bins of
-    ``BIN_CAPACITY`` pairs; returns the columns (bin_lo, bin_hi, count,
-    abs_err_mean, abs_err_var), one entry per bin.
+def bin_errors_by_force_norm(test_errors) -> list[tuple[float, float, int, float, float]]:
+    """Sort (force_norm, abs_err) pairs by force norm and fill bins of
+    ``BIN_CAPACITY`` pairs; returns one (bin_lo, bin_hi, count, abs_err_mean,
+    abs_err_var) tuple per bin.
 
     The last bin may be smaller; bounds are the extreme force norms inside
     each bin; the error statistics are per-bin mean and population variance.
-    The full bins are reduced as the rows of one (bins, ``BIN_CAPACITY``)
-    view, so each row sums in the order of its own ``mean()`` and ``var()``
-    and gives their bits. A statistic that overflows raises
-    FloatingPointError naming the first bin where it does.
+    A statistic that overflows raises FloatingPointError naming its bin.
     """
     # an array is read in place; only an input with no length is listed first
     arr = np.asarray(test_errors if hasattr(test_errors, "__len__") else list(test_errors),
@@ -640,22 +637,15 @@ def bin_errors_by_force_norm(test_errors) -> tuple[np.ndarray, ...]:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected (force_norm, abs_err) pairs")
     order = np.argsort(arr[:, 0], kind="stable")
-    fn, err = arr[order, 0], arr[order, 1]
-    starts = np.arange(0, len(err), BIN_CAPACITY)
-    ends = np.minimum(starts + BIN_CAPACITY, len(err))
-    full = len(err) - len(err) % BIN_CAPACITY
-    blocks = [err[:full].reshape(-1, BIN_CAPACITY)]
-    if full < len(err):
-        blocks.append(err[full:][None])  # the short last bin
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.concatenate([b.mean(axis=1) for b in blocks])
-        var = np.concatenate([b.var(axis=1) for b in blocks])
-    lo, hi = fn[starts], fn[ends - 1]
-    # overflow leaves inf or nan; rerun each such bin alone, which raises where it overflowed
-    for i in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(var))):
-        _mean_var(err[starts[i]:ends[i]], f"force-norm bin [{float(lo[i])!r}, "
-                                          f"{float(hi[i])!r}]: absolute error mean and variance")
-    return lo, hi, ends - starts, mean, var
+    arr = arr[order]
+    bins = []
+    for start in range(0, len(arr), BIN_CAPACITY):
+        chunk = arr[start : start + BIN_CAPACITY]
+        lo, hi = float(chunk[0, 0]), float(chunk[-1, 0])
+        mean, var = _mean_var(chunk[:, 1], f"force-norm bin [{lo!r}, {hi!r}]: absolute "
+                                           "error mean and variance")
+        bins.append((lo, hi, len(chunk), mean, var))
+    return bins
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
@@ -761,8 +751,7 @@ def _bins_csv(groups, universe: LabeledSet) -> str:
     for (method, ls, ts), group in groups:
         fn = np.concatenate([universe.gradient_norms[c.test_global] for c in group])
         err = np.concatenate([c.test_abs_err for c in group])
-        columns = bin_errors_by_force_norm(np.stack([fn, err], axis=1))
-        for lo, hi, count, mean, var in zip(*(c.tolist() for c in columns)):
+        for lo, hi, count, mean, var in bin_errors_by_force_norm(np.stack([fn, err], axis=1)):
             out.write(f"{method},{ls},{ts},{format_float(lo)},{format_float(hi)},"
                       f"{count},{format_float(mean)},{format_float(var)}\n")
     return out.getvalue()

@@ -13,8 +13,6 @@ pruned search must return the same choice and, wherever it reports a
 finite cost, the same bits. ``kde_expression`` and ``plain_silverman``
 keep the former KDE expression, with its whole-matrix temporaries, and
 the former bandwidth, with the std of the samples as given.
-``binned_errors_loop`` keeps the former per-bin loop of the force-norm
-binning, whose columns the vectorized binning must match bit for bit.
 """
 import numpy as np
 
@@ -259,27 +257,3 @@ def plain_silverman(samples):
     iqr = float(q3 - q1)
     scale = min(std, iqr / 1.34) if iqr > 0 else std
     return 0.9 * scale * len(samples) ** (-0.2)
-
-
-def binned_errors_loop(test_errors, capacity=30):
-    """(force_norm, abs_err) pairs sorted stably by force norm, then each bin
-    of ``capacity`` pairs reduced on its own with ``mean()`` and ``var()``.
-    Returns the columns (bin_lo, bin_hi, count, abs_err_mean, abs_err_var)
-    as arrays; a statistic that overflows raises FloatingPointError naming
-    its bin as ``[bin_lo, bin_hi]`` and the floating-point error."""
-    pairs = list(test_errors) if not hasattr(test_errors, "__len__") else test_errors
-    arr = np.asarray(pairs, dtype=float)
-    arr = arr[np.argsort(arr[:, 0], kind="stable")]
-    rows = []
-    for start in range(0, len(arr), capacity):
-        chunk = arr[start:start + capacity]
-        lo, hi = float(chunk[0, 0]), float(chunk[-1, 0])
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                mean, var = float(chunk[:, 1].mean()), float(chunk[:, 1].var())
-        except FloatingPointError as exc:
-            message = (f"force-norm bin [{lo!r}, {hi!r}]: absolute error mean and variance: "
-                       f"{exc} (the labels are too large for it)")
-            raise FloatingPointError(message) from None
-        rows.append((lo, hi, len(chunk), mean, var))
-    return tuple(np.array(column) for column in zip(*rows))

@@ -238,9 +238,9 @@ def test_c09_binning_and_kde_oracles():
     rng = np.random.default_rng(10009)
     fn = rng.uniform(0, 80, size=1234)
     err = rng.uniform(0, 3, size=1234)
-    _, _, counts, means, variances = bin_errors_by_force_norm(np.stack([fn, err], axis=1))
+    bins = bin_errors_by_force_norm(np.stack([fn, err], axis=1))
     order = np.argsort(fn, kind="stable")
-    for i, (count, b_mean, b_var) in enumerate(zip(counts, means, variances)):
+    for i, (_, _, count, b_mean, b_var) in enumerate(bins):
         chunk = order[i * 30 : (i + 1) * 30]
         mean = math.fsum(err[chunk]) / len(chunk)
         var = math.fsum((err[j] - mean) ** 2 for j in chunk) / len(chunk)

@@ -47,13 +47,7 @@ from ggfps_lab.krr import (
 )
 from ggfps_lab.sampling import SamplerConfig, ggfps, ggfps_chains
 from ggfps_lab.surfaces import StyblinskiTang, uniform_domain_sample
-from oracles import (
-    binned_errors_loop,
-    exhaustive_ggfps_cv,
-    exhaustive_plain_cv,
-    kde_expression,
-    plain_silverman,
-)
+from oracles import exhaustive_ggfps_cv, exhaustive_plain_cv, kde_expression, plain_silverman
 
 SMALL_GRIDS = dict(sigma_grid=(0.5, 1.5), lambda_grid=(1e-6,), beta_grid=(0.0, 1.0))
 
@@ -991,22 +985,20 @@ class TestDeriveSeed:
 
 class TestBinErrors:
     def test_identical_errors_single_bin(self):
-        lo, hi, count, mean, var = bin_errors_by_force_norm([(float(i), 2.5) for i in range(30)])
-        assert len(count) == 1
-        assert count[0] == 30 and mean[0] == 2.5 and var[0] == 0.0
-        assert lo[0] == 0.0 and hi[0] == 29.0
+        bins = bin_errors_by_force_norm([(float(i), 2.5) for i in range(30)])
+        assert bins == [(0.0, 29.0, 30, 2.5, 0.0)]
 
     def test_capacity_arithmetic(self):
-        _, _, count, _, _ = bin_errors_by_force_norm([(float(i), 0.1) for i in range(61)])
-        assert count.tolist() == [30, 30, 1]
+        bins = bin_errors_by_force_norm([(float(i), 0.1) for i in range(61)])
+        assert [count for _, _, count, _, _ in bins] == [30, 30, 1]
 
     def test_matches_recomputation_oracle(self):
         rng = np.random.default_rng(60)
         fn = rng.uniform(0, 50, size=300)
         err = rng.uniform(0, 2, size=300)
-        columns = bin_errors_by_force_norm(np.stack([fn, err], axis=1))
+        bins = bin_errors_by_force_norm(np.stack([fn, err], axis=1))
         order = np.argsort(fn, kind="stable")
-        for i, (lo, hi, _, b_mean, b_var) in enumerate(zip(*columns)):
+        for i, (lo, hi, _, b_mean, b_var) in enumerate(bins):
             chunk = order[i * 30 : (i + 1) * 30]
             mean = math.fsum(err[chunk]) / len(chunk)
             var = math.fsum((err[j] - mean) ** 2 for j in chunk) / len(chunk)
@@ -1014,40 +1006,19 @@ class TestBinErrors:
             assert b_var == pytest.approx(var, abs=1e-12)
             assert lo == fn[chunk].min() and hi == fn[chunk].max()
 
-    @pytest.mark.parametrize("n", [1, 29, 30, 31, 61, 1234, 400_000])
-    def test_columns_match_the_per_bin_loop_bitwise(self, n):
-        """Each full bin is a row of one (bins, 30) view and the short last
-        bin is reduced on its own; every column keeps the bits of the loop
-        that reduced each bin alone, also where tied force norms make the
-        stable order decide which errors share a bin."""
-        rng = np.random.default_rng(n)
-        err = rng.lognormal(0.0, 3.0, size=n)
-        for fn in (rng.uniform(0, 50, size=n), rng.integers(0, 7, size=n).astype(float)):
-            pairs = np.stack([fn, err], axis=1)
-            inputs = [pairs, iter(pairs.tolist())] if n <= 1234 else [pairs]
-            for given in inputs:
-                got = bin_errors_by_force_norm(given)
-                expected = binned_errors_loop(pairs)
-                assert len(got) == len(expected) == 5
-                for column, reference in zip(got, expected):
-                    assert column.dtype == reference.dtype
-                    assert column.tobytes() == reference.tobytes()
-
     @pytest.mark.parametrize("where, big", [(45, 1.7e308), (75, 1e160), (40, np.inf)],
                              ids=["mean", "variance", "inf"])
     def test_overflow_names_the_first_failing_bin(self, where, big):
-        # a bin with a nan error gives nan statistics and raises nothing, as
-        # the loop did; the first bin that overflows is named
+        # a bin with a nan error gives nan statistics and raises nothing;
+        # the first bin that overflows is named
         err = np.ones(100)
         err[5] = np.nan
         err[[where, where + 1, 95]] = big
         pairs = np.stack([np.arange(100.0), err], axis=1)
-        with pytest.raises(FloatingPointError) as expected:
-            binned_errors_loop(pairs)
-        first = rf"^force-norm bin \[{where // 30 * 30}\.0,"
-        with pytest.raises(FloatingPointError, match=first) as got:
+        first = where // 30 * 30
+        with pytest.raises(FloatingPointError,
+                           match=rf"^force-norm bin \[{first}\.0, {first + 29}\.0\]: absolute"):
             bin_errors_by_force_norm(pairs)
-        assert str(got.value) == str(expected.value)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -1059,9 +1030,8 @@ class TestBinErrors:
         the array (64 MiB at 400,000 pairs); an iterator, which has no
         length, is still listed first and gives the same bins."""
         pairs = np.random.default_rng(61).uniform(0, 50, size=(30_000, 2))
-        for column, reference in zip(bin_errors_by_force_norm(iter(pairs[:90].tolist())),
-                                     bin_errors_by_force_norm(pairs[:90])):
-            assert np.array_equal(column, reference)
+        assert (bin_errors_by_force_norm(iter(pairs[:90].tolist()))
+                == bin_errors_by_force_norm(pairs[:90]))
         tracemalloc.start()
         try:
             bin_errors_by_force_norm(pairs)
