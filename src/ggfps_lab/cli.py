@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import signal
 import sys
 import threading
@@ -142,7 +143,7 @@ def _surface(cfg: dict):
     return surface
 
 
-def cmd_generate(cfg: dict, config_path: Path, out_dir: Path) -> None:
+def cmd_generate(cfg: dict, config_path: Path, out_dir: Path, threads: int) -> None:
     surface = _surface(cfg)
     gen = _section(cfg["generator"], "generator", ("kind",))
     (generate, required, optional, id_prefix), fields = _kind(GENERATORS, gen, "generator")
@@ -177,7 +178,7 @@ def _load_dataset(cfg: dict, config_path: Path) -> LabeledSet:
         raise ConfigError(f"dataset: {dataset_path}: {exc}") from None
 
 
-def cmd_sample(cfg: dict, config_path: Path, out_dir: Path) -> None:
+def cmd_sample(cfg: dict, config_path: Path, out_dir: Path, threads: int) -> None:
     sampler = _section(cfg["sampler"], "sampler", ("method", "n", "seed"), SAMPLER_FIELDS)
     config = _build("sampler", SamplerConfig, **sampler)
     try:
@@ -187,14 +188,16 @@ def cmd_sample(cfg: dict, config_path: Path, out_dir: Path) -> None:
     write_outputs(out_dir, [("selection.json", result.to_json(indent=2))])
 
 
-def cmd_curve(cfg: dict, config_path: Path, out_dir: Path) -> None:
+def cmd_curve(cfg: dict, config_path: Path, out_dir: Path, threads: int) -> None:
     plan_cfg = _section(cfg["plan"], "plan", ("labeled_sizes", "train_sizes", "master_seed"),
                         PLAN_FIELDS)
     plan = _build("plan", ExperimentPlan, **plan_cfg)
-    run_experiment(_load_dataset(cfg, config_path), plan, out_dir)
+    run_experiment(_load_dataset(cfg, config_path), plan, out_dir, threads)
 
 
-# command -> (function, required top-level sections, optional ones)
+# command -> (function, required top-level sections, optional ones); each
+# function takes (config, config path, --out, worker count), and only
+# curve uses the worker count
 COMMANDS = {
     "generate": (cmd_generate, ("surface", "generator"), ("bump",)),
     "sample": (cmd_sample, ("dataset", "sampler"), ()),
@@ -203,15 +206,29 @@ COMMANDS = {
 
 
 def _resolve_threads(flag_value: int | None) -> int:
-    """Worker count from --threads; 0 or unset means auto, which is 1. The
-    value is validated but changes nothing: replicates always run serially.
-    The GIL is not what stops a thread pool, since the ctypes ``dpotrf`` and
-    ``dpotrs`` calls release it. The output bytes depend on scipy's BLAS
-    pool, which the program does not set (see ``krr``), and no replicate
-    pool has been measured to speed a run up (ROADMAP items 3 and 4)."""
+    """Worker count from --threads: the value itself, or where it is 0 or
+    unset, the cores this process may use. ``curve`` runs its replicates'
+    selections and cross-validations on that many threads (no more than it
+    has replicates; see ``experiments._run_cells``); the ctypes ``dpotrf``
+    and ``dpotrs`` calls and numpy's large operations release the GIL.
+    ``sample`` and ``generate`` ignore it."""
     if flag_value is not None and flag_value < 0:
         raise ConfigError("--threads: must be >= 0")
-    return flag_value or 1
+    return flag_value or _usable_cores()
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on, capped by the cgroup v2 CPU quota
+    (``/sys/fs/cgroup/cpu.max``: "max" or "<quota> <period>"), rounded up."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    try:
+        quota, period = Path("/sys/fs/cgroup/cpu.max").read_text().split()[:2]
+        if quota != "max":
+            cores = min(cores, max(1, -(-int(quota) // int(period))))
+    except (OSError, ValueError):  # no such file, or not in this format
+        pass
+    return cores
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="JSON run configuration")
         p.add_argument("--out", required=True, type=Path, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility and validated (>= 0), "
-                            "but runs are always serial")
+                       help="curve: worker threads for the replicates' selections and "
+                            "cross-validations (default or 0: the usable cores); "
+                            "sample and generate ignore it")
     return parser
 
 
@@ -253,7 +271,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         command, required, optional = COMMANDS[args.command]
         cfg = load_config(args.config)
-        _resolve_threads(args.threads)
+        threads = _resolve_threads(args.threads)
         # --out, or the nearest of its parents that exists
         existing = next(p for p in (args.out, *args.out.parents) if p.exists())
         if not existing.is_dir():
@@ -262,7 +280,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--out: {args.out} is not empty; a run writes into a new "
                               "or empty directory, so no earlier run's files mix with it")
         _section(cfg, "config", required, ("schema_version",) + optional)
-        command(cfg, args.config, args.out)
+        command(cfg, args.config, args.out, threads)
     except KeyboardInterrupt:  # write_outputs has published nothing
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

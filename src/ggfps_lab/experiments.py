@@ -17,7 +17,9 @@ import io
 import itertools
 import math
 import os
+import signal
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
@@ -29,7 +31,7 @@ from . import __version__ as _tool_version
 from .dataset import (LabeledSet, check_int, check_number, check_width, dumps_17g, format_float,
                       write_outputs)
 from .krr import (_CDIST_BLOCK, FactorizationError, cdist, fit_prefixes, gaussian_gram,
-                  gaussian_kernel, predict)
+                  gaussian_kernel, predict, scipy_blas_on_one_thread)
 from .sampling import METHODS, check_beta, fps, ggfps_chains, urs
 
 CV_COSTS = ("RMSE", "MAE")
@@ -218,6 +220,18 @@ def _column_blocks(c: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _chain_doubles(c: int) -> int:
+    """Doubles of a ``_ChainDistances`` buffer over c rows: (W + c) x c."""
+    return (max(j1 - j0 for j0, j1 in _column_blocks(c)) + c) * c
+
+
+def _visit_doubles(c: int, v: int) -> int:
+    """Doubles of the buffer that a fold visit of c training and v
+    validation rows takes its distances from (``_fold_costs``): c^2 + cW +
+    cv."""
+    return _chain_doubles(c) + c * v
+
+
 class _ChainDistances:
     """A chain's squared distances, kept in the triangle of its kernels'
     factor buffer that the factorization never touches.
@@ -236,10 +250,15 @@ class _ChainDistances:
     of c^2.
     """
 
-    def __init__(self, c: int):
+    def __init__(self, c: int, block: np.ndarray | None = None):
+        """``block``: at least ``_chain_doubles(c)`` doubles for the buffer
+        to use, or None for a new one."""
         self.blocks = _column_blocks(c)
         W = max(j1 - j0 for j0, j1 in self.blocks)
-        buf = np.empty((W + c, c), order="F")
+        if block is None:
+            buf = np.empty((W + c, c), order="F")
+        else:
+            buf = block[:(W + c) * c].reshape((W + c, c), order="F")
         self.A = buf[W:]
         self.stored = [buf[W - (j1 - j0):W + c - j1, c - j1:c - j0] for j0, j1 in self.blocks]
 
@@ -324,7 +343,7 @@ def _grid_costs(d2_train: _ChainDistances, d2_val: np.ndarray, y_train: np.ndarr
 
 def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
                 chains: np.ndarray, sizes: list[int], dead: np.ndarray,
-                skip: np.ndarray | None = None) -> np.ndarray:
+                skip: np.ndarray | None = None, block: np.ndarray | None = None) -> np.ndarray:
     """Validation costs of B training chains on one fold, shape
     (len(sizes), sigmas, lambdas, B).
 
@@ -334,15 +353,23 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     (``_ChainDistances``) and the v validation rows, so a visit holds at most
     c^2 + cW + 2cv doubles, W <= 64: the distances with each kernel and its
     factor in one (W + c) x c buffer, and the validation distances and
-    kernel (c x v). ``dead`` and ``skip``, of the result's shape, are as for
-    ``_grid_costs``; ``dead`` is updated in place. A chain with every
-    candidate dead or skipped gets no cdist and costs 0.
+    kernel (c x v). The distances are views of ``block``, a worker's buffer
+    of at least ``_visit_doubles(c, v)`` doubles that its visits share, or
+    of a new one if None. The validation kernel is ``_grid_costs``' own, so
+    it is not held while cdist holds its row block. ``dead`` and ``skip``,
+    of the result's shape, are as for ``_grid_costs``; ``dead`` is updated
+    in place. A chain with every candidate dead or skipped gets no cdist and
+    costs 0.
     """
     X, y = train.descriptors, train.labels
-    top = max(sizes)
-    # one pair of buffers for all chains: blocks freed per chain let malloc
+    top, v = max(sizes), len(val)
+    # one set of buffers for all chains: blocks freed per chain let malloc
     # return their pages, and each chain faulted them in again (~4x the faults)
-    d2_chain, d2_val = _ChainDistances(top), np.empty((top, len(val)))
+    if block is None:
+        block = np.empty(_visit_doubles(top, v))
+    d2_chain = _ChainDistances(top, block)
+    start = _chain_doubles(top)
+    d2_val = block[start:start + top * v].reshape(top, v)
     costs = np.zeros(dead.shape)
     idle = (dead if skip is None else dead | skip).all(axis=(0, 1, 2))
     for b in np.flatnonzero(~idle):
@@ -361,13 +388,14 @@ def _fold_means(sums: np.ndarray, excluded: np.ndarray, folds: int) -> np.ndarra
     return np.where(excluded & ~np.isnan(sums), np.inf, sums / folds)
 
 
-def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list) -> np.ndarray:
+def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list,
+                   block: np.ndarray | None) -> np.ndarray:
     """Mean fold costs of a (sizes, sigmas, lambdas, B) candidate grid, with
     every candidate that cannot be chosen reported as inf and not scored on
     every fold.
 
     ``folds`` holds each fold's ``(val, chains, sizes)``, which
-    ``_fold_costs`` scores. Three passes:
+    ``_fold_costs`` scores in ``block``. Three passes:
 
     1. fold 0 for every candidate;
     2. every size's fold-0 winner (its incumbent) on the other folds, at
@@ -391,7 +419,7 @@ def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list) -> np.n
     pruned = np.zeros(shape, dtype=bool)
 
     def add_fold(fi, skip):
-        sums[...] += _fold_costs(train, plan, *folds[fi], dead, skip)
+        sums[...] += _fold_costs(train, plan, *folds[fi], dead, skip, block)
 
     add_fold(0, None)
     incumbent = np.zeros(shape[1:], dtype=bool)
@@ -412,10 +440,14 @@ def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list) -> np.n
 class _PlainCv:
     """sigma x lambda grid search on a fixed training set (URS / FPS)."""
 
-    def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int):
+    def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int,
+                 block: np.ndarray | None = None):
+        """``block``: the fold-visit buffer (``_fold_costs``), or None for
+        a new one per visit."""
         self.train = train
         self.plan = plan
         self.seed = seed
+        self.block = block
         self.val_folds = _fold_partition(len(train), plan.folds, seed)
 
     def evaluate(self) -> np.ndarray:
@@ -425,7 +457,7 @@ class _PlainCv:
         rows = np.arange(len(self.train))
         folds = [(val, np.setdiff1d(rows, val)[None], [len(rows) - len(val)])
                  for val in self.val_folds]
-        return _pruned_search(self.train, self.plan, folds)[0]
+        return _pruned_search(self.train, self.plan, folds, self.block)[0]
 
 
 class _GgfpsCv(_PlainCv):
@@ -454,7 +486,7 @@ class _GgfpsCv(_PlainCv):
                                      plan.beta_grid, seeds, chain_len)
             folds.append((val, pool[chains],
                           [_mirror_size(ts, plan.folds, chain_len) for ts in target_sizes]))
-        return _pruned_search(train, plan, folds)
+        return _pruned_search(train, plan, folds, self.block)
 
 
 def choose_from_costs(costs: np.ndarray, plan: ExperimentPlan, with_beta: bool) -> CvChoice:
@@ -481,12 +513,15 @@ def choose_from_costs(costs: np.ndarray, plan: ExperimentPlan, with_beta: bool) 
     )
 
 
-def cross_validate(train: LabeledSet, plan: ExperimentPlan, seed: int = 0) -> CvChoice:
+def cross_validate(train: LabeledSet, plan: ExperimentPlan, seed: int = 0,
+                   block: np.ndarray | None = None) -> CvChoice:
     """sigma x lambda grid search for a URS or FPS training set: the folds
     partition ``train``, and the choice minimizes the mean fold cost. It is
     the exhaustive search's choice, though candidates that cannot win are
-    not scored on every fold (see ``_pruned_search``)."""
-    return choose_from_costs(_PlainCv(train, plan, seed).evaluate(), plan, with_beta=False)
+    not scored on every fold (see ``_pruned_search``). ``block`` is as for
+    ``_PlainCv``."""
+    return choose_from_costs(_PlainCv(train, plan, seed, block).evaluate(), plan,
+                             with_beta=False)
 
 
 def _test_blocks(train_size: int, test_size: int) -> list[tuple[int, int]]:
@@ -532,9 +567,10 @@ def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[fl
 
 
 def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
-           labeled_size: int, rep: int):
+           labeled_size: int, rep: int, block: np.ndarray):
     """Yield, per train size in ``ts_list``, the (choice, selection) of
     ``method`` on ``L``; each selection is a prefix of a max(ts_list) chain.
+    Every cross-validation visits its folds in ``block`` (``_fold_costs``).
 
     URS / FPS cross-validate a size's prefix when it is asked for. GGFPS
     cross-validates every size at once and chooses each size's beta in
@@ -550,10 +586,10 @@ def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
                            else fps(L.descriptors, n_chain, seed=sel_seed))
         for ts in ts_list:
             seed = derive_seed(master, "cv", method, labeled_size, ts, rep)
-            yield cross_validate(L.subset(chain[:ts]), plan, seed), chain[:ts]
+            yield cross_validate(L.subset(chain[:ts]), plan, seed, block), chain[:ts]
         return
     choices, failure = [], None
-    cv = _GgfpsCv(L, plan, derive_seed(master, "cv", method, labeled_size, rep))
+    cv = _GgfpsCv(L, plan, derive_seed(master, "cv", method, labeled_size, rep), block)
     for costs in cv.evaluate(ts_list):
         try:
             choices.append(choose_from_costs(costs, plan, with_beta=True))
@@ -571,52 +607,162 @@ def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
         raise failure
 
 
-def _run_replicate(
-    universe: LabeledSet,
-    plan: ExperimentPlan,
-    labeled_size: int,
-    ts_list: list[int],
-    rep: int,
-) -> list[_CellResult]:
+def _largest_visit(plan: ExperimentPlan, labeled_size: int, ts_list: list[int]) -> int:
+    """Doubles of the largest fold visit (``_visit_doubles``) among a
+    replicate's cross-validations.
+
+    ``_fold_partition`` splits n points into folds of n // folds and
+    n // folds + 1 validation points. URS and FPS split each train size and
+    train on the rest of it; GGFPS splits the labeled set and trains on
+    chains of the largest train size, mirrored to the rest (``_GgfpsCv``).
+    A visit's doubles are not monotone in c (W is not), so every train size
+    counts.
+    """
+    def largest(n, train_rows):
+        q = n // plan.folds
+        return max(_visit_doubles(train_rows(n - v), v) for v in {q, -(-n // plan.folds)})
+
+    need = []
+    if {"URS", "FPS"} & set(plan.methods):
+        need += [largest(ts, lambda c: c) for ts in ts_list]
+    if "GGFPS" in plan.methods:
+        need.append(largest(labeled_size,
+                            lambda pool: _mirror_size(max(ts_list), plan.folds, pool)))
+    return max(need)
+
+
+def _run_replicate(universe: LabeledSet, plan: ExperimentPlan, labeled_size: int,
+                   ts_list: list[int], rep: int, stop: threading.Event):
+    """The selections and cross-validations of one (labeled size, replicate)
+    job: its labeled set, then each (method, train size) cell in plan order,
+    every fold visit in one buffer allocated for the job's largest
+    (``_largest_visit``).
+
+    Returns (labeled_global, L, cells, failure): the labeled set's universe
+    rows and the set itself, each picked cell's (method, train size, choice,
+    selection) in order, and the ReplicateError of the cell that failed,
+    after which none is picked (None if none failed). Once ``stop`` is set
+    it returns at the next cell boundary with the cells picked so far.
+    """
     labeled_global = np.asarray(
         urs(len(universe), labeled_size, derive_seed(plan.master_seed, "labeled", labeled_size, rep))
     )
     L = universe.subset(labeled_global)
-    cells: list[_CellResult] = []
+    block = np.empty(_largest_visit(plan, labeled_size, ts_list))
+    cells = []
     for method in plan.methods:
-        picks = _picks(L, plan, method, ts_list, labeled_size, rep)
+        picks = _picks(L, plan, method, ts_list, labeled_size, rep, block)
         for ts in ts_list:
+            if stop.is_set():
+                return labeled_global, L, cells, None
             try:
                 choice, sel = next(picks)
+            except Exception as exc:  # noqa: BLE001 - annotate the failing cell
+                failure = ReplicateError(method, labeled_size, ts, rep, exc)
+                failure.__cause__ = exc
+                return labeled_global, L, cells, failure
+            cells.append((method, ts, choice, sel))
+    return labeled_global, L, cells, None
+
+
+def _pick_replicates(universe: LabeledSet, plan: ExperimentPlan, jobs: list, workers: int):
+    """``_run_replicate`` for every job, on ``workers`` threads: the main
+    thread and workers - 1 helpers, each taking the next job in order.
+
+    Returns, in job order, each job's result or the exception it raised, and
+    None for a job that no worker started because an earlier one failed.
+    SIGINT and SIGTERM reach the main thread only (helpers block them); when
+    it raises, the helpers stop at their next cell boundary and are joined
+    before the exception leaves.
+    """
+    results = [None] * len(jobs)
+    lock, stop = threading.Lock(), threading.Event()
+    order = iter(range(len(jobs)))
+    first_failed = len(jobs)
+
+    def work():
+        nonlocal first_failed
+        while not stop.is_set():
+            with lock:
+                j = next(order, None)
+                if j is None or j > first_failed:
+                    return
+            try:
+                result = _run_replicate(universe, plan, *jobs[j], stop)
+                failed = result[3] is not None
+            except Exception as exc:  # noqa: BLE001 - raised in job order by the caller
+                result, failed = exc, True
+            results[j] = result
+            if failed:
+                with lock:
+                    first_failed = min(first_failed, j)
+
+    def helper():
+        if hasattr(signal, "pthread_sigmask"):
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+        work()
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=helper, name="ggfps-lab-replicates", daemon=True)
+            thread.start()
+            helpers.append(thread)
+        work()
+        for thread in helpers:
+            thread.join()
+    except BaseException:
+        stop.set()
+        for thread in helpers:
+            thread.join()
+        raise
+    return results
+
+
+def _run_cells(universe: LabeledSet, plan: ExperimentPlan, threads: int = 1):
+    """Every cell of the plan, grouped by (method, labeled size, train size)
+    in plan order, each group's replicates in order:
+    [((method, ls, ts), cells), ...].
+
+    It runs in two phases. First the selections and cross-validations of
+    every (labeled size, replicate) job (``_run_replicate``), on
+    min(``threads``, jobs) workers with scipy's OpenBLAS on one thread
+    (``krr.scipy_blas_on_one_thread``); where that pool cannot be set, on
+    the main thread alone and the pool as it is. Then every final fit
+    (``_fit_and_score``), in the main thread on scipy's pool as it was, in
+    (job, method, train size) order. So the outputs are the same for any
+    worker count, and the first cell in that order that fails, in either
+    phase, raises its ReplicateError, as in a serial run.
+    """
+    if max(plan.labeled_sizes) > len(universe):
+        raise ValueError(f"plan.labeled_sizes: labeled size {max(plan.labeled_sizes)} exceeds "
+                         f"the universe size {len(universe)}")
+    jobs = [(ls, [ts for ts in plan.train_sizes if ts < ls], rep)
+            for ls in plan.labeled_sizes for rep in range(plan.bootstraps)]
+    with scipy_blas_on_one_thread() as pinned:
+        picked = _pick_replicates(universe, plan, jobs, min(threads, len(jobs)) if pinned else 1)
+    groups: dict[tuple[str, int, int], list[_CellResult]] = {
+        (method, ls, ts): [] for method in plan.methods for ls in plan.labeled_sizes
+        for ts in plan.train_sizes if ts < ls}
+    for (ls, _, rep), result in zip(jobs, picked):
+        if isinstance(result, Exception):
+            raise result
+        labeled_global, L, cells, failure = result
+        for method, ts, choice, sel in cells:
+            try:
                 mae, rmse, test, abs_err = _fit_and_score(L, sel, choice)
             except Exception as exc:  # noqa: BLE001 - annotate the failing cell
-                raise ReplicateError(method, labeled_size, ts, rep, exc) from exc
-            cells.append(
+                raise ReplicateError(method, ls, ts, rep, exc) from exc
+            groups[method, ls, ts].append(
                 _CellResult(
-                    method=method, labeled_size=labeled_size, train_size=ts, replicate=rep,
+                    method=method, labeled_size=ls, train_size=ts, replicate=rep,
                     mae=mae, rmse=rmse, sigma=choice.sigma, lam=choice.lam, beta=choice.beta,
                     test_global=labeled_global[test], test_abs_err=abs_err,
                     sel_global=labeled_global[sel],
                 )
             )
-    return cells
-
-
-def _run_cells(universe: LabeledSet, plan: ExperimentPlan):
-    """Every cell of the plan, grouped by (method, labeled size, train size)
-    in plan order, each group's replicates in order:
-    [((method, ls, ts), cells), ...]."""
-    if max(plan.labeled_sizes) > len(universe):
-        raise ValueError(f"plan.labeled_sizes: labeled size {max(plan.labeled_sizes)} exceeds "
-                         f"the universe size {len(universe)}")
-    groups: dict[tuple[str, int, int], list[_CellResult]] = {
-        (method, ls, ts): [] for method in plan.methods for ls in plan.labeled_sizes
-        for ts in plan.train_sizes if ts < ls}
-    for ls in plan.labeled_sizes:
-        ts_list = [ts for ts in plan.train_sizes if ts < ls]
-        for rep in range(plan.bootstraps):
-            for c in _run_replicate(universe, plan, ls, ts_list, rep):
-                groups[c.method, c.labeled_size, c.train_size].append(c)
+        if failure is not None:
+            raise failure
     return list(groups.items())
 
 
@@ -873,6 +1019,7 @@ def run_experiment(
     universe: LabeledSet,
     plan: ExperimentPlan,
     out_dir: Path | str,
+    threads: int = 1,
 ) -> None:
     """Run the full protocol and write curves.csv, bins.csv, kde.csv,
     heatmap.csv (2-D descriptors only) and manifest.json into ``out_dir``.
@@ -882,18 +1029,24 @@ def run_experiment(
     interrupted leaves ``out_dir`` and its parents as they were. A dataset or
     plan whose KDE or heatmap export cannot succeed is rejected before compute.
 
-    The largest matrices held at once are a cross-validation visit's
-    c^2 + cW + 2cv doubles (c training and v validation rows, W <= 64 the
-    widest column block of ``_ChainDistances``) or a final fit's ts^2 Gram
-    and then one ts x (B to 2B - 1) block of test kernel (``_fit_and_score``):
-    no matrix spans the test set.
+    The selections and cross-validations of the (labeled size, replicate)
+    jobs run on up to ``threads`` workers, and the final fits after them in
+    the calling thread (``_run_cells``): the outputs are the same for any
+    ``threads``. For the first phase this function sets scipy's OpenBLAS to
+    one thread, and restores its count before the second, on which the
+    final fits' bytes depend (see ``krr``).
 
-    This function sets no BLAS thread count; ``krr``'s docstring says which
-    pool the CLI sets, and on which the output bytes depend."""
+    The largest matrices held at once are, per worker, a cross-validation
+    visit's c^2 + cW + 2cv doubles (c training and v validation rows,
+    W <= 64 the widest column block of ``_ChainDistances``), all but its
+    validation kernel in one buffer allocated per job for the job's largest
+    visit, and one OpenBLAS buffer; then
+    a final fit's ts^2 Gram and one ts x (B to 2B - 1) block of test kernel
+    (``_fit_and_score``): no matrix spans the test set."""
     import scipy  # for its version only: ``import ggfps_lab`` does not load it
     t0 = time.perf_counter()
     _check_exports(universe, plan)
-    groups = _run_cells(universe, plan)
+    groups = _run_cells(universe, plan, threads)
 
     def outputs():
         yield "curves.csv", _curves_csv(groups)

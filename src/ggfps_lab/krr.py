@@ -13,16 +13,20 @@ through ctypes in the OpenBLAS that scipy's wheel bundles, the library that
 This is the one module that opens, declares or configures the OpenBLAS
 copies that numpy and scipy bundle, each with its own thread pool. The
 program sets numpy's pool to one thread (``pin_numpy_blas``, which the CLI
-calls first) and leaves scipy's at its default. Beyond the versions,
-``curve``'s output bytes depend on three things: scipy's thread count
-(OpenBLAS splits a factorization's sums per thread), the kernel family that
-OpenBLAS picks for the CPU, and numpy's SIMD dispatch, by which ``exp`` and
-``log`` round. The tests pin all three: ``OPENBLAS_CORETYPE=Nehalem``,
-``OPENBLAS_NUM_THREADS=1``, and ``NPY_DISABLE_CPU_FEATURES`` naming every
-target in numpy's ``__cpu_dispatch__``.
+calls first). ``curve`` cross-validates on scipy's pool at one thread
+(``scipy_blas_on_one_thread``), its workers side by side, and makes its
+final fits on the pool's default. Beyond the versions, ``curve``'s output
+bytes depend on three things: scipy's default thread count, through the
+final fits only (OpenBLAS splits a factorization's sums per thread), the
+kernel family that OpenBLAS picks for the CPU, and numpy's SIMD dispatch,
+by which ``exp`` and ``log`` round. The tests pin all three:
+``OPENBLAS_CORETYPE=Nehalem``, ``OPENBLAS_NUM_THREADS=1``, and
+``NPY_DISABLE_CPU_FEATURES`` naming every target in numpy's
+``__cpu_dispatch__``.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib
@@ -105,6 +109,34 @@ def pin_numpy_blas() -> None:
         setter.argtypes = [ctypes.c_int]
         setter.restype = None
         setter(1)
+
+
+@contextlib.contextmanager
+def scipy_blas_on_one_thread():
+    """Run scipy's OpenBLAS on one thread inside the block, and restore its
+    thread count after. Yields True, or False with nothing set where the
+    pool cannot be set: without the ctypes ``dpotrf``/``dpotrs`` (the
+    ``scipy.linalg.lapack`` fallback) or the library's thread setter.
+
+    ``run_experiment`` cross-validates its replicates inside the block, on
+    worker threads that each call ``dpotrf`` on their own one-thread share
+    of the library. Call it in the main thread before any worker starts: it
+    loads the cached library handle and ``_lapack``'s declarations.
+    """
+    lib = bundled_openblas("scipy")
+    get = getattr(lib, "scipy_openblas_get_num_threads", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads", None)
+    if _lapack() is None or get is None or put is None:
+        yield False
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
 
 
 def cdist(XA, XB, out: np.ndarray | None = None) -> np.ndarray:

@@ -123,8 +123,8 @@ def test_selection_json_bytes_are_pinned(tmp_path, monkeypatch, pool):
 CURVE_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 # Run in the pinned subprocess: check the versions and that each pin took,
-# then generate a pool and run ``curve`` on it. argv: the work directory and
-# CURVE_VERSIONS as JSON.
+# then generate a pool and run ``curve`` on it, its 2 replicates on 2 workers.
+# argv: the work directory and CURVE_VERSIONS as JSON.
 CURVE_RUN = """
 import ctypes, json, sys
 from pathlib import Path
@@ -160,7 +160,8 @@ assert main(["generate", "--config", str(work / "gen.json"), "--out", str(work /
              "beta_grid": [0.0, 0.5, 1.0, 2.0], "methods": ["URS", "FPS", "GGFPS"],
              "master_seed": 5},
 }))
-sys.exit(main(["curve", "--config", str(work / "curve.json"), "--out", str(work / "curve")]))
+sys.exit(main(["curve", "--config", str(work / "curve.json"), "--out", str(work / "curve"),
+               "--threads", "2"]))
 """
 
 CURVE_DIGESTS = {

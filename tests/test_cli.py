@@ -364,7 +364,9 @@ class TestCurve:
         assert manifest["wall_clock_seconds"] > 0
 
     def test_rerun_is_identical(self, tmp_path, dataset_dir):
-        cfg = write_config(tmp_path, "c.json", curve_config(dataset_dir))
+        """Three methods and three replicates: two workers cross-validate
+        the replicates in parallel, and the outputs are those of one."""
+        cfg = write_config(tmp_path, "c.json", curve_config(dataset_dir, bootstraps=3))
         out_a, out_b = tmp_path / "ca", tmp_path / "cb"
         run_ok(["curve", "--config", str(cfg), "--out", str(out_a), "--threads", "2"])
         run_ok(["curve", "--config", str(cfg), "--out", str(out_b), "--threads", "1"])
@@ -975,20 +977,42 @@ class TestThreads:
         run_ok(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize("flag, expected", [
-        (None, 1), (["--threads", "0"], 1), (["--threads", "3"], 3), (["--threads", "1"], 1),
+        (None, "cores"), (["--threads", "0"], "cores"), (["--threads", "3"], 3),
+        (["--threads", "1"], 1),
     ])
     def test_auto_resolves_to_one_and_explicit_is_honored(
         self, tmp_path, dataset_dir, monkeypatch, flag, expected
     ):
-        """Every valid value resolves as documented (auto = 1) and is
-        accepted, but none reaches the run: replicates always run serially."""
+        """Every valid value resolves as documented (auto = the usable
+        cores) and reaches the run as its worker count."""
+        if expected == "cores":
+            expected = cli._usable_cores()
         assert cli._resolve_threads(None if flag is None else int(flag[1])) == expected
         seen = []
         monkeypatch.setattr(cli, "run_experiment",
-                            lambda labeled, plan, out: seen.append(out))
+                            lambda labeled, plan, out, threads: seen.append((out, threads)))
         cfg = write_config(tmp_path, "c.json", curve_config(dataset_dir))
         run_ok(["curve", "--config", str(cfg), "--out", str(tmp_path / "o")] + (flag or []))
-        assert seen == [tmp_path / "o"]
+        assert seen == [(tmp_path / "o", expected)]
+
+    @pytest.mark.parametrize("cpu_max, expected", [
+        (None, 8), ("max 100000\n", 8), ("150000 100000\n", 2), ("50000 100000\n", 1),
+        ("800000 100000\n", 8), ("garbled\n", 8),
+    ], ids=["no-file", "no-quota", "1.5-cpus", "half-cpu", "above-affinity", "garbled"])
+    def test_usable_cores_are_the_affinity_capped_by_the_cgroup_quota(
+            self, monkeypatch, cpu_max, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        real_read = Path.read_text
+
+        def read_text(self, *args, **kwargs):
+            if str(self) != "/sys/fs/cgroup/cpu.max":
+                return real_read(self, *args, **kwargs)
+            if cpu_max is None:
+                raise FileNotFoundError(self)
+            return cpu_max
+
+        monkeypatch.setattr(Path, "read_text", read_text)
+        assert cli._usable_cores() == expected
 
     def test_negative_value_rejected(self, tmp_path, dataset_dir, capsys):
         cfg = write_config(tmp_path, "c.json", curve_config(dataset_dir))
@@ -996,6 +1020,134 @@ class TestThreads:
                      "--threads", "-1"]) == 1
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture()
+def scipy_blas():
+    """scipy's OpenBLAS handle, its pool set to 2 threads for the test and
+    restored after."""
+    lib = bundled_openblas("scipy")
+    if not hasattr(lib, "scipy_openblas_set_num_threads"):
+        pytest.skip("scipy bundles no OpenBLAS here")
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    yield lib
+    lib.scipy_openblas_set_num_threads(before)
+
+
+def failing_cells(monkeypatch, select_fails=None, fit_fails=None):
+    """Make the selection of the (method, replicate) cell ``select_fails``
+    raise a FloatingPointError, and the final fit of call number
+    ``fit_fails`` (0-based, in the serial order of the fits) an OSError."""
+    real_picks, real_fit = experiments._picks, experiments._fit_and_score
+    fits = itertools.count()
+
+    def picks(L, plan, method, ts_list, labeled_size, rep, block=None):
+        if (method, rep) == select_fails:
+            raise FloatingPointError("selection failed")
+        yield from real_picks(L, plan, method, ts_list, labeled_size, rep, block)
+
+    def fit_and_score(L, sel, choice):
+        if next(fits) == fit_fails:
+            raise OSError("fit failed")
+        return real_fit(L, sel, choice)
+
+    monkeypatch.setattr(experiments, "_picks", picks)
+    monkeypatch.setattr(experiments, "_fit_and_score", fit_and_score)
+
+
+class TestParallelReplicates:
+    """``curve`` cross-validates its replicates on --threads workers, then
+    makes every final fit in the main thread; a run with two workers fails,
+    is interrupted and leaves scipy's pool as a serial run does."""
+
+    # plan: one labeled size, train sizes 10 and 20, 3 methods, 3 replicates;
+    # each replicate makes 6 final fits, so fit 7 is replicate 1's second and
+    # fit 12 replicate 2's first
+    @pytest.mark.parametrize("select_fails, fit_fails, code, cell", [
+        (("FPS", 1), None, 3, "method=FPS, labeled_size=40, train_size=10, replicate=1"),
+        (None, 7, 2, "method=URS, labeled_size=40, train_size=20, replicate=1"),
+        (("URS", 2), 7, 2, "method=URS, labeled_size=40, train_size=20, replicate=1"),
+        (("FPS", 1), 7, 2, "method=URS, labeled_size=40, train_size=20, replicate=1"),
+        (("URS", 1), 12, 3, "method=URS, labeled_size=40, train_size=10, replicate=1"),
+    ], ids=["selection", "final-fit", "fit-before-later-selection",
+            "fit-before-same-replicate-selection", "selection-before-later-fit"])
+    def test_first_failing_cell_in_serial_order_raises(self, tmp_path, dataset_dir, monkeypatch,
+                                                       capsys, select_fails, fit_fails, code,
+                                                       cell):
+        cfg = write_config(tmp_path, "c.json", curve_config(
+            dataset_dir, train_sizes=[10, 20], bootstraps=3))
+        before = threading.enumerate()
+        errors = []
+        for threads in ("1", "2"):
+            monkeypatch.undo()
+            failing_cells(monkeypatch, select_fails, fit_fails)  # a fresh fit count
+            assert main(["curve", "--config", str(cfg), "--out", str(tmp_path / threads),
+                         "--threads", threads]) == code
+            errors.append(capsys.readouterr().err)
+            assert threading.enumerate() == before
+            assert not (tmp_path / threads).exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: {cell}: ") and errors[0].count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs POSIX signals")
+    @pytest.mark.parametrize("signum, code, message", [
+        (signal.SIGINT, 130, "error: interrupted\n"),
+        (signal.SIGTERM, 143, "error: terminated\n"),
+    ], ids=["SIGINT", "SIGTERM"])
+    def test_signal_during_cross_validation_joins_every_worker(
+            self, tmp_path, dataset_dir, monkeypatch, capsys, scipy_blas, signum, code,
+            message):
+        """Replicate 1's selection sends the signal. The main thread raises,
+        the other worker stops at its next cell, and no final fit is made."""
+        cfg = write_config(tmp_path, "c.json", curve_config(dataset_dir, bootstraps=4))
+        real_picks = experiments._picks
+        fits = []
+
+        def picks(L, plan, method, ts_list, labeled_size, rep, block=None):
+            if rep == 1 and method == "URS":
+                os.kill(os.getpid(), signum)
+            yield from real_picks(L, plan, method, ts_list, labeled_size, rep, block)
+
+        monkeypatch.setattr(experiments, "_picks", picks)
+        monkeypatch.setattr(experiments, "_fit_and_score", lambda *args: fits.append(args))
+        before = threading.enumerate()
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == code
+        assert capsys.readouterr().err == message
+        assert threading.enumerate() == before
+        assert fits == [] and not out.exists()
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+    def test_scipy_pool_is_one_thread_in_cross_validation_and_restored(
+            self, tmp_path, dataset_dir, monkeypatch, scipy_blas, fails):
+        """Every cross-validation solve runs on scipy's pool at one thread,
+        every final fit on the pool as it was (2 threads), and the run
+        leaves it there, also when a final fit fails."""
+        cfg = write_config(tmp_path, "c.json", curve_config(dataset_dir, bootstraps=2))
+        real_fit_prefixes, real_fit = experiments.fit_prefixes, experiments._fit_and_score
+        counts = {"cv": [], "fit": []}
+        phase = ["cv"]
+
+        def fit_prefixes(*args):
+            counts[phase[0]].append(scipy_blas.scipy_openblas_get_num_threads())
+            return real_fit_prefixes(*args)
+
+        def fit_and_score(*args):
+            phase[0] = "fit"
+            if fails and len(counts["fit"]) == 3:
+                raise FactorizationError(2)
+            return real_fit(*args)
+
+        monkeypatch.setattr(experiments, "fit_prefixes", fit_prefixes)
+        monkeypatch.setattr(experiments, "_fit_and_score", fit_and_score)
+        argv = ["curve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"]
+        assert main(argv) == (3 if fails else 0)
+        assert counts["cv"] and set(counts["cv"]) == {1}
+        assert counts["fit"] and set(counts["fit"]) == {2}
+        assert len(counts["fit"]) == (3 if fails else 6)
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
 
 
 SCIPY_PROBE = """
@@ -1457,7 +1609,7 @@ class TestExitCodes:
         config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
         argv = ["curve", "--config", str(config), "--out", str(tmp_path / "o")]
         for raised in (exc, ReplicateError("URS", 40, 10, 0, exc)):
-            def fail(labeled, plan, out, raised=raised):
+            def fail(labeled, plan, out, threads, raised=raised):
                 raise raised
             monkeypatch.setattr(cli, "run_experiment", fail)
             assert main(argv) == code
@@ -1467,7 +1619,7 @@ class TestExitCodes:
         config = write_config(tmp_path, "c.json", curve_config(dataset_dir))
         argv = ["curve", "--config", str(config), "--out", str(tmp_path / "o")]
         for raised in (TypeError("bug"), ReplicateError("URS", 40, 10, 0, TypeError("bug"))):
-            def fail(labeled, plan, out, raised=raised):
+            def fail(labeled, plan, out, threads, raised=raised):
                 raise raised
             monkeypatch.setattr(cli, "run_experiment", fail)
             with pytest.raises(type(raised)):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 from pathlib import Path
@@ -342,6 +343,34 @@ class TestFoldCosts:
         assert len(visits) > len(calls)
 
 
+@pytest.mark.parametrize("overrides", [
+    # URS at n = 80 trains on c = 64 rows (W = 64), at n = 82 on 65-66 (W = 22-33):
+    # the smaller train size makes the larger visit
+    dict(labeled_sizes=(120,), train_sizes=(80, 82)),
+    dict(labeled_sizes=(120,), train_sizes=(30, 90), methods=("GGFPS",), folds=3),
+    dict(labeled_sizes=(100,), train_sizes=(7, 40), methods=("FPS", "GGFPS"), folds=7),
+], ids=["urs-fps-ggfps", "ggfps", "fps-ggfps"])
+def test_replicate_visits_fit_the_buffer_sized_for_its_largest(universe, monkeypatch,
+                                                               overrides):
+    """Every fold visit of a replicate takes its distances from the one
+    buffer that the replicate allocates, which is exactly as large as its
+    largest visit needs."""
+    plan = small_plan(**overrides)
+    ls, ts_list = plan.labeled_sizes[0], list(plan.train_sizes)
+    visits = []
+
+    def recording_fold_costs(train, plan, val, chains, sizes, dead, skip=None, block=None):
+        visits.append((experiments._visit_doubles(max(sizes), len(val)), block))
+        return _fold_costs(train, plan, val, chains, sizes, dead, skip, block)
+
+    monkeypatch.setattr(experiments, "_fold_costs", recording_fold_costs)
+    *_, failure = experiments._run_replicate(universe, plan, ls, ts_list, 0, threading.Event())
+    assert failure is None
+    (block,) = {id(block): block for _, block in visits}.values()
+    assert len(block) == max(need for need, _ in visits)
+    assert len(block) == experiments._largest_visit(plan, ls, ts_list)
+
+
 def test_export_bytes_bound_the_exports_from_below(universe):
     """The sizes that ``_check_exports`` compares with physical memory do
     not exceed what the exports hold: heatmap.csv with its grid^2 counts,
@@ -366,7 +395,7 @@ def test_export_phase_holds_one_export_at_a_time(universe, tmp_path, monkeypatch
     size = 8_000_000
     plan = small_plan(methods=("URS",))
     groups = _run_cells(universe, plan)
-    monkeypatch.setattr(experiments, "_run_cells", lambda universe, plan: groups)
+    monkeypatch.setattr(experiments, "_run_cells", lambda universe, plan, threads: groups)
     for name in ("_kde_csv", "_heatmap_csv"):
         monkeypatch.setattr(experiments, name, lambda groups, universe, plan: "0" * size)
     tracemalloc.start()
@@ -396,11 +425,11 @@ def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
         calls.append((fi, list(betas), list(seeds), chains.copy()))
         return chains, warnings
 
-    def recording_fold_costs(train, plan, val, chains, sizes, dead, skip=None):
+    def recording_fold_costs(train, plan, val, chains, sizes, dead, skip=None, block=None):
         (fi,) = [fi for fi, v in enumerate(ctx.val_folds) if np.array_equal(v, val)]
         idle = (dead if skip is None else dead | skip).all(axis=(0, 1, 2))
         visits.append((fi, chains.copy(), max(sizes), idle, []))
-        return _fold_costs(train, plan, val, chains, sizes, dead, skip)
+        return _fold_costs(train, plan, val, chains, sizes, dead, skip, block)
 
     def recording_cdist(XA, XB, **kwargs):
         visits[-1][4].append((XA.copy(), XB.copy()))
