@@ -220,18 +220,6 @@ def _column_blocks(c: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _chain_doubles(c: int) -> int:
-    """Doubles of a ``_ChainDistances`` buffer over c rows: (W + c) x c."""
-    return (max(j1 - j0 for j0, j1 in _column_blocks(c)) + c) * c
-
-
-def _visit_doubles(c: int, v: int) -> int:
-    """Doubles of the buffer that a fold visit of c training and v
-    validation rows takes its distances from (``_fold_costs``): c^2 + cW +
-    cv."""
-    return _chain_doubles(c) + c * v
-
-
 class _ChainDistances:
     """A chain's squared distances, kept in the triangle of its kernels'
     factor buffer that the factorization never touches.
@@ -250,15 +238,10 @@ class _ChainDistances:
     of c^2.
     """
 
-    def __init__(self, c: int, block: np.ndarray | None = None):
-        """``block``: at least ``_chain_doubles(c)`` doubles for the buffer
-        to use, or None for a new one."""
+    def __init__(self, c: int):
         self.blocks = _column_blocks(c)
         W = max(j1 - j0 for j0, j1 in self.blocks)
-        if block is None:
-            buf = np.empty((W + c, c), order="F")
-        else:
-            buf = block[:(W + c) * c].reshape((W + c, c), order="F")
+        buf = np.empty((W + c, c), order="F")
         self.A = buf[W:]
         self.stored = [buf[W - (j1 - j0):W + c - j1, c - j1:c - j0] for j0, j1 in self.blocks]
 
@@ -343,7 +326,7 @@ def _grid_costs(d2_train: _ChainDistances, d2_val: np.ndarray, y_train: np.ndarr
 
 def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
                 chains: np.ndarray, sizes: list[int], dead: np.ndarray,
-                skip: np.ndarray | None = None, block: np.ndarray | None = None) -> np.ndarray:
+                skip: np.ndarray | None = None) -> np.ndarray:
     """Validation costs of B training chains on one fold, shape
     (len(sizes), sigmas, lambdas, B).
 
@@ -353,23 +336,18 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     (``_ChainDistances``) and the v validation rows, so a visit holds at most
     c^2 + cW + 2cv doubles, W <= 64: the distances with each kernel and its
     factor in one (W + c) x c buffer, and the validation distances and
-    kernel (c x v). The distances are views of ``block``, a worker's buffer
-    of at least ``_visit_doubles(c, v)`` doubles that its visits share, or
-    of a new one if None. The validation kernel is ``_grid_costs``' own, so
-    it is not held while cdist holds its row block. ``dead`` and ``skip``,
-    of the result's shape, are as for ``_grid_costs``; ``dead`` is updated
-    in place. A chain with every candidate dead or skipped gets no cdist and
-    costs 0.
+    kernel (c x v). The visit allocates its two distance buffers once for
+    all its chains and frees them when it returns; the validation kernel is
+    ``_grid_costs``' own, so it is not held while cdist holds its row block.
+    ``dead`` and ``skip``, of the result's shape, are as for
+    ``_grid_costs``; ``dead`` is updated in place. A chain with every
+    candidate dead or skipped gets no cdist and costs 0.
     """
     X, y = train.descriptors, train.labels
-    top, v = max(sizes), len(val)
-    # one set of buffers for all chains: blocks freed per chain let malloc
+    top = max(sizes)
+    # one pair of buffers for all chains: blocks freed per chain let malloc
     # return their pages, and each chain faulted them in again (~4x the faults)
-    if block is None:
-        block = np.empty(_visit_doubles(top, v))
-    d2_chain = _ChainDistances(top, block)
-    start = _chain_doubles(top)
-    d2_val = block[start:start + top * v].reshape(top, v)
+    d2_chain, d2_val = _ChainDistances(top), np.empty((top, len(val)))
     costs = np.zeros(dead.shape)
     idle = (dead if skip is None else dead | skip).all(axis=(0, 1, 2))
     for b in np.flatnonzero(~idle):
@@ -388,14 +366,13 @@ def _fold_means(sums: np.ndarray, excluded: np.ndarray, folds: int) -> np.ndarra
     return np.where(excluded & ~np.isnan(sums), np.inf, sums / folds)
 
 
-def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list,
-                   block: np.ndarray | None) -> np.ndarray:
+def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list) -> np.ndarray:
     """Mean fold costs of a (sizes, sigmas, lambdas, B) candidate grid, with
     every candidate that cannot be chosen reported as inf and not scored on
     every fold.
 
     ``folds`` holds each fold's ``(val, chains, sizes)``, which
-    ``_fold_costs`` scores in ``block``. Three passes:
+    ``_fold_costs`` scores. Three passes:
 
     1. fold 0 for every candidate;
     2. every size's fold-0 winner (its incumbent) on the other folds, at
@@ -419,7 +396,7 @@ def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list,
     pruned = np.zeros(shape, dtype=bool)
 
     def add_fold(fi, skip):
-        sums[...] += _fold_costs(train, plan, *folds[fi], dead, skip, block)
+        sums[...] += _fold_costs(train, plan, *folds[fi], dead, skip)
 
     add_fold(0, None)
     incumbent = np.zeros(shape[1:], dtype=bool)
@@ -440,14 +417,10 @@ def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list,
 class _PlainCv:
     """sigma x lambda grid search on a fixed training set (URS / FPS)."""
 
-    def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int,
-                 block: np.ndarray | None = None):
-        """``block``: the fold-visit buffer (``_fold_costs``), or None for
-        a new one per visit."""
+    def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int):
         self.train = train
         self.plan = plan
         self.seed = seed
-        self.block = block
         self.val_folds = _fold_partition(len(train), plan.folds, seed)
 
     def evaluate(self) -> np.ndarray:
@@ -457,7 +430,7 @@ class _PlainCv:
         rows = np.arange(len(self.train))
         folds = [(val, np.setdiff1d(rows, val)[None], [len(rows) - len(val)])
                  for val in self.val_folds]
-        return _pruned_search(self.train, self.plan, folds, self.block)[0]
+        return _pruned_search(self.train, self.plan, folds)[0]
 
 
 class _GgfpsCv(_PlainCv):
@@ -486,7 +459,7 @@ class _GgfpsCv(_PlainCv):
                                      plan.beta_grid, seeds, chain_len)
             folds.append((val, pool[chains],
                           [_mirror_size(ts, plan.folds, chain_len) for ts in target_sizes]))
-        return _pruned_search(train, plan, folds, self.block)
+        return _pruned_search(train, plan, folds)
 
 
 def choose_from_costs(costs: np.ndarray, plan: ExperimentPlan, with_beta: bool) -> CvChoice:
@@ -513,15 +486,12 @@ def choose_from_costs(costs: np.ndarray, plan: ExperimentPlan, with_beta: bool) 
     )
 
 
-def cross_validate(train: LabeledSet, plan: ExperimentPlan, seed: int = 0,
-                   block: np.ndarray | None = None) -> CvChoice:
+def cross_validate(train: LabeledSet, plan: ExperimentPlan, seed: int = 0) -> CvChoice:
     """sigma x lambda grid search for a URS or FPS training set: the folds
     partition ``train``, and the choice minimizes the mean fold cost. It is
     the exhaustive search's choice, though candidates that cannot win are
-    not scored on every fold (see ``_pruned_search``). ``block`` is as for
-    ``_PlainCv``."""
-    return choose_from_costs(_PlainCv(train, plan, seed, block).evaluate(), plan,
-                             with_beta=False)
+    not scored on every fold (see ``_pruned_search``)."""
+    return choose_from_costs(_PlainCv(train, plan, seed).evaluate(), plan, with_beta=False)
 
 
 def _test_blocks(train_size: int, test_size: int) -> list[tuple[int, int]]:
@@ -567,10 +537,9 @@ def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[fl
 
 
 def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
-           labeled_size: int, rep: int, block: np.ndarray):
+           labeled_size: int, rep: int):
     """Yield, per train size in ``ts_list``, the (choice, selection) of
     ``method`` on ``L``; each selection is a prefix of a max(ts_list) chain.
-    Every cross-validation visits its folds in ``block`` (``_fold_costs``).
 
     URS / FPS cross-validate a size's prefix when it is asked for. GGFPS
     cross-validates every size at once and chooses each size's beta in
@@ -586,10 +555,10 @@ def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
                            else fps(L.descriptors, n_chain, seed=sel_seed))
         for ts in ts_list:
             seed = derive_seed(master, "cv", method, labeled_size, ts, rep)
-            yield cross_validate(L.subset(chain[:ts]), plan, seed, block), chain[:ts]
+            yield cross_validate(L.subset(chain[:ts]), plan, seed), chain[:ts]
         return
     choices, failure = [], None
-    cv = _GgfpsCv(L, plan, derive_seed(master, "cv", method, labeled_size, rep), block)
+    cv = _GgfpsCv(L, plan, derive_seed(master, "cv", method, labeled_size, rep))
     for costs in cv.evaluate(ts_list):
         try:
             choices.append(choose_from_costs(costs, plan, with_beta=True))
@@ -607,36 +576,10 @@ def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
         raise failure
 
 
-def _largest_visit(plan: ExperimentPlan, labeled_size: int, ts_list: list[int]) -> int:
-    """Doubles of the largest fold visit (``_visit_doubles``) among a
-    replicate's cross-validations.
-
-    ``_fold_partition`` splits n points into folds of n // folds and
-    n // folds + 1 validation points. URS and FPS split each train size and
-    train on the rest of it; GGFPS splits the labeled set and trains on
-    chains of the largest train size, mirrored to the rest (``_GgfpsCv``).
-    A visit's doubles are not monotone in c (W is not), so every train size
-    counts.
-    """
-    def largest(n, train_rows):
-        q = n // plan.folds
-        return max(_visit_doubles(train_rows(n - v), v) for v in {q, -(-n // plan.folds)})
-
-    need = []
-    if {"URS", "FPS"} & set(plan.methods):
-        need += [largest(ts, lambda c: c) for ts in ts_list]
-    if "GGFPS" in plan.methods:
-        need.append(largest(labeled_size,
-                            lambda pool: _mirror_size(max(ts_list), plan.folds, pool)))
-    return max(need)
-
-
 def _run_replicate(universe: LabeledSet, plan: ExperimentPlan, labeled_size: int,
                    ts_list: list[int], rep: int, stop: threading.Event):
     """The selections and cross-validations of one (labeled size, replicate)
-    job: its labeled set, then each (method, train size) cell in plan order,
-    every fold visit in one buffer allocated for the job's largest
-    (``_largest_visit``).
+    job: its labeled set, then each (method, train size) cell in plan order.
 
     Returns (labeled_global, L, cells, failure): the labeled set's universe
     rows and the set itself, each picked cell's (method, train size, choice,
@@ -648,10 +591,9 @@ def _run_replicate(universe: LabeledSet, plan: ExperimentPlan, labeled_size: int
         urs(len(universe), labeled_size, derive_seed(plan.master_seed, "labeled", labeled_size, rep))
     )
     L = universe.subset(labeled_global)
-    block = np.empty(_largest_visit(plan, labeled_size, ts_list))
     cells = []
     for method in plan.methods:
-        picks = _picks(L, plan, method, ts_list, labeled_size, rep, block)
+        picks = _picks(L, plan, method, ts_list, labeled_size, rep)
         for ts in ts_list:
             if stop.is_set():
                 return labeled_global, L, cells, None
@@ -1030,21 +972,22 @@ def run_experiment(
     plan whose KDE or heatmap export cannot succeed is rejected before compute.
 
     The selections and cross-validations of the (labeled size, replicate)
-    jobs run on up to ``threads`` workers, and the final fits after them in
-    the calling thread (``_run_cells``): the outputs are the same for any
-    ``threads``. For the first phase this function sets scipy's OpenBLAS to
-    one thread, and restores its count before the second, on which the
-    final fits' bytes depend (see ``krr``).
+    jobs run on up to ``threads`` workers (an integer >= 1, else ValueError
+    before compute), and the final fits after them in the calling thread
+    (``_run_cells``): the outputs are the same for any ``threads``. For the
+    first phase this function sets scipy's OpenBLAS to one thread, and
+    restores its count before the second, on which the final fits' bytes
+    depend (see ``krr``).
 
     The largest matrices held at once are, per worker, a cross-validation
     visit's c^2 + cW + 2cv doubles (c training and v validation rows,
-    W <= 64 the widest column block of ``_ChainDistances``), all but its
-    validation kernel in one buffer allocated per job for the job's largest
-    visit, and one OpenBLAS buffer; then
-    a final fit's ts^2 Gram and one ts x (B to 2B - 1) block of test kernel
+    W <= 64 the widest column block of ``_ChainDistances``), allocated by
+    the visit and freed when it returns, and one OpenBLAS buffer; then a
+    final fit's ts^2 Gram and one ts x (B to 2B - 1) block of test kernel
     (``_fit_and_score``): no matrix spans the test set."""
     import scipy  # for its version only: ``import ggfps_lab`` does not load it
     t0 = time.perf_counter()
+    threads = check_int("threads", threads, 1)
     _check_exports(universe, plan)
     groups = _run_cells(universe, plan, threads)
 

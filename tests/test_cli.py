@@ -1042,10 +1042,10 @@ def failing_cells(monkeypatch, select_fails=None, fit_fails=None):
     real_picks, real_fit = experiments._picks, experiments._fit_and_score
     fits = itertools.count()
 
-    def picks(L, plan, method, ts_list, labeled_size, rep, block=None):
+    def picks(L, plan, method, ts_list, labeled_size, rep):
         if (method, rep) == select_fails:
             raise FloatingPointError("selection failed")
-        yield from real_picks(L, plan, method, ts_list, labeled_size, rep, block)
+        yield from real_picks(L, plan, method, ts_list, labeled_size, rep)
 
     def fit_and_score(L, sel, choice):
         if next(fits) == fit_fails:
@@ -1104,10 +1104,10 @@ class TestParallelReplicates:
         real_picks = experiments._picks
         fits = []
 
-        def picks(L, plan, method, ts_list, labeled_size, rep, block=None):
+        def picks(L, plan, method, ts_list, labeled_size, rep):
             if rep == 1 and method == "URS":
                 os.kill(os.getpid(), signum)
-            yield from real_picks(L, plan, method, ts_list, labeled_size, rep, block)
+            yield from real_picks(L, plan, method, ts_list, labeled_size, rep)
 
         monkeypatch.setattr(experiments, "_picks", picks)
         monkeypatch.setattr(experiments, "_fit_and_score", lambda *args: fits.append(args))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import types
@@ -331,6 +332,29 @@ class TestFoldCosts:
         assert not dead.any()
         assert peak < (c * c + 64 * c + 2 * c * v + _CDIST_BLOCK) * 8
 
+    def test_visit_frees_its_buffers_when_it_returns(self):
+        """What a visit still holds when it returns is the cost array it
+        returns, plus a few KiB of slack for numpy's small-array caches:
+        the distance buffers it allocated are freed. A buffer kept for the
+        next visit would hold c^2 + cW + cv doubles, 2.1 MB here."""
+        c = 400
+        rng = np.random.default_rng(4)
+        train = uniform_domain_sample(StyblinskiTang(), 700, seed=4)
+        val = np.arange(500, 700)
+        chains = rng.permutation(500)[None, :c]
+        plan = small_plan(sigma_grid=(0.5, 1.5), lambda_grid=(1e-8, 1e-4))
+        dead = np.zeros((1, 2, 2, 1), dtype=bool)
+        _fold_costs(train, plan, val, chains, [c], dead.copy())
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            costs = _fold_costs(train, plan, val, chains, [c], dead)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not dead.any()
+        assert held - before <= costs.nbytes + 4096
+
     def test_ggfps_cv_selects_each_fold_chain_once(self, universe, monkeypatch):
         """Each fold's chains are selected before the search, in one lockstep
         call for every beta, and kept for the fold's visits: one
@@ -341,34 +365,6 @@ class TestFoldCosts:
         assert all(betas == list(plan.beta_grid) for _, betas, _, _ in calls)
         # some fold is visited twice, so the kept chains are what is pinned
         assert len(visits) > len(calls)
-
-
-@pytest.mark.parametrize("overrides", [
-    # URS at n = 80 trains on c = 64 rows (W = 64), at n = 82 on 65-66 (W = 22-33):
-    # the smaller train size makes the larger visit
-    dict(labeled_sizes=(120,), train_sizes=(80, 82)),
-    dict(labeled_sizes=(120,), train_sizes=(30, 90), methods=("GGFPS",), folds=3),
-    dict(labeled_sizes=(100,), train_sizes=(7, 40), methods=("FPS", "GGFPS"), folds=7),
-], ids=["urs-fps-ggfps", "ggfps", "fps-ggfps"])
-def test_replicate_visits_fit_the_buffer_sized_for_its_largest(universe, monkeypatch,
-                                                               overrides):
-    """Every fold visit of a replicate takes its distances from the one
-    buffer that the replicate allocates, which is exactly as large as its
-    largest visit needs."""
-    plan = small_plan(**overrides)
-    ls, ts_list = plan.labeled_sizes[0], list(plan.train_sizes)
-    visits = []
-
-    def recording_fold_costs(train, plan, val, chains, sizes, dead, skip=None, block=None):
-        visits.append((experiments._visit_doubles(max(sizes), len(val)), block))
-        return _fold_costs(train, plan, val, chains, sizes, dead, skip, block)
-
-    monkeypatch.setattr(experiments, "_fold_costs", recording_fold_costs)
-    *_, failure = experiments._run_replicate(universe, plan, ls, ts_list, 0, threading.Event())
-    assert failure is None
-    (block,) = {id(block): block for _, block in visits}.values()
-    assert len(block) == max(need for need, _ in visits)
-    assert len(block) == experiments._largest_visit(plan, ls, ts_list)
 
 
 def test_export_bytes_bound_the_exports_from_below(universe):
@@ -425,11 +421,11 @@ def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
         calls.append((fi, list(betas), list(seeds), chains.copy()))
         return chains, warnings
 
-    def recording_fold_costs(train, plan, val, chains, sizes, dead, skip=None, block=None):
+    def recording_fold_costs(train, plan, val, chains, sizes, dead, skip=None):
         (fi,) = [fi for fi, v in enumerate(ctx.val_folds) if np.array_equal(v, val)]
         idle = (dead if skip is None else dead | skip).all(axis=(0, 1, 2))
         visits.append((fi, chains.copy(), max(sizes), idle, []))
-        return _fold_costs(train, plan, val, chains, sizes, dead, skip, block)
+        return _fold_costs(train, plan, val, chains, sizes, dead, skip)
 
     def recording_cdist(XA, XB, **kwargs):
         visits[-1][4].append((XA.copy(), XB.copy()))
@@ -889,6 +885,93 @@ class TestLearningCurve:
         assert err.value.method == "FPS"
         assert err.value.labeled_size == 20 and err.value.train_size == 10
         assert "replicate=0" in str(err.value)
+
+
+# labels near the float range, where a residual's square, a prediction or
+# the KDE grid overflows; unit labels weighted so that most runs compute
+WORKER_LABEL_SCALES = [1.0] * 5 + [1e154, 1e300, 1.7e308]
+
+
+@st.composite
+def worker_count_cases(draw):
+    """A dataset of 30-200 rows at d = 1-3, with duplicate rows and maybe
+    zero gradients, and a plan for it: 1-2 labeled sizes, 1-3 bootstraps,
+    any subset of methods, 2-3 folds, and grids that kill candidates
+    (lambda = 5e-324, and sigma = 1e-160, whose 2 sigma^2 underflows to a
+    subnormal)."""
+    n, dim = draw(st.integers(30, 200)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-3.0, 3.0, size=(n, dim))
+    X[rng.integers(0, n, size=draw(st.integers(0, n // 3)))] = X[0]
+    g = rng.uniform(0.0, 5.0, size=n)
+    g[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    y = rng.uniform(-1.0, 1.0, size=n) * draw(st.sampled_from(WORKER_LABEL_SCALES))
+    folds = draw(st.integers(2, 3))
+    labeled = draw(st.lists(st.integers(folds + 1, min(n, 60)), min_size=1, max_size=2))
+    train = [draw(st.integers(folds, min(labeled) - 1))]
+    train += draw(st.lists(st.integers(folds, max(labeled) - 1), max_size=1))
+    subset = lambda values: draw(st.lists(st.sampled_from(values), min_size=1, max_size=2))
+    plan = ExperimentPlan(
+        labeled_sizes=labeled, train_sizes=train, bootstraps=draw(st.integers(1, 3)),
+        sigma_grid=subset([0.5, 2.0, 1e-160]), lambda_grid=subset([1e-6, 5e-324]),
+        beta_grid=subset([0.0, 1.0, 3.0]), folds=folds,
+        methods=draw(st.lists(st.sampled_from(experiments.METHODS), min_size=1, max_size=3)),
+        master_seed=draw(st.integers(0, 99)), heatmap_grid=5, kde_points=11)
+    return LabeledSet(descriptors=X, labels=y, gradient_norms=g), plan
+
+
+def run_outputs(universe, plan, out, threads):
+    """The outputs of ``run_experiment`` as {name: bytes}, manifest.json
+    parsed and without its wall_clock_seconds; or the type and message of
+    the exception it raised."""
+    try:
+        experiments.run_experiment(universe, plan, out, threads)
+    except Exception as exc:  # noqa: BLE001 - compared across worker counts
+        return type(exc), str(exc)
+    outputs = {path.name: path.read_bytes() for path in out.iterdir()}
+    manifest = json.loads(outputs.pop("manifest.json"))
+    del manifest["wall_clock_seconds"]
+    return outputs, manifest
+
+
+class TestWorkerCount:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=worker_count_cases())
+    def test_worker_count_never_changes_a_result(self, case):
+        """``run_experiment`` at 1, 2 and 3 workers writes the same outputs
+        or raises the same exception; it leaves no helper thread, scipy's
+        pool at its prior count and, on failure, the parent of ``out`` empty."""
+        universe, plan = case
+        lib = krr.bundled_openblas("scipy")
+        pool = getattr(lib, "scipy_openblas_get_num_threads", None)
+        threads_before = threading.enumerate()
+        pool_before = pool and pool()
+        results = []
+        with tempfile.TemporaryDirectory() as root:
+            for workers in (1, 2, 3):
+                parent = Path(root) / str(workers)
+                parent.mkdir()
+                results.append(run_outputs(universe, plan, parent / "out", workers))
+                assert threading.enumerate() == threads_before
+                assert (pool and pool()) == pool_before
+                if isinstance(results[-1][0], type):
+                    assert list(parent.iterdir()) == []
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("threads, message", [
+        ("2", "threads: must be an integer"), (True, "threads: must be an integer"),
+        (0, "threads: must be >= 1"), (-3, "threads: must be >= 1"),
+    ])
+    def test_invalid_threads_raise_before_compute(self, universe, tmp_path, monkeypatch,
+                                                  threads, message):
+        """A worker count that is not an integer >= 1 raises a ValueError
+        naming ``threads`` before any compute, and writes nothing; it once
+        raised a bare TypeError inside the run ("2"), or ran serially."""
+        monkeypatch.setattr(experiments, "_run_cells", lambda *args: pytest.fail("computed"))
+        with pytest.raises(ValueError) as err:
+            experiments.run_experiment(universe, small_plan(), tmp_path / "out", threads)
+        assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
 
 
 BLOCK_PROBE = """
