@@ -42,6 +42,18 @@ class DegenerateDistributionError(ValueError):
     """KDE requested for samples with too little spread (``_kde_bandwidth``)."""
 
 
+class _Stopped(Exception):
+    """A job's stop event was set during its cross-validation
+    (``_check_stop``); ``_run_replicate`` returns early on it."""
+
+
+def _check_stop(stop: threading.Event | None) -> None:
+    """Raise ``_Stopped`` if ``stop`` is set; None, as for a serial caller,
+    never stops."""
+    if stop is not None and stop.is_set():
+        raise _Stopped
+
+
 class ReplicateError(RuntimeError):
     """A learning-curve cell failed; identifies (method, sizes, replicate)."""
 
@@ -268,7 +280,8 @@ class _ChainDistances:
 
 def _grid_costs(d2_train: _ChainDistances, d2_val: np.ndarray, y_train: np.ndarray,
                 y_val: np.ndarray, sizes: list[int], plan: ExperimentPlan,
-                dead: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+                dead: np.ndarray, skip: np.ndarray | None = None,
+                stop: threading.Event | None = None) -> np.ndarray:
     """Validation cost of every (train size, sigma, lambda) candidate on one fold.
 
     The training set of size m is the first m rows of the chain whose
@@ -291,7 +304,8 @@ def _grid_costs(d2_train: _ChainDistances, d2_val: np.ndarray, y_train: np.ndarr
     size not in ``dead``, skipped or not, because the factor of a smaller
     block differs in its last bits from the leading block of a larger
     factor. So every cost computed is bitwise the cost of a call without
-    ``skip``. Returns the costs, 0 where dead or skipped.
+    ``skip``. Returns the costs, 0 where dead or skipped. Before each
+    column's factorization it raises ``_Stopped`` if ``stop`` is set.
     """
     costs = np.zeros(dead.shape)
     todo = ~dead if skip is None else ~(dead | skip)
@@ -308,6 +322,7 @@ def _grid_costs(d2_train: _ChainDistances, d2_val: np.ndarray, y_train: np.ndarr
             top = max(m for m, gone in zip(sizes, dead[:, si, li]) if not gone)
             if top > max(solve):
                 solve.append(top)  # sets the factor's size; its alpha goes unused
+            _check_stop(stop)
             alphas, pivot = fit_prefixes(d2_train.kernel(top, sigma), y_train[:top], lam, solve)
             if pivot:
                 dead[:, si, li] |= np.asarray(sizes) >= pivot
@@ -326,7 +341,8 @@ def _grid_costs(d2_train: _ChainDistances, d2_val: np.ndarray, y_train: np.ndarr
 
 def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
                 chains: np.ndarray, sizes: list[int], dead: np.ndarray,
-                skip: np.ndarray | None = None) -> np.ndarray:
+                skip: np.ndarray | None = None,
+                stop: threading.Event | None = None) -> np.ndarray:
     """Validation costs of B training chains on one fold, shape
     (len(sizes), sigmas, lambdas, B).
 
@@ -341,7 +357,9 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     ``_grid_costs``' own, so it is not held while cdist holds its row block.
     ``dead`` and ``skip``, of the result's shape, are as for
     ``_grid_costs``; ``dead`` is updated in place. A chain with every
-    candidate dead or skipped gets no cdist and costs 0.
+    candidate dead or skipped gets no cdist and costs 0. Before each chain,
+    and in ``_grid_costs`` before each factorization, it raises ``_Stopped``
+    if ``stop`` is set.
     """
     X, y = train.descriptors, train.labels
     top = max(sizes)
@@ -351,12 +369,13 @@ def _fold_costs(train: LabeledSet, plan: ExperimentPlan, val: np.ndarray,
     costs = np.zeros(dead.shape)
     idle = (dead if skip is None else dead | skip).all(axis=(0, 1, 2))
     for b in np.flatnonzero(~idle):
+        _check_stop(stop)
         chain = chains[b, :top]
         Xc = X[chain]
         d2_chain.store(Xc)
         cdist(Xc, X[val], out=d2_val)
         costs[..., b] = _grid_costs(d2_chain, d2_val, y[chain], y[val], sizes, plan,
-                                    dead[..., b], None if skip is None else skip[..., b])
+                                    dead[..., b], None if skip is None else skip[..., b], stop)
     return costs
 
 
@@ -366,13 +385,15 @@ def _fold_means(sums: np.ndarray, excluded: np.ndarray, folds: int) -> np.ndarra
     return np.where(excluded & ~np.isnan(sums), np.inf, sums / folds)
 
 
-def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list) -> np.ndarray:
+def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list,
+                   stop: threading.Event | None = None) -> np.ndarray:
     """Mean fold costs of a (sizes, sigmas, lambdas, B) candidate grid, with
     every candidate that cannot be chosen reported as inf and not scored on
     every fold.
 
     ``folds`` holds each fold's ``(val, chains, sizes)``, which
-    ``_fold_costs`` scores. Three passes:
+    ``_fold_costs`` scores (and which raises ``_Stopped`` once ``stop`` is
+    set). Three passes:
 
     1. fold 0 for every candidate;
     2. every size's fold-0 winner (its incumbent) on the other folds, at
@@ -396,7 +417,7 @@ def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list) -> np.n
     pruned = np.zeros(shape, dtype=bool)
 
     def add_fold(fi, skip):
-        sums[...] += _fold_costs(train, plan, *folds[fi], dead, skip)
+        sums[...] += _fold_costs(train, plan, *folds[fi], dead, skip, stop)
 
     add_fold(0, None)
     incumbent = np.zeros(shape[1:], dtype=bool)
@@ -415,12 +436,15 @@ def _pruned_search(train: LabeledSet, plan: ExperimentPlan, folds: list) -> np.n
 
 
 class _PlainCv:
-    """sigma x lambda grid search on a fixed training set (URS / FPS)."""
+    """sigma x lambda grid search on a fixed training set (URS / FPS).
+    ``evaluate`` raises ``_Stopped`` once ``stop`` is set."""
 
-    def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int):
+    def __init__(self, train: LabeledSet, plan: ExperimentPlan, seed: int,
+                 stop: threading.Event | None = None):
         self.train = train
         self.plan = plan
         self.seed = seed
+        self.stop = stop
         self.val_folds = _fold_partition(len(train), plan.folds, seed)
 
     def evaluate(self) -> np.ndarray:
@@ -430,7 +454,7 @@ class _PlainCv:
         rows = np.arange(len(self.train))
         folds = [(val, np.setdiff1d(rows, val)[None], [len(rows) - len(val)])
                  for val in self.val_folds]
-        return _pruned_search(self.train, self.plan, folds)[0]
+        return _pruned_search(self.train, self.plan, folds, self.stop)[0]
 
 
 class _GgfpsCv(_PlainCv):
@@ -440,26 +464,37 @@ class _GgfpsCv(_PlainCv):
     Fold sub-selections are prefixes of per-(fold, beta) selection chains
     built at the largest mirrored target size, so one call evaluates all
     target sizes in one pass, consistently with chain truncation. Before the
-    search, each fold's chains are selected in one lockstep call for every
-    beta and kept as index arrays (folds x betas x chain length in all).
+    search, the chains of every fold and beta are selected in one lockstep
+    call over the training set, each fold's chains excluding its validation
+    rows (one call per distinct chain length, where the cap at a fold's pool
+    size makes the lengths differ), and kept as index arrays (folds x betas x
+    chain length in all).
     """
 
     def evaluate(self, target_sizes: list[int]) -> np.ndarray:
         """Mean fold costs, shape (len(target_sizes), sigmas, lambdas, betas),
         with inf and NaN as for ``_PlainCv.evaluate``."""
         plan, train = self.plan, self.train
-        folds = []
-        for fi, val in enumerate(self.val_folds):
-            pool = np.setdiff1d(np.arange(len(train)), val)
-            chain_len = _mirror_size(max(target_sizes), plan.folds, len(pool))
+        n_betas = len(plan.beta_grid)
+        lengths = [_mirror_size(max(target_sizes), plan.folds, len(train) - len(val))
+                   for val in self.val_folds]
+        chains = [None] * len(lengths)
+        for chain_len in dict.fromkeys(lengths):  # distinct lengths, in fold order
+            group = [fi for fi, length in enumerate(lengths) if length == chain_len]
+            exclude = np.zeros((len(group), len(train)), dtype=bool)
+            for row, fi in zip(exclude, group):
+                row[self.val_folds[fi]] = True
             # Python ints: derive_seed hashes the repr of its parts
             seeds = [derive_seed(self.seed, "fold-select", fi, bi)
-                     for bi in range(len(plan.beta_grid))]
-            chains, _ = ggfps_chains(train.descriptors[pool], train.gradient_norms[pool],
-                                     plan.beta_grid, seeds, chain_len)
-            folds.append((val, pool[chains],
-                          [_mirror_size(ts, plan.folds, chain_len) for ts in target_sizes]))
-        return _pruned_search(train, plan, folds)
+                     for fi in group for bi in range(n_betas)]
+            picks, _ = ggfps_chains(train.descriptors, train.gradient_norms,
+                                    plan.beta_grid * len(group), seeds, chain_len,
+                                    exclude=exclude)
+            for k, fi in enumerate(group):
+                chains[fi] = picks[k * n_betas:(k + 1) * n_betas]
+        folds = [(val, fold_chains, [_mirror_size(ts, plan.folds, n) for ts in target_sizes])
+                 for val, fold_chains, n in zip(self.val_folds, chains, lengths)]
+        return _pruned_search(train, plan, folds, self.stop)
 
 
 def choose_from_costs(costs: np.ndarray, plan: ExperimentPlan, with_beta: bool) -> CvChoice:
@@ -486,12 +521,16 @@ def choose_from_costs(costs: np.ndarray, plan: ExperimentPlan, with_beta: bool) 
     )
 
 
-def cross_validate(train: LabeledSet, plan: ExperimentPlan, seed: int = 0) -> CvChoice:
+def cross_validate(train: LabeledSet, plan: ExperimentPlan, seed: int = 0,
+                   stop: threading.Event | None = None) -> CvChoice:
     """sigma x lambda grid search for a URS or FPS training set: the folds
     partition ``train``, and the choice minimizes the mean fold cost. It is
     the exhaustive search's choice, though candidates that cannot win are
-    not scored on every fold (see ``_pruned_search``)."""
-    return choose_from_costs(_PlainCv(train, plan, seed).evaluate(), plan, with_beta=False)
+    not scored on every fold (see ``_pruned_search``). Once ``stop`` (a
+    threading.Event) is set it raises ``_Stopped`` before the next
+    factorization."""
+    return choose_from_costs(_PlainCv(train, plan, seed, stop).evaluate(), plan,
+                             with_beta=False)
 
 
 def _test_blocks(train_size: int, test_size: int) -> list[tuple[int, int]]:
@@ -537,7 +576,7 @@ def _fit_and_score(L: LabeledSet, sel: np.ndarray, choice: CvChoice) -> tuple[fl
 
 
 def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
-           labeled_size: int, rep: int):
+           labeled_size: int, rep: int, stop: threading.Event | None = None):
     """Yield, per train size in ``ts_list``, the (choice, selection) of
     ``method`` on ``L``; each selection is a prefix of a max(ts_list) chain.
 
@@ -545,7 +584,8 @@ def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
     cross-validates every size at once and chooses each size's beta in
     order up to the first choice that fails; one lockstep call then selects
     the chain of every distinct beta chosen, each bitwise ``ggfps`` with
-    that beta and seed. The failing size raises when it is asked for.
+    that beta and seed. The failing size raises when it is asked for. Once
+    ``stop`` is set, a cross-validation raises ``_Stopped``.
     """
     master = plan.master_seed
     sel_seed = derive_seed(master, "select", method, labeled_size, rep)
@@ -555,10 +595,10 @@ def _picks(L: LabeledSet, plan: ExperimentPlan, method: str, ts_list: list[int],
                            else fps(L.descriptors, n_chain, seed=sel_seed))
         for ts in ts_list:
             seed = derive_seed(master, "cv", method, labeled_size, ts, rep)
-            yield cross_validate(L.subset(chain[:ts]), plan, seed), chain[:ts]
+            yield cross_validate(L.subset(chain[:ts]), plan, seed, stop), chain[:ts]
         return
     choices, failure = [], None
-    cv = _GgfpsCv(L, plan, derive_seed(master, "cv", method, labeled_size, rep))
+    cv = _GgfpsCv(L, plan, derive_seed(master, "cv", method, labeled_size, rep), stop)
     for costs in cv.evaluate(ts_list):
         try:
             choices.append(choose_from_costs(costs, plan, with_beta=True))
@@ -585,7 +625,8 @@ def _run_replicate(universe: LabeledSet, plan: ExperimentPlan, labeled_size: int
     rows and the set itself, each picked cell's (method, train size, choice,
     selection) in order, and the ReplicateError of the cell that failed,
     after which none is picked (None if none failed). Once ``stop`` is set
-    it returns at the next cell boundary with the cells picked so far.
+    it returns with the cells picked so far: at the next cell boundary, or
+    inside a cross-validation before its next factorization (``_Stopped``).
     """
     labeled_global = np.asarray(
         urs(len(universe), labeled_size, derive_seed(plan.master_seed, "labeled", labeled_size, rep))
@@ -593,12 +634,13 @@ def _run_replicate(universe: LabeledSet, plan: ExperimentPlan, labeled_size: int
     L = universe.subset(labeled_global)
     cells = []
     for method in plan.methods:
-        picks = _picks(L, plan, method, ts_list, labeled_size, rep)
+        picks = _picks(L, plan, method, ts_list, labeled_size, rep, stop)
         for ts in ts_list:
-            if stop.is_set():
-                return labeled_global, L, cells, None
             try:
+                _check_stop(stop)
                 choice, sel = next(picks)
+            except _Stopped:
+                return labeled_global, L, cells, None
             except Exception as exc:  # noqa: BLE001 - annotate the failing cell
                 failure = ReplicateError(method, labeled_size, ts, rep, exc)
                 failure.__cause__ = exc
@@ -614,30 +656,38 @@ def _pick_replicates(universe: LabeledSet, plan: ExperimentPlan, jobs: list, wor
     Returns, in job order, each job's result or the exception it raised, and
     None for a job that no worker started because an earlier one failed.
     SIGINT and SIGTERM reach the main thread only (helpers block them); when
-    it raises, the helpers stop at their next cell boundary and are joined
-    before the exception leaves.
+    it raises, the helpers stop within one factorization (each job has its
+    own stop event) and are joined before the exception leaves. A job that
+    fails stops the later jobs that are running in the same way: a serial
+    run would not have reached them.
     """
     results = [None] * len(jobs)
-    lock, stop = threading.Lock(), threading.Event()
+    lock, stops = threading.Lock(), [threading.Event() for _ in jobs]
     order = iter(range(len(jobs)))
     first_failed = len(jobs)
 
-    def work():
+    def stop_after(j):
+        """Start no job after ``j``, and stop those that are running."""
         nonlocal first_failed
-        while not stop.is_set():
+        with lock:
+            first_failed = min(first_failed, j)
+            for stop in stops[j + 1:]:
+                stop.set()
+
+    def work():
+        while True:
             with lock:
                 j = next(order, None)
                 if j is None or j > first_failed:
                     return
             try:
-                result = _run_replicate(universe, plan, *jobs[j], stop)
+                result = _run_replicate(universe, plan, *jobs[j], stops[j])
                 failed = result[3] is not None
             except Exception as exc:  # noqa: BLE001 - raised in job order by the caller
                 result, failed = exc, True
             results[j] = result
             if failed:
-                with lock:
-                    first_failed = min(first_failed, j)
+                stop_after(j)
 
     def helper():
         if hasattr(signal, "pthread_sigmask"):
@@ -654,7 +704,7 @@ def _pick_replicates(universe: LabeledSet, plan: ExperimentPlan, jobs: list, wor
         for thread in helpers:
             thread.join()
     except BaseException:
-        stop.set()
+        stop_after(-1)
         for thread in helpers:
             thread.join()
         raise
@@ -979,11 +1029,14 @@ def run_experiment(
     restores its count before the second, on which the final fits' bytes
     depend (see ``krr``).
 
-    The largest matrices held at once are, per worker, a cross-validation
-    visit's c^2 + cW + 2cv doubles (c training and v validation rows,
-    W <= 64 the widest column block of ``_ChainDistances``), allocated by
-    the visit and freed when it returns, and one OpenBLAS buffer; then a
-    final fit's ts^2 Gram and one ts x (B to 2B - 1) block of test kernel
+    The largest matrices held at once are, per worker, the larger of a
+    cross-validation visit's c^2 + cW + 2cv doubles (c training and v
+    validation rows, W <= 64 the widest column block of
+    ``_ChainDistances``), allocated by the visit and freed when it returns,
+    and a GGFPS replicate's selection arrays, about 33 bytes per (chain,
+    labeled row) for its folds x betas chains (``_GgfpsCv``, ``_greedy``),
+    which can exceed the visit; and one OpenBLAS buffer. Then a final
+    fit's ts^2 Gram and one ts x (B to 2B - 1) block of test kernel
     (``_fit_and_score``): no matrix spans the test set."""
     import scipy  # for its version only: ``import ggfps_lab`` does not load it
     t0 = time.perf_counter()

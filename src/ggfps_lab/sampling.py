@@ -8,10 +8,12 @@ selection can be biased toward (or away from) high-force regions while the
 exponent sweep keeps early picks covering both extremes.
 
 FPS *is* GGFPS at beta = 0 with a uniform first pick: ``fps`` is one
-``ggfps_chains`` call, and so are ``ggfps`` and the per-(fold, beta) chains
-of GGFPS cross-validation. ``ggfps_chains`` runs the one greedy kernel
-(``_greedy``), which advances B chains over one pool in lockstep, keeping
-(B, N) arrays of minimum distances and their logs. Each step screens the
+``ggfps_chains`` call, and so are ``ggfps`` and all the per-(fold, beta)
+chains of one GGFPS cross-validation, where each fold's group of chains
+excludes that fold's validation rows. ``ggfps_chains`` runs the one greedy
+kernel (``_greedy``), which advances B chains over one pool in lockstep,
+keeping (B, N) arrays of minimum distances and their logs; an excluded row
+stands as an already selected one. Each step screens the
 whole pool against the B new picks with one float32 BLAS product (float64
 where float32 rules out too few points) and recomputes the exact float64
 distance only where the screen cannot prove that the minimum stays as it
@@ -94,13 +96,15 @@ def _initial_index(g: np.ndarray, init_mode: str, seed: int) -> int:
     return int(rng.integers(len(g)))
 
 
-def _log_gradients(g: np.ndarray) -> np.ndarray:
+def _log_gradients(g: np.ndarray, pool_g: np.ndarray | None = None) -> np.ndarray:
     """Log gradient norms, floored so negative exponents stay finite.
 
-    The floor is relative to max(g), so it preserves the ordering of all
-    nonzero norms; it is never below the smallest positive double.
+    The floor is relative to the largest norm of the pool, ``pool_g`` (all
+    of ``g`` by default), so it preserves the ordering of all nonzero norms;
+    it is never below the smallest positive double.
     """
-    floor = max(GRAD_FLOOR_REL * float(g.max()), np.finfo(float).tiny)
+    top = g.max() if pool_g is None else pool_g.max()
+    floor = max(GRAD_FLOOR_REL * float(top), np.finfo(float).tiny)
     return np.log(np.maximum(g, floor))
 
 
@@ -187,23 +191,34 @@ class _Screen:
         return np.multiply(lim, ROUND_UP, out=np.empty(lim.shape, dtype=np.float32))
 
 
-def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> np.ndarray:
+def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray,
+            exclude: np.ndarray | None = None) -> np.ndarray:
     """Greedy max-min selection of B chains over the rows of ``X``, in lockstep.
 
-    Chain b starts at ``inits[b]``; step k >= 1 picks the remaining index
-    maximising ``exponents[b, k] * log_g + log(min_dist[b])``, or plain
+    The chains come in G groups of B / G consecutive chains, G the rows of
+    ``log_g`` ((G, N); an (N,) array is one group). Chain b of group h starts
+    at ``inits[b]``; step k >= 1 picks the remaining index maximising
+    ``exponents[b, k] * log_g[h] + log(min_dist[b])``, or plain
     ``min_dist[b]`` where that exponent is 0, the smallest index winning
     ties. ``min_dist[b, j]`` is the minimum over chain b's picks s of the
     exact distance ``_distances(X, j, s)``. When every remaining score is
     -inf (only duplicates of selected points remain) the smallest remaining
     index is taken. Column 0 of ``exponents`` belongs to the initial point;
-    returns the (B, n) picks with n = ``exponents.shape[1]``.
+    returns the (B, n) picks with n = ``exponents.shape[1]``. Where
+    ``exclude`` ((G, N) booleans) is given, the rows it marks in row h are
+    not in group h's pool: they are never picked, and each of its chains
+    is the chain that the rows left would give, mapped back to rows of
+    ``X`` (their order is kept, so ties break the same way).
 
     A selected point's ``min_dist`` is exactly 0, its distance to itself,
     which the screen below never skips while m > 0. So it scores 0 where the
     exponent is 0 and -inf elsewhere, and no unselected point scores less.
     A chain whose top score is no higher than that has only selected points
-    and their duplicates left, and takes its smallest unselected index.
+    and their duplicates left, and takes its smallest unselected index. An
+    excluded row starts as a selected point would stand, with ``min_dist``
+    0, ``log(min_dist)`` -inf, and a screen limit of -inf, so the screen
+    rules it out at every step, in float32 or float64: it scores as a
+    selected point and is never recomputed, and the stuck rule skips it.
 
     **Screened updates.** A new pick s can only lower ``min_dist[b, j]`` where
     its exact distance D is below m = ``min_dist[b, j]``, and after a few
@@ -211,8 +226,9 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     chain with its pick k - 1: it screens every point with one BLAS product
     (``_Screen``), and computes D only for the points the screen cannot rule
     out; for these it writes ``np.minimum(m, D)``, and every other point
-    keeps m, the value that would have given. m and ``lim`` start at inf,
-    so the first update rules out no point. The screen runs in float32 or
+    keeps m, the value that would have given. m and ``lim`` start at inf
+    outside the excluded rows, so the first update rules out no point of a
+    chain's pool. The screen runs in float32 or
     float64 (see **Precision**) on centred, scaled coordinates x'' = fl_v(x'),
     x' = 2^-e fl(x - mid), where mid is each coordinate's bounding-box
     midpoint 0.5 lo + 0.5 hi and e makes |x - mid| < 2^e in every
@@ -301,11 +317,14 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     so picks do not depend on its precision, summation order or thread
     count.
 
-    **Memory.** Beside ``X``, the kernel holds the (d + 2, N) float32 screen,
-    the (N,) float64 ``c2 q + c3`` and (B, N) arrays: two float64 ones
-    (``min_dist`` and its log), a third for the scores unless every exponent
-    is 0, two float32 ones (``lim`` and a step's screen values) and one
-    boolean one. After a switch to float64 the screen, ``lim`` and the
+    **Memory.** Beside ``X``, ``log_g`` ((G, N)) and ``exclude``, the kernel
+    holds the (d + 2, N) float32 screen, the (N,) float64 ``c2 q + c3`` and
+    (B, N) arrays: two float64 ones (``min_dist`` and its log), a third for
+    the scores unless every exponent is 0, two float32 ones (``lim`` and a
+    step's screen values) and one boolean one: about 33 bytes per (chain,
+    row), excluded rows included. The scores are made in a (G, B / G, N)
+    view of their buffer from the (G, N) ``log_g``, so no (B, N) copy of it
+    is made. After a switch to float64 the screen, ``lim`` and the
     screen values take twice the bytes. The screen is built one coordinate
     at a time, with one (N,) float64 column, and an update's candidates are
     recomputed in chunks, so it adds only their flat indices (one (B, N)
@@ -316,6 +335,8 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     best = np.asarray(inits, dtype=np.intp)  # each chain's last pick
     n_chains, n = exponents.shape
     n_pool, dim = X.shape
+    log_g = np.reshape(log_g, (-1, n_pool))
+    groups = (len(log_g), n_chains // len(log_g), n_pool)  # the (G, B / G, N) view
     chains = np.arange(n_chains)
     picks = np.empty((n_chains, n), dtype=np.intp)
     picks[:, 0] = best
@@ -328,6 +349,12 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
     min_dist = np.full((n_chains, n_pool), np.inf)
     log_min = np.full_like(min_dist, np.inf)
     lim = np.full(min_dist.shape, np.inf, dtype=screen.dtype)
+    pool_rows = n_chains * n_pool  # (chain, row) pairs in the chains' pools
+    if exclude is not None:
+        outside = exclude[:, None, :]  # each excluded row stands as a selected point
+        for array, value in ((min_dist, 0.0), (log_min, -np.inf), (lim, -np.inf)):
+            np.copyto(array.reshape(groups), value, where=outside)
+        pool_rows -= groups[1] * int(np.count_nonzero(exclude))
     values = np.empty_like(lim)
     near = np.empty(min_dist.shape, dtype=bool)
     buf = None  # the scores, made on first use, after the first update's candidates are freed
@@ -350,17 +377,23 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
                 lim.ravel()[flat] = screen.limits(dist, points)
                 del flat, rows, points, dist, m  # before the next gathers or scores
             del candidates
-            wasted = unmoved * WASTE_SHARE > (WASTE_SHARE + k - 1) * n_chains * n_pool
+            wasted = unmoved * WASTE_SHARE > (WASTE_SHARE + k - 1) * pool_rows
             if wasted and not screen.exact:  # see **Precision**
                 screen = _Screen(X, np.float64)
                 lim = screen.limits(min_dist, slice(None))
+                if exclude is not None:
+                    np.copyto(lim.reshape(groups), -np.inf, where=outside)
                 values = np.empty_like(lim)
             beta = exponents[:, k]
             zero = beta == 0.0
             if zero.all():
                 score = min_dist
             else:
-                score = buf = np.multiply(beta[:, None], log_g, out=buf)
+                if buf is None:
+                    buf = np.empty(min_dist.shape)
+                score = buf
+                np.multiply(beta.reshape(groups[:2] + (1,)), log_g[:, None, :],
+                            out=score.reshape(groups))
                 score += log_min
                 if zero.any():
                     score[zero] = min_dist[zero]
@@ -368,7 +401,8 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray) -> n
             stuck = score[chains, best] <= selected[:, k]
             if stuck.any():  # only selected points and their duplicates remain
                 for b in np.flatnonzero(stuck):
-                    free = np.ones(n_pool, dtype=bool)
+                    free = (np.ones(n_pool, dtype=bool) if exclude is None
+                            else ~exclude[b // groups[1]])
                     free[picks[b, :k]] = False
                     best[b] = free.argmax()
             picks[:, k] = best
@@ -431,11 +465,22 @@ def ggfps_chains(
     *,
     beta_mode: str = "swept",
     init_mode: str = "gradient_weighted",
+    exclude: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[str]]:
     """GGFPS chains for several (beta, seed) pairs over one pool, in lockstep.
 
     Chain b is exactly ``ggfps`` with beta ``betas[b]`` and seed ``seeds[b]``
     (see there for the rule). Returns the (B, n) picks and the warnings.
+
+    ``exclude``, a (G, N) boolean array, splits the chains into G groups of
+    B / G consecutive chains, group h over the pool of rows that
+    ``exclude[h]`` leaves: each of its chains is bitwise the chain of
+    ``ggfps_chains(X[pool], g[pool], ...)`` mapped through ``pool``, with the
+    first pick, the log-gradient floor and the zero-gradient fallback taken
+    over that pool. Omitted, every chain is over all rows.
+
+    Every argument is checked before compute: a ValueError names the first
+    that is invalid, and a pool of fewer than ``n`` rows raises CapacityError.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -443,17 +488,48 @@ def ggfps_chains(
     if not np.isfinite(X).all():
         raise ValueError("descriptor matrix must be finite")
     n_total = X.shape[0]
+    g = np.asarray(g, dtype=float)
+    if g.shape != (n_total,):
+        raise ValueError(f"g: must have shape ({n_total},), one norm per descriptor row, "
+                         f"got {g.shape}")
+    if not (np.isfinite(g).all() and (g >= 0).all()):
+        raise ValueError("g: gradient norms must be finite and non-negative")
+    if len(betas) != len(seeds) or not len(betas):
+        raise ValueError(f"betas, seeds: must be non-empty and of equal length, got "
+                         f"{len(betas)} and {len(seeds)}")
     n = check_int("n", n, 1)
-    if n > n_total:
-        raise CapacityError(f"n: cannot select {n} from {n_total} samples")
+    if exclude is None:
+        pools = [None]  # all rows
+        if n > n_total:
+            raise CapacityError(f"n: cannot select {n} from {n_total} samples")
+    else:
+        exclude = np.asarray(exclude)
+        if (exclude.dtype != bool or exclude.ndim != 2 or exclude.shape[1] != n_total
+                or not len(exclude) or len(betas) % len(exclude)):
+            raise ValueError(f"exclude: must be a boolean (G, {n_total}) array, G dividing "
+                             f"the {len(betas)} chains, got {exclude.dtype} {exclude.shape}")
+        pools = [np.flatnonzero(~row) for row in exclude]
+        for h, pool in enumerate(pools):
+            if n > len(pool):
+                raise CapacityError(f"n: cannot select {n} from the {len(pool)} samples "
+                                    f"that exclude leaves in group {h}")
     exponents = np.stack([beta_schedule(b, n, beta_mode) for b in betas])
 
     warnings: list[str] = []
-    if init_mode == "gradient_weighted" and not np.any(g > 0):
-        warnings.append("all gradient norms are zero; fell back to random_uniform init")
-        init_mode = "random_uniform"
-    inits = [_initial_index(g, init_mode, seed) for seed in seeds]
-    return _greedy(X, inits, exponents, _log_gradients(g)), warnings
+    per_group = len(betas) // len(pools)
+    inits, log_g = [], np.empty((len(pools), n_total))
+    for h, pool in enumerate(pools):
+        g_pool = g if pool is None else g[pool]
+        mode = init_mode
+        if mode == "gradient_weighted" and not np.any(g_pool > 0):
+            warnings.append("all gradient norms are zero; fell back to random_uniform init"
+                            + ("" if exclude is None else f" in group {h}"))
+            mode = "random_uniform"
+        firsts = [_initial_index(g_pool, mode, seed)
+                  for seed in seeds[h * per_group:(h + 1) * per_group]]
+        inits += firsts if pool is None else pool[firsts].tolist()
+        log_g[h] = _log_gradients(g, g_pool)
+    return _greedy(X, inits, exponents, log_g, exclude), warnings
 
 
 def ggfps(labeled: LabeledSet, config: SamplerConfig) -> "SelectionResult":

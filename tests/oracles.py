@@ -143,10 +143,12 @@ def distance_rows(XT, idx):
     return np.sqrt(out, out=out)
 
 
-def greedy_rows(X, inits, exponents, log_g=None):
+def greedy_rows(X, inits, exponents, log_g=None, excluded=None):
     """Lockstep greedy max-min selection that recomputes the full distance row
     of every new pick and every score at each step (the rule of
-    ``sampling._greedy``)."""
+    ``sampling._greedy``). ``log_g`` and ``excluded`` may hold one row per
+    group of consecutive chains, (G, N); a chain's excluded rows count as
+    taken from the start."""
     XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
     inits = np.asarray(inits, dtype=np.intp)
     n_chains, n = exponents.shape
@@ -154,7 +156,13 @@ def greedy_rows(X, inits, exponents, log_g=None):
     picks = np.empty((n_chains, n), dtype=np.intp)
     picks[:, 0] = inits
     min_dist = distance_rows(XT, inits)
-    taken = np.zeros(min_dist.shape, dtype=bool)
+    if log_g is not None:
+        log_g = np.reshape(log_g, (-1, XT.shape[1]))
+        log_g = np.repeat(log_g, n_chains // len(log_g), axis=0)
+    if excluded is None:
+        taken = np.zeros(min_dist.shape, dtype=bool)
+    else:
+        taken = np.repeat(excluded, n_chains // len(excluded), axis=0)
     taken[chains, inits] = True
     score = np.empty_like(min_dist)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

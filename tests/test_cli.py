@@ -1042,10 +1042,10 @@ def failing_cells(monkeypatch, select_fails=None, fit_fails=None):
     real_picks, real_fit = experiments._picks, experiments._fit_and_score
     fits = itertools.count()
 
-    def picks(L, plan, method, ts_list, labeled_size, rep):
+    def picks(L, plan, method, ts_list, labeled_size, rep, stop):
         if (method, rep) == select_fails:
             raise FloatingPointError("selection failed")
-        yield from real_picks(L, plan, method, ts_list, labeled_size, rep)
+        yield from real_picks(L, plan, method, ts_list, labeled_size, rep, stop)
 
     def fit_and_score(L, sel, choice):
         if next(fits) == fit_fails:
@@ -1104,10 +1104,10 @@ class TestParallelReplicates:
         real_picks = experiments._picks
         fits = []
 
-        def picks(L, plan, method, ts_list, labeled_size, rep):
+        def picks(L, plan, method, ts_list, labeled_size, rep, stop):
             if rep == 1 and method == "URS":
                 os.kill(os.getpid(), signum)
-            yield from real_picks(L, plan, method, ts_list, labeled_size, rep)
+            yield from real_picks(L, plan, method, ts_list, labeled_size, rep, stop)
 
         monkeypatch.setattr(experiments, "_picks", picks)
         monkeypatch.setattr(experiments, "_fit_and_score", lambda *args: fits.append(args))
@@ -1118,6 +1118,56 @@ class TestParallelReplicates:
         assert threading.enumerate() == before
         assert fits == [] and not out.exists()
         assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs POSIX signals")
+    @pytest.mark.parametrize("stopper, code, message", [
+        (signal.SIGINT, 130, "error: interrupted\n"),
+        (signal.SIGTERM, 143, "error: terminated\n"),
+        ("failing-cell", 2, "error: method=URS, labeled_size=40, train_size=10, replicate=0: "
+                            "factorization failed\n"),
+    ], ids=["SIGINT", "SIGTERM", "failing-cell"])
+    def test_a_stopped_job_starts_at_most_one_more_factorization(
+            self, tmp_path, dataset_dir, monkeypatch, capsys, scipy_blas, stopper, code,
+            message):
+        """Replicate 1 parks in its first factorization until its job is
+        stopped: by a signal that replicate 0 sends from its own first
+        factorization, or by replicate 0's cell failing there. Whichever
+        thread runs it, a stopped job starts at most one factorization after
+        its stop is set, rather than finishing its cell; the exit code, the
+        message and ``--out`` are as they were."""
+        cfg = write_config(tmp_path, "c.json", curve_config(dataset_dir, bootstraps=2))
+        real_fit_prefixes, real_run_replicate = experiments.fit_prefixes, experiments._run_replicate
+        job = threading.local()
+        later_busy = threading.Event()
+        after_stop = {0: 0, 1: 0}  # factorizations each job started once stopped
+
+        def run_replicate(*args):
+            job.rep, job.stop = args[4], args[5]
+            return real_run_replicate(*args)
+
+        def fit_prefixes(*args):
+            after_stop[job.rep] += job.stop.is_set()
+            first = not getattr(job, "busy", False)
+            job.busy = True
+            if first and job.rep == 1:
+                later_busy.set()
+                assert job.stop.wait(timeout=20)
+            elif first and job.rep == 0:
+                assert later_busy.wait(timeout=20)
+                if stopper == "failing-cell":
+                    raise OSError("factorization failed")
+                os.kill(os.getpid(), stopper)
+            return real_fit_prefixes(*args)
+
+        monkeypatch.setattr(experiments, "_run_replicate", run_replicate)
+        monkeypatch.setattr(experiments, "fit_prefixes", fit_prefixes)
+        before = threading.enumerate()
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == code
+        assert capsys.readouterr().err == message
+        assert threading.enumerate() == before
+        assert later_busy.is_set() and not out.exists()
+        assert after_stop[0] <= 1 and after_stop[1] <= 1
 
     @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
     def test_scipy_pool_is_one_thread_in_cross_validation_and_restored(

@@ -237,23 +237,29 @@ class TestFoldCosts:
         pool, and a chain whose candidates are all dead or skipped gets none.
         The chains here span two blocks. Each chain is a chain selected for
         that fold, bitwise the solo ``ggfps`` chain of its beta with the
-        derived seed."""
+        derived seed over the fold's pool, mapped to rows of the set. All
+        folds' chains come from one selection call over the whole set, so
+        the cdist calls are what keeps the pool out of every matrix."""
         plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
         ctx, pools, calls, visits = record_ggfps_cv(universe, plan, monkeypatch, [5, 100])
         assert len(visits) >= plan.folds
         X = universe.descriptors
         selected = {}
-        for fi, betas, seeds, chains in calls:
-            chain_len = _mirror_size(100, plan.folds, len(pools[fi]))
+        ((folds, betas, seeds, chain_len, chains),) = calls
+        assert folds == list(range(plan.folds))
+        per_fold = len(plan.beta_grid)
+        for k, fi in enumerate(folds):
+            assert chain_len == _mirror_size(100, plan.folds, len(pools[fi]))
             # pool >> chain: the matrices must not grow with the pool
             assert chain_len < len(pools[fi])
             pool = universe.subset(pools[fi])
-            for beta, seed, chain in zip(betas, seeds, chains):
-                bi = plan.beta_grid.index(beta)
+            for bi in range(per_fold):
+                beta, seed, chain = (v[k * per_fold + bi] for v in (betas, seeds, chains))
+                assert beta == plan.beta_grid[bi]
                 assert seed == derive_seed(5, "fold-select", fi, bi)
                 config = SamplerConfig(method="GGFPS", n=chain_len, beta=beta, seed=seed)
-                assert chain.tolist() == ggfps(pool, config).indices
-                selected.setdefault(fi, []).append(pools[fi][chain])
+                assert chain.tolist() == pools[fi][ggfps(pool, config).indices].tolist()
+                selected.setdefault(fi, []).append(chain)
         for fi, chains, top, idle, cdist_calls in visits:
             assert all(any(np.array_equal(chain, kept) for kept in selected[fi])
                        for chain in chains)
@@ -356,15 +362,36 @@ class TestFoldCosts:
         assert held - before <= costs.nbytes + 4096
 
     def test_ggfps_cv_selects_each_fold_chain_once(self, universe, monkeypatch):
-        """Each fold's chains are selected before the search, in one lockstep
-        call for every beta, and kept for the fold's visits: one
-        ``ggfps_chains`` call per fold, in fold order."""
+        """Every fold's chains are selected before the search, in one
+        lockstep call over the whole set for every (fold, beta), and kept
+        for the fold's visits: one ``ggfps_chains`` call per replicate, or
+        one per distinct chain length, in fold order, where a fold's pool
+        caps its chains. Each group of chains excludes its fold's
+        validation rows, and is bitwise the fold's own call over its pool,
+        mapped to rows of the set."""
         plan = small_plan(beta_grid=(0.0, 0.4, 1.3, 2.0))
-        _, _, calls, visits = record_ggfps_cv(universe, plan, monkeypatch, [5, 10])
-        assert [fi for fi, _, _, _ in calls] == list(range(plan.folds))
-        assert all(betas == list(plan.beta_grid) for _, betas, _, _ in calls)
-        # some fold is visited twice, so the kept chains are what is pinned
-        assert len(visits) > len(calls)
+        for size, target, lengths in [
+            (120, 10, [[8] * 5]),
+            # folds of 3, 3, 2, 2 and 2 rows leave pools of 9, 9, 10, 10 and
+            # 10 rows, which cap the chains of target size 100
+            (12, 100, [[9, 9], [10, 10, 10]]),
+        ]:
+            labeled = universe.subset(np.arange(size))
+            ctx, pools, calls, visits = record_ggfps_cv(labeled, plan, monkeypatch, [5, target])
+            assert [[n] * len(folds) for folds, _, _, n, _ in calls] == lengths
+            assert sum((folds for folds, _, _, _, _ in calls), []) == list(range(plan.folds))
+            X, g = labeled.descriptors, labeled.gradient_norms
+            for folds, betas, seeds, n, chains in calls:
+                assert betas == list(plan.beta_grid) * len(folds)
+                for fi, group, fold_seeds in zip(folds, np.split(chains, len(folds)),
+                                                 np.split(np.array(seeds), len(folds))):
+                    pool = pools[fi]
+                    solo, _ = ggfps_chains(X[pool], g[pool], plan.beta_grid,
+                                           fold_seeds.tolist(), n)
+                    assert np.array_equal(group, pool[solo])
+                    assert not np.isin(group, ctx.val_folds[fi]).any()
+            # some fold is visited twice, so the kept chains are what is pinned
+            assert len(visits) > plan.folds
 
 
 def test_export_bytes_bound_the_exports_from_below(universe):
@@ -406,26 +433,30 @@ def test_export_phase_holds_one_export_at_a_time(universe, tmp_path, monkeypatch
 
 def record_ggfps_cv(universe, plan, monkeypatch, target_sizes):
     """Run ``_GgfpsCv.evaluate`` on ``universe`` and record its chain
-    selections as (fold, betas, seeds, pool-relative chains) and its fold
-    visits as (fold, train-row chains, max(sizes), per chain whether every
-    candidate was dead or skipped, [(cdist XA, XB), ...])."""
+    selections as (folds, betas, seeds, chain length, chains), ``folds`` the
+    fold of each group of chains (read from the rows it excludes) and the
+    chains rows of ``universe``, and its fold visits as (fold, train-row
+    chains, max(sizes), per chain whether every candidate was dead or
+    skipped, [(cdist XA, XB), ...])."""
     ctx = _GgfpsCv(universe, plan, seed=5)
     pools = {fi: np.setdiff1d(np.arange(len(universe)), val)
              for fi, val in enumerate(ctx.val_folds)}
-    X = universe.descriptors
     calls, visits = [], []
 
-    def recording_chains(X_pool, g, betas, seeds, n):
-        chains, warnings = ggfps_chains(X_pool, g, betas, seeds, n)
-        (fi,) = [fi for fi, pool in pools.items() if np.array_equal(X_pool, X[pool])]
-        calls.append((fi, list(betas), list(seeds), chains.copy()))
+    def recording_chains(X, g, betas, seeds, n, *, exclude):
+        assert X is universe.descriptors and g is universe.gradient_norms
+        chains, warnings = ggfps_chains(X, g, betas, seeds, n, exclude=exclude)
+        folds = [fi for row in exclude for fi, val in enumerate(ctx.val_folds)
+                 if np.array_equal(np.flatnonzero(row), val)]
+        assert len(folds) == len(exclude)
+        calls.append((folds, list(betas), list(seeds), n, chains.copy()))
         return chains, warnings
 
-    def recording_fold_costs(train, plan, val, chains, sizes, dead, skip=None):
+    def recording_fold_costs(train, plan, val, chains, sizes, dead, skip=None, stop=None):
         (fi,) = [fi for fi, v in enumerate(ctx.val_folds) if np.array_equal(v, val)]
         idle = (dead if skip is None else dead | skip).all(axis=(0, 1, 2))
         visits.append((fi, chains.copy(), max(sizes), idle, []))
-        return _fold_costs(train, plan, val, chains, sizes, dead, skip)
+        return _fold_costs(train, plan, val, chains, sizes, dead, skip, stop)
 
     def recording_cdist(XA, XB, **kwargs):
         visits[-1][4].append((XA.copy(), XB.copy()))
@@ -957,6 +988,44 @@ class TestWorkerCount:
                 if isinstance(results[-1][0], type):
                     assert list(parent.iterdir()) == []
         assert results[1] == results[0] and results[2] == results[0]
+
+    def test_a_failing_job_stops_the_later_ones_under_fast_switching(self, universe,
+                                                                        monkeypatch):
+        """Eight jobs on three workers (more than the cores) with a 1 us
+        switch interval, job 3's FPS selection failing: every job before it
+        returns what a serial run returns, job 3 the same failure, and a
+        later job either was not started or returned no failure of its own;
+        no helper is left."""
+        plan = small_plan(bootstraps=8, train_sizes=(10,))
+        jobs = [(60, [10], rep) for rep in range(8)]
+        real_picks = experiments._picks
+
+        def picks(L, plan, method, ts_list, labeled_size, rep, stop):
+            if (method, rep) == ("FPS", 3):
+                raise FloatingPointError("selection failed")
+            yield from real_picks(L, plan, method, ts_list, labeled_size, rep, stop)
+
+        monkeypatch.setattr(experiments, "_picks", picks)
+        before, interval = threading.enumerate(), sys.getswitchinterval()
+        runs = []
+        try:
+            sys.setswitchinterval(1e-6)
+            with krr.scipy_blas_on_one_thread():
+                for workers in (1, 3):
+                    runs.append(experiments._pick_replicates(universe, plan, jobs, workers))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.enumerate() == before
+
+        def summary(result):
+            labeled_global, _, cells, failure = result
+            return (labeled_global.tolist(), [(m, ts, c, sel.tolist()) for m, ts, c, sel in cells],
+                    repr(failure))
+
+        serial, parallel = runs
+        assert [summary(r) for r in parallel[:4]] == [summary(r) for r in serial[:4]]
+        assert "selection failed" in summary(serial[3])[2] and serial[4:] == [None] * 4
+        assert all(r is None or r[3] is None for r in parallel[4:])
 
     @pytest.mark.parametrize("threads, message", [
         ("2", "threads: must be an integer"), (True, "threads: must be an integer"),

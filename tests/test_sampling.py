@@ -467,6 +467,167 @@ class TestGreedyKernel:
             assert got[r] == pytest.approx(np.linalg.norm(X - X[i], axis=1), rel=1e-12, abs=0)
 
 
+@st.composite
+def grouped_pools(draw):
+    """A pool split into G groups of 1-2 consecutive chains, each group
+    excluding its own rows (none, some or most of the pool; duplicated rows
+    and lattice ties, as in ``greedy_cases``), with the group's gradient
+    norms (all zero in some groups) and n no longer than any group's pool."""
+    n_groups, per_group = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    dim = draw(st.sampled_from([1, 2, 3, 8]))
+    n_pts = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n_pts, dim))
+    if draw(st.booleans()):
+        X = np.round(X * 2) / 2  # exact ties
+    X *= 10.0 ** draw(st.sampled_from([-200, 0, 200]))
+    n_dup = draw(st.integers(0, n_pts // 2))
+    X[rng.integers(n_pts, size=n_dup)] = X[rng.integers(n_pts, size=n_dup)]
+    g = rng.uniform(0.0, 10.0, size=n_pts)
+    g[rng.random(n_pts) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    exclude = rng.random((n_groups, n_pts)) < draw(st.sampled_from([0.0, 0.2, 0.7]))
+    exclude[np.arange(n_groups), rng.integers(n_pts, size=n_groups)] = False  # a row each
+    if draw(st.booleans()):  # one group's pool has only zero gradients
+        g[~exclude[0]] = 0.0
+    n = draw(st.integers(1, int((~exclude).sum(axis=1).min())))
+    betas = [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for _ in range(n_groups * per_group)]
+    seeds = [draw(st.integers(0, 2**32)) for _ in betas]
+    return X, g, exclude, betas, seeds, n
+
+
+class TestExcludedGroups:
+    """One ``_greedy`` / ``ggfps_chains`` call over the whole pool, each
+    group of chains excluding its rows, selects as a call per group over
+    the rows it leaves."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(grouped_pools(), st.sampled_from(BETA_MODES))
+    def test_kernel_matches_full_row_reference(self, case, mode):
+        X, g, exclude, betas, seeds, n = case
+        per_group = len(betas) // len(exclude)
+        rng = np.random.default_rng(seeds[0])
+        inits = [rng.choice(np.flatnonzero(~exclude[b // per_group])) for b in range(len(betas))]
+        exponents = np.stack([beta_schedule(b, n, mode) for b in betas])
+        log_g = np.stack([_log_gradients(g, g[~row]) for row in exclude])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = greedy_rows(X, inits, exponents, log_g, exclude)
+            got = _greedy(X, inits, exponents, log_g, exclude)
+        assert np.array_equal(got, expected)
+        assert not np.take_along_axis(np.repeat(exclude, per_group, axis=0), got, 1).any()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(grouped_pools(), st.sampled_from(INIT_MODES), st.sampled_from(BETA_MODES))
+    def test_one_call_matches_a_call_per_group(self, case, init_mode, mode):
+        X, g, exclude, betas, seeds, n = case
+        per_group = len(betas) // len(exclude)
+        picks, warnings = ggfps_chains(X, g, betas, seeds, n, beta_mode=mode,
+                                       init_mode=init_mode, exclude=exclude)
+        solo_warnings = []
+        for h, row in enumerate(exclude):
+            pool = np.flatnonzero(~row)
+            chains = slice(h * per_group, (h + 1) * per_group)
+            solo, solo_warned = ggfps_chains(X[pool], g[pool], betas[chains], seeds[chains], n,
+                                             beta_mode=mode, init_mode=init_mode)
+            assert np.array_equal(picks[chains], pool[solo])
+            solo_warnings += [f"{w} in group {h}" for w in solo_warned]
+        assert warnings == solo_warnings
+
+    @pytest.mark.parametrize("outlier", [1e2, 1e4])
+    def test_excluded_rows_stay_out_after_a_switch_to_float64(self, monkeypatch, outlier):
+        # at 1e4 the run moves to float64 (see TestScreen), which rebuilds
+        # every limit from the minimum distances. Rows 401.. duplicate rows
+        # 0.. and every group excludes them: had their limits been rebuilt
+        # from m = 0, each would be screened in and recomputed once its
+        # duplicate is picked
+        rng = np.random.default_rng(int(np.log10(outlier)))
+        X = np.vstack([rng.normal(size=(400, 4)), np.full((1, 4), outlier)])
+        X = np.vstack([X, X[:100]])
+        exclude = rng.random((3, 501)) < 0.3
+        exclude[:, 401:] = True
+        inits = [0, 400, 7]
+        exclude[np.arange(3), inits] = False
+        exponents = np.stack([np.zeros(120), beta_schedule(1.0, 120), beta_schedule(2.0, 120)])
+        g = rng.uniform(0.0, 5.0, size=501)
+        log_g = np.stack([_log_gradients(g, g[~row]) for row in exclude])
+        screens, recomputed = [], []
+        real_screen, real_distances = sampling._Screen, sampling._distances
+
+        def recording_screen(X, dtype=np.float32):
+            screens.append(np.dtype(dtype))
+            return real_screen(X, dtype)
+
+        def recording_distances(X, points, centers):
+            recomputed.append(np.asarray(points).copy())
+            return real_distances(X, points, centers)
+
+        monkeypatch.setattr(sampling, "_Screen", recording_screen)
+        monkeypatch.setattr(sampling, "_distances", recording_distances)
+        got = _greedy(X, inits, exponents, log_g, exclude)
+        assert screens[-1] == (np.float64 if outlier > 1e3 else np.float32)
+        assert np.isin(got, np.arange(100)).any()
+        assert (np.concatenate(recomputed) < 401).all()
+        assert np.array_equal(got, greedy_rows(X, inits, exponents, log_g, exclude))
+
+    def test_stuck_chains_skip_excluded_rows(self):
+        # four distinct rows, each repeated: after them only duplicates are
+        # left, and the smallest index that is neither picked nor excluded is
+        # taken
+        X = np.repeat(np.arange(4.0)[:, None], 5, axis=0)
+        exclude = np.zeros((2, 20), dtype=bool)
+        exclude[1, [0, 1, 5, 6]] = True
+        for beta in (0.0, 1.0):
+            picks, _ = ggfps_chains(X, np.ones(20), [beta, beta], [2, 2], 12,
+                                    init_mode="gradient_argmax", exclude=exclude)
+            assert picks[0].tolist() == [0, 15, 5, 10, 1, 2, 3, 4, 6, 7, 8, 9]
+            assert picks[1].tolist() == [2, 15, 7, 10, 3, 4, 8, 9, 11, 12, 13, 14]
+
+
+class TestChainArguments:
+    """``ggfps_chains`` checks every argument before compute: a ValueError
+    names the argument, and a pool that cannot hold n picks raises
+    CapacityError."""
+
+    X = np.random.default_rng(46).normal(size=(30, 2))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(betas=[0.0, 1.0], seeds=[1]), "^betas, seeds: "),
+        (dict(betas=[0.0], seeds=[1, 2]), "^betas, seeds: "),
+        (dict(betas=[], seeds=[]), "^betas, seeds: "),
+        (dict(g=np.ones(29)), r"^g: must have shape \(30,\)"),
+        (dict(g=np.ones((30, 1))), r"^g: must have shape \(30,\)"),
+        (dict(g=np.full(30, np.nan)), "^g: .*finite"),
+        (dict(g=np.r_[np.ones(29), np.inf]), "^g: .*finite"),
+        (dict(g=np.r_[np.ones(29), -1.0]), "^g: .*non-negative"),
+        (dict(exclude=np.zeros((1, 29), dtype=bool)), "^exclude: "),
+        (dict(exclude=np.zeros(30, dtype=bool)), "^exclude: "),
+        (dict(exclude=np.zeros((0, 30), dtype=bool)), "^exclude: "),
+        (dict(exclude=np.zeros((1, 30), dtype=int)), "^exclude: "),
+        (dict(betas=[0.0, 1.0], seeds=[1, 2], exclude=np.zeros((3, 30), dtype=bool)),
+         "^exclude: "),
+    ], ids=["short-seeds", "short-betas", "no-chains", "short-g", "2-D-g", "nan-g", "inf-g",
+            "negative-g", "short-exclude", "1-D-exclude", "no-groups", "int-exclude",
+            "groups-not-dividing"])
+    def test_invalid_argument_raises_naming_it(self, monkeypatch, kwargs, message):
+        # NaN norms on this pool once returned the repeated picks [[14, 0, 0, 0, 23]];
+        # unequal or empty betas and seeds, and a g of the wrong shape, a numpy error
+        monkeypatch.setattr(sampling, "_greedy", lambda *args: pytest.fail("computed"))
+        args = dict(g=np.ones(30), betas=[1.0], seeds=[1]) | kwargs
+        exclude = args.pop("exclude", None)
+        with pytest.raises(ValueError, match=message) as err:
+            ggfps_chains(self.X, args["g"], args["betas"], args["seeds"], 5, exclude=exclude)
+        assert not isinstance(err.value, CapacityError)
+
+    def test_a_group_too_small_for_n_raises_capacity_error(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_greedy", lambda *args: pytest.fail("computed"))
+        exclude = np.zeros((2, 30), dtype=bool)
+        exclude[1, :26] = True
+        with pytest.raises(CapacityError, match="^n: cannot select 5 from the 4 samples that "
+                                                "exclude leaves in group 1$"):
+            ggfps_chains(self.X, np.ones(30), [0.0, 1.0], [1, 2], 5, exclude=exclude)
+        with pytest.raises(CapacityError, match="^n: cannot select 31 from 30 samples$"):
+            ggfps_chains(self.X, np.ones(30), [0.0], [1], 31)
+
+
 class TestScreen:
     """Neither the float32 nor the float64 screen rules out a point whose
     exact distance to the new pick is below its minimum distance m, even one
