@@ -621,10 +621,10 @@ def _run_replicate(universe: LabeledSet, plan: ExperimentPlan, labeled_size: int
     """The selections and cross-validations of one (labeled size, replicate)
     job: its labeled set, then each (method, train size) cell in plan order.
 
-    Returns (labeled_global, L, cells, failure): the labeled set's universe
-    rows and the set itself, each picked cell's (method, train size, choice,
-    selection) in order, and the ReplicateError of the cell that failed,
-    after which none is picked (None if none failed). Once ``stop`` is set
+    Returns (labeled_global, cells, failure): the labeled set's universe
+    rows, each picked cell's (method, train size, choice, selection) in
+    order, and the ReplicateError of the cell that failed, after which none
+    is picked (None if none failed). Once ``stop`` is set
     it returns with the cells picked so far: at the next cell boundary, or
     inside a cross-validation before its next factorization (``_Stopped``).
     """
@@ -640,54 +640,45 @@ def _run_replicate(universe: LabeledSet, plan: ExperimentPlan, labeled_size: int
                 _check_stop(stop)
                 choice, sel = next(picks)
             except _Stopped:
-                return labeled_global, L, cells, None
+                return labeled_global, cells, None
             except Exception as exc:  # noqa: BLE001 - annotate the failing cell
                 failure = ReplicateError(method, labeled_size, ts, rep, exc)
                 failure.__cause__ = exc
-                return labeled_global, L, cells, failure
+                return labeled_global, cells, failure
             cells.append((method, ts, choice, sel))
-    return labeled_global, L, cells, None
+    return labeled_global, cells, None
 
 
 def _pick_replicates(universe: LabeledSet, plan: ExperimentPlan, jobs: list, workers: int):
     """``_run_replicate`` for every job, on ``workers`` threads: the main
     thread and workers - 1 helpers, each taking the next job in order.
 
-    Returns, in job order, each job's result or the exception it raised, and
-    None for a job that no worker started because an earlier one failed.
-    SIGINT and SIGTERM reach the main thread only (helpers block them); when
-    it raises, the helpers stop within one factorization (each job has its
-    own stop event) and are joined before the exception leaves. A job that
-    fails stops the later jobs that are running in the same way: a serial
-    run would not have reached them.
+    Each job has one stop event: no worker starts a job whose event is set,
+    and a running job returns within one factorization of it. A job that
+    fails or raises sets the later jobs' events; a serial run would not have
+    reached them. Returns each job's result or exception in job order, None
+    for a job never started. SIGINT and SIGTERM reach the main thread only
+    (helpers block them); when it raises, also while it waits for the
+    helpers, it sets every event and joins them before the exception leaves.
     """
     results = [None] * len(jobs)
     lock, stops = threading.Lock(), [threading.Event() for _ in jobs]
     order = iter(range(len(jobs)))
-    first_failed = len(jobs)
-
-    def stop_after(j):
-        """Start no job after ``j``, and stop those that are running."""
-        nonlocal first_failed
-        with lock:
-            first_failed = min(first_failed, j)
-            for stop in stops[j + 1:]:
-                stop.set()
 
     def work():
         while True:
             with lock:
                 j = next(order, None)
-                if j is None or j > first_failed:
-                    return
+            if j is None or stops[j].is_set():
+                return
             try:
-                result = _run_replicate(universe, plan, *jobs[j], stops[j])
-                failed = result[3] is not None
+                results[j] = _run_replicate(universe, plan, *jobs[j], stops[j])
+                failed = results[j][2] is not None
             except Exception as exc:  # noqa: BLE001 - raised in job order by the caller
-                result, failed = exc, True
-            results[j] = result
+                results[j], failed = exc, True
             if failed:
-                stop_after(j)
+                for stop in stops[j + 1:]:
+                    stop.set()
 
     def helper():
         if hasattr(signal, "pthread_sigmask"):
@@ -704,8 +695,9 @@ def _pick_replicates(universe: LabeledSet, plan: ExperimentPlan, jobs: list, wor
         for thread in helpers:
             thread.join()
     except BaseException:
-        stop_after(-1)
-        for thread in helpers:
+        for stop in stops:
+            stop.set()
+        for thread in helpers:  # a helper not joined above
             thread.join()
         raise
     return results
@@ -722,9 +714,10 @@ def _run_cells(universe: LabeledSet, plan: ExperimentPlan, threads: int = 1):
     (``krr.scipy_blas_on_one_thread``); where that pool cannot be set, on
     the main thread alone and the pool as it is. Then every final fit
     (``_fit_and_score``), in the main thread on scipy's pool as it was, in
-    (job, method, train size) order. So the outputs are the same for any
-    worker count, and the first cell in that order that fails, in either
-    phase, raises its ReplicateError, as in a serial run.
+    (job, method, train size) order, on the job's labeled set made again.
+    So the outputs are the same for any worker count, and the first cell in
+    that order that fails, in either phase, raises its ReplicateError, as in
+    a serial run.
     """
     if max(plan.labeled_sizes) > len(universe):
         raise ValueError(f"plan.labeled_sizes: labeled size {max(plan.labeled_sizes)} exceeds "
@@ -739,7 +732,8 @@ def _run_cells(universe: LabeledSet, plan: ExperimentPlan, threads: int = 1):
     for (ls, _, rep), result in zip(jobs, picked):
         if isinstance(result, Exception):
             raise result
-        labeled_global, L, cells, failure = result
+        labeled_global, cells, failure = result
+        L = universe.subset(labeled_global)
         for method, ts, choice, sel in cells:
             try:
                 mae, rmse, test, abs_err = _fit_and_score(L, sel, choice)
@@ -1035,8 +1029,9 @@ def run_experiment(
     ``_ChainDistances``), allocated by the visit and freed when it returns,
     and a GGFPS replicate's selection arrays, about 33 bytes per (chain,
     labeled row) for its folds x betas chains (``_GgfpsCv``, ``_greedy``),
-    which can exceed the visit; and one OpenBLAS buffer. Then a final
-    fit's ts^2 Gram and one ts x (B to 2B - 1) block of test kernel
+    which can exceed the visit; one OpenBLAS buffer; and its running job's
+    labeled set (a finished job keeps indices only). Then a final fit's
+    ts^2 Gram and one ts x (B to 2B - 1) block of test kernel
     (``_fit_and_score``): no matrix spans the test set."""
     import scipy  # for its version only: ``import ggfps_lab`` does not load it
     t0 = time.perf_counter()

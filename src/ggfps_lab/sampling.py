@@ -96,15 +96,14 @@ def _initial_index(g: np.ndarray, init_mode: str, seed: int) -> int:
     return int(rng.integers(len(g)))
 
 
-def _log_gradients(g: np.ndarray, pool_g: np.ndarray | None = None) -> np.ndarray:
+def _log_gradients(g: np.ndarray, pool_g: np.ndarray) -> np.ndarray:
     """Log gradient norms, floored so negative exponents stay finite.
 
-    The floor is relative to the largest norm of the pool, ``pool_g`` (all
-    of ``g`` by default), so it preserves the ordering of all nonzero norms;
-    it is never below the smallest positive double.
+    The floor is relative to the largest norm of the pool, ``pool_g``, so it
+    preserves the ordering of all nonzero norms; it is never below the
+    smallest positive double.
     """
-    top = g.max() if pool_g is None else pool_g.max()
-    floor = max(GRAD_FLOOR_REL * float(top), np.finfo(float).tiny)
+    floor = max(GRAD_FLOOR_REL * float(pool_g.max()), np.finfo(float).tiny)
     return np.log(np.maximum(g, floor))
 
 
@@ -196,19 +195,19 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray,
     """Greedy max-min selection of B chains over the rows of ``X``, in lockstep.
 
     The chains come in G groups of B / G consecutive chains, G the rows of
-    ``log_g`` ((G, N); an (N,) array is one group). Chain b of group h starts
-    at ``inits[b]``; step k >= 1 picks the remaining index maximising
+    ``log_g`` ((G, N)). Chain b of group h starts at ``inits[b]``; step
+    k >= 1 picks the remaining index maximising
     ``exponents[b, k] * log_g[h] + log(min_dist[b])``, or plain
     ``min_dist[b]`` where that exponent is 0, the smallest index winning
     ties. ``min_dist[b, j]`` is the minimum over chain b's picks s of the
     exact distance ``_distances(X, j, s)``. When every remaining score is
     -inf (only duplicates of selected points remain) the smallest remaining
     index is taken. Column 0 of ``exponents`` belongs to the initial point;
-    returns the (B, n) picks with n = ``exponents.shape[1]``. Where
-    ``exclude`` ((G, N) booleans) is given, the rows it marks in row h are
-    not in group h's pool: they are never picked, and each of its chains
-    is the chain that the rows left would give, mapped back to rows of
-    ``X`` (their order is kept, so ties break the same way).
+    returns the (B, n) picks with n = ``exponents.shape[1]``. The rows that
+    ``exclude`` ((G, N) booleans; omitted, it excludes nothing) marks in
+    row h are not in group h's pool: they are never picked, and each of its
+    chains is the chain that the rows left would give, mapped back to rows
+    of ``X`` (their order is kept, so ties break the same way).
 
     A selected point's ``min_dist`` is exactly 0, its distance to itself,
     which the screen below never skips while m > 0. So it scores 0 where the
@@ -317,25 +316,25 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray,
     so picks do not depend on its precision, summation order or thread
     count.
 
-    **Memory.** Beside ``X``, ``log_g`` ((G, N)) and ``exclude``, the kernel
-    holds the (d + 2, N) float32 screen, the (N,) float64 ``c2 q + c3`` and
-    (B, N) arrays: two float64 ones (``min_dist`` and its log), a third for
-    the scores unless every exponent is 0, two float32 ones (``lim`` and a
-    step's screen values) and one boolean one: about 33 bytes per (chain,
-    row), excluded rows included. The scores are made in a (G, B / G, N)
-    view of their buffer from the (G, N) ``log_g``, so no (B, N) copy of it
-    is made. After a switch to float64 the screen, ``lim`` and the
-    screen values take twice the bytes. The screen is built one coordinate
-    at a time, with one (N,) float64 column, and an update's candidates are
-    recomputed in chunks, so it adds only their flat indices (one (B, N)
-    array in the first update, freed before the scores are made) and one
-    chunk's temporaries.
+    **Memory.** Beside ``X``, ``log_g`` and the boolean ``exclude`` (both
+    (G, N); ``exclude`` made where omitted), the kernel holds the (d + 2, N)
+    float32 screen, the (N,) float64 ``c2 q + c3`` and (B, N) arrays: two
+    float64 ones (``min_dist`` and its log), a third for the scores unless
+    every exponent is 0, two float32 ones (``lim`` and a step's screen
+    values) and one boolean one: about 33 bytes per (chain, row), excluded
+    rows included. The scores are made in a (G, B / G, N) view of their
+    buffer from ``log_g``, so no (B, N) copy of it is made. After a switch
+    to float64 the screen, ``lim`` and the screen values take twice the
+    bytes. The screen is built one coordinate at a time, with one (N,)
+    float64 column, and an update's candidates are recomputed in chunks, so
+    it adds only their flat indices (one (B, N) array in the first update,
+    freed before the scores are made) and one chunk's temporaries.
     """
     X = np.asarray(X, dtype=float)
     best = np.asarray(inits, dtype=np.intp)  # each chain's last pick
     n_chains, n = exponents.shape
     n_pool, dim = X.shape
-    log_g = np.reshape(log_g, (-1, n_pool))
+    exclude = np.zeros(log_g.shape, dtype=bool) if exclude is None else exclude
     groups = (len(log_g), n_chains // len(log_g), n_pool)  # the (G, B / G, N) view
     chains = np.arange(n_chains)
     picks = np.empty((n_chains, n), dtype=np.intp)
@@ -349,12 +348,10 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray,
     min_dist = np.full((n_chains, n_pool), np.inf)
     log_min = np.full_like(min_dist, np.inf)
     lim = np.full(min_dist.shape, np.inf, dtype=screen.dtype)
-    pool_rows = n_chains * n_pool  # (chain, row) pairs in the chains' pools
-    if exclude is not None:
-        outside = exclude[:, None, :]  # each excluded row stands as a selected point
-        for array, value in ((min_dist, 0.0), (log_min, -np.inf), (lim, -np.inf)):
-            np.copyto(array.reshape(groups), value, where=outside)
-        pool_rows -= groups[1] * int(np.count_nonzero(exclude))
+    outside = exclude[:, None, :]  # each excluded row stands as a selected point
+    for array, value in ((min_dist, 0.0), (log_min, -np.inf), (lim, -np.inf)):
+        np.copyto(array.reshape(groups), value, where=outside)
+    pool_rows = groups[1] * int(np.count_nonzero(~exclude))  # (chain, row) pairs in the pools
     values = np.empty_like(lim)
     near = np.empty(min_dist.shape, dtype=bool)
     buf = None  # the scores, made on first use, after the first update's candidates are freed
@@ -381,8 +378,7 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray,
             if wasted and not screen.exact:  # see **Precision**
                 screen = _Screen(X, np.float64)
                 lim = screen.limits(min_dist, slice(None))
-                if exclude is not None:
-                    np.copyto(lim.reshape(groups), -np.inf, where=outside)
+                np.copyto(lim.reshape(groups), -np.inf, where=outside)
                 values = np.empty_like(lim)
             beta = exponents[:, k]
             zero = beta == 0.0
@@ -401,8 +397,7 @@ def _greedy(X: np.ndarray, inits, exponents: np.ndarray, log_g: np.ndarray,
             stuck = score[chains, best] <= selected[:, k]
             if stuck.any():  # only selected points and their duplicates remain
                 for b in np.flatnonzero(stuck):
-                    free = (np.ones(n_pool, dtype=bool) if exclude is None
-                            else ~exclude[b // groups[1]])
+                    free = ~exclude[b // groups[1]]
                     free[picks[b, :k]] = False
                     best[b] = free.argmax()
             picks[:, k] = best
@@ -415,7 +410,9 @@ def urs(n_total: int, n: int, seed: int) -> list[int]:
     Implemented as a prefix of a seeded permutation, so a shorter draw with
     the same seed is a prefix of a longer one.
     """
+    n_total = check_int("n_total", n_total, 0)
     n = check_int("n", n, 1)
+    seed = check_int("seed", seed, 0)
     if n > n_total:
         raise CapacityError(f"n: cannot draw {n} from {n_total} samples")
     perm = np.random.default_rng(seed).permutation(n_total)
@@ -452,6 +449,7 @@ def fps(X: np.ndarray, n: int, seed: int = 0) -> list[int]:
     the remaining index with the largest minimum distance to the selected
     set, ties broken by smallest index.
     """
+    seed = check_int("seed", seed, 0)
     picks, _ = ggfps_chains(X, np.zeros(len(X)), [0.0], [seed], n, init_mode="random_uniform")
     return picks[0].tolist()
 
@@ -497,7 +495,13 @@ def ggfps_chains(
     if len(betas) != len(seeds) or not len(betas):
         raise ValueError(f"betas, seeds: must be non-empty and of equal length, got "
                          f"{len(betas)} and {len(seeds)}")
+    betas = [check_beta("betas", beta) for beta in betas]
+    seeds = [check_int("seeds", seed, 0) for seed in seeds]
     n = check_int("n", n, 1)
+    for name, mode, modes in (("beta_mode", beta_mode, BETA_MODES),
+                              ("init_mode", init_mode, INIT_MODES)):
+        if mode not in modes:
+            raise ValueError(f"{name}: must be one of {modes}")
     if exclude is None:
         pools = [None]  # all rows
         if n > n_total:

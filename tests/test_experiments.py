@@ -3,10 +3,12 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -1018,14 +1020,75 @@ class TestWorkerCount:
         assert threading.enumerate() == before
 
         def summary(result):
-            labeled_global, _, cells, failure = result
+            labeled_global, cells, failure = result
             return (labeled_global.tolist(), [(m, ts, c, sel.tolist()) for m, ts, c, sel in cells],
                     repr(failure))
 
         serial, parallel = runs
         assert [summary(r) for r in parallel[:4]] == [summary(r) for r in serial[:4]]
         assert "selection failed" in summary(serial[3])[2] and serial[4:] == [None] * 4
-        assert all(r is None or r[3] is None for r in parallel[4:])
+        assert all(r is None or r[2] is None for r in parallel[4:])
+
+    def test_a_helper_that_fails_to_start_leaves_nothing_behind(self, universe, tmp_path,
+                                                                monkeypatch):
+        """The second of a 3-worker run's two helpers fails to start: the
+        error leaves ``run_experiment`` after the first helper's job is
+        stopped and the helper joined, with scipy's pool at its prior count
+        and ``out`` not made."""
+        lib = krr.bundled_openblas("scipy")
+        if not hasattr(lib, "scipy_openblas_get_num_threads"):
+            pytest.skip("scipy bundles no OpenBLAS here")
+        real_start, helpers = threading.Thread.start, []
+
+        def start(thread):
+            if thread.name == "ggfps-lab-replicates":
+                helpers.append(thread)
+                if len(helpers) == 2:
+                    raise RuntimeError("can't start new thread")
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        before, pool_before = threading.enumerate(), lib.scipy_openblas_get_num_threads()
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            experiments.run_experiment(universe, small_plan(bootstraps=3), out, 3)
+        assert len(helpers) == 2
+        assert threading.enumerate() == before
+        assert lib.scipy_openblas_get_num_threads() == pool_before
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs POSIX signals")
+    def test_a_signal_while_waiting_for_a_helper_stops_and_joins_it(self, universe,
+                                                                   monkeypatch):
+        """SIGINT reaches the main thread after its own job, while it waits
+        for the helper's: the helper's job is stopped and the helper joined
+        before KeyboardInterrupt leaves."""
+        main_done, helper_busy, stopped = threading.Event(), threading.Event(), []
+
+        def run_replicate(universe, plan, labeled_size, ts_list, rep, stop):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_busy.wait(timeout=20)
+                main_done.set()
+            else:
+                helper_busy.set()
+                assert main_done.wait(timeout=20)
+                time.sleep(0.2)  # the main thread waits for this job by now
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                stopped.append(stop.wait(timeout=5))
+            return np.arange(0), [], None
+
+        monkeypatch.setattr(experiments, "_run_replicate", run_replicate)
+        before = threading.enumerate()
+        jobs = [(60, [10], rep) for rep in range(2)]
+        with pytest.raises(KeyboardInterrupt):
+            experiments._pick_replicates(universe, small_plan(), jobs, 2)
+        # Python 3.11 takes a thread whose join a signal interrupted for
+        # stopped while it runs, so the second join returns at once
+        deadline = time.monotonic() + 20
+        while threading.enumerate() != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.enumerate() == before
+        assert stopped == [True]
 
     @pytest.mark.parametrize("threads, message", [
         ("2", "threads: must be an integer"), (True, "threads: must be an integer"),

@@ -55,7 +55,7 @@ def ggfps_config(n, beta=0.0, mode="swept", init_mode=None, seed=0):
 
 def fps_from(X, n, init):
     """FPS started at index ``init``: the kernel that ``fps`` runs, at beta = 0."""
-    return _greedy(X, [init], np.zeros((1, n)), np.zeros(len(X)))[0].tolist()
+    return _greedy(X, [init], np.zeros((1, n)), np.zeros((1, len(X))))[0].tolist()
 
 
 class TestUrs:
@@ -73,6 +73,22 @@ class TestUrs:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             urs(3, 4, seed=0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((10.5, 3, 0), "^n_total: must be an integer$"),
+        ((True, 1, 0), "^n_total: must be an integer$"),
+        ((-1, 1, 0), "^n_total: must be >= 0$"),
+        ((10, 3.0, 0), "^n: must be an integer$"),
+        ((10, 3, -1), "^seed: must be >= 0$"),
+        ((10, 3, 1.0), "^seed: must be an integer$"),
+    ], ids=["float-total", "bool-total", "negative-total", "float-n", "negative-seed",
+            "float-seed"])
+    def test_invalid_argument_raises_naming_it(self, args, message):
+        # a float total raised numpy's AxisError, a total of True drew [0], a
+        # negative seed numpy's message
+        with pytest.raises(ValueError, match=message) as err:
+            urs(*args)
+        assert not isinstance(err.value, CapacityError)
 
     def test_uniform_frequencies(self):
         # one bit per (seed, index); 3000 seeds keep the 0.05 margin at ~5.5 sigma
@@ -161,6 +177,15 @@ class TestFps:
             fps(np.zeros((3, 2)), 4)
         with pytest.raises(ValueError, match="finite"):
             fps(np.array([[np.inf, 0.0]]), 1)
+
+    @pytest.mark.parametrize("seed, message", [
+        (2.0, "^seed: must be an integer$"), (True, "^seed: must be an integer$"),
+        (-1, "^seed: must be >= 0$"),
+    ], ids=["float-seed", "bool-seed", "negative-seed"])
+    def test_invalid_seed_raises_naming_it(self, seed, message):
+        # a float seed raised a TypeError from numpy's SeedSequence
+        with pytest.raises(ValueError, match=message):
+            fps(np.zeros((3, 2)), 2, seed=seed)
 
     def test_seeded_init_deterministic(self):
         X = np.random.default_rng(1).normal(size=(40, 2))
@@ -355,7 +380,7 @@ def greedy_cases(draw):
     betas = [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for _ in range(n_chains)]
     exponents = np.stack([beta_schedule(b, n_sel, mode) for b in betas])
     inits = rng.integers(n_pts, size=n_chains)
-    return X, inits, exponents, _log_gradients(g)
+    return X, inits, exponents, _log_gradients(g, g)[None]
 
 
 class TestGreedyKernel:
@@ -372,7 +397,7 @@ class TestGreedyKernel:
         # coordinates near +-1e200: every exact distance overflows to inf
         X = np.random.default_rng(44).uniform(-1e200, 1e200, size=(60, 2))
         exponents = np.stack([np.zeros(30), beta_schedule(1.0, 30)])
-        log_g = np.zeros(60)
+        log_g = np.zeros((1, 60))
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.array_equal(_greedy(X, [3, 7], exponents, log_g),
                                   greedy_rows(X, [3, 7], exponents, log_g))
@@ -394,7 +419,7 @@ class TestGreedyKernel:
             inits = [_initial_index(g, c.init_mode, c.seed) for c in configs]
             exponents = np.stack([beta_schedule(c.beta, n_sel, c.beta_mode)
                                   for c in configs])
-            log_g = np.log(np.maximum(g, 1e-12 * g.max()))
+            log_g = np.log(np.maximum(g, 1e-12 * g.max()))[None]
             picks = _greedy(X, inits, exponents, log_g)
             for row, config in zip(picks, configs):
                 assert row.tolist() == ggfps(labeled, config).indices
@@ -438,7 +463,8 @@ class TestGreedyKernel:
                 picks = ggfps(labeled, config).indices
                 assert picks[0] == first
                 exponents = beta_schedule(beta, 30, mode)[None]
-                assert picks == greedy_rows(X, [first], exponents, _log_gradients(g))[0].tolist()
+                assert picks == greedy_rows(X, [first], exponents,
+                                            _log_gradients(g, g)[None])[0].tolist()
 
     def test_ggfps_chains_reject_descriptors_with_no_column(self):
         # with no coordinate every distance is 0: FPS took its random first
@@ -604,17 +630,25 @@ class TestChainArguments:
         (dict(exclude=np.zeros((1, 30), dtype=int)), "^exclude: "),
         (dict(betas=[0.0, 1.0], seeds=[1, 2], exclude=np.zeros((3, 30), dtype=bool)),
          "^exclude: "),
+        (dict(init_mode="bogus"), "^init_mode: must be one of "),
+        (dict(beta_mode="bogus"), "^beta_mode: must be one of "),
+        (dict(betas=[-1.0]), r"^betas: must be in \[0, "),
+        (dict(betas=[np.nan]), "^betas: must be a finite number$"),
+        (dict(seeds=[-1]), "^seeds: must be >= 0$"),
+        (dict(seeds=[1.5]), "^seeds: must be an integer$"),
+        (dict(seeds=[True]), "^seeds: must be an integer$"),
     ], ids=["short-seeds", "short-betas", "no-chains", "short-g", "2-D-g", "nan-g", "inf-g",
             "negative-g", "short-exclude", "1-D-exclude", "no-groups", "int-exclude",
-            "groups-not-dividing"])
+            "groups-not-dividing", "unknown-init-mode", "unknown-beta-mode", "negative-beta",
+            "nan-beta", "negative-seed", "float-seed", "bool-seed"])
     def test_invalid_argument_raises_naming_it(self, monkeypatch, kwargs, message):
         # NaN norms on this pool once returned the repeated picks [[14, 0, 0, 0, 23]];
-        # unequal or empty betas and seeds, and a g of the wrong shape, a numpy error
+        # unequal or empty betas and seeds, and a g of the wrong shape, a numpy error;
+        # an unknown init_mode a uniform first pick, a seed of True seed 1
         monkeypatch.setattr(sampling, "_greedy", lambda *args: pytest.fail("computed"))
         args = dict(g=np.ones(30), betas=[1.0], seeds=[1]) | kwargs
-        exclude = args.pop("exclude", None)
         with pytest.raises(ValueError, match=message) as err:
-            ggfps_chains(self.X, args["g"], args["betas"], args["seeds"], 5, exclude=exclude)
+            ggfps_chains(self.X, args.pop("g"), args.pop("betas"), args.pop("seeds"), 5, **args)
         assert not isinstance(err.value, CapacityError)
 
     def test_a_group_too_small_for_n_raises_capacity_error(self, monkeypatch):
@@ -722,7 +756,8 @@ class TestScreen:
         rng = np.random.default_rng(int(np.log10(outlier)))
         X = np.vstack([rng.normal(size=(400, 4)), np.full((1, 4), outlier)])
         exponents = np.stack([np.zeros(120), beta_schedule(1.0, 120), beta_schedule(2.0, 120)])
-        log_g = _log_gradients(rng.uniform(0.0, 5.0, size=401))
+        g = rng.uniform(0.0, 5.0, size=401)
+        log_g = _log_gradients(g, g)[None]
         inits = [0, 400, 7]
         assert np.array_equal(_greedy(X, inits, exponents, log_g),
                               greedy_rows(X, inits, exponents, log_g))
